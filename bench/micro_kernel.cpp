@@ -18,7 +18,6 @@
 #include "obs/trace.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/first_fit.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "workflow/montage.hpp"
@@ -29,12 +28,7 @@ namespace {
 
 using namespace dc;
 
-// Queue-sensitive benches run once per scheduler queue (see
-// src/sim/event_queue.hpp). The heap variants keep the historical names so
-// BENCH_kernel.json baselines stay comparable across revisions; calendar
-// variants append a "/calendar" segment ("BM_EventQueueThroughput/calendar/
-// 65536") which the bench tools treat as part of the opaque benchmark name.
-void EventQueueThroughput(benchmark::State& state, sim::QueueKind kind) {
+void BM_EventQueueThroughput(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   std::vector<SimTime> times(events);
   Rng rng(7);
@@ -42,7 +36,7 @@ void EventQueueThroughput(benchmark::State& state, sim::QueueKind kind) {
   std::int64_t counter = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto sim = std::make_unique<sim::Simulator>(kind);
+    auto sim = std::make_unique<sim::Simulator>();
     sim->reserve(events);
     state.ResumeTiming();
     for (const SimTime t : times) {
@@ -57,20 +51,13 @@ void EventQueueThroughput(benchmark::State& state, sim::QueueKind kind) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events));
 }
-BENCHMARK_CAPTURE(EventQueueThroughput, heap, sim::QueueKind::kHeap)
-    ->Name("BM_EventQueueThroughput")
-    ->Arg(1 << 12)
-    ->Arg(1 << 16);
-BENCHMARK_CAPTURE(EventQueueThroughput, calendar, sim::QueueKind::kCalendar)
-    ->Name("BM_EventQueueThroughput/calendar")
-    ->Arg(1 << 12)
-    ->Arg(1 << 16);
+BENCHMARK(BM_EventQueueThroughput)->Arg(1 << 12)->Arg(1 << 16);
 
 // Cancellation-heavy workload: every other scheduled event is cancelled
 // before the run. With the indexed heap, each cancel() excises its queue
 // node immediately; the run phase then dispatches only the survivors —
 // there are no tombstones to pop over.
-void EventQueueCancelHeavy(benchmark::State& state, sim::QueueKind kind) {
+void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   std::vector<SimTime> times(events);
   Rng rng(11);
@@ -79,7 +66,7 @@ void EventQueueCancelHeavy(benchmark::State& state, sim::QueueKind kind) {
   std::int64_t counter = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto sim = std::make_unique<sim::Simulator>(kind);
+    auto sim = std::make_unique<sim::Simulator>();
     sim->reserve(events);
     state.ResumeTiming();
     for (std::size_t i = 0; i < events; ++i) {
@@ -97,22 +84,11 @@ void EventQueueCancelHeavy(benchmark::State& state, sim::QueueKind kind) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events));
 }
-BENCHMARK_CAPTURE(EventQueueCancelHeavy, heap, sim::QueueKind::kHeap)
-    ->Name("BM_EventQueueCancelHeavy")
-    ->Arg(1 << 12)
-    ->Arg(1 << 16);
-BENCHMARK_CAPTURE(EventQueueCancelHeavy, calendar, sim::QueueKind::kCalendar)
-    ->Name("BM_EventQueueCancelHeavy/calendar")
-    ->Arg(1 << 12)
-    ->Arg(1 << 16);
+BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1 << 12)->Arg(1 << 16);
 
-// Batched same-timestamp dispatch: many coincident events per timestamp
-// (here 16, the dispatch batch size) scheduled in interleaved order, the
-// shape of a scan tick completing a whole backlog at once. The calendar
-// queue drains each timestamp in one pop_batch; the heap dispatches
-// per-event (see Simulator::dispatch_batch). The kernel's batch counters
-// are republished so BENCH_kernel.json records the difference.
-void BatchedDispatch(benchmark::State& state, sim::QueueKind kind) {
+// Coincident timestamps: 16 events per timestamp scheduled in interleaved
+// order, the shape of a scan tick completing a whole backlog at once.
+void BM_BatchedDispatch(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   const std::size_t stamps = events / 16;
   std::vector<SimTime> times(events);
@@ -120,10 +96,9 @@ void BatchedDispatch(benchmark::State& state, sim::QueueKind kind) {
     times[i] = static_cast<SimTime>(i % stamps);
   }
   std::int64_t counter = 0;
-  sim::Simulator::DispatchStats last{};
   for (auto _ : state) {
     state.PauseTiming();
-    auto sim = std::make_unique<sim::Simulator>(kind);
+    auto sim = std::make_unique<sim::Simulator>();
     sim->reserve(events);
     state.ResumeTiming();
     for (const SimTime t : times) {
@@ -131,24 +106,14 @@ void BatchedDispatch(benchmark::State& state, sim::QueueKind kind) {
     }
     sim->run();
     state.PauseTiming();
-    last = sim->dispatch_stats();
     sim.reset();
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(counter);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events));
-  state.counters["dispatch_batches"] = static_cast<double>(last.batches);
-  state.counters["dispatch_batched_events"] =
-      static_cast<double>(last.batched_events);
-  state.counters["dispatch_max_batch"] = static_cast<double>(last.max_batch);
 }
-BENCHMARK_CAPTURE(BatchedDispatch, heap, sim::QueueKind::kHeap)
-    ->Name("BM_BatchedDispatch")
-    ->Arg(1 << 16);
-BENCHMARK_CAPTURE(BatchedDispatch, calendar, sim::QueueKind::kCalendar)
-    ->Name("BM_BatchedDispatch/calendar")
-    ->Arg(1 << 16);
+BENCHMARK(BM_BatchedDispatch)->Arg(1 << 16);
 
 void BM_PeriodicTimers(benchmark::State& state) {
   for (auto _ : state) {
@@ -168,10 +133,10 @@ BENCHMARK(BM_PeriodicTimers);
 // (every daemon owns scan/heartbeat/accounting timers). Stresses the
 // re-arm path: each fire pops, re-pushes, and dispatches with no hash
 // lookups.
-void PeriodicTimersDense(benchmark::State& state, sim::QueueKind kind) {
+void BM_PeriodicTimersDense(benchmark::State& state) {
   std::int64_t total_fires = 0;
   for (auto _ : state) {
-    sim::Simulator sim(kind);
+    sim::Simulator sim;
     std::int64_t fires = 0;
     for (int i = 0; i < 256; ++i) {
       const SimTime first = 1 + (i % 60);
@@ -184,10 +149,7 @@ void PeriodicTimersDense(benchmark::State& state, sim::QueueKind kind) {
   }
   state.SetItemsProcessed(total_fires);
 }
-BENCHMARK_CAPTURE(PeriodicTimersDense, heap, sim::QueueKind::kHeap)
-    ->Name("BM_PeriodicTimersDense");
-BENCHMARK_CAPTURE(PeriodicTimersDense, calendar, sim::QueueKind::kCalendar)
-    ->Name("BM_PeriodicTimersDense/calendar");
+BENCHMARK(BM_PeriodicTimersDense);
 
 // Mirrors HtcServer's dispatch loop: a periodic scan schedules a batch of
 // task-completion events, and every completion schedules a follow-up from

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "core/description.hpp"
-#include "sim/event_queue.hpp"
 #include "snapshot/format.hpp"
 #include "util/fsio.hpp"
 #include "util/strings.hpp"
@@ -147,8 +146,8 @@ StatusOr<SimDuration> parse_cell_duration(std::string_view text,
 
 const std::vector<std::string>& known_axis_keys() {
   static const std::vector<std::string> kKeys = {
-      "system", "scheduler", "queue",  "quantum",   "capacity",
-      "setup",  "mttf",      "mttr",   "fault-seed"};
+      "system", "scheduler", "quantum", "capacity", "setup",
+      "mttf",   "mttr",      "fault-seed"};
   return kKeys;
 }
 
@@ -335,15 +334,6 @@ StatusOr<CellPlan> plan_cell(const CellSpec& cell) {
             static_cast<unsigned long long>(cell.id), cell.key().c_str(),
             value.c_str()));
       }
-    } else if (key == "queue") {
-      auto kind = sim::parse_queue_kind(value);
-      if (!kind.has_value()) {
-        return Status::invalid_argument(str_format(
-            "cell %llu (%s): unknown queue '%s' (heap|calendar)",
-            static_cast<unsigned long long>(cell.id), cell.key().c_str(),
-            value.c_str()));
-      }
-      plan.options.queue = *kind;
     } else if (key == "quantum") {
       auto quantum = parse_cell_duration(value, cell, key);
       if (!quantum.is_ok()) return quantum.status();

@@ -42,8 +42,8 @@ struct SweepSpec {
 };
 
 /// The axis vocabulary, in canonical (expansion) order. Mirrors the `run`
-/// subcommand's flags: system, scheduler, queue, quantum, capacity,
-/// setup, mttf, mttr, fault-seed.
+/// subcommand's flags: system, scheduler, quantum, capacity, setup, mttf,
+/// mttr, fault-seed.
 const std::vector<std::string>& known_axis_keys();
 
 /// Parses a spec from text. `#` starts a comment; blank lines are

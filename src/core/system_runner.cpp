@@ -70,8 +70,7 @@ SystemRunner::SystemRunner(SystemModel model,
       workload_(workload),
       options_(options),
       horizon_(workload.effective_horizon()),
-      mode_(mode),
-      sim_(options.queue) {
+      mode_(mode) {
   build();
   arm();
 }
@@ -642,18 +641,6 @@ SystemResult SystemRunner::finalize() {
                            static_cast<double>(sim_.events_processed()));
     options_.profile->note("peak_pending",
                            static_cast<double>(sim_.peak_pending()));
-    const sim::Simulator::DispatchStats& ds = sim_.dispatch_stats();
-    options_.profile->note("dispatch_batches",
-                           static_cast<double>(ds.batches));
-    options_.profile->note("dispatch_batched_events",
-                           static_cast<double>(ds.batched_events));
-    options_.profile->note("dispatch_max_batch",
-                           static_cast<double>(ds.max_batch));
-    std::vector<sim::QueueStat> qstats;
-    sim_.queue_stats(&qstats);
-    for (const sim::QueueStat& stat : qstats) {
-      options_.profile->note(stat.name, static_cast<double>(stat.value));
-    }
     if (options_.trace != nullptr) {
       options_.profile->note("trace_events_emitted",
                              static_cast<double>(options_.trace->emitted()));

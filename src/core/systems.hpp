@@ -26,7 +26,6 @@
 #include "core/fault/recovery.hpp"
 #include "core/lifecycle.hpp"
 #include "core/policies.hpp"
-#include "sim/event_queue.hpp"
 #include "util/time.hpp"
 #include "workflow/dag.hpp"
 #include "workload/trace.hpp"
@@ -191,10 +190,6 @@ struct RunOptions {
   /// applied to every provider. Defaults reproduce the legacy semantics:
   /// unlimited immediate retries from scratch.
   fault::FaultRecoveryPolicy recovery;
-  /// Kernel scheduler queue. Both implementations pop the same (time, seq)
-  /// total order, so results, traces and snapshots are byte-identical —
-  /// this knob only trades queue-maintenance cost (docs/ARCHITECTURE.md).
-  sim::QueueKind queue = sim::QueueKind::kHeap;
 
   // --- Observability (docs/OBSERVABILITY.md). All three hooks are
   // borrowed, per-run, and may be null (the default: zero overhead

@@ -1,36 +1,14 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 
-#include "sim/calendar_queue.hpp"
 #include "util/check.hpp"
 
 namespace dc::sim {
 
-const char* queue_kind_name(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kHeap:
-      return "heap";
-    case QueueKind::kCalendar:
-      return "calendar";
-  }
-  return "?";
-}
-
-std::optional<QueueKind> parse_queue_kind(std::string_view text) {
-  if (text == "heap") return QueueKind::kHeap;
-  if (text == "calendar") return QueueKind::kCalendar;
-  return std::nullopt;
-}
-
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
-  if (kind == QueueKind::kCalendar) return std::make_unique<CalendarQueue>();
-  return std::make_unique<HeapEventQueue>();
-}
-
-// ---------------------------------------------------------------------------
-// HeapEventQueue. Every node move updates the owning slot's entry in
-// slot_pos_, so erase_slot can find and excise a node without scanning.
+// Every node move updates the owning slot's entry in slot_pos_, so
+// erase_slot can find and excise a node without scanning.
 
 void HeapEventQueue::grow(std::size_t new_cap) {
   // 3-node front pad + 64-byte alignment puts every 4-child group on one
@@ -81,6 +59,7 @@ void HeapEventQueue::sift_down(std::size_t pos) {
 
 void HeapEventQueue::erase_slot(std::uint32_t slot) {
   const std::size_t pos = slot_pos_[slot];
+  assert(pos != kNoPos && "erase_slot: the slot is not queued");
   slot_pos_[slot] = kNoPos;
   const QueueNode last = at(--size_);
   if (pos < size_) {
@@ -100,10 +79,6 @@ void HeapEventQueue::drain_all(std::vector<QueueNode>* out) {
     slot_pos_[at(i).slot] = kNoPos;
   }
   size_ = 0;
-}
-
-void HeapEventQueue::stats(std::vector<QueueStat>* out) const {
-  out->push_back({"queue_heap_capacity", cap_});
 }
 
 void HeapEventQueue::audit(

@@ -1,49 +1,29 @@
-// Pluggable pending-event queue for the simulation kernel.
+// The simulation kernel's pending-event queue: an indexed 4-ary heap.
 //
-// The Simulator owns exactly one EventQueue. Every implementation must
-// produce the same pop order — strictly increasing (time, seq) — so the
-// queue choice can never change simulation results, only their cost. The
-// contract is pinned by the randomized differential test
-// (tests/sim/queue_differential_test.cpp) and by the cross-queue
-// determinism tests, which require byte-identical artifacts, snapshots,
-// and trace exports from both implementations.
+// The Simulator holds exactly one HeapEventQueue, by value. It pops in
+// strictly increasing (time, seq) order — the one order every result,
+// trace and snapshot depends on. That order is pinned by the randomized
+// reference-model test (tests/sim/queue_differential_test.cpp), which
+// checks every fired event against a std::set of (time, seq) pairs.
 //
-// Two implementations ship:
-//   * HeapEventQueue — the indexed 4-ary heap the kernel has always used:
-//     16-byte nodes in a 64-byte-aligned buffer (four children per cache
-//     line), a dense slot->position side array for O(1) + one-sift cancel.
-//     O(log n) push/pop with a small constant; the safe default.
-//   * CalendarQueue — a calendar/ladder queue (see calendar_queue.hpp):
-//     amortized O(1) push and pop with generation-tagged lazy cancel,
-//     built for the huge pending sets of planet-scale sweeps.
+// Layout: 16-byte nodes in a 64-byte-aligned buffer (four children per
+// cache line) and a dense slot->position side array, so cancel finds its
+// node in O(1) and removes it with one localized sift. Push and pop are
+// O(log n) with a small constant; at the paper workloads' peak of ~5.7k
+// pending events the heap is about six levels deep.
 //
-// Snapshots deliberately carry no queue-kind tag: a snapshot records the
-// pending set as (time, seq) pairs, which every queue can re-arm, so a run
-// saved under one queue restores under the other (also pinned by tests).
+// Snapshots carry the pending set as (time, seq) pairs, never heap
+// internals: restore re-pushes them in any order and the heap pops them in
+// the same (time, seq) order the uninterrupted run would have.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace dc::sim {
-
-/// Which EventQueue implementation a Simulator uses. Selected per run via
-/// RunOptions::queue / the CLI `--queue` flag; defaults to the heap.
-enum class QueueKind : std::uint8_t {
-  kHeap = 0,
-  kCalendar = 1,
-};
-
-const char* queue_kind_name(QueueKind kind);
-
-/// Parses "heap" or "calendar"; nullopt for anything else.
-std::optional<QueueKind> parse_queue_kind(std::string_view text);
 
 /// One pending occurrence. Ordered by (time, seq); seq is the kernel's
 /// schedule counter, so equal-time events pop FIFO. Kept to 16 bytes —
@@ -64,88 +44,19 @@ inline bool queue_node_less(const QueueNode& a, const QueueNode& b) {
   return a.seq < b.seq;
 }
 
-/// A named statistic an implementation exposes to the self-profiling
-/// report (published as profile notes by SystemRunner::finalize).
-struct QueueStat {
-  const char* name;
-  std::uint64_t value;
-};
-
-/// Abstract pending-event queue. Not a general priority queue: slots are
-/// unique keys (at most one pending occurrence per slot), which is what
-/// makes O(1) cancel-by-slot possible in every implementation.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual QueueKind kind() const = 0;
-
-  /// Inserts a node. The slot must not already be queued.
-  virtual void push(const QueueNode& node) = 0;
-
-  /// The minimum node, or nullptr when empty. Non-const: lazy
-  /// implementations may reorganize to locate the head.
-  virtual const QueueNode* min() = 0;
-
-  /// Removes the minimum node. Precondition: not empty.
-  virtual void pop_min() = 0;
-
-  /// Pops up to `max` front nodes that all share the head's time_bits
-  /// into `out`, in (time, seq) order. Returns the count (>= 1).
-  /// Precondition: not empty. This is the batched-dispatch drain: the
-  /// Simulator dispatches the run without re-touching the queue.
-  virtual std::uint32_t pop_batch(QueueNode* out, std::uint32_t max) = 0;
-
-  /// Removes the node for `slot`. Precondition: the slot is queued.
-  virtual void erase_slot(std::uint32_t slot) = 0;
-
-  /// Looks up the queued node for `slot`. Returns false when the slot is
-  /// not queued (never scheduled, already popped, or mid-dispatch).
-  virtual bool find_slot(std::uint32_t slot, QueueNode* out) const = 0;
-
-  /// Number of queued nodes.
-  virtual std::size_t size() const = 0;
-
-  /// Pre-sizes internal storage for `expected` concurrently queued nodes.
-  virtual void reserve(std::size_t expected) = 0;
-
-  /// Grows per-slot side storage to cover slots [0, slot_count). Called by
-  /// the Simulator whenever the event slab grows.
-  virtual void ensure_slots(std::size_t slot_count) = 0;
-
-  /// Appends every queued node to `out` in unspecified order, then
-  /// empties the queue. Used by seq renumbering: collect, renumber,
-  /// re-push. Per-slot side storage is retained.
-  virtual void drain_all(std::vector<QueueNode>* out) = 0;
-
-  /// Implementation-specific counters for the self-profiling report.
-  virtual void stats(std::vector<QueueStat>* out) const = 0;
-
-  /// Full structural audit (checked builds call this): internal ordering
-  /// and slot-index invariants, plus `check_node` once per queued node so
-  /// the Simulator can validate slab linkage. Aborts on violation.
-  virtual void audit(
-      const std::function<void(const QueueNode&)>& check_node) const = 0;
-};
-
-/// Creates the queue for `kind`.
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
-
-/// The kernel's original pending structure: an indexed 4-ary heap of
-/// 16-byte nodes. The buffer is 64-byte-aligned with a 3-node front pad,
-/// so the four children of logical node L (physical 4L+4..4L+7) share one
-/// cache line. A dense slot->position side array makes erase_slot O(1) to
-/// locate plus one localized sift.
-class HeapEventQueue final : public EventQueue {
+/// Not a general priority queue: slots are unique keys (at most one
+/// pending occurrence per slot), which is what makes O(1) cancel-by-slot
+/// possible. The buffer has a 3-node front pad, so the four children of
+/// logical node L (physical 4L+4..4L+7) share one cache line.
+class HeapEventQueue {
  public:
   HeapEventQueue() = default;
   HeapEventQueue(const HeapEventQueue&) = delete;
   HeapEventQueue& operator=(const HeapEventQueue&) = delete;
-  ~HeapEventQueue() override { std::free(raw_); }
+  ~HeapEventQueue() { std::free(raw_); }
 
-  QueueKind kind() const override { return QueueKind::kHeap; }
-
-  void push(const QueueNode& node) override {
+  /// Inserts a node. The slot must not already be queued.
+  void push(const QueueNode& node) {
     if (size_ == cap_) grow(cap_ == 0 ? 1024 : cap_ * 2);
     std::size_t pos = size_++;
     // Inline sift-up: random-time inserts rarely climb more than a level
@@ -161,15 +72,18 @@ class HeapEventQueue final : public EventQueue {
     slot_pos_[node.slot] = static_cast<std::uint32_t>(pos);
   }
 
-  const QueueNode* min() override { return size_ == 0 ? nullptr : &at(0); }
+  /// The minimum node, or nullptr when empty.
+  const QueueNode* min() const { return size_ == 0 ? nullptr : &at(0); }
 
-  // Pop the root. The replacement comes from the bottom of the heap, so it
-  // nearly always sinks the full height: walk the min-child path down to a
-  // leaf first, then bubble the replacement up — the early-exit compares
-  // happen near the leaf where they are cheap, and each level's child scan
-  // is one aligned cache line (prefetched one level ahead). In the header
-  // so the Simulator's devirtualized dispatch path inlines the whole pop.
-  void pop_min() override {
+  /// Removes the minimum node. Precondition: not empty.
+  ///
+  /// The replacement comes from the bottom of the heap, so it nearly
+  /// always sinks the full height: walk the min-child path down to a leaf
+  /// first, then bubble the replacement up — the early-exit compares
+  /// happen near the leaf where they are cheap, and each level's child
+  /// scan is one aligned cache line (prefetched one level ahead). In the
+  /// header so the Simulator's dispatch path inlines the whole pop.
+  void pop_min() {
     slot_pos_[at(0).slot] = kNoPos;
     const QueueNode last = at(--size_);
     const std::size_t n = size_;
@@ -199,39 +113,41 @@ class HeapEventQueue final : public EventQueue {
     slot_pos_[last.slot] = static_cast<std::uint32_t>(pos);
   }
 
-  std::uint32_t pop_batch(QueueNode* out, std::uint32_t max) override {
-    const std::uint64_t head_time = at(0).time_bits;
-    std::uint32_t n = 0;
-    do {
-      out[n++] = at(0);
-      pop_min();
-    } while (n < max && size_ != 0 && at(0).time_bits == head_time);
-    return n;
-  }
+  /// Removes the node for `slot`. Precondition: the slot is queued.
+  void erase_slot(std::uint32_t slot);
 
-  void erase_slot(std::uint32_t slot) override;
-
-  bool find_slot(std::uint32_t slot, QueueNode* out) const override {
+  /// Looks up the queued node for `slot`. Returns false when the slot is
+  /// not queued (never scheduled, or already popped).
+  bool find_slot(std::uint32_t slot, QueueNode* out) const {
     const std::uint32_t pos = slot_pos_[slot];
     if (pos == kNoPos) return false;
     *out = at(pos);
     return true;
   }
 
-  std::size_t size() const override { return size_; }
+  /// Number of queued nodes.
+  std::size_t size() const { return size_; }
 
-  void reserve(std::size_t expected) override {
+  /// Pre-sizes the buffer for `expected` concurrently queued nodes.
+  void reserve(std::size_t expected) {
     if (expected > cap_) grow(expected);
   }
 
-  void ensure_slots(std::size_t slot_count) override {
+  /// Grows the slot->position side array to cover slots [0, slot_count).
+  /// Called by the Simulator whenever the event slab grows.
+  void ensure_slots(std::size_t slot_count) {
     slot_pos_.resize(slot_count, kNoPos);
   }
 
-  void drain_all(std::vector<QueueNode>* out) override;
-  void stats(std::vector<QueueStat>* out) const override;
-  void audit(
-      const std::function<void(const QueueNode&)>& check_node) const override;
+  /// Appends every queued node to `out` in unspecified order, then
+  /// empties the queue. Used by seq renumbering: collect, renumber,
+  /// re-push.
+  void drain_all(std::vector<QueueNode>* out);
+
+  /// Full structural audit (checked builds call this): heap order and the
+  /// slot<->position bijection, plus `check_node` once per queued node so
+  /// the Simulator can validate slab linkage. Aborts on violation.
+  void audit(const std::function<void(const QueueNode&)>& check_node) const;
 
  private:
   static constexpr std::uint32_t kNoPos = 0xffffffffu;

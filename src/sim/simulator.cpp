@@ -12,7 +12,7 @@ std::uint32_t Simulator::grow_event_slab() {
   if ((slot >> kSlabShift) >= event_chunks_.size()) {
     event_chunks_.push_back(std::make_unique<EventSlot[]>(kSlabChunk));
   }
-  queue_->ensure_slots(event_slots_used_);
+  queue_.ensure_slots(event_slots_used_);
   event(slot).live = 1;
   return slot;
 }
@@ -30,7 +30,7 @@ void Simulator::release_event_slot(std::uint32_t slot) {
 }
 
 void Simulator::reserve(std::size_t expected_events) {
-  queue_->reserve(expected_events);
+  queue_.reserve(expected_events);
   if (expected_events <= event_slots_used_) return;
   // Materialize the new slots onto the free list now (ascending, so a
   // burst of schedules still fills slots in address order): every
@@ -44,28 +44,22 @@ void Simulator::reserve(std::size_t expected_events) {
   event(last).link = free_event_;
   free_event_ = first;
   event_slots_used_ = static_cast<std::uint32_t>(expected_events);
-  queue_->ensure_slots(event_slots_used_);
+  queue_.ensure_slots(event_slots_used_);
 }
 
 // The 32-bit FIFO tie-break counter saturated (once per ~4.3 billion
 // schedules). Compact the seqs of the pending nodes order-preservingly:
-// relative order is all any queue compares, so FIFO order is exactly
-// preserved. In-flight batch entries participate too — request_stop() may
-// re-push them, so their seqs must stay ordered against the queued set.
-// Amortized cost is zero.
+// relative order is all the heap compares, so FIFO order is exactly
+// preserved. Amortized cost is zero.
 void Simulator::renumber_seqs() {
   std::vector<QueueNode> nodes;
-  queue_->drain_all(&nodes);
-  std::vector<QueueNode*> order;
-  order.reserve(nodes.size() + (batch_n_ - batch_i_));
-  for (QueueNode& node : nodes) order.push_back(&node);
-  for (std::uint32_t i = batch_i_; i < batch_n_; ++i) order.push_back(&batch_[i]);
-  std::sort(order.begin(), order.end(),
-            [](const QueueNode* a, const QueueNode* b) { return a->seq < b->seq; });
+  queue_.drain_all(&nodes);
+  std::sort(nodes.begin(), nodes.end(),
+            [](const QueueNode& a, const QueueNode& b) { return a.seq < b.seq; });
   std::uint32_t seq = 1;
-  for (QueueNode* node : order) node->seq = seq++;
+  for (QueueNode& node : nodes) node.seq = seq++;
   next_seq_ = seq;
-  for (const QueueNode& node : nodes) queue_->push(node);
+  for (const QueueNode& node : nodes) queue_.push(node);
 }
 
 // ---------------------------------------------------------------------------
@@ -76,34 +70,38 @@ bool Simulator::cancel(EventId id) {
   if (slot >= event_slots_used_) return false;
   EventSlot& ev = event(slot);
   if (!ev.live || ev.gen != id_gen(id)) return false;
-  QueueNode node;
-  const bool queued = heap_ != nullptr ? heap_->find_slot(slot, &node)
-                                       : queue_->find_slot(slot, &node);
-  if (queued) {
-    if (heap_ != nullptr) {
-      heap_->erase_slot(slot);
-    } else {
-      queue_->erase_slot(slot);
-    }
-  } else {
-    // Not queued but live: the event is in the in-flight dispatch batch
-    // (a same-timestamp sibling cancelled it). Releasing the slot bumps
-    // the generation, which is exactly what makes the batch entry stale.
-    --batch_inflight_;
-  }
+  // A live event is always queued: dispatch pops an event and marks it
+  // dead before its callback can run.
+  queue_.erase_slot(slot);
   release_event_slot(slot);
   maybe_audit();
   return true;
 }
 
-// Marks the (already popped, live) event dead and invokes it. Mark before
-// invoking: a cancel() of this event's own id from inside the callback is
-// then a clean "already fired" no-op, and pending_live() already excludes
-// the executing event. The slot joins the free list only after the
-// callback returns, so re-entrant schedules cannot recycle it; chunked
-// slab addresses are stable, so the callable is invoked in place.
-inline void Simulator::run_event(std::uint32_t slot, EventSlot& ev) {
+// Pops the head and runs it. The event is marked dead before its callback
+// is invoked: a cancel() of its own id from inside the callback is then a
+// clean "already fired" no-op, and pending_live() already excludes it. The
+// slot joins the free list only after the callback returns, so re-entrant
+// schedules cannot recycle it; chunked slab addresses are stable, so the
+// callable is invoked in place.
+bool Simulator::dispatch_next(std::uint64_t horizon_key) {
+  const QueueNode* head = queue_.min();
+  if (head == nullptr || head->time_bits > horizon_key) return false;
+  assert(head->time_bits >= time_key(now_));
+  DC_INVARIANT(head->time_bits >= time_key(now_),
+               "simulation time must be nondecreasing (queue produced an "
+               "event before now())");
+  maybe_audit();
+  now_ = key_time(head->time_bits);
+  const std::uint32_t slot = head->slot;
+  queue_.pop_min();
+  // The queue head is now the *next* event to fire: start pulling its slot
+  // in while this event's callback runs, hiding the slab miss.
+  if (const QueueNode* next = queue_.min(); next != nullptr) {
+    __builtin_prefetch(&event(next->slot));
+  }
   ++processed_;
+  EventSlot& ev = event(slot);
   ev.live = 0;
   --live_events_;
   if (ev.link == kLinkNone) {
@@ -120,99 +118,12 @@ inline void Simulator::run_event(std::uint32_t slot, EventSlot& ev) {
     free_event_ = slot;
     fire_timer(timer_slot, now_);
   }
-}
-
-bool Simulator::dispatch_batch(std::uint64_t horizon_key) {
-  const QueueNode* head = heap_ != nullptr ? heap_->min() : queue_->min();
-  if (head == nullptr || head->time_bits > horizon_key) return false;
-  assert(head->time_bits >= time_key(now_));
-  DC_INVARIANT(head->time_bits >= time_key(now_),
-               "simulation time must be nondecreasing (queue produced an "
-               "event before now())");
-  maybe_audit();
-  now_ = key_time(head->time_bits);
-  // Per-event fast path. Two cases take it:
-  //  * the heap, always: its pop cost is one sift-down per node whether
-  //    popped singly or via pop_batch, and cancel() excises nodes eagerly
-  //    so the head is always live — batching would add generation
-  //    snapshots and a staging copy for zero saved queue work (measured:
-  //    ~15% slower on the dense-timer benchmark);
-  //  * any queue when the head's timestamp is a singleton (the common
-  //    case outside scan-tick bursts).
-  // Nothing runs between the pop and the dispatch, and cancellation of
-  // a not-yet-popped same-timestamp sibling still works through the
-  // queue's own erase path, so no generation snapshot is needed.
-  const QueueNode first = *head;
-  if (heap_ != nullptr) {
-    heap_->pop_min();
-    head = heap_->min();
-  } else {
-    queue_->pop_min();
-    head = queue_->min();
-  }
-  dispatch_stats_.batches += 1;
-  if (heap_ != nullptr || head == nullptr ||
-      head->time_bits != first.time_bits) {
-    // The queue head is now the *next* event to fire: start pulling its
-    // slot in while this event's callback runs, hiding the slab miss.
-    if (head != nullptr) __builtin_prefetch(&event(head->slot));
-    dispatch_stats_.batched_events += 1;
-    if (dispatch_stats_.max_batch == 0) dispatch_stats_.max_batch = 1;
-    run_event(first.slot, event(first.slot));
-    return true;
-  }
-  batch_[0] = first;
-  batch_n_ = 1 + (heap_ != nullptr
-                      ? heap_->pop_batch(batch_ + 1, kBatchMax - 1)
-                      : queue_->pop_batch(batch_ + 1, kBatchMax - 1));
-  batch_i_ = 0;
-  batch_inflight_ += batch_n_;
-  // Record each entry's generation so a mid-batch cancel (or a cancel plus
-  // slot reuse) is detected at dispatch, and start pulling the slot lines
-  // in — the batch is dispatched back-to-back, so by the time entry i runs
-  // its slab line is already in flight.
-  for (std::uint32_t i = 0; i < batch_n_; ++i) {
-    __builtin_prefetch(&event(batch_[i].slot));
-  }
-  for (std::uint32_t i = 0; i < batch_n_; ++i) {
-    batch_gens_[i] = event(batch_[i].slot).gen;
-  }
-  dispatch_stats_.batched_events += batch_n_;
-  if (batch_n_ > dispatch_stats_.max_batch) dispatch_stats_.max_batch = batch_n_;
-  while (batch_i_ < batch_n_) {
-    if (stop_requested_) {
-      // Put the undispatched remainder back with its original (time, seq):
-      // a later run()/run_until() — or a snapshot restore — fires it in
-      // exactly the order the uninterrupted run would have.
-      while (batch_i_ < batch_n_) {
-        const QueueNode& node = batch_[batch_i_];
-        const EventSlot& ev = event(node.slot);
-        if (ev.live && ev.gen == batch_gens_[batch_i_]) {
-          queue_->push(node);
-          --batch_inflight_;
-        }
-        ++batch_i_;
-      }
-      break;
-    }
-    const QueueNode node = batch_[batch_i_];
-    const std::uint32_t gen = batch_gens_[batch_i_];
-    ++batch_i_;
-    EventSlot& ev = event(node.slot);
-    // Stale entry: a sibling earlier in this batch cancelled it (the slot
-    // may even have been recycled into a new event — the generation says).
-    if (!ev.live || ev.gen != gen) continue;
-    --batch_inflight_;
-    run_event(node.slot, ev);
-  }
-  batch_n_ = 0;
-  batch_i_ = 0;
   return true;
 }
 
 void Simulator::run() {
   stop_requested_ = false;
-  while (!stop_requested_ && dispatch_batch(~std::uint64_t{0})) {
+  while (!stop_requested_ && dispatch_next(~std::uint64_t{0})) {
   }
 }
 
@@ -221,7 +132,7 @@ void Simulator::run_until(SimTime horizon) {
   DC_INVARIANT(horizon >= now_, "run_until horizon is in the past");
   stop_requested_ = false;
   const std::uint64_t horizon_key = time_key(horizon);
-  while (!stop_requested_ && dispatch_batch(horizon_key)) {
+  while (!stop_requested_ && dispatch_next(horizon_key)) {
   }
   now_ = horizon;
 }
@@ -308,9 +219,8 @@ std::optional<Simulator::PendingEventInfo> Simulator::pending_event_info(
   const EventSlot& ev = event(slot);
   if (!ev.live || ev.gen != id_gen(id)) return std::nullopt;
   QueueNode node;
-  const bool queued = queue_->find_slot(slot, &node);
-  assert(queued && "pending_event_info requires a quiescent point (the event "
-                   "is mid-dispatch)");
+  const bool queued = queue_.find_slot(slot, &node);
+  assert(queued && "a live event is always queued");
   if (!queued) return std::nullopt;
   return PendingEventInfo{key_time(node.time_bits), node.seq};
 }
@@ -325,8 +235,8 @@ std::optional<Simulator::PendingTimerInfo> Simulator::pending_timer_info(
   assert(ev_slot < event_slots_used_ && event(ev_slot).live &&
          "alive timer without a pending fire event at a quiescent point");
   QueueNode node;
-  const bool queued = queue_->find_slot(ev_slot, &node);
-  assert(queued && "pending_timer_info requires a quiescent point");
+  const bool queued = queue_.find_slot(ev_slot, &node);
+  assert(queued && "a live event is always queued");
   if (!queued) return std::nullopt;
   return PendingTimerInfo{key_time(node.time_bits), node.seq, ts.period};
 }
@@ -335,7 +245,7 @@ void Simulator::begin_restore(SimTime now, std::uint32_t next_seq,
                               std::uint64_t processed) {
   assert(!restoring_ && "begin_restore called twice");
   assert(now_ == 0 && processed_ == 0 && live_events_ == 0 &&
-         queue_->size() == 0 && event_slots_used_ == 0 &&
+         queue_.size() == 0 && event_slots_used_ == 0 &&
          timer_slots_used_ == 0 &&
          "restore requires a virgin kernel (build components passively)");
   assert(now >= 0 && next_seq >= 1);
@@ -390,7 +300,7 @@ Status Simulator::finish_restore(std::uint64_t expected_pending) {
   seqs.reserve(live_events_);
   for (std::uint32_t slot = 0; slot < event_slots_used_; ++slot) {
     QueueNode node;
-    if (queue_->find_slot(slot, &node)) seqs.push_back(node.seq);
+    if (queue_.find_slot(slot, &node)) seqs.push_back(node.seq);
   }
   std::sort(seqs.begin(), seqs.end());
   for (std::size_t i = 1; i < seqs.size(); ++i) {
@@ -423,13 +333,11 @@ void Simulator::audit_invariants() const {
                "event slab has fewer chunks than its high-water mark");
   DC_INVARIANT(timer_chunks_.size() * kSlabChunk >= timer_slots_used_,
                "timer slab has fewer chunks than its high-water mark");
-  DC_INVARIANT(queue_->size() + batch_inflight_ == live_events_,
-               "pending-event count diverged from the queue plus the "
-               "in-flight batch");
+  DC_INVARIANT(queue_.size() == live_events_,
+               "pending-event count diverged from the queue");
 
-  // Queue structure (heap order / calendar bucketing), plus per-node slab
-  // linkage.
-  queue_->audit([this](const QueueNode& node) {
+  // Heap structure, plus per-node slab linkage.
+  queue_.audit([this](const QueueNode& node) {
     DC_INVARIANT(node.slot < event_slots_used_,
                  "queued node references a slot beyond the slab");
     DC_INVARIANT(node.seq >= 1 && node.seq < next_seq_,
@@ -441,8 +349,8 @@ void Simulator::audit_invariants() const {
   });
 
   // Event free list: acyclic (bounded walk), every member dead. Every slot
-  // is queued, in the in-flight batch, free, or the one event currently
-  // executing (its slot joins the free list after its callback returns).
+  // is queued, free, or the one event currently executing (its slot joins
+  // the free list after its callback returns).
   std::uint32_t free_events = 0;
   for (std::uint32_t s = free_event_; s != kLinkNone; s = event(s).link) {
     DC_INVARIANT(s < event_slots_used_, "event free list left the slab");

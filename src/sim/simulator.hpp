@@ -10,11 +10,8 @@
 //   * Events scheduled for the same time fire in scheduling (FIFO) order,
 //     which makes experiments fully deterministic.
 //   * cancel()/stop_timer() validate their handle in O(1) via a generation
-//     tag; the pending entry is removed (or tombstoned, calendar queue)
-//     immediately, so cancel-heavy workloads never accumulate stale work.
-//   * The pending queue is pluggable (see event_queue.hpp): the indexed
-//     4-ary heap and the calendar queue produce the same (time, seq) pop
-//     order, so the queue choice can never change results, only speed.
+//     tag; the pending entry is removed from the queue immediately, so
+//     cancel-heavy workloads never accumulate stale work.
 //
 // Hot-path design (see docs/ARCHITECTURE.md, "The simulation kernel"):
 //   * Events live in a chunked slab (fixed 1024-slot chunks + free list),
@@ -24,14 +21,10 @@
 //     scheduling such an event performs zero heap allocations in steady
 //     state — and is exactly 80 bytes: the generation tag and the
 //     timer/free-list link share one 8-byte tail after the callback.
-//   * Dispatch batches same-timestamp events when the queue profits from
-//     it: the calendar queue drains all events sharing the head timestamp
-//     into a small inline buffer in one pop_batch (its sorted bucket makes
-//     that a copy, so dense coincident patterns — periodic timers, server
-//     scans — pay the bucket machinery once per timestamp, not once per
-//     event). The default heap dispatches per-event: its pop cost is one
-//     sift-down per node either way, and eager cancel keeps its head
-//     always live, so batch bookkeeping would be pure overhead there.
+//   * The pending set is an indexed 4-ary heap held by value (see
+//     event_queue.hpp), so push and pop inline into the kernel.
+//     Dispatch is one event at a time: pop the head, prefetch the next
+//     head's slab slot, run. Eager cancel keeps the head always live.
 //   * Periodic timers are their own slab; a timer's fire event carries the
 //     timer's slot index, so re-arming is direct indexing — no hash
 //     lookups anywhere in the kernel.
@@ -43,8 +36,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -79,19 +70,9 @@ class Simulator {
   using Callback = SmallFunc<void()>;
   using TimerCallback = SmallFunc<void(SimTime)>;
 
-  /// `queue` selects the pending-queue implementation (RunOptions/CLI
-  /// `--queue`). Every implementation pops the same (time, seq) order, so
-  /// this is a pure performance choice.
-  explicit Simulator(QueueKind queue = QueueKind::kHeap)
-      : queue_(make_event_queue(queue)) {
-    if (queue == QueueKind::kHeap) {
-      heap_ = static_cast<HeapEventQueue*>(queue_.get());
-    }
-  }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  QueueKind queue_kind() const { return queue_->kind(); }
 
   /// Current simulation time (seconds).
   SimTime now() const { return now_; }
@@ -133,8 +114,8 @@ class Simulator {
   void run_until(SimTime horizon);
 
   /// Requests that run()/run_until() return after the current event.
-  /// Same-timestamp events already drained for dispatch are put back with
-  /// their original (time, seq), so a later resume fires them identically.
+  /// Events still pending keep their (time, seq), so a later resume fires
+  /// them exactly as the uninterrupted run would have.
   void request_stop() { stop_requested_ = true; }
 
   /// Number of events executed so far (excludes cancelled).
@@ -153,18 +134,6 @@ class Simulator {
   /// pending events. Optional — both grow on demand.
   void reserve(std::size_t expected_events);
 
-  /// Batched-dispatch counters for the self-profiling report.
-  struct DispatchStats {
-    std::uint64_t batches = 0;        // dispatch rounds
-    std::uint64_t batched_events = 0; // events dispatched via those rounds
-    std::uint64_t max_batch = 0;      // largest same-timestamp drain
-  };
-  DispatchStats dispatch_stats() const { return dispatch_stats_; }
-
-  /// Queue-implementation counters (rebuilds, compactions, ...) for the
-  /// self-profiling report.
-  void queue_stats(std::vector<QueueStat>* out) const { queue_->stats(out); }
-
   // --- Snapshot/restore support (see docs/SNAPSHOT.md) -------------------
   //
   // A snapshot taken at a quiescent point (between run_until chunks, no
@@ -173,9 +142,7 @@ class Simulator {
   // identical callbacks with their *original* sequence numbers: since seqs
   // are unique, (time, seq) is a total order and the queue pops the restored
   // events in exactly the order the uninterrupted run would have — push
-  // order, slot indices, and even the queue implementation are irrelevant
-  // to results (snapshots carry no queue-kind tag; a run saved under one
-  // queue restores under the other).
+  // order and slot indices are irrelevant to results.
 
   /// (time, seq) of a pending one-shot event; nullopt if the handle is
   /// stale (already fired or cancelled). O(1) — safe to call on every entry
@@ -231,10 +198,10 @@ class Simulator {
 
   bool restoring() const { return restoring_; }
 
-  /// Full structural audit of the kernel (checked builds): queue ordering
+  /// Full structural audit of the kernel (checked builds): heap ordering
   /// and slot-index invariants (delegated to the queue), generation
   /// consistency, event and timer slab free-list integrity, timer/event
-  /// cross-links, batch accounting. A violation aborts with the failing
+  /// cross-links, pending-event accounting. A violation aborts with the failing
   /// invariant. In non-DC_CHECKED builds this is a no-op — tests may call
   /// it unconditionally. Checked builds also run it automatically every
   /// max(1024, pending) kernel operations (amortized O(1) per operation),
@@ -247,11 +214,6 @@ class Simulator {
   // kLinkNone is a one-shot event; any other live value is the owning
   // timer slot; on a dead slot, link is the next free slot.
   static constexpr std::uint32_t kLinkNone = 0x7fffffffu;
-
-  /// Same-timestamp drain bound: dispatch pulls up to this many coincident
-  /// events from the queue in one operation. Runs longer than the buffer
-  /// simply drain again at the same timestamp — order is still (time, seq).
-  static constexpr std::uint32_t kBatchMax = 16;
 
   static std::uint64_t time_key(SimTime t) {
     assert(t >= 0 && "queued times are nonnegative");
@@ -268,7 +230,7 @@ class Simulator {
   // ids. `link` is overloaded by lifetime (live: timer link; dead: slab
   // free list) — the two uses never overlap, and merging them is what
   // keeps the slot at 80 bytes. The slot's queue position, if any, lives
-  // inside the queue implementation, not here.
+  // in the queue's side array, not here.
   struct EventSlot {
     Callback fn;
     std::uint32_t gen = 1;
@@ -357,12 +319,7 @@ class Simulator {
   // fresh one.
   EventId push_event_with_seq(SimTime t, std::uint32_t slot,
                               std::uint32_t seq) {
-    const QueueNode node{time_key(t), seq, slot};
-    if (heap_ != nullptr) {
-      heap_->push(node);  // devirtualized: inlines the sift-up
-    } else {
-      queue_->push(node);
-    }
+    queue_.push(QueueNode{time_key(t), seq, slot});
     ++live_events_;
     if (live_events_ > peak_pending_) peak_pending_ = live_events_;
     maybe_audit();
@@ -373,13 +330,9 @@ class Simulator {
   void fire_timer(std::uint32_t timer_slot, SimTime fired_at);
   void release_timer_slot(std::uint32_t slot);
 
-  /// Drains and dispatches one same-timestamp batch with time <=
-  /// horizon_key. Returns false when no such batch exists (queue empty or
-  /// head beyond the horizon).
-  bool dispatch_batch(std::uint64_t horizon_key);
-
-  /// Marks the (already popped, live) event in `slot` dead and invokes it.
-  void run_event(std::uint32_t slot, EventSlot& ev);
+  /// Pops and runs the head event if its time is <= horizon_key. Returns
+  /// false when there is none (queue empty or head beyond the horizon).
+  bool dispatch_next(std::uint64_t horizon_key);
 
   void renumber_seqs();
 
@@ -391,22 +344,7 @@ class Simulator {
   bool stop_requested_ = false;
   bool restoring_ = false;
 
-  std::unique_ptr<EventQueue> queue_;
-  // Non-null iff queue_ is the (final) HeapEventQueue: the hot paths call
-  // through this typed pointer so the heap's inline push/min/find_slot
-  // compile straight into them instead of going through the vtable.
-  HeapEventQueue* heap_ = nullptr;
-
-  // The in-flight batch: events drained from the queue but not yet
-  // dispatched. Member state (not dispatch_batch locals) so cancel() can
-  // account for a mid-batch cancellation and renumber_seqs() can renumber
-  // entries that may be re-pushed by request_stop().
-  QueueNode batch_[kBatchMax];
-  std::uint32_t batch_gens_[kBatchMax];
-  std::uint32_t batch_i_ = 0;        // next entry to dispatch
-  std::uint32_t batch_n_ = 0;        // drained entries
-  std::size_t batch_inflight_ = 0;   // drained, not yet dispatched/cancelled
-  DispatchStats dispatch_stats_;
+  HeapEventQueue queue_;
 
   std::vector<std::unique_ptr<EventSlot[]>> event_chunks_;
   std::uint32_t event_slots_used_ = 0;  // high-water mark across chunks

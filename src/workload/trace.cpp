@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 namespace dc::workload {
 
@@ -29,6 +30,14 @@ StatusOr<Trace> Trace::from_swf(const SwfFile& file, std::string name,
   } else if (auto nodes = file.header.max_nodes(); nodes.has_value()) {
     capacity = *nodes * cpus_per_node;
   }
+  std::optional<std::int64_t> period;
+  if (file.header.fields.count("Period") != 0) {
+    period = file.header.int_field("Period");
+    if (!period.has_value() || *period <= 0) {
+      return Status::invalid_argument(
+          "SWF Period header must be a positive number of seconds");
+    }
+  }
   std::vector<TraceJob> jobs;
   jobs.reserve(file.records.size());
   std::int64_t next_id = 1;
@@ -49,7 +58,9 @@ StatusOr<Trace> Trace::from_swf(const SwfFile& file, std::string name,
   if (capacity == 0) {
     return Status::invalid_argument("SWF file has no usable jobs and no capacity header");
   }
-  return Trace(std::move(name), capacity, std::move(jobs));
+  Trace trace(std::move(name), capacity, std::move(jobs));
+  if (period.has_value()) trace.set_period(*period);
+  return trace;
 }
 
 SwfFile Trace::to_swf() const {
@@ -59,6 +70,7 @@ SwfFile Trace::to_swf() const {
   file.header.set_int("MaxNodes", capacity_nodes_);
   file.header.set_int("MaxJobs", static_cast<std::int64_t>(jobs_.size()));
   file.header.set("Note", "synthetic trace generated by DawningCloud reproduction");
+  if (period_ != kNever) file.header.set_int("Period", period_);
   file.records.reserve(jobs_.size());
   for (const TraceJob& job : jobs_) {
     SwfRecord record;

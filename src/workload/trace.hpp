@@ -35,12 +35,15 @@ class Trace {
   /// normalized 1-CPU nodes via ceil(procs / 1) after scaling — i.e. each
   /// processor becomes one node, and the machine capacity scales likewise.
   /// Jobs with nonpositive runtime or width are dropped (archive traces
-  /// contain cancelled entries).
+  /// contain cancelled entries). A `Period` header (written by to_swf)
+  /// restores an explicit period and must be a positive number of
+  /// seconds; without it the period derives from the last submit.
   static StatusOr<Trace> from_swf(const SwfFile& file, std::string name,
                                   std::int64_t cpus_per_node = 1);
 
   /// Serializes back to SWF (synthetic models use this to produce archive-
-  /// format files).
+  /// format files). An explicitly set period is written as the `Period`
+  /// header, so from_swf gives back the same period().
   SwfFile to_swf() const;
 
   const std::string& name() const { return name_; }

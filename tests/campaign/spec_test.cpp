@@ -47,11 +47,13 @@ TEST(SweepSpecParse, MissingConfigRejected) {
 }
 
 TEST(SweepSpecParse, UnknownKeyListsVocabulary) {
-  auto spec =
-      parse_sweep_spec_string("config = exp.dcfg\nflux-capacitor = on\n");
-  ASSERT_FALSE(spec.is_ok());
-  EXPECT_NE(spec.status().message().find("flux-capacitor"), std::string::npos);
-  EXPECT_NE(spec.status().message().find("fault-seed"), std::string::npos);
+  for (const std::string key : {"flux-capacitor", "queue"}) {
+    auto spec =
+        parse_sweep_spec_string("config = exp.dcfg\n" + key + " = on\n");
+    ASSERT_FALSE(spec.is_ok()) << key;
+    EXPECT_NE(spec.status().message().find(key), std::string::npos);
+    EXPECT_NE(spec.status().message().find("fault-seed"), std::string::npos);
+  }
 }
 
 TEST(SweepSpecParse, DuplicateAxisRejected) {
@@ -126,6 +128,19 @@ TEST(SweepDigest, StableAcrossDeclarationOrder) {
   EXPECT_EQ(spec_digest(*a), spec_digest(*b));
 }
 
+// The settings and axes of data/smoke_sweep.dcsweep. Campaign journals
+// record this digest, so changing it would refuse every existing resume.
+TEST(SweepDigest, SmokeGridDigestIsPinned) {
+  auto spec = parse_sweep_spec_string(
+      "config = paper_experiment.dcfg\nsnapshot-every = 12h\n"
+      "system = dcs, ssp\nquantum = 15m, 1h\n");
+  ASSERT_TRUE(spec.is_ok());
+  EXPECT_EQ(canonical_spec_text(*spec),
+            "config=paper_experiment.dcfg\nsnapshot-every=43200\n"
+            "system=dcs,ssp\nquantum=15m,1h\n");
+  EXPECT_EQ(spec_digest(*spec), 0xd997b937d26214caULL);
+}
+
 TEST(SweepDigest, SensitiveToValues) {
   auto a = parse_sweep_spec_string("config = exp.dcfg\nsystem = dcs\n");
   auto b = parse_sweep_spec_string("config = exp.dcfg\nsystem = ssp\n");
@@ -143,7 +158,6 @@ CellSpec cell_of(std::vector<std::pair<std::string, std::string>> assignment) {
 TEST(PlanCell, ResolvesEveryKnownAxis) {
   auto plan = plan_cell(cell_of({{"system", "dawningcloud"},
                                  {"scheduler", "easy-backfill"},
-                                 {"queue", "calendar"},
                                  {"quantum", "30m"},
                                  {"capacity", "256"},
                                  {"setup", "5m"},

@@ -113,10 +113,7 @@ struct Artifacts {
 };
 
 // googletest: ASSERT_* needs a void return, so results land in `out`.
-// `queue` selects the kernel scheduler queue — both implementations must
-// produce byte-identical artifacts (see src/sim/event_queue.hpp).
-void run_experiment(const char* dc_threads, sim::QueueKind queue,
-                    Artifacts* out) {
+void run_experiment(const char* dc_threads, Artifacts* out) {
   ASSERT_EQ(setenv("DC_THREADS", dc_threads, /*overwrite=*/1), 0)
       << "setenv failed";
   const core::ConsolidationWorkload workload = make_workload();
@@ -124,7 +121,6 @@ void run_experiment(const char* dc_threads, sim::QueueKind queue,
   // The four systems evaluated concurrently on the sweep pool — the same
   // shape as the figure benches.
   core::RunOptions options;
-  options.queue = queue;
   const std::vector<core::SystemModel> models = {
       core::SystemModel::kDcs, core::SystemModel::kSsp, core::SystemModel::kDrp,
       core::SystemModel::kDawningCloud};
@@ -161,12 +157,11 @@ void run_experiment(const char* dc_threads, sim::QueueKind queue,
 }
 
 // Saves/restores DC_THREADS around one experiment run.
-void run_experiment_into(const char* dc_threads, Artifacts* out,
-                         sim::QueueKind queue = sim::QueueKind::kHeap) {
+void run_experiment_into(const char* dc_threads, Artifacts* out) {
   *out = Artifacts{};
   const char* saved = std::getenv("DC_THREADS");
   const std::string saved_value = saved == nullptr ? "" : saved;
-  run_experiment(dc_threads, queue, out);
+  run_experiment(dc_threads, out);
   // Restore so later tests see the environment they started with.
   if (saved == nullptr) {
     unsetenv("DC_THREADS");
@@ -187,32 +182,6 @@ TEST(Determinism, SameSeedSameResultAcrossThreadCounts) {
   EXPECT_EQ(single.csv, pooled.csv);
   EXPECT_EQ(single.invoices, pooled.invoices);
   EXPECT_EQ(single.digest, pooled.digest);
-}
-
-// Same contract under the calendar queue: the scheduler-queue choice must
-// be invisible to results, and the pool size must stay invisible under it.
-TEST(Determinism, CalendarQueueIsDeterministicAcrossThreadCounts) {
-  Artifacts single;
-  Artifacts pooled;
-  run_experiment_into("1", &single, sim::QueueKind::kCalendar);
-  run_experiment_into("4", &pooled, sim::QueueKind::kCalendar);
-  EXPECT_EQ(single.tables, pooled.tables);
-  EXPECT_EQ(single.csv, pooled.csv);
-  EXPECT_EQ(single.invoices, pooled.invoices);
-  EXPECT_EQ(single.digest, pooled.digest);
-}
-
-// The queue-independence contract itself: heap and calendar runs of the
-// full four-system experiment render byte-identical artifacts.
-TEST(Determinism, HeapAndCalendarQueuesProduceByteIdenticalArtifacts) {
-  Artifacts heap;
-  Artifacts calendar;
-  run_experiment_into("4", &heap, sim::QueueKind::kHeap);
-  run_experiment_into("4", &calendar, sim::QueueKind::kCalendar);
-  EXPECT_EQ(heap.tables, calendar.tables);
-  EXPECT_EQ(heap.csv, calendar.csv);
-  EXPECT_EQ(heap.invoices, calendar.invoices);
-  EXPECT_EQ(heap.digest, calendar.digest);
 }
 
 // A Montage campaign on a fixed MTC server with a seeded failure domain

@@ -29,7 +29,7 @@ TEST(EndToEnd, SwfFileRoundTripPreservesSystemResults) {
   ASSERT_TRUE(swf.is_ok());
   auto loaded = workload::Trace::from_swf(*swf, "loaded");
   ASSERT_TRUE(loaded.is_ok());
-  loaded->set_period(original.period());
+  EXPECT_EQ(loaded->period(), original.period());
   std::remove(path.c_str());
 
   core::HtcWorkloadSpec mem_spec;

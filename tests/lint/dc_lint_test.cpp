@@ -284,12 +284,10 @@ TEST(DcLintR8, FlagsFloatMathAndHashStorageOnlyInQueueSources) {
 }
 
 TEST(DcLintR8, RealQueueSourcesAreIntegerOnly) {
-  // The shipped event queues must satisfy the rule the fixture
-  // demonstrates: all bucket/heap math is integer-only, no hash storage.
+  // The shipped event queue must satisfy the rule the fixture
+  // demonstrates: all heap math is integer-only, no hash storage.
   for (const char* rel : {"src/sim/event_queue.hpp",
-                          "src/sim/event_queue.cpp",
-                          "src/sim/calendar_queue.hpp",
-                          "src/sim/calendar_queue.cpp"}) {
+                          "src/sim/event_queue.cpp"}) {
     const auto result = dc_lint::lint_source(rel, real_source(rel));
     EXPECT_TRUE(result.diagnostics.empty())
         << rel << ":\n" << dc_lint::to_human(result.diagnostics);

@@ -61,7 +61,7 @@ TEST(RunStore, RunIdIsContentSensitive) {
   b.metrics[0].second += 1.0;
   EXPECT_NE(a.run_id(), b.run_id());
   rundb::RunRecord c = a;
-  c.params.emplace_back("queue", "calendar");
+  c.params.emplace_back("scheduler", "sjf");
   EXPECT_NE(a.run_id(), c.run_id());
 }
 

@@ -1,21 +1,20 @@
-// Randomized differential test: the heap and calendar queues must produce
-// the same dispatch order for any operation stream. Both Simulators are
-// driven with an identical seeded mix of schedules, cancels, periodic
-// timers, stops, schedule-from-callback bursts, and a mid-stream
-// kernel-level snapshot/restore (including restoring under the *other*
-// queue), and the full execution logs are compared byte for byte. This is
-// the contract that makes `--queue` a pure performance choice.
+// Randomized reference-model test of the kernel's dispatch order. A
+// std::set of (time, seq) pairs tracks every pending occurrence — each
+// scheduled event, each periodic re-arm — and drops each cancelled or
+// stopped one. Seeded streams of schedules, fan-out callbacks, cancels,
+// periodic timers, timer stops and run_until chunks drive one Simulator,
+// and every event that fires must be the reference's minimum. A mid-stream
+// kernel-level snapshot/restore must continue exactly as the original.
 #include <cstdint>
+#include <iterator>
 #include <map>
-#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include <gtest/gtest.h>
 
-#include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
 namespace dc::sim {
@@ -39,214 +38,242 @@ class Rng {
   std::uint64_t state_;
 };
 
-// One driven kernel: applies the op stream and logs every fired event as
-// "tag@time;" so two kernels can be compared exactly.
+using Key = std::pair<SimTime, std::uint32_t>;  // (time, seq)
+
+// The reference order: the kernel must always fire the minimum pending key.
+struct Reference {
+  std::set<Key> pending;
+  std::uint64_t fired = 0;
+  std::uint64_t mismatches = 0;
+
+  void add(const Key& key) {
+    if (!pending.insert(key).second) {
+      ADD_FAILURE() << "seq " << key.second << " scheduled twice";
+    }
+  }
+  void remove(const Key& key) {
+    EXPECT_EQ(pending.erase(key), 1u) << "cancelled an unknown occurrence";
+  }
+  void fire(SimTime now, const Key& key) {
+    ++fired;
+    const bool is_min = !pending.empty() && *pending.begin() == key;
+    if ((!is_min || key.first != now) && ++mismatches == 1) {
+      ADD_FAILURE() << "fired (" << key.first << ", " << key.second
+                    << ") at t=" << now << "; reference minimum is "
+                    << (pending.empty() ? std::string("none")
+                                        : std::to_string(pending.begin()->first) +
+                                              ", seq " +
+                                              std::to_string(pending.begin()->second));
+    }
+    pending.erase(key);
+  }
+};
+
+// One kernel plus its reference. Every fire is logged as "tag@time;" so
+// two kernels (original and restored) can also be compared exactly.
+// std::map keeps victim choice deterministic.
 struct Driver {
-  explicit Driver(QueueKind kind) : sim(kind) {}
+  struct Live {
+    EventId id;
+    Key key;
+  };
+  struct Timer {
+    TimerId id;
+    Key key;  // the pending fire
+  };
 
   Simulator sim;
+  Reference ref;
   std::ostringstream log;
-  // Live one-shot handles, keyed by tag so both drivers pick the same
-  // cancellation victims. std::map: deterministic iteration order.
-  std::map<std::uint64_t, EventId> pending;
-  std::vector<TimerId> timers;
+  std::uint64_t next_tag = 1;
+  std::map<std::uint64_t, Live> live;
+  std::map<std::uint64_t, Timer> timers;
 
-  void schedule(std::uint64_t tag, SimTime t) {
-    pending[tag] = sim.schedule_at(t, [this, tag] {
-      log << tag << '@' << sim.now() << ';';
-      pending.erase(tag);
-    });
+  // Records a newly pending one-shot; `tag` identifies it in `live`.
+  void track(std::uint64_t tag, EventId id) {
+    const auto info = sim.pending_event_info(id);
+    ASSERT_TRUE(info.has_value());
+    live[tag] = Live{id, {info->time, info->seq}};
+    ref.add(live[tag].key);
+  }
+
+  // Called first thing in every one-shot callback.
+  void fired(std::uint64_t tag) {
+    const auto it = live.find(tag);
+    if (it == live.end()) {
+      ADD_FAILURE() << "event " << tag << " fired after it was cancelled";
+      return;
+    }
+    ref.fire(sim.now(), it->second.key);
+    log << tag << '@' << sim.now() << ';';
+    live.erase(it);
+  }
+
+  void schedule(SimTime t) {
+    const std::uint64_t tag = next_tag++;
+    track(tag, sim.schedule_at(t, [this, tag] { fired(tag); }));
+  }
+
+  void restore(std::uint64_t tag, SimTime t, std::uint32_t seq) {
+    track(tag, sim.restore_event(t, seq, [this, tag] { fired(tag); }));
   }
 
   // A callback that schedules follow-ups, some at its own timestamp —
-  // exercising same-timestamp FIFO across the batch boundary.
-  void schedule_fanout(std::uint64_t tag, SimTime t, std::uint32_t n) {
-    pending[tag] = sim.schedule_at(t, [this, tag, n] {
-      log << "F" << tag << '@' << sim.now() << ';';
-      pending.erase(tag);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        schedule(tag * 1000 + i, sim.now() + (i % 2));
-      }
+  // exercising same-timestamp FIFO for events scheduled mid-dispatch.
+  void schedule_fanout(SimTime t, std::uint32_t n) {
+    const std::uint64_t tag = next_tag++;
+    track(tag, sim.schedule_at(t, [this, tag, n] {
+      fired(tag);
+      for (std::uint32_t i = 0; i < n; ++i) schedule(sim.now() + (i % 2));
+    }));
+  }
+
+  void cancel(std::uint64_t tag) {
+    const Live victim = live.at(tag);
+    EXPECT_TRUE(sim.cancel(victim.id));
+    ref.remove(victim.key);
+    live.erase(tag);
+  }
+
+  // The timer re-arms before its callback runs, so the callback reads its
+  // next (time, seq) straight from the kernel.
+  void start_timer(SimTime first, SimDuration period) {
+    const std::uint64_t tag = next_tag++;
+    const TimerId id = sim.start_periodic(first, period, [this, tag](SimTime t) {
+      Timer& timer = timers.at(tag);
+      ref.fire(t, timer.key);
+      log << 'T' << tag << '@' << t << ';';
+      const auto next = sim.pending_timer_info(timer.id);
+      ASSERT_TRUE(next.has_value());
+      timer.key = {next->next_fire, next->seq};
+      ref.add(timer.key);
     });
+    const auto info = sim.pending_timer_info(id);
+    ASSERT_TRUE(info.has_value());
+    timers[tag] = Timer{id, {info->next_fire, info->seq}};
+    ref.add(timers[tag].key);
+  }
+
+  void stop_nth_timer(std::uint64_t n) {
+    auto it = std::next(timers.begin(), static_cast<std::ptrdiff_t>(n));
+    EXPECT_TRUE(sim.stop_timer(it->second.id));
+    ref.remove(it->second.key);
+    timers.erase(it);
+  }
+
+  // After run_until(horizon): nothing due by the horizon is left, and the
+  // kernel's pending count matches the reference.
+  void check_chunk(SimTime horizon) {
+    EXPECT_EQ(ref.mismatches, 0u) << "before t=" << horizon;
+    EXPECT_EQ(sim.now(), horizon);
+    EXPECT_TRUE(ref.pending.empty() || ref.pending.begin()->first > horizon)
+        << "an event due by t=" << horizon << " did not fire";
+    EXPECT_EQ(sim.pending_live(), ref.pending.size());
+  }
+
+  // Stops every timer so run() terminates, then drains the kernel.
+  void drain() {
+    while (!timers.empty()) stop_nth_timer(0);
+    sim.run();
+    EXPECT_EQ(ref.mismatches, 0u);
+    EXPECT_TRUE(ref.pending.empty());
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(sim.pending_live(), 0u);
+    EXPECT_EQ(sim.events_processed(), ref.fired);
+    sim.audit_invariants();
   }
 };
 
-struct OpStream {
-  std::uint64_t seed;
-  std::uint32_t ops;
-};
-
-// Applies the same seeded operation mix to `a` and `b`, advancing both in
-// lockstep through run_until chunks.
-void drive_pair(Driver& a, Driver& b, const OpStream& spec) {
-  Rng rng(spec.seed);
-  std::uint64_t tag = 1;
+void drive(Driver& d, std::uint64_t seed, std::uint32_t ops) {
+  Rng rng(seed);
   SimTime horizon = 0;
-  for (std::uint32_t op = 0; op < spec.ops; ++op) {
+  for (std::uint32_t op = 0; op < ops; ++op) {
     const std::uint64_t kind = rng.below(100);
     if (kind < 45) {
-      const SimTime t = horizon + static_cast<SimTime>(rng.below(5000));
-      const std::uint64_t this_tag = tag++;
-      a.schedule(this_tag, t);
-      b.schedule(this_tag, t);
+      d.schedule(horizon + static_cast<SimTime>(rng.below(5000)));
     } else if (kind < 55) {
       const SimTime t = horizon + static_cast<SimTime>(rng.below(500));
-      const std::uint32_t fan = 1 + static_cast<std::uint32_t>(rng.below(6));
-      const std::uint64_t this_tag = tag++;
-      a.schedule_fanout(this_tag, t, fan);
-      b.schedule_fanout(this_tag, t, fan);
+      d.schedule_fanout(t, 1 + static_cast<std::uint32_t>(rng.below(6)));
     } else if (kind < 70) {
-      // Cancel the same victim in both (if any survive).
-      if (!a.pending.empty()) {
-        const std::uint64_t pick = rng.below(a.pending.size());
-        auto it_a = a.pending.begin();
-        std::advance(it_a, static_cast<std::ptrdiff_t>(pick));
-        const std::uint64_t victim = it_a->first;
-        ASSERT_EQ(b.pending.count(victim), 1u);
-        const bool ca = a.sim.cancel(it_a->second);
-        const bool cb = b.sim.cancel(b.pending[victim]);
-        ASSERT_EQ(ca, cb);
-        a.pending.erase(victim);
-        b.pending.erase(victim);
+      if (!d.live.empty()) {
+        const auto pick = static_cast<std::ptrdiff_t>(rng.below(d.live.size()));
+        d.cancel(std::next(d.live.begin(), pick)->first);
       }
     } else if (kind < 80) {
       const SimTime first = horizon + 1 + static_cast<SimTime>(rng.below(50));
-      const SimDuration period = 1 + static_cast<SimDuration>(rng.below(40));
-      const std::uint64_t this_tag = tag++;
-      a.timers.push_back(a.sim.start_periodic(
-          first, period,
-          [&a, this_tag](SimTime t) { a.log << 'T' << this_tag << '@' << t << ';'; }));
-      b.timers.push_back(b.sim.start_periodic(
-          first, period,
-          [&b, this_tag](SimTime t) { b.log << 'T' << this_tag << '@' << t << ';'; }));
+      d.start_timer(first, 1 + static_cast<SimDuration>(rng.below(40)));
     } else if (kind < 88) {
-      if (!a.timers.empty()) {
-        const std::size_t pick = rng.below(a.timers.size());
-        const bool sa = a.sim.stop_timer(a.timers[pick]);
-        const bool sb = b.sim.stop_timer(b.timers[pick]);
-        ASSERT_EQ(sa, sb);
-        a.timers.erase(a.timers.begin() + static_cast<std::ptrdiff_t>(pick));
-        b.timers.erase(b.timers.begin() + static_cast<std::ptrdiff_t>(pick));
-      }
+      if (!d.timers.empty()) d.stop_nth_timer(rng.below(d.timers.size()));
     } else {
-      // Advance both kernels one chunk.
       horizon += static_cast<SimTime>(1 + rng.below(2000));
-      a.sim.run_until(horizon);
-      b.sim.run_until(horizon);
-      ASSERT_EQ(a.log.str(), b.log.str())
-          << "divergence before t=" << horizon << " (op " << op << ")";
+      d.sim.run_until(horizon);
+      d.check_chunk(horizon);
+      ASSERT_EQ(d.ref.mismatches, 0u) << "op " << op;
     }
   }
-  // Stop all timers so run() terminates, then drain both queues fully.
-  for (std::size_t i = 0; i < a.timers.size(); ++i) {
-    a.sim.stop_timer(a.timers[i]);
-    b.sim.stop_timer(b.timers[i]);
-  }
-  a.sim.run();
-  b.sim.run();
-  EXPECT_EQ(a.log.str(), b.log.str());
-  EXPECT_EQ(a.sim.events_processed(), b.sim.events_processed());
-  EXPECT_EQ(a.sim.pending_live(), b.sim.pending_live());
-  a.sim.audit_invariants();
-  b.sim.audit_invariants();
+  d.drain();
 }
 
-TEST(QueueDifferential, HeapAndCalendarAgreeOnRandomOpStreams) {
+TEST(QueueDifferential, HeapMatchesReferenceOnRandomOpStreams) {
   for (const std::uint64_t seed : {7ull, 1337ull, 0xdecafull}) {
-    Driver heap(QueueKind::kHeap);
-    Driver calendar(QueueKind::kCalendar);
-    drive_pair(heap, calendar, OpStream{seed, 4000});
+    Driver d;
+    drive(d, seed, 4000);
+    EXPECT_GT(d.ref.fired, 1000u) << "seed " << seed;
   }
 }
 
 TEST(QueueDifferential, CancelHeavyStreamsAgree) {
-  // Bias the mix toward cancels by scheduling then cancelling in bursts:
-  // the calendar queue's tombstone + compaction path vs the heap's eager
-  // excision must still pop identically.
-  Driver heap(QueueKind::kHeap);
-  Driver calendar(QueueKind::kCalendar);
+  // Schedule then cancel in bursts: the heap's eager excision must leave
+  // exactly the reference's survivors, popped in (time, seq) order.
+  Driver d;
   Rng rng(99);
-  std::uint64_t tag = 1;
   for (int round = 0; round < 200; ++round) {
-    std::vector<std::uint64_t> burst;
+    const std::uint64_t first_tag = d.next_tag;
     for (int i = 0; i < 40; ++i) {
-      const SimTime t =
-          heap.sim.now() + static_cast<SimTime>(rng.below(300));
-      const std::uint64_t this_tag = tag++;
-      heap.schedule(this_tag, t);
-      calendar.schedule(this_tag, t);
-      burst.push_back(this_tag);
+      d.schedule(d.sim.now() + static_cast<SimTime>(rng.below(300)));
     }
-    for (const std::uint64_t victim : burst) {
-      if (rng.below(100) < 70 && heap.pending.count(victim) != 0) {
-        heap.sim.cancel(heap.pending[victim]);
-        calendar.sim.cancel(calendar.pending[victim]);
-        heap.pending.erase(victim);
-        calendar.pending.erase(victim);
-      }
+    for (std::uint64_t tag = first_tag; tag < d.next_tag; ++tag) {
+      if (rng.below(100) < 70 && d.live.count(tag) != 0) d.cancel(tag);
     }
-    const SimTime horizon = heap.sim.now() + static_cast<SimTime>(rng.below(150));
-    heap.sim.run_until(horizon);
-    calendar.sim.run_until(horizon);
-    ASSERT_EQ(heap.log.str(), calendar.log.str()) << "round " << round;
+    const SimTime horizon = d.sim.now() + static_cast<SimTime>(rng.below(150));
+    d.sim.run_until(horizon);
+    d.check_chunk(horizon);
+    ASSERT_EQ(d.ref.mismatches, 0u) << "round " << round;
   }
-  heap.sim.run();
-  calendar.sim.run();
-  EXPECT_EQ(heap.log.str(), calendar.log.str());
+  d.drain();
 }
 
 // Kernel-level snapshot/restore mid-stream: capture (time, seq) of every
-// pending one-shot at a quiescent point, rebuild on a virgin kernel of
-// `restore_kind`, and check the continuation matches the uninterrupted
-// original — including restoring under the other queue implementation.
-void snapshot_midstream(QueueKind run_kind, QueueKind restore_kind) {
-  Driver original(run_kind);
+// pending one-shot at a quiescent point, re-arm them on a virgin kernel in
+// a different push order, and check the continuation matches the
+// uninterrupted original.
+TEST(QueueDifferential, SnapshotRestoreMidStreamHeapToHeap) {
+  Driver original;
   Rng rng(4242);
-  // Phase 1: build up state and advance partway.
   for (int i = 0; i < 500; ++i) {
-    original.schedule(static_cast<std::uint64_t>(i),
-                      static_cast<SimTime>(rng.below(10000)));
+    original.schedule(static_cast<SimTime>(rng.below(10000)));
   }
   original.sim.run_until(3000);
+  original.check_chunk(3000);
 
-  // Quiescent capture.
-  struct Saved {
-    std::uint64_t tag;
-    SimTime time;
-    std::uint32_t seq;
-  };
-  std::vector<Saved> saved;
-  for (const auto& [tag, id] : original.pending) {
-    const auto info = original.sim.pending_event_info(id);
-    ASSERT_TRUE(info.has_value());
-    saved.push_back(Saved{tag, info->time, info->seq});
+  Driver resumed;
+  resumed.sim.begin_restore(original.sim.now(), original.sim.next_seq(),
+                            original.sim.events_processed());
+  for (auto it = original.live.rbegin(); it != original.live.rend(); ++it) {
+    resumed.restore(it->first, it->second.key.first, it->second.key.second);
   }
-  const SimTime saved_now = original.sim.now();
-  const std::uint32_t saved_next_seq = original.sim.next_seq();
-  const std::uint64_t saved_processed = original.sim.events_processed();
+  ASSERT_TRUE(resumed.sim.finish_restore(original.live.size()).is_ok());
+  resumed.next_tag = original.next_tag;
+  resumed.ref.fired = original.ref.fired;
 
-  // Restore onto a virgin kernel of the other (or same) kind.
-  Driver resumed(restore_kind);
-  resumed.sim.begin_restore(saved_now, saved_next_seq, saved_processed);
-  for (const Saved& s : saved) {
-    const std::uint64_t tag = s.tag;
-    resumed.pending[tag] = resumed.sim.restore_event(s.time, s.seq, [&resumed, tag] {
-      resumed.log << tag << '@' << resumed.sim.now() << ';';
-      resumed.pending.erase(tag);
-    });
-  }
-  ASSERT_TRUE(resumed.sim.finish_restore(saved.size()).is_ok());
-
-  // Phase 2: identical continuation on both kernels.
   original.log.str("");
   Rng cont_a(777);
   Rng cont_b(777);
-  auto continue_on = [](Driver& d, Rng& rng2) {
-    std::uint64_t tag = 100000;
+  auto continue_on = [](Driver& d, Rng& cont) {
     for (int i = 0; i < 300; ++i) {
-      d.schedule(tag++, d.sim.now() + static_cast<SimTime>(rng2.below(4000)));
+      d.schedule(d.sim.now() + static_cast<SimTime>(cont.below(4000)));
     }
-    d.sim.run();
+    d.drain();
   };
   continue_on(original, cont_a);
   continue_on(resumed, cont_b);
@@ -254,90 +281,41 @@ void snapshot_midstream(QueueKind run_kind, QueueKind restore_kind) {
   EXPECT_EQ(original.sim.events_processed(), resumed.sim.events_processed());
 }
 
-TEST(QueueDifferential, SnapshotRestoreMidStreamHeapToCalendar) {
-  snapshot_midstream(QueueKind::kHeap, QueueKind::kCalendar);
-}
-
-TEST(QueueDifferential, SnapshotRestoreMidStreamCalendarToHeap) {
-  snapshot_midstream(QueueKind::kCalendar, QueueKind::kHeap);
-}
-
-TEST(QueueDifferential, SnapshotRestoreMidStreamCalendarToCalendar) {
-  snapshot_midstream(QueueKind::kCalendar, QueueKind::kCalendar);
-}
-
-TEST(QueueKindNames, RoundTrip) {
-  EXPECT_STREQ(queue_kind_name(QueueKind::kHeap), "heap");
-  EXPECT_STREQ(queue_kind_name(QueueKind::kCalendar), "calendar");
-  EXPECT_EQ(parse_queue_kind("heap"), QueueKind::kHeap);
-  EXPECT_EQ(parse_queue_kind("calendar"), QueueKind::kCalendar);
-  EXPECT_EQ(parse_queue_kind("fifo"), std::nullopt);
-}
-
-// The drain strategy is observable through dispatch_stats(): the calendar
-// queue batches coincident timestamps (its sorted bucket makes pop_batch a
-// copy), the heap dispatches per-event (one sift-down per node either
-// way), and the event count must reconcile exactly under both.
-TEST(BatchedDispatch, CoincidentEventsShareABatchUnderTheCalendar) {
-  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kCalendar}) {
-    Simulator sim(kind);
-    int fired = 0;
-    for (int i = 0; i < 8; ++i) sim.schedule_at(100, [&fired] { ++fired; });
-    for (int i = 0; i < 3; ++i) sim.schedule_at(200, [&fired] { ++fired; });
-    sim.schedule_at(50, [&fired] { ++fired; });
-    sim.run();
-    EXPECT_EQ(fired, 12);
-    const auto stats = sim.dispatch_stats();
-    EXPECT_EQ(stats.batched_events, 12u);
-    if (kind == QueueKind::kCalendar) {
-      EXPECT_EQ(stats.batches, 3u);  // t=50 (1), t=100 (8), t=200 (3)
-      EXPECT_EQ(stats.max_batch, 8u);
-    } else {
-      EXPECT_EQ(stats.batches, 12u);  // per-event: every round a singleton
-      EXPECT_EQ(stats.max_batch, 1u);
-    }
-  }
-}
-
-// request_stop() mid-batch must re-queue the undispatched same-timestamp
-// remainder with original order preserved across the resume.
+// request_stop() in the middle of a same-timestamp run: the rest of the
+// run stays queued and fires in its original order on resume.
 TEST(BatchedDispatch, StopMidBatchResumesInOrder) {
-  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kCalendar}) {
-    Simulator sim(kind);
-    std::ostringstream log;
-    for (int i = 0; i < 10; ++i) {
-      sim.schedule_at(5, [&, i] {
-        log << i << ';';
-        if (i == 3) sim.request_stop();
-      });
-    }
-    sim.run();
-    EXPECT_EQ(log.str(), "0;1;2;3;");
-    EXPECT_EQ(sim.pending_live(), 6u);
-    sim.run();
-    EXPECT_EQ(log.str(), "0;1;2;3;4;5;6;7;8;9;");
-    EXPECT_EQ(sim.pending_live(), 0u);
+  Simulator sim;
+  std::ostringstream log;
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule_at(5, [&, i] {
+      log << i << ';';
+      if (i == 3) sim.request_stop();
+    });
   }
+  sim.run();
+  EXPECT_EQ(log.str(), "0;1;2;3;");
+  EXPECT_EQ(sim.pending_live(), 6u);
+  sim.run();
+  EXPECT_EQ(log.str(), "0;1;2;3;4;5;6;7;8;9;");
+  EXPECT_EQ(sim.pending_live(), 0u);
 }
 
-// A batch sibling cancelling a later same-timestamp event: the victim
-// must not fire even though it was already drained into the batch.
+// An event cancelling a later event at its own timestamp: the victim
+// must not fire.
 TEST(BatchedDispatch, SiblingCancelWithinBatch) {
-  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kCalendar}) {
-    Simulator sim(kind);
-    std::ostringstream log;
-    EventId victim = kInvalidEvent;
-    sim.schedule_at(7, [&] {
-      log << "killer;";
-      EXPECT_TRUE(sim.cancel(victim));
-    });
-    victim = sim.schedule_at(7, [&] { log << "victim;"; });
-    sim.schedule_at(7, [&] { log << "tail;"; });
-    sim.run();
-    EXPECT_EQ(log.str(), "killer;tail;");
-    EXPECT_EQ(sim.events_processed(), 2u);
-    sim.audit_invariants();
-  }
+  Simulator sim;
+  std::ostringstream log;
+  EventId victim = kInvalidEvent;
+  sim.schedule_at(7, [&] {
+    log << "killer;";
+    EXPECT_TRUE(sim.cancel(victim));
+  });
+  victim = sim.schedule_at(7, [&] { log << "victim;"; });
+  sim.schedule_at(7, [&] { log << "tail;"; });
+  sim.run();
+  EXPECT_EQ(log.str(), "killer;tail;");
+  EXPECT_EQ(sim.events_processed(), 2u);
+  sim.audit_invariants();
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ const char* kFreshReport = R"({
       "cpu_time": 4.9e6,
       "time_unit": "ns",
       "items_per_second": 2.0e7,
-      "dispatch_batches": 4096.0
+      "peak_pending": 4096.0
     },
     {
       "name": "BM_ProfiledSystemRun",
@@ -97,7 +97,7 @@ TEST(CondenseReport, KeepsMultiSlashNamesWholeAndSkipsAggregates) {
       find_bench(*section, "BM_EventQueueThroughput/calendar/65536");
   ASSERT_NE(multi, nullptr) << "multi-'/' name must be matched whole";
   // Numeric user counters ride along; structural fields do not.
-  EXPECT_NE(multi->find("dispatch_batches"), nullptr);
+  EXPECT_NE(multi->find("peak_pending"), nullptr);
   EXPECT_NE(multi->find("items_per_second"), nullptr);
   EXPECT_EQ(multi->find("run_type"), nullptr);
   EXPECT_EQ(find_bench(*section, "BM_ProfiledSystemRun_mean"), nullptr);

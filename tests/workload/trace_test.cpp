@@ -88,8 +88,12 @@ TEST(Trace, MaxNodes) {
 TEST(Trace, ToSwfRoundTrip) {
   Trace trace("round", 32,
               {TraceJob{1, 10, 300, 4}, TraceJob{2, 400, 1200, 16}});
+  // An explicit period longer than the one the last submit implies (1 h),
+  // as the synthetic models set.
+  trace.set_period(2 * kDay);
   const SwfFile swf = trace.to_swf();
   EXPECT_EQ(swf.header.max_procs(), 32);
+  EXPECT_EQ(swf.header.int_field("Period"), 2 * kDay);
   auto back = Trace::from_swf(swf, "round2");
   ASSERT_TRUE(back.is_ok());
   ASSERT_EQ(back->size(), 2u);
@@ -97,6 +101,21 @@ TEST(Trace, ToSwfRoundTrip) {
   EXPECT_EQ(back->jobs()[0].runtime, 300);
   EXPECT_EQ(back->jobs()[0].nodes, 4);
   EXPECT_EQ(back->capacity_nodes(), 32);
+  EXPECT_EQ(back->period(), 2 * kDay);
+}
+
+TEST(Trace, SwfPeriodHeaderMustBePositive) {
+  for (const char* bad : {"0", "-3600", "two weeks"}) {
+    SwfFile file = sample_swf();
+    file.header.set("Period", bad);
+    const auto trace = Trace::from_swf(file, "t");
+    ASSERT_FALSE(trace.is_ok()) << bad;
+    EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // Archive files carry no Period: the last submit sets it, as before.
+  auto archive = Trace::from_swf(sample_swf(), "t");
+  ASSERT_TRUE(archive.is_ok());
+  EXPECT_EQ(archive->period(), kHour);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //   dawningcloud run --config FILE [--system all|dcs|ssp|drp|dawningcloud]
 //                    [--csv PATH] [--quantum SECONDS]
 //                    [--scheduler first-fit|easy-backfill|conservative-backfill|sjf]
-//                    [--capacity NODES] [--setup SECONDS] [--queue heap|calendar]
+//                    [--capacity NODES] [--setup SECONDS]
 //                    [--mttf DURATION --mttr DURATION [--fault-seed N]]
 //                    [--snapshot-every DURATION --snapshot-dir DIR]
 //                    [--resume auto | --resume-from FILE]
@@ -28,14 +28,19 @@
 // CATEGORIES, --metrics-every DURATION with --metrics-out FILE, and
 // --profile — all single-system only, since sinks are per run.
 //
+// Every subcommand refuses a flag it does not accept (exit 2, naming the
+// flag), so a typo never silently runs the defaults.
+//
 // Experiment config files use the Section 2.2 requirement description
 // model; see data/paper_experiment.dcfg. Snapshot/resume semantics are
 // documented in docs/SNAPSHOT.md.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "campaign/orchestrator.hpp"
 #include "campaign/spec.hpp"
@@ -71,7 +76,6 @@ int usage() {
       "  run         --config FILE [--system NAME] [--csv PATH]\n"
       "              [--quantum SECONDS] [--scheduler NAME]\n"
       "              [--capacity NODES] [--setup SECONDS]\n"
-      "              [--queue heap|calendar]\n"
       "              [--mttf DURATION --mttr DURATION [--fault-seed N]]\n"
       "              [--snapshot-every DURATION --snapshot-dir DIR]\n"
       "              [--resume auto | --resume-from FILE]\n"
@@ -106,6 +110,54 @@ int usage() {
       "                 [query filters as above]\n",
       stderr);
   return 2;
+}
+
+/// The world-shaping flags `run` and `replay window` share
+/// (parse_world_options), in the order `run --db` records them.
+constexpr const char* kWorldFlags[] = {"quantum", "scheduler", "capacity",
+                                       "setup",   "mttf",      "mttr",
+                                       "fault-seed"};
+
+/// The flags each subcommand accepts, mirroring usage().
+const std::map<std::string, std::vector<std::string>>& accepted_flags() {
+  static const auto kTable = [] {
+    std::map<std::string, std::vector<std::string>> table = {
+        {"run",
+         {"config", "system", "csv", "snapshot-every", "snapshot-dir",
+          "resume", "resume-from", "trace-out", "trace-filter",
+          "metrics-every", "metrics-out", "profile", "db"}},
+        {"paper", {}},
+        {"report-md", {"config"}},
+        {"tune", {"config", "provider", "tolerance"}},
+        {"describe", {"config"}},
+        {"trace-stats", {"swf"}},
+        {"snapshot-diff", {"golden", "other"}},
+        {"trace-summary", {"trace", "other"}},
+        {"sweep run",
+         {"spec", "dir", "set", "workers", "max-attempts", "resume",
+          "heartbeat-timeout-ms", "poll-ms", "backoff-ms", "backoff-cap-ms",
+          "drill", "drill-cell", "drill-after"}},
+        {"sweep report", {"dir"}},
+        {"replay list", {"snapshot-dir", "system"}},
+        {"replay window",
+         {"config", "system", "snapshot", "snapshot-dir", "from", "until",
+          "trace-out", "trace-filter", "trace-capacity"}},
+        {"replay bisect",
+         {"golden-dir", "other-dir", "system", "golden-trace",
+          "other-trace"}},
+        {"report query",
+         {"db", "kind", "source", "label", "where", "select", "format"}},
+        {"report compare",
+         {"db", "db-b", "a", "b", "kind", "source", "label", "where",
+          "select", "format"}},
+    };
+    for (const char* command : {"run", "replay window"}) {
+      auto& flags = table[command];
+      flags.insert(flags.end(), std::begin(kWorldFlags), std::end(kWorldFlags));
+    }
+    return table;
+  }();
+  return kTable;
 }
 
 /// "--key value" pairs after the subcommand. A flag followed by another
@@ -247,15 +299,6 @@ int parse_world_options(const std::map<std::string, std::string>& flags,
       return 2;
     }
   }
-  if (auto it = flags.find("queue"); it != flags.end()) {
-    auto kind = sim::parse_queue_kind(it->second);
-    if (!kind.has_value()) {
-      std::fprintf(stderr, "unknown --queue %s (heap|calendar)\n",
-                   it->second.c_str());
-      return 2;
-    }
-    options.queue = *kind;
-  }
   return 0;
 }
 
@@ -264,15 +307,14 @@ int parse_world_options(const std::map<std::string, std::string>& flags,
 /// actually given are recorded (the config file pins the defaults).
 std::vector<std::pair<std::string, std::string>> world_params(
     const std::map<std::string, std::string>& flags) {
-  static const char* kAxes[] = {"config", "quantum",    "scheduler",
-                                "capacity", "setup",    "queue",
-                                "mttf",     "mttr",     "fault-seed"};
   std::vector<std::pair<std::string, std::string>> params;
-  for (const char* axis : kAxes) {
+  const auto record = [&](const char* axis) {
     if (auto it = flags.find(axis); it != flags.end()) {
       params.emplace_back(axis, it->second);
     }
-  }
+  };
+  record("config");
+  for (const char* axis : kWorldFlags) record(axis);
   return params;
 }
 
@@ -1103,42 +1145,29 @@ int main(int argc, char** argv) {
     }
   }
   if (argc < 2) return usage();
-  const std::string command_name = argv[1];
-  if (command_name == "sweep" || command_name == "campaign") {
+  // `sweep`, `replay` and `report` take an action word; the table and the
+  // dispatch below key on "command action".
+  std::string command = argv[1];
+  if (command == "campaign") command = "sweep";
+  int first_flag = 2;
+  if (command == "sweep" || command == "replay" || command == "report") {
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) return usage();
-    const std::string action = argv[2];
-    bool sweep_flags_ok = true;
-    const auto sweep_flags = parse_flags(argc, argv, sweep_flags_ok, 3);
-    if (!sweep_flags_ok) return usage();
-    if (action == "run") return cmd_sweep_run(sweep_flags);
-    if (action == "report") return cmd_sweep_report(sweep_flags);
-    return usage();
+    command += std::string(" ") + argv[2];
+    first_flag = 3;
   }
-  if (command_name == "replay") {
-    if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) return usage();
-    const std::string action = argv[2];
-    bool replay_flags_ok = true;
-    const auto replay_flags = parse_flags(argc, argv, replay_flags_ok, 3);
-    if (!replay_flags_ok) return usage();
-    if (action == "list") return cmd_replay_list(replay_flags);
-    if (action == "window") return cmd_replay_window(replay_flags);
-    if (action == "bisect") return cmd_replay_bisect(replay_flags);
-    return usage();
-  }
-  if (command_name == "report") {
-    if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) return usage();
-    const std::string action = argv[2];
-    bool report_flags_ok = true;
-    const auto report_flags = parse_flags(argc, argv, report_flags_ok, 3);
-    if (!report_flags_ok) return usage();
-    if (action == "query") return cmd_report_query(report_flags);
-    if (action == "compare") return cmd_report_compare(report_flags);
-    return usage();
-  }
-  const std::string command = argv[1];
+  const auto accepted = accepted_flags().find(command);
+  if (accepted == accepted_flags().end()) return usage();
   bool flags_ok = false;
-  const auto flags = parse_flags(argc, argv, flags_ok);
+  const auto flags = parse_flags(argc, argv, flags_ok, first_flag);
   if (!flags_ok) return usage();
+  for (const auto& [key, value] : flags) {
+    if (std::find(accepted->second.begin(), accepted->second.end(), key) ==
+        accepted->second.end()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", command.c_str(),
+                   key.c_str());
+      return 2;
+    }
+  }
 
   if (command == "run") return cmd_run(flags);
   if (command == "paper") return cmd_paper();
@@ -1148,5 +1177,12 @@ int main(int argc, char** argv) {
   if (command == "trace-stats") return cmd_trace_stats(flags);
   if (command == "snapshot-diff") return cmd_snapshot_diff(flags);
   if (command == "trace-summary") return cmd_trace_summary(flags);
+  if (command == "sweep run") return cmd_sweep_run(flags);
+  if (command == "sweep report") return cmd_sweep_report(flags);
+  if (command == "replay list") return cmd_replay_list(flags);
+  if (command == "replay window") return cmd_replay_window(flags);
+  if (command == "replay bisect") return cmd_replay_bisect(flags);
+  if (command == "report query") return cmd_report_query(flags);
+  if (command == "report compare") return cmd_report_compare(flags);
   return usage();
 }

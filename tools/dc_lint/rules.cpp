@@ -380,15 +380,14 @@ void rule_r7(Ctx& ctx) {
 // --------------------------------------------------------------------------
 // dc-r8: floating-point math and hash storage in scheduler-queue sources.
 //
-// The pluggable event queues (src/sim/*queue*) must pop the exact
-// (time, seq) total order on every platform — the heap-vs-calendar
-// differential test and the byte-identical-artifact guarantee depend on
-// it. Floating-point bucket math (calendar width/index computation) can
-// round differently across compilers and FPUs, silently reassigning
-// borderline events to a neighboring bucket; unordered_* containers put
-// hash-order hazards on the same critical path. Bucket indexing must stay
-// integer-only (shifts, adds, compares) and bucket storage must be
-// vectors or ordered containers.
+// The event queue (src/sim/*queue*) must pop the exact (time, seq) total
+// order on every platform — the reference-model queue test and the
+// byte-identical-artifact guarantee depend on it. Floating-point index or
+// ordering math can round differently across compilers and FPUs, silently
+// reordering borderline events; unordered_* containers put hash-order
+// hazards on the same critical path. Queue math must stay integer-only
+// (shifts, adds, compares) and queue storage must be vectors or ordered
+// containers.
 
 void rule_r8(Ctx& ctx) {
   for (std::size_t i = 0; i < ctx.size(); ++i) {
@@ -399,8 +398,8 @@ void rule_r8(Ctx& ctx) {
                  "'" + t.text +
                      "' in a scheduler-queue source: floating-point bucket "
                      "math can round differently across platforms and "
-                     "reassign borderline events; keep calendar/bucket "
-                     "indexing integer-only");
+                     "reassign borderline events; keep queue index math "
+                     "integer-only");
     } else if (kUnorderedTemplates.count(t.text) != 0) {
       ctx.report(t.line, "dc-r8", "error",
                  "'" + t.text +
