@@ -4,6 +4,7 @@
 #include <istream>
 #include <sstream>
 
+#include "snapshot/format.hpp"
 #include "util/strings.hpp"
 #include "workflow/montage.hpp"
 #include "workflow/wff.hpp"
@@ -12,6 +13,12 @@
 
 namespace dc::core {
 namespace {
+
+// A provider's name becomes its snapshot section name, "htc:<name>",
+// "mtc:<name>" or "drp:<name>" (core/system_runner.cpp), so it must fit
+// the format's record-name limit together with that prefix.
+constexpr std::size_t kLongestProviderName =
+    snapshot::kMaxRecordNameBytes - std::string_view("htc:").size();
 
 std::string resolve(const std::string& base_dir, std::string_view path) {
   if (base_dir.empty() || path.empty() || path.front() == '/') {
@@ -160,6 +167,12 @@ StatusOr<ConsolidationWorkload> parse_experiment_description(
       if (tokens.size() != 2) {
         return Status::invalid_argument(
             str_format("line %zu: provider needs a name", line_no));
+      }
+      if (tokens[1].size() > kLongestProviderName) {
+        return Status::invalid_argument(str_format(
+            "line %zu: provider name is %zu bytes, longer than the %zu a "
+            "snapshot section name leaves for it",
+            line_no, tokens[1].size(), kLongestProviderName));
       }
       stanza = ProviderStanza{};
       stanza.name = std::string(tokens[1]);

@@ -33,24 +33,33 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-void put_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// One event in the ring blob's 44-byte layout: time, dur, a0, a1 as u64
+// LE, then name, actor and phase << 16 | category as u32 LE.
+char* pack_event(char* p, const TraceEvent& event) {
+  using snapshot::store_le;
+  p = store_le(p, static_cast<std::uint64_t>(event.time));
+  p = store_le(p, static_cast<std::uint64_t>(event.dur));
+  p = store_le(p, static_cast<std::uint64_t>(event.a0));
+  p = store_le(p, static_cast<std::uint64_t>(event.a1));
+  p = store_le(p, event.name);
+  p = store_le(p, event.actor);
+  return store_le(p, (static_cast<std::uint32_t>(event.phase) << 16) |
+                         event.category);
 }
 
-void put_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
+TraceEvent unpack_event(const char* p) {
+  using snapshot::load_le;
+  TraceEvent event;
+  event.time = static_cast<SimTime>(load_le<std::uint64_t>(p));
+  event.dur = static_cast<SimDuration>(load_le<std::uint64_t>(p + 8));
+  event.a0 = static_cast<std::int64_t>(load_le<std::uint64_t>(p + 16));
+  event.a1 = static_cast<std::int64_t>(load_le<std::uint64_t>(p + 24));
+  event.name = load_le<std::uint32_t>(p + 32);
+  event.actor = load_le<std::uint32_t>(p + 36);
+  const auto packed = load_le<std::uint32_t>(p + 40);
+  event.category = static_cast<std::uint16_t>(packed & 0xffff);
+  event.phase = static_cast<std::uint16_t>(packed >> 16);
+  return event;
 }
 
 // Exports go through util/fsio's atomic tmp+fsync+rename: an interrupted
@@ -311,17 +320,13 @@ void TraceSink::save(snapshot::SnapshotWriter& writer) const {
   writer.field_u64("dropped", dropped_);
   writer.field_u64("names", names_.size());
   for (const auto& name : names_) writer.field_str("name", name);
-  std::string blob;
-  blob.reserve(size_ * kTraceEventPacked);
-  for (const auto& event : events()) {
-    put_u64le(blob, static_cast<std::uint64_t>(event.time));
-    put_u64le(blob, static_cast<std::uint64_t>(event.dur));
-    put_u64le(blob, static_cast<std::uint64_t>(event.a0));
-    put_u64le(blob, static_cast<std::uint64_t>(event.a1));
-    put_u32le(blob, event.name);
-    put_u32le(blob, event.actor);
-    put_u32le(blob, (static_cast<std::uint32_t>(event.phase) << 16) |
-                        event.category);
+  // Oldest first, straight from the ring: slots head_.. to the end, then
+  // the wrapped part from slot 0 (empty until the ring has filled).
+  std::string blob(size_ * kTraceEventPacked, '\0');
+  char* p = blob.data();
+  const std::size_t tail = std::min(size_, ring_.size() - head_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    p = pack_event(p, ring_[i < tail ? head_ + i : i - tail]);
   }
   writer.field_u64("events", size_);
   writer.field_bytes("ring", blob.data(), blob.size());
@@ -369,16 +374,7 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   const std::uint64_t saved_dropped = dropped_;
   const char* p = blob.data();
   for (std::uint64_t i = 0; i < event_count; ++i, p += kTraceEventPacked) {
-    TraceEvent event;
-    event.time = static_cast<SimTime>(get_u64le(p));
-    event.dur = static_cast<SimDuration>(get_u64le(p + 8));
-    event.a0 = static_cast<std::int64_t>(get_u64le(p + 16));
-    event.a1 = static_cast<std::int64_t>(get_u64le(p + 24));
-    event.name = get_u32le(p + 32);
-    event.actor = get_u32le(p + 36);
-    const std::uint32_t packed = get_u32le(p + 40);
-    event.category = static_cast<std::uint16_t>(packed & 0xffff);
-    event.phase = static_cast<std::uint16_t>(packed >> 16);
+    const TraceEvent event = unpack_event(p);
     if (event.name >= names_.size() || event.actor >= names_.size()) {
       return Status::internal("trace event references unknown name id");
     }

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 #include "util/fsio.hpp"
 #include "util/strings.hpp"
@@ -16,44 +14,16 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + sizeof(kFormatVersion);
+constexpr std::size_t kFooterBytes = sizeof(std::uint64_t);
 
-void append_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
+/// Record tag plus u16 name length.
+constexpr std::size_t kRecordHeaderBytes = 3;
 
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint16_t decode_u16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t decode_u32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint64_t decode_u64(const char* p) {
-  std::uint64_t v = 0;
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
+/// memcpy that accepts (nullptr, 0); returns the byte after the copy.
+char* put_bytes(char* p, const void* data, std::size_t size) {
+  if (size != 0) std::memcpy(p, data, size);
+  return p + size;
 }
 
 bool known_kind(std::uint8_t raw) {
@@ -96,69 +66,77 @@ const char* record_kind_name(RecordKind kind) {
 }
 
 SnapshotWriter::SnapshotWriter() {
-  buffer_.append(kMagic, sizeof(kMagic));
-  append_u32(buffer_, kFormatVersion);
+  buffer_.resize(kHeaderBytes);
+  std::memcpy(buffer_.data(), kMagic, sizeof(kMagic));
+  store_le(buffer_.data() + sizeof(kMagic), kFormatVersion);
 }
 
-void SnapshotWriter::record_header(RecordKind kind, std::string_view name) {
-  assert(name.size() <= 0xffff && "snapshot field name too long");
-  append_u8(buffer_, static_cast<std::uint8_t>(kind));
-  append_u16(buffer_, static_cast<std::uint16_t>(name.size()));
-  buffer_.append(name.data(), name.size());
+char* SnapshotWriter::append_record(RecordKind kind, std::string_view name,
+                                    std::size_t payload_size) {
+  assert(name.size() <= kMaxRecordNameBytes && "snapshot field name too long");
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + kRecordHeaderBytes + name.size() + payload_size);
+  char* p = buffer_.data() + at;
+  *p++ = static_cast<char>(kind);
+  p = store_le(p, static_cast<std::uint16_t>(name.size()));
+  return put_bytes(p, name.data(), name.size());
+}
+
+char* SnapshotWriter::append_sized(RecordKind kind, std::string_view name,
+                                   std::size_t size) {
+  assert(size <= 0xffffffffULL);
+  char* p = append_record(kind, name, sizeof(std::uint32_t) + size);
+  return store_le(p, static_cast<std::uint32_t>(size));
 }
 
 void SnapshotWriter::begin_section(std::string_view name) {
-  record_header(RecordKind::kSectionBegin, name);
+  append_record(RecordKind::kSectionBegin, name, 0);
   ++depth_;
 }
 
 void SnapshotWriter::end_section() {
   assert(depth_ > 0 && "end_section without matching begin_section");
-  record_header(RecordKind::kSectionEnd, "");
+  append_record(RecordKind::kSectionEnd, "", 0);
   --depth_;
 }
 
 void SnapshotWriter::field_u64(std::string_view name, std::uint64_t value) {
-  record_header(RecordKind::kU64, name);
-  append_u64(buffer_, value);
+  store_le(append_record(RecordKind::kU64, name, 8), value);
 }
 
 void SnapshotWriter::field_i64(std::string_view name, std::int64_t value) {
-  record_header(RecordKind::kI64, name);
-  append_u64(buffer_, static_cast<std::uint64_t>(value));
+  store_le(append_record(RecordKind::kI64, name, 8),
+           static_cast<std::uint64_t>(value));
 }
 
 void SnapshotWriter::field_f64(std::string_view name, double value) {
-  record_header(RecordKind::kF64, name);
-  append_u64(buffer_, std::bit_cast<std::uint64_t>(value));
+  store_le(append_record(RecordKind::kF64, name, 8),
+           std::bit_cast<std::uint64_t>(value));
 }
 
 void SnapshotWriter::field_bool(std::string_view name, bool value) {
-  record_header(RecordKind::kBool, name);
-  append_u8(buffer_, value ? 1 : 0);
+  *append_record(RecordKind::kBool, name, 1) = value ? 1 : 0;
 }
 
 void SnapshotWriter::field_str(std::string_view name, std::string_view value) {
-  assert(value.size() <= 0xffffffffULL);
-  record_header(RecordKind::kStr, name);
-  append_u32(buffer_, static_cast<std::uint32_t>(value.size()));
-  buffer_.append(value.data(), value.size());
+  put_bytes(append_sized(RecordKind::kStr, name, value.size()), value.data(),
+            value.size());
 }
 
 void SnapshotWriter::field_bytes(std::string_view name, const void* data,
                                  std::size_t size) {
-  assert(size <= 0xffffffffULL);
-  record_header(RecordKind::kBytes, name);
-  append_u32(buffer_, static_cast<std::uint32_t>(size));
-  buffer_.append(static_cast<const char*>(data), size);
+  put_bytes(append_sized(RecordKind::kBytes, name, size), data, size);
 }
 
 std::uint64_t SnapshotWriter::digest() const { return fnv1a(buffer_); }
 
 std::string SnapshotWriter::finish() const {
   assert(depth_ == 0 && "unbalanced sections at snapshot finish");
-  std::string out = buffer_;
-  append_u64(out, fnv1a(buffer_));
+  std::string out;
+  out.reserve(buffer_.size() + kFooterBytes);
+  out.append(buffer_);
+  out.resize(buffer_.size() + kFooterBytes);
+  store_le(out.data() + buffer_.size(), fnv1a(buffer_));
   return out;
 }
 
@@ -175,27 +153,29 @@ Status SnapshotWriter::write_file(const std::string& path) const {
   return Status::ok();
 }
 
-StatusOr<SnapshotReader> SnapshotReader::from_buffer(std::string buffer) {
-  const std::size_t header = sizeof(kMagic) + 4;
-  if (buffer.size() < header + 8) {
+namespace {
+
+/// Magic, version and checksum of a whole stream, footer included.
+Status verify_stream(std::string_view stream) {
+  if (stream.size() < kHeaderBytes + kFooterBytes) {
     return Status::invalid_argument(str_format(
         "snapshot: stream is %zu bytes, smaller than the %zu-byte "
         "header+checksum — truncated or not a snapshot",
-        buffer.size(), header + 8));
+        stream.size(), kHeaderBytes + kFooterBytes));
   }
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(stream.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::invalid_argument(
         "snapshot: bad magic — not a DCSNAP snapshot stream");
   }
-  const std::uint32_t version = decode_u32(buffer.data() + sizeof(kMagic));
+  const auto version = load_le<std::uint32_t>(stream.data() + sizeof(kMagic));
   if (version != kFormatVersion) {
     return Status::failed_precondition(str_format(
         "snapshot: format version %u, but this build reads version %u — "
         "re-run the experiment from scratch or use a matching build",
         version, kFormatVersion));
   }
-  const std::string_view body(buffer.data(), buffer.size() - 8);
-  const std::uint64_t want = decode_u64(buffer.data() + buffer.size() - 8);
+  const std::string_view body = stream.substr(0, stream.size() - kFooterBytes);
+  const auto want = load_le<std::uint64_t>(body.data() + body.size());
   const std::uint64_t got = fnv1a(body);
   if (want != got) {
     return Status::invalid_argument(str_format(
@@ -204,21 +184,35 @@ StatusOr<SnapshotReader> SnapshotReader::from_buffer(std::string buffer) {
         static_cast<unsigned long long>(want),
         static_cast<unsigned long long>(got)));
   }
+  return Status::ok();
+}
+
+/// The whole of `path` in one sized read (util/fsio read_file).
+StatusOr<std::string> read_stream(const std::string& path) {
+  auto bytes = read_file(path);
+  if (bytes.is_ok()) return bytes;
+  if (bytes.status().code() == StatusCode::kNotFound) {
+    return Status::not_found("snapshot: cannot open '" + path + "'");
+  }
+  return Status(bytes.status().code(),
+                "snapshot: " + bytes.status().message());
+}
+
+}  // namespace
+
+StatusOr<SnapshotReader> SnapshotReader::from_buffer(std::string buffer) {
+  if (Status st = verify_stream(buffer); !st.is_ok()) return st;
   SnapshotReader reader(std::move(buffer));
-  reader.pos_ = header;
+  reader.pos_ = kHeaderBytes;
   // Hide the footer from record decoding.
-  reader.buffer_.resize(reader.buffer_.size() - 8);
+  reader.buffer_.resize(reader.buffer_.size() - kFooterBytes);
   return reader;
 }
 
 StatusOr<SnapshotReader> SnapshotReader::from_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::not_found("snapshot: cannot open '" + path + "'");
-  }
-  std::string contents((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-  auto reader = from_buffer(std::move(contents));
+  auto bytes = read_stream(path);
+  if (!bytes.is_ok()) return bytes.status();
+  auto reader = from_buffer(std::move(*bytes));
   if (!reader.is_ok()) {
     return Status(reader.status().code(),
                   "'" + path + "': " + reader.status().message());
@@ -249,7 +243,7 @@ Status SnapshotReader::read_record(RecordKind want, std::string_view name,
                             raw, static_cast<int>(name.size()), name.data()));
   }
   const auto kind = static_cast<RecordKind>(raw);
-  const std::uint16_t name_len = decode_u16(buffer_.data() + pos_ + 1);
+  const auto name_len = load_le<std::uint16_t>(buffer_.data() + pos_ + 1);
   std::size_t cursor = pos_ + 3;
   if (cursor + name_len > buffer_.size()) {
     return error("stream truncated inside a field name");
@@ -276,7 +270,7 @@ Status SnapshotReader::read_record(RecordKind want, std::string_view name,
       if (cursor + 4 > buffer_.size()) {
         return error("stream truncated inside a length prefix");
       }
-      payload_len = decode_u32(buffer_.data() + cursor);
+      payload_len = load_le<std::uint32_t>(buffer_.data() + cursor);
       cursor += 4;
       break;
     }
@@ -335,7 +329,7 @@ Status SnapshotReader::read_u64(std::string_view name, std::uint64_t& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kU64, name, payload);
   if (!st.is_ok()) return st;
-  out = decode_u64(payload.data());
+  out = load_le<std::uint64_t>(payload.data());
   return Status::ok();
 }
 
@@ -343,7 +337,7 @@ Status SnapshotReader::read_i64(std::string_view name, std::int64_t& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kI64, name, payload);
   if (!st.is_ok()) return st;
-  out = static_cast<std::int64_t>(decode_u64(payload.data()));
+  out = static_cast<std::int64_t>(load_le<std::uint64_t>(payload.data()));
   return Status::ok();
 }
 
@@ -351,7 +345,7 @@ Status SnapshotReader::read_f64(std::string_view name, double& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kF64, name, payload);
   if (!st.is_ok()) return st;
-  out = std::bit_cast<double>(decode_u64(payload.data()));
+  out = std::bit_cast<double>(load_le<std::uint64_t>(payload.data()));
   return Status::ok();
 }
 
@@ -390,12 +384,13 @@ std::string SnapshotRecord::value_text() const {
     case RecordKind::kSectionEnd: return "}";
     case RecordKind::kU64:
       return str_format("%llu", static_cast<unsigned long long>(
-                                    decode_u64(payload.data())));
+                                    load_le<std::uint64_t>(payload.data())));
     case RecordKind::kI64:
       return str_format("%lld", static_cast<long long>(static_cast<std::int64_t>(
-                                    decode_u64(payload.data()))));
+                                    load_le<std::uint64_t>(payload.data()))));
     case RecordKind::kF64:
-      return str_format("%.17g", std::bit_cast<double>(decode_u64(payload.data())));
+      return str_format("%.17g", std::bit_cast<double>(load_le<std::uint64_t>(
+                                     payload.data())));
     case RecordKind::kBool:
       return payload[0] ? "true" : "false";
     case RecordKind::kStr:
@@ -408,13 +403,9 @@ std::string SnapshotRecord::value_text() const {
 }
 
 StatusOr<std::vector<SnapshotRecord>> read_records(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::not_found("snapshot: cannot open '" + path + "'");
-  }
-  std::string buf((std::istreambuf_iterator<char>(file)),
-                  std::istreambuf_iterator<char>());
-  auto records = decode_records(std::move(buf));
+  auto bytes = read_stream(path);
+  if (!bytes.is_ok()) return bytes.status();
+  auto records = decode_records(std::move(*bytes));
   if (!records.is_ok()) {
     return Status(records.status().code(),
                   "'" + path + "': " + records.status().message());
@@ -423,14 +414,11 @@ StatusOr<std::vector<SnapshotRecord>> read_records(const std::string& path) {
 }
 
 StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buf) {
-  {
-    // Verify magic/version/checksum before walking the raw stream, so
-    // structural errors below indicate an encoder bug, not corruption.
-    auto verified = SnapshotReader::from_buffer(buf);
-    if (!verified.is_ok()) return verified.status();
-  }
-  buf.resize(buf.size() - 8);  // drop the checksum footer
-  std::size_t pos = sizeof(kMagic) + 4;
+  // Verify magic/version/checksum before walking the raw stream, so
+  // structural errors below indicate an encoder bug, not corruption.
+  if (Status st = verify_stream(buf); !st.is_ok()) return st;
+  buf.resize(buf.size() - kFooterBytes);
+  std::size_t pos = kHeaderBytes;
   std::vector<std::string> stack;
   std::vector<SnapshotRecord> records;
   while (pos < buf.size()) {
@@ -443,7 +431,7 @@ StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buf) {
           str_format("snapshot: unknown record tag %u at offset %zu", raw, pos));
     }
     const auto kind = static_cast<RecordKind>(raw);
-    const std::uint16_t name_len = decode_u16(buf.data() + pos + 1);
+    const std::uint16_t name_len = load_le<std::uint16_t>(buf.data() + pos + 1);
     std::size_t cursor = pos + 3;
     if (cursor + name_len > buf.size()) {
       return Status::internal("snapshot: truncated record name");
@@ -463,7 +451,7 @@ StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buf) {
         if (cursor + 4 > buf.size()) {
           return Status::internal("snapshot: truncated length prefix");
         }
-        payload_len = decode_u32(buf.data() + cursor);
+        payload_len = load_le<std::uint32_t>(buf.data() + cursor);
         cursor += 4;
         break;
     }

@@ -24,10 +24,13 @@
 // restores silently wrong state.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/status.hpp"
@@ -39,6 +42,10 @@ namespace dc::snapshot {
 inline constexpr char kMagic[8] = {'D', 'C', 'S', 'N', 'A', 'P', '\r', '\n'};
 /// Encoding version; bump on any incompatible layout change.
 inline constexpr std::uint32_t kFormatVersion = 1;
+/// Longest record name the format can carry (names are u16-length
+/// prefixed). Names built from user input must be checked against it
+/// where the input comes in; the writer only asserts it.
+inline constexpr std::size_t kMaxRecordNameBytes = 0xffff;
 
 /// Record tags. The payload layout is fixed per kind.
 enum class RecordKind : std::uint8_t {
@@ -54,8 +61,40 @@ enum class RecordKind : std::uint8_t {
 
 const char* record_kind_name(RecordKind kind);
 
+/// Writes `value` at `p` as sizeof(T) little-endian bytes and returns the
+/// byte after them — the scalar layout of every record and payload.
+template <typename T>
+char* store_le(char* p, T value) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &value, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<char>(value >> (8 * i));
+    }
+  }
+  return p + sizeof(T);
+}
+
+/// Reads sizeof(T) little-endian bytes at `p`.
+template <typename T>
+T load_le(const char* p) {
+  static_assert(std::is_unsigned_v<T>);
+  T value = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&value, p, sizeof(T));
+  } else {
+    for (std::size_t i = sizeof(T); i-- > 0;) {
+      value = static_cast<T>((value << 8) | static_cast<unsigned char>(p[i]));
+    }
+  }
+  return value;
+}
+
 /// Accumulates an encoded snapshot stream in memory; `write_file` appends
-/// the header/footer and writes atomically.
+/// the checksum footer and writes atomically. Each record grows the buffer
+/// once (header, name and payload together) and stores its scalars as
+/// whole little-endian words.
 class SnapshotWriter {
  public:
   SnapshotWriter();
@@ -81,20 +120,28 @@ class SnapshotWriter {
   /// divergence auditor compares across runs.
   std::uint64_t digest() const;
 
-  /// Finishes the stream (checksum footer) and writes it atomically:
-  /// the bytes land in `path + ".tmp"` first and are renamed over `path`
-  /// only after a successful flush, so a SIGKILL mid-write leaves either
-  /// the previous complete file or a `.tmp` that readers ignore.
+  /// Finishes the stream (checksum footer) and writes it with one
+  /// atomic_write_file call (util/fsio.hpp): the bytes land in
+  /// `path + ".tmp"`, are fsync'd, renamed over `path`, and the directory
+  /// is fsync'd, so a crash mid-write leaves either the previous complete
+  /// file or a `.tmp` that readers ignore.
   Status write_file(const std::string& path) const;
 
   /// The finished stream (header + records + checksum footer), for tests
-  /// and in-memory round trips.
+  /// and in-memory round trips. One copy of the buffer, sized for the
+  /// footer up front; write_file writes exactly these bytes.
   std::string finish() const;
 
   std::size_t open_sections() const { return depth_; }
 
  private:
-  void record_header(RecordKind kind, std::string_view name);
+  /// Appends a record header for `name` plus `payload_size` bytes of room,
+  /// returning where the payload goes.
+  char* append_record(RecordKind kind, std::string_view name,
+                      std::size_t payload_size);
+  /// A u32-length-prefixed payload record (kStr, kBytes) with room for
+  /// `size` payload bytes; returns where they go.
+  char* append_sized(RecordKind kind, std::string_view name, std::size_t size);
   std::string buffer_;
   std::size_t depth_ = 0;
 };

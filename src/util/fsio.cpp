@@ -3,9 +3,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -118,12 +118,23 @@ StatusOr<std::string> read_file(const std::string& path) {
   if (!in) {
     return Status::not_found("cannot read '" + path + "'");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  // One read sized by the file's length, straight into the result; then
+  // drain whatever that length did not cover (a file that grew, or one
+  // such as /proc/<pid>/stat that reports a length of 0).
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string bytes(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  char chunk[4096];
+  while (in) {
+    in.read(chunk, sizeof(chunk));
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
   if (in.bad()) {
     return Status::internal("I/O error reading '" + path + "'");
   }
-  return buf.str();
+  return bytes;
 }
 
 }  // namespace dc

@@ -41,8 +41,10 @@ namespace dc {
 Status atomic_write_file(const std::string& path, std::string_view bytes,
                          std::string_view site = {});
 
-/// Reads a whole file into a string. NotFound when the file does not
-/// exist; other I/O failures come back as internal errors.
+/// Reads a whole file into a string with one read sized by its length —
+/// the file reader for every artifact (snapshots, journals, stores).
+/// NotFound when the file does not exist; other I/O failures come back as
+/// internal errors.
 StatusOr<std::string> read_file(const std::string& path);
 
 }  // namespace dc

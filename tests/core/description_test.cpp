@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "snapshot/format.hpp"
 #include "workflow/montage.hpp"
 #include "workflow/wff.hpp"
 #include "workload/models.hpp"
@@ -134,6 +135,34 @@ TEST(Description, ErrorsCarryLineNumbers) {
       "provider A\n workload htc\n trace synthetic:nasa\n nonsense 1\nend\n");
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.status().message().find("line 4"), std::string::npos);
+}
+
+TEST(Description, RefusesProviderNamesTooLongForASnapshotSection) {
+  // A provider snapshots as the section "htc:<name>" (or mtc:, drp:), so
+  // its name may use the record-name limit less that 4-byte prefix.
+  const std::size_t longest = snapshot::kMaxRecordNameBytes - 4;
+  auto describe = [](const std::string& name) {
+    return "# one provider\nprovider " + name +
+           "\n workload htc\n trace synthetic:nasa\nend\n";
+  };
+  EXPECT_TRUE(
+      parse_experiment_description_string(describe(std::string(longest, 'P')))
+          .is_ok());
+
+  const std::string cfg_path = ::testing::TempDir() + "/long_name.dcfg";
+  {
+    std::ofstream out(cfg_path);
+    out << describe(std::string(longest + 1, 'P'));
+  }
+  auto too_long = read_experiment_description(cfg_path);
+  std::remove(cfg_path.c_str());
+  ASSERT_FALSE(too_long.is_ok());
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_long.status().message().find("line 2"), std::string::npos)
+      << too_long.status().message();
+  EXPECT_FALSE(
+      parse_experiment_description_string(describe(std::string(70000, 'P')))
+          .is_ok());
 }
 
 TEST(ParseDuration, SuffixesAndPlainSeconds) {

@@ -172,6 +172,62 @@ TEST(TraceSink, SnapshotRoundTripPreservesExportBytes) {
   EXPECT_EQ(restored.intern("job.submit"), sink.intern("job.submit"));
 }
 
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+/// The payload of the 'ring' record a sink saves.
+std::string saved_ring(const TraceSink& sink) {
+  snapshot::SnapshotWriter writer;
+  sink.save(writer);
+  auto records = snapshot::decode_records(writer.finish());
+  if (!records.is_ok()) return "<" + records.status().message() + ">";
+  for (const auto& record : *records) {
+    if (record.name == "ring") return record.payload;
+  }
+  return "<no ring record>";
+}
+
+// The ring blob is pinned to its v1 layout: events oldest first, each
+// time, dur, a0, a1 as u64 LE, then name id, actor id and
+// phase << 16 | category as u32 LE (44 bytes).
+TEST(TraceSink, SnapshotRingBytesArePinned) {
+  TraceSink sink(/*capacity=*/3);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    sink.instant(i * kMinute, TraceCategory::kJob, "job.submit", "p", i, -i);
+  }
+  sink.span(kHour, kMinute, TraceCategory::kResize, "resize.decide", "drp",
+            7, 8);
+  // Six events through three slots: events 3, 4 and the span remain, and
+  // the oldest sits in slot 0 again.
+  EXPECT_EQ(to_hex(saved_ring(sink)),
+            // time              dur                a0
+            // a1                name       actor      phase|cat
+            "b400000000000000" "0000000000000000" "0300000000000000"
+            "fdffffffffffffff" "00000000" "01000000" "00000000"
+            "f000000000000000" "0000000000000000" "0400000000000000"
+            "fcffffffffffffff" "00000000" "01000000" "00000000"
+            "100e000000000000" "3c00000000000000" "0700000000000000"
+            "0800000000000000" "02000000" "03000000" "03000100");
+  // A seventh moves the oldest to slot 1, so the ring is saved in two
+  // pieces: slots 1-2, then slot 0.
+  sink.instant(2 * kHour, TraceCategory::kFault, "node.fail", "p", 9, 10);
+  EXPECT_EQ(to_hex(saved_ring(sink)),
+            "f000000000000000" "0000000000000000" "0400000000000000"
+            "fcffffffffffffff" "00000000" "01000000" "00000000"
+            "100e000000000000" "3c00000000000000" "0700000000000000"
+            "0800000000000000" "02000000" "03000000" "03000100"
+            "201c000000000000" "0000000000000000" "0900000000000000"
+            "0a00000000000000" "04000000" "01000000" "04000000");
+}
+
 TEST(TraceDiff, IdenticalTracesMatch) {
   TraceSink sink;
   sink.instant(1, TraceCategory::kJob, "job.submit", "p", 1);

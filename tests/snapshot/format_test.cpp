@@ -1,18 +1,88 @@
 // Snapshot encoding regression: round trips for every field kind, the
-// name/kind mismatch diagnostics, and the whole-stream integrity checks
+// name/kind mismatch diagnostics, the whole-stream integrity checks
 // (magic, version, checksum, truncation) that keep a damaged snapshot
-// from ever restoring silently wrong state.
+// from ever restoring silently wrong state, and the v1 byte layout itself,
+// pinned by a literal and by a byte-by-byte reference encoder.
 #include "snapshot/format.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "util/fsio.hpp"
+#include "util/rng.hpp"
+
 namespace dc::snapshot {
 namespace {
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+/// Index of the first byte where `a` and `b` differ (npos when equal), so
+/// a failed comparison of megabyte streams reports a position, not a dump.
+std::size_t first_difference(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return i;
+  }
+  return a.size() == b.size() ? std::string::npos : n;
+}
+
+/// The v1 encoding written the slow, obvious way: one push_back per byte
+/// and a plain FNV-1a loop. It shares no code with SnapshotWriter, so it
+/// is an independent oracle for the bytes the writer must produce.
+class ReferenceWriter {
+ public:
+  ReferenceWriter() {
+    bytes_.append(kMagic, sizeof(kMagic));
+    put(kFormatVersion, 4);
+  }
+
+  void record(RecordKind kind, std::string_view name) {
+    put(static_cast<std::uint8_t>(kind), 1);
+    put(name.size(), 2);
+    bytes_.append(name);
+  }
+  void put(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  }
+  void append(std::string_view bytes) { bytes_.append(bytes); }
+
+  const std::string& bytes() const { return bytes_; }
+  std::uint64_t digest() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes_) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  }
+  std::string finish() const {
+    ReferenceWriter copy = *this;
+    copy.put(digest(), 8);
+    return copy.bytes_;
+  }
+
+ private:
+  std::string bytes_;
+};
 
 std::string sample_stream() {
   SnapshotWriter writer;
@@ -298,6 +368,147 @@ TEST(SnapshotFormat, RollingDigestChangesWithEveryField) {
   const std::uint64_t d2 = writer.digest();
   EXPECT_NE(d0, d1);
   EXPECT_NE(d1, d2);
+}
+
+// The v1 bytes of sample_stream(), pinned as captured from the original
+// byte-by-byte encoder. The round-trip tests above compare the writer with
+// its own reader; this one fails if the on-disk layout changes at all.
+TEST(SnapshotFormat, SampleStreamMatchesPinnedV1Bytes) {
+  EXPECT_EQ(to_hex(sample_stream()),
+            "4443534e41500d0a" "01000000"                   // magic, version
+            "0106006b65726e656c"                            // { kernel
+            "030300736571" "2a00000000000000"               //   u64 seq
+            "04070062616c616e6365" "f9ffffffffffffff"       //   i64 balance
+            "020000"                                        // }
+            "010600736572766572"                            // { server
+            "050500686f757273" "000000000000f83f"           //   f64 hours
+            "06070073746172746564" "01"                     //   bool started
+            "0704006e616d65" "03000000" "646574"            //   str name
+            "080400626c6f62" "03000000" "007f01"            //   bytes blob
+            "0106006c6564676572"                            //   { ledger
+            "0406006f70656e6564" "100e000000000000"         //     i64 opened
+            "020000"                                        //   }
+            "020000"                                        // }
+            "04b0aa99e4ddfd26");                            // FNV-1a footer
+}
+
+// Thousands of random records of every kind (nested sections, empty
+// names, names of the maximum length, empty and large payloads), encoded
+// by SnapshotWriter and by the byte-by-byte reference: every byte, the
+// rolling digest along the way, and the finished and written streams
+// must agree.
+TEST(SnapshotFormat, EncoderMatchesByteByByteReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    auto random_bytes = [&rng](std::size_t n) {
+      std::string out(n, '\0');
+      for (char& c : out) c = static_cast<char>(rng() & 0xff);
+      return out;
+    };
+    auto random_name = [&]() {
+      const std::uint64_t roll = rng() % 512;
+      if (roll == 0) return random_bytes(kMaxRecordNameBytes);
+      if (roll < 40) return std::string();
+      return random_bytes(1 + rng() % 24);
+    };
+    auto random_payload = [&]() {
+      const std::uint64_t roll = rng() % 512;
+      if (roll == 0) return random_bytes(70000 + rng() % 1000);
+      if (roll < 40) return std::string();
+      if (roll < 80) return random_bytes(rng() % 4096);
+      return random_bytes(rng() % 64);
+    };
+
+    SnapshotWriter writer;
+    ReferenceWriter reference;
+    std::size_t depth = 0;
+    for (int i = 0; i < 4000; ++i) {
+      const std::string name = random_name();
+      switch (rng() % 8) {
+        case 0:
+          if (depth < 8) {
+            writer.begin_section(name);
+            reference.record(RecordKind::kSectionBegin, name);
+            ++depth;
+          }
+          break;
+        case 1:
+          if (depth > 0) {
+            writer.end_section();
+            reference.record(RecordKind::kSectionEnd, "");
+            --depth;
+          }
+          break;
+        case 2: {
+          const std::uint64_t v = rng();
+          writer.field_u64(name, v);
+          reference.record(RecordKind::kU64, name);
+          reference.put(v, 8);
+          break;
+        }
+        case 3: {
+          const auto v = static_cast<std::int64_t>(rng());
+          writer.field_i64(name, v);
+          reference.record(RecordKind::kI64, name);
+          reference.put(static_cast<std::uint64_t>(v), 8);
+          break;
+        }
+        case 4: {
+          double v = std::bit_cast<double>(rng());
+          if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+          writer.field_f64(name, v);
+          reference.record(RecordKind::kF64, name);
+          reference.put(std::bit_cast<std::uint64_t>(v), 8);
+          break;
+        }
+        case 5: {
+          const bool v = (rng() & 1) != 0;
+          writer.field_bool(name, v);
+          reference.record(RecordKind::kBool, name);
+          reference.put(v ? 1 : 0, 1);
+          break;
+        }
+        case 6: {
+          const std::string v = random_payload();
+          writer.field_str(name, v);
+          reference.record(RecordKind::kStr, name);
+          reference.put(v.size(), 4);
+          reference.append(v);
+          break;
+        }
+        default: {
+          const std::string v = random_payload();
+          writer.field_bytes(name, v.data(), v.size());
+          reference.record(RecordKind::kBytes, name);
+          reference.put(v.size(), 4);
+          reference.append(v);
+          break;
+        }
+      }
+      if (i % 97 == 0) {
+        ASSERT_EQ(writer.buffer().size(), reference.bytes().size()) << i;
+        ASSERT_EQ(writer.digest(), reference.digest()) << i;
+      }
+    }
+    for (; depth > 0; --depth) {
+      writer.end_section();
+      reference.record(RecordKind::kSectionEnd, "");
+    }
+
+    EXPECT_EQ(first_difference(writer.buffer(), reference.bytes()),
+              std::string::npos);
+    EXPECT_EQ(writer.digest(), reference.digest());
+    const std::string finished = writer.finish();
+    EXPECT_EQ(first_difference(finished, reference.finish()),
+              std::string::npos);
+    const std::string path = temp_path("reference.dcsnap");
+    ASSERT_TRUE(writer.write_file(path).is_ok());
+    auto written = read_file(path);
+    ASSERT_TRUE(written.is_ok()) << written.status().to_string();
+    EXPECT_EQ(first_difference(*written, finished), std::string::npos);
+    EXPECT_TRUE(decode_records(finished).is_ok());
+  }
 }
 
 }  // namespace
