@@ -129,20 +129,20 @@ sched::JobId HtcServer::submit(SimDuration runtime, std::int64_t nodes,
 }
 
 void HtcServer::dispatch() {
-  if (queue_.empty()) return;
-  std::vector<const sched::Job*> queued;
-  queued.reserve(queue_.size());
+  // Every job is at least one node wide and a scheduler may only pick jobs
+  // that fit, so with no usable idle node nothing can start.
+  if (queue_.empty() || dispatchable_idle() <= 0) return;
+  queued_view_.clear();
   for (sched::JobId id : queue_.items()) {
-    queued.push_back(&jobs_[static_cast<std::size_t>(id)]);
+    queued_view_.push_back(&jobs_[static_cast<std::size_t>(id)]);
   }
-  std::vector<const sched::Job*> running;
-  running.reserve(running_.size());
+  running_view_.clear();
   for (sched::JobId id : running_) {
-    running.push_back(&jobs_[static_cast<std::size_t>(id)]);
+    running_view_.push_back(&jobs_[static_cast<std::size_t>(id)]);
   }
   const SimTime now = simulator_.now();
-  const std::vector<std::size_t> picks =
-      config_.scheduler->select(queued, running, dispatchable_idle(), now);
+  const std::vector<std::size_t> picks = config_.scheduler->select(
+      queued_view_, running_view_, dispatchable_idle(), now);
   if (picks.empty()) return;
 
   std::int64_t started_nodes = 0;
@@ -167,12 +167,11 @@ void HtcServer::dispatch() {
          "scheduler oversubscribed idle nodes");
   busy_ += started_nodes;
   // A pick that left some earlier-queued job behind jumped the FIFO order:
-  // in sorted position order, the picks form a 0,1,2,... prefix until the
-  // first skipped job, and everything after that gap is a backfill hit.
-  std::vector<std::size_t> sorted_picks = picks;
-  std::sort(sorted_picks.begin(), sorted_picks.end());
-  for (std::size_t i = 0; i < sorted_picks.size(); ++i) {
-    if (sorted_picks[i] != i) ++backfill_hits_;
+  // the picks (ascending, per the Scheduler contract) form a 0,1,2,...
+  // prefix until the first skipped job, and everything after that gap is a
+  // backfill hit.
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    if (picks[i] != i) ++backfill_hits_;
   }
   queue_.remove_positions(picks);
 }
@@ -713,6 +712,12 @@ Status HtcServer::restore(snapshot::SnapshotReader& reader) {
   for (std::uint64_t i = 0; i < queue_count; ++i) {
     sched::JobId id = 0;
     if (auto st = reader.read_i64("queued", id); !st.is_ok()) return st;
+    if (id < 0 || static_cast<std::size_t>(id) >= jobs_.size() ||
+        jobs_[static_cast<std::size_t>(id)].state != sched::JobState::kQueued) {
+      return Status::invalid_argument(config_.name + ": queued job " +
+                                      std::to_string(id) +
+                                      " is not a queued job");
+    }
     queue_.push(id);
   }
 
@@ -754,6 +759,12 @@ Status HtcServer::restore(snapshot::SnapshotReader& reader) {
   if (auto st = reader.read_u64("initial_lease", initial_lease); !st.is_ok()) {
     return st;
   }
+  if (has_initial && initial_lease >= ledger_.lease_count()) {
+    return Status::invalid_argument(
+        config_.name + ": initial lease " + std::to_string(initial_lease) +
+        " beyond the ledger's " + std::to_string(ledger_.lease_count()) +
+        " leases");
+  }
   initial_lease_.reset();
   if (has_initial) initial_lease_ = static_cast<cluster::LeaseId>(initial_lease);
 
@@ -771,6 +782,12 @@ Status HtcServer::restore(snapshot::SnapshotReader& reader) {
     std::uint64_t lease = 0;
     if (auto st = reader.read_u64("grant_lease", lease); !st.is_ok()) {
       return st;
+    }
+    if (lease >= ledger_.lease_count()) {
+      return Status::invalid_argument(
+          config_.name + ": grant lease " + std::to_string(lease) +
+          " beyond the ledger's " + std::to_string(ledger_.lease_count()) +
+          " leases");
     }
     grant.lease = static_cast<cluster::LeaseId>(lease);
     if (auto st = reader.read_bool("grant_active", grant.active); !st.is_ok()) {

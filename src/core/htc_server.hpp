@@ -272,6 +272,10 @@ class HtcServer : public fault::FaultTarget {
   std::vector<sched::Job> jobs_;  // indexed by JobId
   sched::JobQueue queue_;
   std::vector<sched::JobId> running_;
+  // Scheduler views of queue_ and running_, rebuilt by every dispatch;
+  // members only so their buffers are reused.
+  std::vector<const sched::Job*> queued_view_;   // dc-volatile: rebuilt per dispatch
+  std::vector<const sched::Job*> running_view_;  // dc-volatile: rebuilt per dispatch
   /// Pending completion event per job, indexed by JobId (dense, like
   /// jobs_); kInvalidEvent when the job is not running. Replaces an
   /// unordered_map: JobIds are already dense indices, and keeping hash

@@ -1,13 +1,15 @@
 #include "core/job_emulator.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <string>
 
 namespace dc::core {
 
 void JobEmulator::emulate_trace(
     const workload::Trace& trace,
     std::function<void(const workload::TraceJob&)> submit) {
-  TraceStream stream;
+  TraceStream& stream = streams_.emplace_back();
   stream.submit = std::move(submit);
   stream.scaled_jobs.reserve(trace.jobs().size());
   for (const workload::TraceJob& job : trace.jobs()) {
@@ -21,15 +23,34 @@ void JobEmulator::emulate_trace(
     }
     stream.scaled_jobs.push_back(scaled);
   }
-  stream.events.assign(stream.scaled_jobs.size(), sim::kInvalidEvent);
-  if (!passive_) {
-    for (std::size_t i = 0; i < stream.scaled_jobs.size(); ++i) {
-      const workload::TraceJob& scaled = stream.scaled_jobs[i];
-      stream.events[i] = simulator_->schedule_at(
-          scaled.submit, [submit = stream.submit, scaled] { submit(scaled); });
-    }
+  assert(std::is_sorted(stream.scaled_jobs.begin(), stream.scaled_jobs.end(),
+                        [](const workload::TraceJob& a,
+                           const workload::TraceJob& b) {
+                          return a.submit < b.submit;
+                        }) &&
+         "a trace keeps its jobs sorted by submit time");
+  if (passive_ || stream.scaled_jobs.empty()) {
+    // Passive streams have nothing pending until restore() says so.
+    stream.next = stream.scaled_jobs.size();
+    return;
   }
-  streams_.push_back(std::move(stream));
+  stream.reservation = simulator_->reserve_seqs(
+      static_cast<std::uint32_t>(stream.scaled_jobs.size()));
+  queue_next(streams_.size() - 1);
+}
+
+void JobEmulator::queue_next(std::size_t index) {
+  TraceStream& stream = streams_[index];
+  stream.event = simulator_->schedule_reserved(
+      stream.reservation, stream.scaled_jobs[stream.next].submit,
+      [this, index] { submit_next(index); });
+}
+
+void JobEmulator::submit_next(std::size_t index) {
+  TraceStream& stream = streams_[index];
+  const workload::TraceJob& job = stream.scaled_jobs[stream.next++];
+  if (stream.next < stream.scaled_jobs.size()) queue_next(index);
+  stream.submit(job);
 }
 
 void JobEmulator::emulate_at(SimTime at, std::function<void()> submit) {
@@ -47,21 +68,23 @@ void JobEmulator::emulate_at(SimTime at, std::function<void()> submit) {
 
 Status JobEmulator::save(snapshot::SnapshotWriter& writer) const {
   writer.field_u64("stream_count", streams_.size());
-  for (const TraceStream& stream : streams_) {
-    // Generation-tagged handles make already-fired events O(1) "stale", so
-    // the pending set is just a filter over the full submission list.
-    std::vector<std::pair<std::uint64_t, sim::Simulator::PendingEventInfo>>
-        pending;
-    for (std::size_t i = 0; i < stream.events.size(); ++i) {
-      if (auto info = simulator_->pending_event_info(stream.events[i])) {
-        pending.emplace_back(i, *info);
-      }
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    const TraceStream& stream = streams_[s];
+    // The unfired submissions are jobs next..end: the queued one, then
+    // the reserved ones on the seqs right after it.
+    const std::size_t count = stream.scaled_jobs.size() - stream.next;
+    writer.field_u64("pending_count", count);
+    if (count == 0) continue;
+    const auto queued = simulator_->pending_event_info(stream.event);
+    if (!queued.has_value()) {
+      return Status::internal("job emulator: trace stream " +
+                              std::to_string(s) +
+                              " has no queued submission");
     }
-    writer.field_u64("pending_count", pending.size());
-    for (const auto& [index, info] : pending) {
-      writer.field_u64("job_index", index);
-      writer.field_time("time", info.time);
-      writer.field_u64("seq", info.seq);
+    for (std::size_t i = stream.next; i < stream.scaled_jobs.size(); ++i) {
+      writer.field_u64("job_index", i);
+      writer.field_time("time", stream.scaled_jobs[i].submit);
+      writer.field_u64("seq", queued->seq + (i - stream.next));
     }
   }
   writer.field_u64("oneshot_count", oneshots_.size());
@@ -88,29 +111,56 @@ Status JobEmulator::restore(snapshot::SnapshotReader& reader) {
         std::to_string(streams_.size()) +
         " — the snapshot belongs to a different workload");
   }
-  for (TraceStream& stream : streams_) {
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    TraceStream& stream = streams_[s];
+    const std::size_t jobs = stream.scaled_jobs.size();
+    const std::string where = "job emulator: trace stream " + std::to_string(s);
     std::uint64_t pending_count = 0;
     if (auto st = reader.read_u64("pending_count", pending_count);
         !st.is_ok()) {
       return st;
     }
+    // The unfired submissions must be the last pending_count jobs, on
+    // consecutive seqs, each at its job's submit time: the one shape the
+    // emulator writes, and the one that re-queuing a submission and
+    // reserving the rest reproduces.
+    const std::uint64_t first = jobs - std::min<std::uint64_t>(pending_count, jobs);
+    std::uint64_t first_seq = 0;
     for (std::uint64_t p = 0; p < pending_count; ++p) {
       std::uint64_t index = 0;
       if (auto st = reader.read_u64("job_index", index); !st.is_ok()) return st;
-      if (index >= stream.scaled_jobs.size()) {
+      if (index >= jobs) {
         return Status::failed_precondition(
             "job emulator: pending submission index " + std::to_string(index) +
-            " beyond the stream's " +
-            std::to_string(stream.scaled_jobs.size()) + " jobs");
+            " beyond the stream's " + std::to_string(jobs) + " jobs");
       }
       SimTime time = 0;
       if (auto st = reader.read_time("time", time); !st.is_ok()) return st;
       std::uint64_t seq = 0;
       if (auto st = reader.read_u64("seq", seq); !st.is_ok()) return st;
-      const workload::TraceJob& scaled = stream.scaled_jobs[index];
-      stream.events[index] = simulator_->restore_event(
-          time, static_cast<std::uint32_t>(seq),
-          [submit = stream.submit, scaled] { submit(scaled); });
+      if (p == 0) first_seq = seq;
+      if (index != first + p || seq != first_seq + p || seq == 0 ||
+          seq >= 0xffffffffull || time != stream.scaled_jobs[index].submit) {
+        return Status::failed_precondition(
+            where + ": unfired submission of job " + std::to_string(index) +
+            " at t=" + std::to_string(time) + " on seq " + std::to_string(seq) +
+            " does not continue jobs " + std::to_string(first) + ".." +
+            std::to_string(jobs - 1) +
+            " at their submit times on consecutive seqs");
+      }
+    }
+    if (pending_count == 0) {
+      stream.next = jobs;
+      continue;
+    }
+    stream.next = static_cast<std::size_t>(first);
+    stream.event = simulator_->restore_event(
+        stream.scaled_jobs[stream.next].submit,
+        static_cast<std::uint32_t>(first_seq), [this, s] { submit_next(s); });
+    if (pending_count > 1) {
+      stream.reservation = simulator_->restore_reservation(
+          static_cast<std::uint32_t>(first_seq + 1),
+          static_cast<std::uint32_t>(pending_count - 1));
     }
   }
   std::uint64_t oneshot_count = 0;

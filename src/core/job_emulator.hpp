@@ -10,22 +10,32 @@
 // dependency-constrained release of MTC jobs is performed by the receiving
 // server's trigger monitor (DawningCloud/SSP/DCS) or by the DRP runner.
 //
+// A trace is one submission *stream*. Registering it reserves one kernel
+// sequence number per job, the block that queuing every submission at once
+// would draw, but only the stream's next submission sits in the event
+// queue: each submission queues the one after it on its reserved seq.
+// Trace jobs are sorted by submit time, so the submissions fire in exactly
+// the order queuing them all up front would give, while the queue holds
+// one entry per stream instead of one per trace job.
+//
 // The paper speeds up submission and completion by a factor of 100 to make
 // wall-clock emulation feasible; a discrete-event simulation does not need
 // that, but the same `time_scale` knob is provided (submit times and
 // runtimes divided by the factor) so tests can exercise the paper's scaled
 // mode and its interaction with the fixed one-hour billing quantum.
 //
-// Snapshot support: every emulate_trace/emulate_at call registers a
-// *stream* — the scaled jobs plus the submit callback — in call order. A
-// snapshot records, per stream, which submissions are still pending and
-// their (time, seq); a passive emulator (constructed with passive=true)
-// records the same streams without scheduling anything, and restore()
-// re-arms exactly the pending submissions. Stream registration order is
-// the identity of a stream across save/restore, so the driver must replay
-// the same emulate_* call sequence when rebuilding the world.
+// Snapshot support: every emulate_trace/emulate_at call registers a stream
+// or one-shot in call order. A snapshot records, per stream, every
+// submission not yet fired with its (time, seq) — always a suffix of the
+// stream's jobs on consecutive seqs. A passive emulator (constructed with
+// passive=true) records the same streams without scheduling anything, and
+// restore() re-queues each stream's next submission and re-reserves the
+// seqs of the rest. Registration order is the identity of a stream across
+// save/restore, so the driver must replay the same emulate_* call sequence
+// when rebuilding the world.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -36,14 +46,19 @@
 
 namespace dc::core {
 
+/// Queued submissions call back into the emulator, so it must outlive the
+/// simulator's run and is not copyable.
 class JobEmulator {
  public:
   explicit JobEmulator(sim::Simulator& simulator, double time_scale = 1.0,
                        bool passive = false)
       : simulator_(&simulator), time_scale_(time_scale), passive_(passive) {}
+  JobEmulator(const JobEmulator&) = delete;
+  JobEmulator& operator=(const JobEmulator&) = delete;
 
-  /// Schedules one submission event per trace job (unless passive). The
-  /// callback receives the (possibly time-scaled) job.
+  /// Registers the trace as a submission stream and, unless passive,
+  /// reserves its seqs and queues its first submission. The callback
+  /// receives the (possibly time-scaled) job.
   void emulate_trace(const workload::Trace& trace,
                      std::function<void(const workload::TraceJob&)> submit);
 
@@ -59,8 +74,11 @@ class JobEmulator {
  private:
   struct TraceStream {
     std::function<void(const workload::TraceJob&)> submit;
-    std::vector<workload::TraceJob> scaled_jobs;
-    std::vector<sim::EventId> events;  // parallel to scaled_jobs
+    std::vector<workload::TraceJob> scaled_jobs;  // nondecreasing submit
+    std::size_t next = 0;  // first job not yet submitted
+    /// Seqs of jobs next+1 .. end, not yet queued.
+    sim::SeqReservation reservation = 0;
+    sim::EventId event = sim::kInvalidEvent;  // job `next`'s submission
   };
   struct OneShot {
     std::function<void()> submit;
@@ -68,10 +86,17 @@ class JobEmulator {
     sim::EventId event = sim::kInvalidEvent;
   };
 
+  /// Queues the submission of stream `index`'s job `next`.
+  void queue_next(std::size_t index);
+  /// Submits stream `index`'s job `next`, queuing the one after it first.
+  void submit_next(std::size_t index);
+
   sim::Simulator* simulator_;
   double time_scale_;  // dc-volatile: fixed by config
   bool passive_;       // dc-volatile: fixed by config
-  std::vector<TraceStream> streams_;
+  // A deque: a submit callback that registers another stream must not
+  // move the stream whose callback is running.
+  std::deque<TraceStream> streams_;
   std::vector<OneShot> oneshots_;
 };
 

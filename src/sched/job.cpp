@@ -17,8 +17,7 @@ const char* job_state_name(JobState state) {
 
 void JobQueue::remove_positions(const std::vector<std::size_t>& positions) {
   if (positions.empty()) return;
-  std::vector<JobId> remaining;
-  remaining.reserve(items_.size() - positions.size());
+  std::size_t kept = 0;
   std::size_t next = 0;
   for (std::size_t i = 0; i < items_.size(); ++i) {
     if (next < positions.size() && positions[next] == i) {
@@ -26,10 +25,10 @@ void JobQueue::remove_positions(const std::vector<std::size_t>& positions) {
       ++next;
       continue;
     }
-    remaining.push_back(items_[i]);
+    items_[kept++] = items_[i];
   }
   assert(next == positions.size() && "position out of range");
-  items_ = std::move(remaining);
+  items_.resize(kept);
 }
 
 }  // namespace dc::sched

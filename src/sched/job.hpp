@@ -60,7 +60,7 @@ class JobQueue {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
 
-  /// Removes the entries at the given ascending positions.
+  /// Removes the entries at the given ascending positions, in place.
   void remove_positions(const std::vector<std::size_t>& positions);
 
   void clear() { items_.clear(); }

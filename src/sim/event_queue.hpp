@@ -9,8 +9,9 @@
 // Layout: 16-byte nodes in a 64-byte-aligned buffer (four children per
 // cache line) and a dense slot->position side array, so cancel finds its
 // node in O(1) and removes it with one localized sift. Push and pop are
-// O(log n) with a small constant; at the paper workloads' peak of ~5.7k
-// pending events the heap is about six levels deep.
+// O(log n) with a small constant. The job emulator queues one submission
+// per trace stream, not per trace job (Simulator::reserve_seqs), so the
+// paper workloads peak at 687 queued events: five levels below the root.
 //
 // Snapshots carry the pending set as (time, seq) pairs, never heap
 // internals: restore re-pushes them in any order and the heap pops them in

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace dc::sim {
 
@@ -48,18 +49,60 @@ void Simulator::reserve(std::size_t expected_events) {
 }
 
 // The 32-bit FIFO tie-break counter saturated (once per ~4.3 billion
-// schedules). Compact the seqs of the pending nodes order-preservingly:
-// relative order is all the heap compares, so FIFO order is exactly
-// preserved. Amortized cost is zero.
+// schedules). Compact the seqs of the queued nodes and of the outstanding
+// reservations together, order-preservingly: relative order is all the
+// heap compares, so FIFO order is exactly preserved, and a reservation
+// stays one contiguous block (no other seq lies inside it). Amortized cost
+// is zero.
 void Simulator::renumber_seqs() {
   std::vector<QueueNode> nodes;
   queue_.drain_all(&nodes);
   std::sort(nodes.begin(), nodes.end(),
             [](const QueueNode& a, const QueueNode& b) { return a.seq < b.seq; });
+  std::vector<SeqReservation> open;
+  for (SeqReservation r = 0; r < ranges_.size(); ++r) {
+    if (ranges_[r].next < ranges_[r].end) open.push_back(r);
+  }
+  std::sort(open.begin(), open.end(), [this](SeqReservation a, SeqReservation b) {
+    return ranges_[a].next < ranges_[b].next;
+  });
   std::uint32_t seq = 1;
-  for (QueueNode& node : nodes) node.seq = seq++;
+  auto open_it = open.begin();
+  auto renumber_ranges_below = [&](std::uint64_t bound) {
+    for (; open_it != open.end() && ranges_[*open_it].next < bound; ++open_it) {
+      SeqRange& range = ranges_[*open_it];
+      const std::uint32_t count = range.end - range.next;
+      range.next = seq;
+      range.end = seq + count;
+      seq += count;
+    }
+  };
+  for (QueueNode& node : nodes) {
+    renumber_ranges_below(node.seq);
+    node.seq = seq++;
+  }
+  renumber_ranges_below(~std::uint64_t{0});
   next_seq_ = seq;
   for (const QueueNode& node : nodes) queue_.push(node);
+}
+
+// ---------------------------------------------------------------------------
+// Reserved sequence numbers
+
+SeqReservation Simulator::add_range(std::uint32_t first, std::uint32_t count) {
+  reserved_seqs_ += count;
+  ranges_.push_back({first, first + count});
+  return static_cast<SeqReservation>(ranges_.size() - 1);
+}
+
+SeqReservation Simulator::reserve_seqs(std::uint32_t count) {
+  assert(count >= 1 && "reserve at least one seq");
+  if (count > 0xffffffffu - next_seq_) renumber_seqs();
+  assert(count <= 0xffffffffu - next_seq_ &&
+         "more seqs outstanding than the 32-bit counter holds");
+  const std::uint32_t first = next_seq_;
+  next_seq_ += count;
+  return add_range(first, count);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +289,7 @@ void Simulator::begin_restore(SimTime now, std::uint32_t next_seq,
   assert(!restoring_ && "begin_restore called twice");
   assert(now_ == 0 && processed_ == 0 && live_events_ == 0 &&
          queue_.size() == 0 && event_slots_used_ == 0 &&
-         timer_slots_used_ == 0 &&
+         timer_slots_used_ == 0 && ranges_.empty() &&
          "restore requires a virgin kernel (build components passively)");
   assert(now >= 0 && next_seq >= 1);
   now_ = now;
@@ -286,34 +329,55 @@ TimerId Simulator::restore_periodic(SimTime next_fire, std::uint32_t seq,
   return id;
 }
 
+SeqReservation Simulator::restore_reservation(std::uint32_t first,
+                                              std::uint32_t count) {
+  assert(restoring_ && "restore_reservation outside begin/finish_restore");
+  assert(count >= 1 && first >= 1 && "restored reservation is empty");
+  return add_range(first, count);
+}
+
 Status Simulator::finish_restore(std::uint64_t expected_pending) {
   assert(restoring_ && "finish_restore without begin_restore");
   restoring_ = false;
-  if (live_events_ != expected_pending) {
+  if (pending_live() != expected_pending) {
     return Status::failed_precondition(
-        "simulator restore: " + std::to_string(live_events_) +
-        " events re-armed but the snapshot recorded " +
+        "simulator restore: " + std::to_string(pending_live()) +
+        " events re-armed or reserved but the snapshot recorded " +
         std::to_string(expected_pending) +
         " pending — a component failed to re-arm (or re-armed twice)");
   }
-  std::vector<std::uint32_t> seqs;
-  seqs.reserve(live_events_);
+  // Every queued seq is a one-seq block; every reservation a longer one.
+  // Sorted by first seq, the blocks must not overlap and must all end at
+  // or below next_seq().
+  struct Block {
+    std::uint64_t first;
+    std::uint64_t end;
+  };
+  std::vector<Block> blocks;
+  blocks.reserve(live_events_ + ranges_.size());
   for (std::uint32_t slot = 0; slot < event_slots_used_; ++slot) {
     QueueNode node;
-    if (queue_.find_slot(slot, &node)) seqs.push_back(node.seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
-  for (std::size_t i = 1; i < seqs.size(); ++i) {
-    if (seqs[i] == seqs[i - 1]) {
-      return Status::failed_precondition(
-          "simulator restore: duplicate sequence number " +
-          std::to_string(seqs[i]) +
-          " — two components re-armed the same pending event");
+    if (queue_.find_slot(slot, &node)) {
+      blocks.push_back({node.seq, std::uint64_t{node.seq} + 1});
     }
   }
-  if (!seqs.empty() && seqs.back() >= next_seq_) {
+  for (const SeqRange& range : ranges_) {
+    if (range.next < range.end) blocks.push_back({range.next, range.end});
+  }
+  std::sort(blocks.begin(), blocks.end(),
+            [](const Block& a, const Block& b) { return a.first < b.first; });
+  for (std::size_t i = 1; i < blocks.size(); ++i) {
+    if (blocks[i].first < blocks[i - 1].end) {
+      return Status::failed_precondition(
+          "simulator restore: duplicate sequence number " +
+          std::to_string(blocks[i].first) +
+          " — two components re-armed or reserved the same pending event");
+    }
+  }
+  if (!blocks.empty() && blocks.back().end > next_seq_) {
     return Status::failed_precondition(
-        "simulator restore: re-armed sequence " + std::to_string(seqs.back()) +
+        "simulator restore: re-armed sequence " +
+        std::to_string(blocks.back().end - 1) +
         " is not below the restored tie-break counter " +
         std::to_string(next_seq_));
   }
@@ -336,8 +400,26 @@ void Simulator::audit_invariants() const {
   DC_INVARIANT(queue_.size() == live_events_,
                "pending-event count diverged from the queue");
 
-  // Heap structure, plus per-node slab linkage.
-  queue_.audit([this](const QueueNode& node) {
+  // Reservations: the open ones are disjoint blocks below the counter that
+  // hold exactly reserved_seqs_ seqs and contain no queued seq.
+  std::vector<SeqRange> open;
+  for (const SeqRange& range : ranges_) {
+    if (range.next < range.end) open.push_back(range);
+  }
+  std::sort(open.begin(), open.end(),
+            [](const SeqRange& a, const SeqRange& b) { return a.next < b.next; });
+  std::size_t reserved = 0;
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    DC_INVARIANT(open[i].next >= 1 && open[i].end <= next_seq_,
+                 "a reservation escaped the tie-break counter");
+    DC_INVARIANT(i == 0 || open[i - 1].end <= open[i].next,
+                 "two reservations overlap");
+    reserved += open[i].end - open[i].next;
+  }
+  DC_INVARIANT(reserved == reserved_seqs_,
+               "reserved-seq count diverged from the reservations");
+  // Heap structure, plus per-node slab linkage and reservation overlap.
+  queue_.audit([this, &open](const QueueNode& node) {
     DC_INVARIANT(node.slot < event_slots_used_,
                  "queued node references a slot beyond the slab");
     DC_INVARIANT(node.seq >= 1 && node.seq < next_seq_,
@@ -346,6 +428,11 @@ void Simulator::audit_invariants() const {
     DC_INVARIANT(ev.live, "queued node references a dead event slot");
     DC_INVARIANT(static_cast<bool>(ev.fn) != (ev.link != kLinkNone),
                  "event slot must carry exactly one of: callback, timer link");
+    const auto after = std::upper_bound(
+        open.begin(), open.end(), node.seq,
+        [](std::uint32_t seq, const SeqRange& range) { return seq < range.next; });
+    DC_INVARIANT(after == open.begin() || std::prev(after)->end <= node.seq,
+                 "a queued seq lies inside an open reservation");
   });
 
   // Event free list: acyclic (bounded walk), every member dead. Every slot

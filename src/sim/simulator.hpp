@@ -28,6 +28,11 @@
 //   * Periodic timers are their own slab; a timer's fire event carries the
 //     timer's slot index, so re-arming is direct indexing — no hash
 //     lookups anywhere in the kernel.
+//   * A producer that knows a whole ordered stream of future events up
+//     front (the job emulator's trace submissions) reserves the stream's
+//     sequence numbers in one block and queues only its next event; each
+//     event queues the one after it on its reserved seq. Pop order is the
+//     same as queuing the whole stream at once, and the heap stays small.
 //
 // The kernel is single-threaded. Parameter sweeps parallelize by running
 // one Simulator per thread (see bench/), which is both simpler and faster
@@ -59,6 +64,9 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Identifies a periodic timer. Generation-tagged like EventId.
 using TimerId = std::uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
+
+/// Identifies a block of reserved sequence numbers (see reserve_seqs).
+using SeqReservation = std::uint32_t;
 
 class Simulator {
  public:
@@ -94,6 +102,28 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Draws `count` (>= 1) consecutive sequence numbers now — the seqs
+  /// `count` back-to-back schedule_at calls would draw — without queuing
+  /// anything. schedule_reserved later queues events on them in order, so
+  /// a producer whose events have nondecreasing times can keep just its
+  /// next event in the heap and still fire in exactly the order queuing
+  /// them all now would give. Reserved seqs count in pending_live() until
+  /// they are queued.
+  SeqReservation reserve_seqs(std::uint32_t count);
+
+  /// Queues `fn` at `t` (>= now()) with the reservation's next seq.
+  /// Precondition: the reservation still holds a seq. Queuing its last
+  /// seq ends the reservation.
+  template <typename F>
+  EventId schedule_reserved(SeqReservation reservation, SimTime t, F&& fn) {
+    assert(t >= now_ && "cannot schedule into the past");
+    const std::uint32_t seq = take_reserved_seq(reservation);
+    const std::uint32_t slot = alloc_event_slot();
+    event(slot).fn = std::forward<F>(fn);
+    assert(event(slot).fn && "callback must be callable");
+    return push_event_with_seq(t, slot, seq);
+  }
+
   /// Cancels a pending event. Returns false if it already fired or was
   /// already cancelled. The handle check is O(1); so is queue removal.
   bool cancel(EventId id);
@@ -121,14 +151,16 @@ class Simulator {
   /// Number of events executed so far (excludes cancelled).
   std::uint64_t events_processed() const { return processed_; }
 
-  /// High-water mark of the pending-event set over the run — the
-  /// kernel's memory-pressure figure for the self-profiling report.
+  /// High-water mark of the event queue over the run — the kernel's
+  /// memory-pressure figure for the self-profiling report. Reserved seqs
+  /// not yet queued take no queue space and are not counted here.
   std::size_t peak_pending() const { return peak_pending_; }
 
-  /// Number of live pending events: one-shot events not yet fired or
-  /// cancelled, plus one pending fire per active periodic timer. Exact —
-  /// cancelled events leave no residue.
-  std::size_t pending_live() const { return live_events_; }
+  /// Number of live pending occurrences: one-shot events not yet fired or
+  /// cancelled, one pending fire per active periodic timer, and every
+  /// reserved seq not yet queued (each stands for an event its producer
+  /// will queue). Exact — cancelled events leave no residue.
+  std::size_t pending_live() const { return live_events_ + reserved_seqs_; }
 
   /// Pre-sizes the event slab and queue for `expected_events` concurrently
   /// pending events. Optional — both grow on demand.
@@ -142,7 +174,9 @@ class Simulator {
   // identical callbacks with their *original* sequence numbers: since seqs
   // are unique, (time, seq) is a total order and the queue pops the restored
   // events in exactly the order the uninterrupted run would have — push
-  // order and slot indices are irrelevant to results.
+  // order and slot indices are irrelevant to results. A producer's reserved
+  // seqs not yet queued are saved by the producer and come back through
+  // restore_reservation.
 
   /// (time, seq) of a pending one-shot event; nullopt if the handle is
   /// stale (already fired or cancelled). O(1) — safe to call on every entry
@@ -168,8 +202,8 @@ class Simulator {
 
   /// Enters restore mode on a *virgin* kernel (nothing scheduled, clock at
   /// zero): sets the clock, the tie-break counter, and the processed-event
-  /// count to their snapshot values. Only restore_event/restore_periodic
-  /// may schedule until finish_restore().
+  /// count to their snapshot values. Only restore_event, restore_periodic
+  /// and restore_reservation may schedule until finish_restore().
   void begin_restore(SimTime now, std::uint32_t next_seq,
                      std::uint64_t processed);
 
@@ -190,10 +224,16 @@ class Simulator {
   TimerId restore_periodic(SimTime next_fire, std::uint32_t seq,
                            SimDuration period, TimerCallback fn);
 
-  /// Leaves restore mode. Validates that exactly `expected_pending` events
-  /// were re-armed and that their sequence numbers are unique and below
-  /// next_seq() — a component that forgot to re-arm (or re-armed twice) is
-  /// reported here instead of silently diverging later.
+  /// Re-registers `count` (>= 1) reserved seqs [first, first + count)
+  /// that were not yet queued at the snapshot. The producer then queues
+  /// them with schedule_reserved, as before the snapshot.
+  SeqReservation restore_reservation(std::uint32_t first, std::uint32_t count);
+
+  /// Leaves restore mode. Validates that exactly `expected_pending`
+  /// occurrences were re-armed or re-reserved, and that their sequence
+  /// numbers are unique and below next_seq() — a component that forgot to
+  /// re-arm (or re-armed twice) is reported here instead of silently
+  /// diverging later.
   Status finish_restore(std::uint64_t expected_pending);
 
   bool restoring() const { return restoring_; }
@@ -201,7 +241,8 @@ class Simulator {
   /// Full structural audit of the kernel (checked builds): heap ordering
   /// and slot-index invariants (delegated to the queue), generation
   /// consistency, event and timer slab free-list integrity, timer/event
-  /// cross-links, pending-event accounting. A violation aborts with the failing
+  /// cross-links, pending-event accounting, and reservations disjoint from
+  /// each other and from the queued seqs. A violation aborts with the failing
   /// invariant. In non-DC_CHECKED builds this is a no-op — tests may call
   /// it unconditionally. Checked builds also run it automatically every
   /// max(1024, pending) kernel operations (amortized O(1) per operation),
@@ -326,6 +367,22 @@ class Simulator {
     return make_event_id(slot, event(slot).gen);
   }
 
+  // A reservation's seqs not yet queued: [next, end); spent once next ==
+  // end. No seq inside it is ever drawn for anything else, so it stays
+  // contiguous through renumber_seqs.
+  struct SeqRange {
+    std::uint32_t next;
+    std::uint32_t end;
+  };
+
+  std::uint32_t take_reserved_seq(SeqReservation reservation) {
+    SeqRange& range = ranges_[reservation];
+    assert(range.next < range.end && "reservation has no seq left");
+    --reserved_seqs_;
+    return range.next++;
+  }
+  SeqReservation add_range(std::uint32_t first, std::uint32_t count);
+
   EventId schedule_timer_event(SimTime t, std::uint32_t timer_slot);
   void fire_timer(std::uint32_t timer_slot, SimTime fired_at);
   void release_timer_slot(std::uint32_t slot);
@@ -339,12 +396,15 @@ class Simulator {
   SimTime now_ = 0;
   std::uint32_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::size_t live_events_ = 0;
+  std::size_t live_events_ = 0;  // queued occurrences
+  std::size_t reserved_seqs_ = 0;  // reserved, not yet queued
   std::size_t peak_pending_ = 0;
   bool stop_requested_ = false;
   bool restoring_ = false;
 
   HeapEventQueue queue_;
+
+  std::vector<SeqRange> ranges_;  // indexed by SeqReservation; never shrinks
 
   std::vector<std::unique_ptr<EventSlot[]>> event_chunks_;
   std::uint32_t event_slots_used_ = 0;  // high-water mark across chunks

@@ -5,8 +5,11 @@
 // re-saved stream to be byte-identical to the original — a restore that
 // loses or invents any field in any component fails immediately.
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "cluster/billing.hpp"
 #include "cluster/resource_pool.hpp"
 #include "cluster/usage_recorder.hpp"
+#include "core/job_emulator.hpp"
 #include "core/system_runner.hpp"
 #include "core/systems.hpp"
 #include "sim/simulator.hpp"
@@ -21,6 +25,7 @@
 #include "util/rng.hpp"
 #include "workflow/montage.hpp"
 #include "workload/models.hpp"
+#include "workload/trace.hpp"
 
 namespace dc {
 namespace {
@@ -219,6 +224,331 @@ TEST(SnapshotComponents, ModelMismatchIsRejectedWithBothNames) {
   ASSERT_FALSE(status.is_ok());
   EXPECT_NE(status.message().find("DCS"), std::string::npos);
   EXPECT_NE(status.message().find("SSP"), std::string::npos);
+}
+
+
+// --- Job emulator ------------------------------------------------------------
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// The pin stream's emulator section at t=250, as the emulator that queued
+// one event per trace job at registration wrote it: jobs 2..5 pending on
+// seqs 4..7 (seq 1 is marker a, 8 the one-shot, 9 marker b).
+constexpr const char* kPinnedEmulatorSection =
+    "4443534e41500d0a" "01000000"                                // magic, version
+    "030c0073747265616d5f636f756e74" "0100000000000000"          // stream_count 1
+    "030d0070656e64696e675f636f756e74" "0400000000000000"        // pending_count 4
+    "0309006a6f625f696e646578" "0200000000000000"                // job_index 2
+    "04040074696d65" "2c01000000000000"                          //   time 300
+    "030300736571" "0400000000000000"                            //   seq 4
+    "0309006a6f625f696e646578" "0300000000000000"                // job_index 3
+    "04040074696d65" "2c01000000000000"                          //   time 300
+    "030300736571" "0500000000000000"                            //   seq 5
+    "0309006a6f625f696e646578" "0400000000000000"                // job_index 4
+    "04040074696d65" "9001000000000000"                          //   time 400
+    "030300736571" "0600000000000000"                            //   seq 6
+    "0309006a6f625f696e646578" "0500000000000000"                // job_index 5
+    "04040074696d65" "f401000000000000"                          //   time 500
+    "030300736571" "0700000000000000"                            //   seq 7
+    "030d006f6e6573686f745f636f756e74" "0100000000000000"        // oneshot_count 1
+    "06070070656e64696e67" "01"                                  // pending
+    "04040074696d65" "5e01000000000000"                          //   time 350
+    "030300736571" "0800000000000000";                           //   seq 8
+
+// Six jobs; jobs 2 and 3 share t=300.
+workload::Trace pin_trace() {
+  std::vector<workload::TraceJob> jobs;
+  const std::array<SimTime, 6> submits = {100, 200, 300, 300, 400, 500};
+  for (std::int64_t i = 0; i < 6; ++i) {
+    jobs.push_back({i, submits[static_cast<std::size_t>(i)], 60 + i, 1 + i % 3});
+  }
+  return workload::Trace("pin", 8, std::move(jobs));
+}
+
+// A kernel with the pin stream registered between two marker events at
+// t=300 (one drawn before the stream's seqs, one after) and a one-shot at
+// t=350. Every fire appends to `log`.
+struct EmulatorWorld {
+  explicit EmulatorWorld(bool passive) : emulator(sim, 1.0, passive) {}
+
+  void register_streams() {
+    emulator.emulate_trace(pin_trace(), [this](const workload::TraceJob& job) {
+      log += "j" + std::to_string(job.id) + "@" + std::to_string(sim.now()) + ";";
+    });
+    emulator.emulate_at(350, [this] { log += "w;"; });
+  }
+  sim::Simulator::Callback marker(char name) {
+    return [this, name] { log += std::string(1, name) + ";"; };
+  }
+
+  sim::Simulator sim;
+  core::JobEmulator emulator;
+  std::string log;
+};
+
+// The emulator section of the pin stream saved at t=250 (jobs 0 and 1
+// submitted), as captured from the emulator that queued one event per
+// trace job at registration. Restored into a passive emulator on a fresh
+// kernel, the rest must fire exactly as in the uninterrupted run.
+TEST(SnapshotComponents, JobEmulatorSectionMatchesPinnedBytesAndResumes) {
+  EmulatorWorld original(/*passive=*/false);
+  const sim::EventId before = original.sim.schedule_at(300, original.marker('a'));
+  original.register_streams();
+  const sim::EventId after = original.sim.schedule_at(300, original.marker('b'));
+  original.sim.run_until(250);
+  ASSERT_EQ(original.log, "j0@100;j1@200;");
+
+  SnapshotWriter writer;
+  ASSERT_TRUE(original.emulator.save(writer).is_ok());
+  EXPECT_EQ(to_hex(writer.buffer()), kPinnedEmulatorSection);
+
+  EmulatorWorld resumed(/*passive=*/true);
+  resumed.sim.begin_restore(original.sim.now(), original.sim.next_seq(),
+                            original.sim.events_processed());
+  resumed.register_streams();
+  for (const auto& [id, name] : {std::pair{before, 'a'}, std::pair{after, 'b'}}) {
+    const auto info = original.sim.pending_event_info(id);
+    ASSERT_TRUE(info.has_value());
+    resumed.sim.restore_event(info->time, info->seq, resumed.marker(name));
+  }
+  auto reader = SnapshotReader::from_buffer(writer.finish());
+  ASSERT_TRUE(reader.is_ok());
+  const Status restored = resumed.emulator.restore(*reader);
+  ASSERT_TRUE(restored.is_ok()) << restored.to_string();
+  const Status finished =
+      resumed.sim.finish_restore(original.sim.pending_live());
+  ASSERT_TRUE(finished.is_ok()) << finished.to_string();
+
+  // Saving the restored emulator writes the same section.
+  SnapshotWriter again;
+  ASSERT_TRUE(resumed.emulator.save(again).is_ok());
+  EXPECT_EQ(again.buffer(), writer.buffer());
+
+  original.log.clear();
+  original.sim.run();
+  resumed.sim.run();
+  EXPECT_EQ(original.log, "a;j2@300;j3@300;b;w;j4@400;j5@500;");
+  EXPECT_EQ(resumed.log, original.log);
+  EXPECT_EQ(resumed.sim.events_processed(), original.sim.events_processed());
+}
+
+// An emulator section for the pin stream plus its (fired) one-shot, with
+// the given (job_index, time, seq) pending submissions.
+std::string emulator_section(
+    std::initializer_list<std::array<std::uint64_t, 3>> pending) {
+  SnapshotWriter writer;
+  writer.field_u64("stream_count", 1);
+  writer.field_u64("pending_count", pending.size());
+  for (const auto& [index, time, seq] : pending) {
+    writer.field_u64("job_index", index);
+    writer.field_time("time", static_cast<SimTime>(time));
+    writer.field_u64("seq", seq);
+  }
+  writer.field_u64("oneshot_count", 1);
+  writer.field_bool("pending", false);
+  return writer.finish();
+}
+
+Status restore_emulator_section(const std::string& section) {
+  EmulatorWorld world(/*passive=*/true);
+  world.sim.begin_restore(250, 10, 2);
+  world.register_streams();
+  auto reader = SnapshotReader::from_buffer(section);
+  EXPECT_TRUE(reader.is_ok());
+  return world.emulator.restore(*reader);
+}
+
+// Restore re-queues one submission and reserves the rest, so it takes only
+// the shape the emulator writes: a suffix of the stream's jobs, on
+// consecutive seqs, at the jobs' own submit times.
+TEST(SnapshotComponents, JobEmulatorRefusesPendingListsItCannotReserve) {
+  EXPECT_TRUE(restore_emulator_section(
+                  emulator_section({{2, 300, 4}, {3, 300, 5}, {4, 400, 6},
+                                    {5, 500, 7}}))
+                  .is_ok());
+  EXPECT_TRUE(restore_emulator_section(emulator_section({})).is_ok());
+
+  const std::vector<std::pair<const char*, std::string>> refused = {
+      {"stops before the last job",
+       emulator_section({{2, 300, 4}, {3, 300, 5}, {4, 400, 6}})},
+      {"skips a job",
+       emulator_section({{2, 300, 4}, {4, 400, 5}, {5, 500, 6}})},
+      {"repeats a job",
+       emulator_section({{4, 400, 6}, {4, 400, 7}, {5, 500, 8}})},
+      {"seqs jump",
+       emulator_section({{2, 300, 4}, {3, 300, 5}, {4, 400, 7}, {5, 500, 8}})},
+      {"seqs run backwards",
+       emulator_section({{4, 400, 6}, {5, 500, 5}})},
+      {"a time is not the job's submit time",
+       emulator_section({{2, 300, 4}, {3, 301, 5}, {4, 400, 6}, {5, 500, 7}})},
+  };
+  for (const auto& [what, section] : refused) {
+    SCOPED_TRACE(what);
+    const Status status = restore_emulator_section(section);
+    ASSERT_FALSE(status.is_ok());
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find("trace stream 0"), std::string::npos)
+        << status.message();
+  }
+
+  const Status beyond = restore_emulator_section(emulator_section({{6, 600, 8}}));
+  ASSERT_FALSE(beyond.is_ok());
+  EXPECT_EQ(beyond.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(beyond.message().find("beyond the stream's 6 jobs"),
+            std::string::npos)
+      << beyond.message();
+}
+
+// --- HTC server restore: ids must name what they claim -----------------------
+
+// Re-encodes a finished snapshot record by record, replacing the integer
+// payload of the first record named `name` in section `section` with
+// `value` (no replacement when nothing matches).
+std::string reencode(const std::string& finished, std::string_view section,
+                     std::string_view name, std::int64_t value) {
+  auto records = snapshot::decode_records(finished);
+  EXPECT_TRUE(records.is_ok());
+  SnapshotWriter writer;
+  bool replaced = false;
+  for (const snapshot::SnapshotRecord& record : *records) {
+    const bool target =
+        !replaced && record.section == section && record.name == name;
+    const std::uint64_t word =
+        record.payload.size() == 8
+            ? snapshot::load_le<std::uint64_t>(record.payload.data())
+            : 0;
+    switch (record.kind) {
+      case snapshot::RecordKind::kSectionBegin:
+        writer.begin_section(record.name);
+        break;
+      case snapshot::RecordKind::kSectionEnd:
+        writer.end_section();
+        break;
+      case snapshot::RecordKind::kU64:
+        writer.field_u64(record.name,
+                         target ? static_cast<std::uint64_t>(value) : word);
+        break;
+      case snapshot::RecordKind::kI64:
+        writer.field_i64(record.name,
+                         target ? value : static_cast<std::int64_t>(word));
+        break;
+      case snapshot::RecordKind::kF64:
+        writer.field_f64(record.name, std::bit_cast<double>(word));
+        break;
+      case snapshot::RecordKind::kBool:
+        writer.field_bool(record.name, record.payload[0] != 0);
+        break;
+      case snapshot::RecordKind::kStr:
+        writer.field_str(record.name, record.payload);
+        break;
+      case snapshot::RecordKind::kBytes:
+        writer.field_bytes(record.name, record.payload.data(),
+                           record.payload.size());
+        break;
+    }
+    replaced = replaced || target;
+  }
+  EXPECT_TRUE(replaced || name.empty()) << "no record " << name;
+  return writer.finish();
+}
+
+// The first integer record named `name` in `section`, or -1.
+std::int64_t first_value(const std::string& finished, std::string_view section,
+                         std::string_view name) {
+  auto records = snapshot::decode_records(finished);
+  EXPECT_TRUE(records.is_ok());
+  for (const snapshot::SnapshotRecord& record : *records) {
+    if (record.section == section && record.name == name &&
+        record.payload.size() == 8) {
+      return static_cast<std::int64_t>(
+          snapshot::load_le<std::uint64_t>(record.payload.data()));
+    }
+  }
+  return -1;
+}
+
+// The small workload on a fixed HTC holding of 8 nodes, so DCS queues.
+core::ConsolidationWorkload crowded_workload() {
+  core::ConsolidationWorkload workload = small_workload();
+  workload.htc[0].fixed_nodes = 8;
+  return workload;
+}
+
+// The first 10-minute boundary at which `model`'s snapshot of the crowded
+// workload has a record `name` in the HTC server's section.
+std::string snapshot_with(SystemModel model, std::string_view name) {
+  const core::ConsolidationWorkload workload = crowded_workload();
+  core::SystemRunner runner(model, workload, {});
+  for (SimTime t = 10 * kMinute; t <= kDay; t += 10 * kMinute) {
+    runner.run_until(t);
+    SnapshotWriter writer;
+    EXPECT_TRUE(runner.save(writer).is_ok());
+    std::string finished = writer.finish();
+    if (first_value(finished, "htc:snap", name) >= 0) return finished;
+  }
+  ADD_FAILURE() << "no snapshot has a '" << name << "' record";
+  return {};
+}
+
+Status restore_into_passive(SystemModel model, const std::string& finished) {
+  const core::ConsolidationWorkload workload = crowded_workload();
+  core::SystemRunner resumed(model, workload, {},
+                             core::SystemRunner::Mode::kRestore);
+  auto reader = SnapshotReader::from_buffer(finished);
+  EXPECT_TRUE(reader.is_ok());
+  return resumed.restore(*reader);
+}
+
+void expect_refused(const Status& status, const std::string& value) {
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("snap"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(value), std::string::npos)
+      << status.message();
+}
+
+TEST(SnapshotComponents, HtcRestoreRefusesQueuedIdsOfNoQueuedJob) {
+  const std::string finished = snapshot_with(SystemModel::kDcs, "queued");
+  ASSERT_FALSE(finished.empty());
+  // The unedited re-encoding is the same stream, and restores.
+  ASSERT_EQ(reencode(finished, "", "", 0), finished);
+  ASSERT_TRUE(restore_into_passive(SystemModel::kDcs, finished).is_ok());
+
+  const std::int64_t running = first_value(finished, "htc:snap", "running");
+  ASSERT_GE(running, 0);
+  for (const std::int64_t bad : {std::int64_t{50000000}, std::int64_t{-1},
+                                 running}) {
+    SCOPED_TRACE(bad);
+    expect_refused(restore_into_passive(
+                       SystemModel::kDcs,
+                       reencode(finished, "htc:snap", "queued", bad)),
+                   std::to_string(bad));
+  }
+}
+
+TEST(SnapshotComponents, HtcRestoreRefusesLeaseIdsBeyondTheLedger) {
+  const std::string finished =
+      snapshot_with(SystemModel::kDawningCloud, "grant_lease");
+  ASSERT_FALSE(finished.empty());
+  ASSERT_TRUE(
+      restore_into_passive(SystemModel::kDawningCloud, finished).is_ok());
+  for (const char* field : {"initial_lease", "grant_lease"}) {
+    SCOPED_TRACE(field);
+    expect_refused(restore_into_passive(
+                       SystemModel::kDawningCloud,
+                       reencode(finished, "htc:snap", field, 40000000)),
+                   "40000000");
+  }
 }
 
 }  // namespace

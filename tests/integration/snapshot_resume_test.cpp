@@ -17,8 +17,12 @@
 #include "core/system_runner.hpp"
 #include "core/systems.hpp"
 #include "metrics/report.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "snapshot/format.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
+#include "util/strings.hpp"
 #include "workflow/montage.hpp"
 #include "workload/models.hpp"
 
@@ -339,6 +343,78 @@ TEST(SnapshotResume, ModelMismatchedSnapshotIsRejected) {
   ASSERT_FALSE(rejected.is_ok());
   EXPECT_NE(rejected.status().message().find("DCS"), std::string::npos);
   EXPECT_NE(rejected.status().message().find("DRP"), std::string::npos);
+}
+
+
+// --- Pinned bytes --------------------------------------------------------------
+//
+// Every test above compares a build with itself. These compare it with
+// digests captured from the emulator that queued one event per trace job
+// at registration, so a change to seq assignment that moved every run the
+// same way would still fail here. The digests are FNV-1a over each
+// system's snapshot files in boundary order, over its results artifact,
+// and over DawningCloud's trace export and metrics timeseries.
+
+std::string hex_digest(std::string_view bytes) {
+  return str_format("%016llx", static_cast<unsigned long long>(
+                                   snapshot::fnv1a(bytes)));
+}
+
+struct PinnedRun {
+  SystemModel model;
+  std::size_t snapshots;
+  const char* snapshots_digest;
+  const char* results_digest;
+};
+
+TEST(SnapshotResume, SnapshotsAndResultsMatchPinnedDigests) {
+  const core::ConsolidationWorkload workload = make_workload();
+  const core::RunOptions options = make_options();
+  const std::vector<PinnedRun> pinned = {
+      {SystemModel::kDcs, 7, "b26a72ddadd567cd", "e8c9ce6ff5d9e0e4"},
+      {SystemModel::kSsp, 7, "b9c948786f567d70", "72d83ebf6382bd8e"},
+      {SystemModel::kDrp, 7, "25f07d5c3f8500ce", "5d5a7b9b0efdca07"},
+      {SystemModel::kDawningCloud, 7, "1aabfe91e89af033", "d9dd0b86b1d8050c"},
+  };
+  for (const PinnedRun& pin : pinned) {
+    SCOPED_TRACE(core::system_model_name(pin.model));
+    SnapshotPolicy policy;
+    policy.every = 6 * kHour;
+    policy.dir = fresh_dir(std::string("snap_pinned_") +
+                           core::system_model_name(pin.model));
+    auto result =
+        core::run_system_snapshotted(pin.model, workload, options, policy);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    std::string snapshots;
+    const std::vector<std::string> files = snapshot_files(policy.dir);
+    for (const std::string& file : files) snapshots += read_file(file);
+    EXPECT_EQ(files.size(), pin.snapshots);
+    EXPECT_EQ(hex_digest(snapshots), pin.snapshots_digest);
+    EXPECT_EQ(hex_digest(results_artifact(
+                  {*result}, std::string("pinned_") +
+                                 core::system_model_name(pin.model))),
+              pin.results_digest);
+  }
+}
+
+TEST(SnapshotResume, DawningCloudTraceAndMetricsMatchPinnedDigests) {
+  const core::ConsolidationWorkload workload = make_workload();
+  core::RunOptions options = make_options();
+  obs::TraceSink sink;
+  obs::MetricsRegistry registry;
+  options.trace = &sink;
+  options.metrics = &registry;
+  options.metrics_every = kHour;
+  SnapshotPolicy policy;
+  policy.every = 6 * kHour;
+  policy.dir = fresh_dir("snap_pinned_observed");
+  auto result = core::run_system_snapshotted(SystemModel::kDawningCloud,
+                                             workload, options, policy);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(hex_digest(registry.timeseries_csv()), "428c18b6e6b218ca");
+#if !defined(DC_TRACE_DISABLED)
+  EXPECT_EQ(hex_digest(sink.chrome_json()), "6acfa59fb93c85de");
+#endif
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "sched/conservative_backfill.hpp"
 #include "sched/easy_backfill.hpp"
+#include "sched/fcfs.hpp"
 #include "sched/first_fit.hpp"
 #include "sched/sjf.hpp"
 #include "util/rng.hpp"
@@ -141,8 +142,15 @@ TEST(EasyBackfill, JobEndingThisInstantIsNotYetFree) {
 class ExtensionSchedulerProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The contract HtcServer::dispatch relies on, for every scheduler: picks
+// are ascending queue positions whose widths fit the idle nodes — so with
+// no idle node nothing is picked (dispatch returns early then, and counts
+// backfill hits on the picks without sorting them).
 TEST_P(ExtensionSchedulerProperty, NeverOversubscribeAndAscendingPicks) {
   Rng rng(GetParam());
+  FcfsScheduler fcfs;
+  FirstFitScheduler first_fit;
+  EasyBackfillScheduler easy;
   SjfScheduler sjf;
   ConservativeBackfillScheduler conservative;
   for (int round = 0; round < 40; ++round) {
@@ -159,16 +167,22 @@ TEST_P(ExtensionSchedulerProperty, NeverOversubscribeAndAscendingPicks) {
     running_jobs[0].start = 0;
     const std::int64_t idle = rng.uniform_int(0, 40);
     for (const Scheduler* scheduler :
-         std::initializer_list<const Scheduler*>{&sjf, &conservative}) {
+         std::initializer_list<const Scheduler*>{&fcfs, &first_fit, &easy,
+                                                 &sjf, &conservative}) {
       const auto picks =
           scheduler->select(views(jobs), views(running_jobs), idle, 0);
       std::int64_t total = 0;
       for (std::size_t i = 0; i < picks.size(); ++i) {
         ASSERT_LT(picks[i], jobs.size());
-        if (i > 0) EXPECT_LT(picks[i - 1], picks[i]) << scheduler->name();
+        if (i > 0) {
+          EXPECT_LT(picks[i - 1], picks[i]) << scheduler->name();
+        }
         total += jobs[picks[i]].nodes;
       }
       EXPECT_LE(total, idle) << scheduler->name();
+      if (idle == 0) {
+        EXPECT_TRUE(picks.empty()) << scheduler->name();
+      }
     }
   }
 }
