@@ -90,7 +90,7 @@ Status LeaseLedger::save(snapshot::SnapshotWriter& writer) const {
 
 Status LeaseLedger::restore(snapshot::SnapshotReader& reader) {
   std::uint64_t count = 0;
-  if (auto st = reader.read_u64("lease_count", count); !st.is_ok()) return st;
+  if (auto st = reader.read_count("lease_count", count); !st.is_ok()) return st;
   leases_.clear();
   leases_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -119,7 +119,7 @@ Status AdjustmentMeter::restore(snapshot::SnapshotReader& reader) {
     return st;
   }
   std::uint64_t count = 0;
-  if (auto st = reader.read_u64("event_count", count); !st.is_ok()) return st;
+  if (auto st = reader.read_count("event_count", count); !st.is_ok()) return st;
   events_.clear();
   events_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -74,7 +74,7 @@ Status UsageRecorder::restore(snapshot::SnapshotReader& reader) {
   if (auto st = reader.read_i64("current", current_); !st.is_ok()) return st;
   if (auto st = reader.read_i64("peak", peak_); !st.is_ok()) return st;
   std::uint64_t count = 0;
-  if (auto st = reader.read_u64("breakpoint_count", count); !st.is_ok()) {
+  if (auto st = reader.read_count("breakpoint_count", count); !st.is_ok()) {
     return st;
   }
   breakpoints_.clear();

@@ -471,7 +471,9 @@ Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
   if (auto st = reader.end_section(); !st.is_ok()) return st;
 
   std::uint64_t run_count = 0;
-  if (auto st = reader.read_u64("run_count", run_count); !st.is_ok()) return st;
+  if (auto st = reader.read_count("run_count", run_count); !st.is_ok()) {
+    return st;
+  }
   runs_.clear();
   runs_.reserve(run_count);
   for (std::uint64_t r = 0; r < run_count; ++r) {
@@ -521,7 +523,7 @@ Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
       return st;
     }
     std::uint64_t vm_lease_count = 0;
-    if (auto st = reader.read_u64("vm_lease_count", vm_lease_count);
+    if (auto st = reader.read_count("vm_lease_count", vm_lease_count);
         !st.is_ok()) {
       return st;
     }
@@ -538,7 +540,7 @@ Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
   }
 
   std::uint64_t active_count = 0;
-  if (auto st = reader.read_u64("active_count", active_count); !st.is_ok()) {
+  if (auto st = reader.read_count("active_count", active_count); !st.is_ok()) {
     return st;
   }
   active_.clear();
@@ -584,6 +586,15 @@ Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
     if (auto st = reader.read_i64("work_task", work.task); !st.is_ok()) {
       return st;
     }
+    if (work.is_task) {
+      const std::size_t tasks = runs_[work.run_index].dag.size();
+      if (work.task < 0 || static_cast<std::uint64_t>(work.task) >= tasks) {
+        return Status::invalid_argument(
+            name_ + ": active task " + std::to_string(work.task) +
+            " beyond run " + std::to_string(run_index) + "'s " +
+            std::to_string(tasks) + " tasks");
+      }
+    }
     std::int64_t retries = 0;
     if (auto st = reader.read_i64("work_retries", retries); !st.is_ok()) {
       return st;
@@ -602,7 +613,7 @@ Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
     return st;
   }
   std::uint64_t finish_count = 0;
-  if (auto st = reader.read_u64("finish_count", finish_count); !st.is_ok()) {
+  if (auto st = reader.read_count("finish_count", finish_count); !st.is_ok()) {
     return st;
   }
   finish_times_.clear();
@@ -615,7 +626,7 @@ Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
     finish_times_.push_back(finish);
   }
   std::uint64_t completion_count = 0;
-  if (auto st = reader.read_u64("completion_count", completion_count);
+  if (auto st = reader.read_count("completion_count", completion_count);
       !st.is_ok()) {
     return st;
   }

@@ -674,7 +674,9 @@ Status HtcServer::restore(snapshot::SnapshotReader& reader) {
   if (auto st = reader.read_i64("down", down_); !st.is_ok()) return st;
 
   std::uint64_t job_count = 0;
-  if (auto st = reader.read_u64("job_count", job_count); !st.is_ok()) return st;
+  if (auto st = reader.read_count("job_count", job_count); !st.is_ok()) {
+    return st;
+  }
   jobs_.clear();
   jobs_.reserve(job_count);
   for (std::uint64_t i = 0; i < job_count; ++i) {
@@ -769,7 +771,7 @@ Status HtcServer::restore(snapshot::SnapshotReader& reader) {
   if (has_initial) initial_lease_ = static_cast<cluster::LeaseId>(initial_lease);
 
   std::uint64_t grant_count = 0;
-  if (auto st = reader.read_u64("grant_count", grant_count); !st.is_ok()) {
+  if (auto st = reader.read_count("grant_count", grant_count); !st.is_ok()) {
     return st;
   }
   grants_.clear();

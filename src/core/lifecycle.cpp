@@ -142,7 +142,7 @@ Status LifecycleService::save(snapshot::SnapshotWriter& writer) const {
 
 Status LifecycleService::restore(snapshot::SnapshotReader& reader) {
   std::uint64_t record_count = 0;
-  if (auto st = reader.read_u64("record_count", record_count); !st.is_ok()) {
+  if (auto st = reader.read_count("record_count", record_count); !st.is_ok()) {
     return st;
   }
   records_.clear();
@@ -179,7 +179,7 @@ Status LifecycleService::restore(snapshot::SnapshotReader& reader) {
     records_.push_back(std::move(record));
   }
   std::uint64_t transition_count = 0;
-  if (auto st = reader.read_u64("transition_count", transition_count);
+  if (auto st = reader.read_count("transition_count", transition_count);
       !st.is_ok()) {
     return st;
   }

@@ -283,6 +283,13 @@ Status TriggerMonitor::restore(snapshot::SnapshotReader& reader) {
     }
     trigger.wf = static_cast<WorkflowIndex>(wf);
     if (auto st = reader.read_i64("task", trigger.task); !st.is_ok()) return st;
+    const std::size_t tasks = dags_[trigger.wf]->size();
+    if (trigger.task < 0 || static_cast<std::uint64_t>(trigger.task) >= tasks) {
+      return Status::invalid_argument(
+          "trigger monitor: trigger on task " + std::to_string(trigger.task) +
+          " beyond workflow " + std::to_string(wf) + "'s " +
+          std::to_string(tasks) + " tasks");
+    }
     if (auto st = reader.read_bool("fired", trigger.fired); !st.is_ok()) {
       return st;
     }
@@ -310,7 +317,8 @@ Status MtcServer::restore(snapshot::SnapshotReader& reader) {
   if (auto st = monitor_.restore(reader); !st.is_ok()) return st;
   if (auto st = reader.end_section(); !st.is_ok()) return st;
   std::uint64_t task_ref_count = 0;
-  if (auto st = reader.read_u64("task_ref_count", task_ref_count); !st.is_ok()) {
+  if (auto st = reader.read_count("task_ref_count", task_ref_count);
+      !st.is_ok()) {
     return st;
   }
   task_refs_.clear();
@@ -320,11 +328,18 @@ Status MtcServer::restore(snapshot::SnapshotReader& reader) {
     std::uint64_t wf = 0;
     if (auto st = reader.read_u64("ref_wf", wf); !st.is_ok()) return st;
     if (wf >= monitor_.workflow_count()) {
-      return Status::invalid_argument("mtc server: task ref on workflow " +
+      return Status::invalid_argument(name() + ": task ref on workflow " +
                                       std::to_string(wf) + " out of range");
     }
     ref.wf = static_cast<TriggerMonitor::WorkflowIndex>(wf);
     if (auto st = reader.read_i64("ref_task", ref.task); !st.is_ok()) return st;
+    const std::size_t tasks = monitor_.dag(ref.wf).size();
+    if (ref.task < 0 || static_cast<std::uint64_t>(ref.task) >= tasks) {
+      return Status::invalid_argument(
+          name() + ": task ref to task " + std::to_string(ref.task) +
+          " beyond workflow " + std::to_string(wf) + "'s " +
+          std::to_string(tasks) + " tasks");
+    }
     task_refs_.push_back(ref);
   }
   return Status::ok();

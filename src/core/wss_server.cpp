@@ -232,7 +232,7 @@ Status WssServer::restore(snapshot::SnapshotReader& reader) {
   initial_lease_.reset();
   if (has_initial) initial_lease_ = static_cast<cluster::LeaseId>(initial_lease);
   std::uint64_t grant_count = 0;
-  if (auto st = reader.read_u64("grant_count", grant_count); !st.is_ok()) {
+  if (auto st = reader.read_count("grant_count", grant_count); !st.is_ok()) {
     return st;
   }
   grants_.clear();

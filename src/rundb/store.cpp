@@ -1,5 +1,6 @@
 #include "rundb/store.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -17,45 +18,14 @@
 namespace dc::rundb {
 namespace {
 
-std::uint32_t decode_u32le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
+/// Bytes of a record stream's FNV-1a checksum footer.
+constexpr std::size_t kFooterBytes = sizeof(std::uint64_t);
 
-void append_u32le_prefix(std::string& out, const std::string& payload) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
-  }
-  out += payload;
-}
-
-/// One frame of the store image: u32 LE length prefix + encoded record.
-std::string encode_frame(const RunRecord& record) {
-  const std::string payload = encode_run_record(record);
-  std::string frame;
-  frame.reserve(payload.size() + 4);
-  append_u32le_prefix(frame, payload);
-  return frame;
-}
-
-}  // namespace
-
-std::uint64_t RunRecord::run_id() const {
-  return snapshot::fnv1a(encode_run_record(*this));
-}
-
-std::string RunRecord::param(const std::string& key) const {
-  for (const auto& [k, v] : params) {
-    if (k == key) return v;
-  }
-  return {};
-}
-
-std::string encode_run_record(const RunRecord& record) {
-  snapshot::SnapshotWriter writer;
+/// Writes `record`'s canonical record list: encode_run_record minus the
+/// footer, so a stored stream can be compared against it before any
+/// checksum pass runs.
+void write_run_record(snapshot::SnapshotWriter& writer,
+                      const RunRecord& record) {
   writer.begin_section("run");
   writer.field_str("kind", record.kind);
   writer.field_str("source", record.source);
@@ -80,6 +50,91 @@ std::string encode_run_record(const RunRecord& record) {
   writer.field_str("digest", record.trace_digest);
   writer.end_section();
   writer.end_section();
+}
+
+/// fnv1a(stream) of a stream whose footer is fnv1a(body) — every
+/// SnapshotWriter::finish() output and every verified frame — from the
+/// footer alone: one pass over 8 bytes instead of the whole stream.
+std::uint64_t stream_digest(std::string_view stream) {
+  const std::string_view footer = stream.substr(stream.size() - kFooterBytes);
+  return snapshot::fnv1a(footer,
+                         snapshot::load_le<std::uint64_t>(footer.data()));
+}
+
+/// Appends one frame to a store image: u32 LE length prefix + stream.
+void append_frame(std::string& image, std::string_view stream) {
+  const std::size_t at = image.size();
+  image.resize(at + sizeof(std::uint32_t));
+  snapshot::store_le(image.data() + at,
+                     static_cast<std::uint32_t>(stream.size()));
+  image.append(stream);
+}
+
+/// The one frame walker behind parse_store and build_store_image. Decodes
+/// and verifies every complete frame of `data` in order and hands
+/// `visit(stream, record)` the frame's stream (the bytes after its length
+/// prefix) and the record it decodes to. A frame reaching past EOF is a
+/// torn tail: it is reported and the walk stops there. A complete frame
+/// that fails verification refuses with its record index and byte offset.
+/// Returns whether a torn tail was dropped.
+template <typename Visit>
+StatusOr<bool> walk_frames(const std::string& data, const std::string& label,
+                           Visit&& visit) {
+  std::size_t pos = 0;
+  std::size_t index = 0;
+  bool torn = false;
+  while (pos < data.size()) {
+    if (data.size() - pos < sizeof(std::uint32_t)) {
+      torn = true;
+      break;
+    }
+    const auto length = snapshot::load_le<std::uint32_t>(data.data() + pos);
+    if (length > data.size() - pos - sizeof(std::uint32_t)) {
+      torn = true;
+      break;
+    }
+    const std::string_view stream(data.data() + pos + sizeof(std::uint32_t),
+                                  length);
+    auto record = decode_run_record(std::string(stream));
+    if (!record.is_ok()) {
+      // A complete frame that fails verification is corruption, not a
+      // crash artifact — refuse rather than report from damaged data.
+      return Status::failed_precondition(str_format(
+          "run store '%s' is corrupt at record %zu (byte offset %zu): %s — "
+          "refusing to report from damaged run data; delete the store "
+          "directory and re-register",
+          label.c_str(), index, pos, record.status().message().c_str()));
+    }
+    visit(stream, std::move(*record));
+    pos += sizeof(std::uint32_t) + length;
+    ++index;
+  }
+  if (torn) {
+    Log::raw(LogLevel::kWarn,
+             "run store '%s': dropping torn trailing record at byte offset "
+             "%zu; the atomic write path never tears — the store was "
+             "damaged externally",
+             label.c_str(), pos);
+  }
+  return torn;
+}
+
+}  // namespace
+
+std::uint64_t RunRecord::run_id() const {
+  return stream_digest(encode_run_record(*this));
+}
+
+std::string RunRecord::param(const std::string& key) const {
+  for (const auto& [k, v] : params) {
+    if (k == key) return v;
+  }
+  return {};
+}
+
+std::string encode_run_record(const RunRecord& record) {
+  snapshot::SnapshotWriter writer;
+  write_run_record(writer, record);
   return writer.finish();
 }
 
@@ -152,39 +207,11 @@ StatusOr<RunRecord> decode_run_record(const std::string& payload) {
 StatusOr<StoreContents> parse_store(const std::string& data,
                                     const std::string& label) {
   StoreContents contents;
-  std::size_t pos = 0;
-  std::size_t index = 0;
-  while (pos < data.size()) {
-    if (pos + 4 > data.size()) {
-      contents.truncated_tail = true;
-      break;
-    }
-    const std::uint32_t length = decode_u32le(data.data() + pos);
-    if (length > data.size() || pos + 4 + length > data.size()) {
-      contents.truncated_tail = true;
-      break;
-    }
-    auto record = decode_run_record(data.substr(pos + 4, length));
-    if (!record.is_ok()) {
-      // A complete frame that fails verification is corruption, not a
-      // crash artifact — refuse rather than report from damaged data.
-      return Status::failed_precondition(str_format(
-          "run store '%s' is corrupt at record %zu (byte offset %zu): %s — "
-          "refusing to report from damaged run data; delete the store "
-          "directory and re-register",
-          label.c_str(), index, pos, record.status().message().c_str()));
-    }
-    contents.records.push_back(std::move(*record));
-    pos += 4 + length;
-    ++index;
-  }
-  if (contents.truncated_tail) {
-    Log::raw(LogLevel::kWarn,
-             "run store '%s': dropping torn trailing record at byte offset "
-             "%zu; the atomic write path never tears — the store was "
-             "damaged externally",
-             label.c_str(), pos);
-  }
+  auto torn = walk_frames(data, label, [&](std::string_view, RunRecord record) {
+    contents.records.push_back(std::move(record));
+  });
+  if (!torn.is_ok()) return torn.status();
+  contents.truncated_tail = *torn;
   return contents;
 }
 
@@ -262,23 +289,53 @@ StatusOr<StoreIndex> parse_store_index(const std::string& data,
   return index;
 }
 
-StoreIndex build_store_index(const std::string& data,
-                             const StoreContents& contents) {
+StatusOr<StoreImage> build_store_image(const std::string& data,
+                                       const std::string& label,
+                                       const std::vector<RunRecord>& records) {
+  StoreImage image;
+  image.store.reserve(data.size());
   StoreIndex index;
-  index.store_bytes = data.size();
-  index.store_digest = snapshot::fnv1a(data);
-  std::uint64_t offset = 0;
-  for (const RunRecord& record : contents.records) {
-    StoreIndex::Entry entry;
-    entry.run_id = record.run_id();
-    entry.offset = offset;
-    entry.length = encode_run_record(record).size();
-    entry.kind = record.kind;
-    entry.label = record.label;
-    offset += 4 + entry.length;
-    index.entries.push_back(std::move(entry));
+  const auto put = [&](std::uint64_t id, std::string_view stream,
+                       const RunRecord& record) {
+    index.entries.push_back(
+        {id, image.store.size(), stream.size(), record.kind, record.label});
+    append_frame(image.store, stream);
+  };
+
+  // Every stored frame, in order: copied when its bytes are already the
+  // canonical encoding of what it decodes to (its verified footer then
+  // gives its run id), rewritten in canonical form when they are not.
+  auto torn = walk_frames(data, label, [&](std::string_view stream,
+                                           const RunRecord& record) {
+    snapshot::SnapshotWriter canonical;
+    write_run_record(canonical, record);
+    if (canonical.buffer() == stream.substr(0, stream.size() - kFooterBytes)) {
+      put(stream_digest(stream), stream, record);
+    } else {
+      const std::string rewritten = canonical.finish();
+      put(stream_digest(rewritten), rewritten, record);
+    }
+  });
+  if (!torn.is_ok()) return torn.status();
+
+  // Then each genuinely new record. Dedup by content identity makes the
+  // whole operation idempotent — replaying a registration (a resumed
+  // sweep re-merging, a re-run bench) leaves the bytes untouched.
+  for (const RunRecord& record : records) {
+    const std::string stream = encode_run_record(record);
+    const std::uint64_t id = stream_digest(stream);
+    const bool present = std::any_of(
+        index.entries.begin(), index.entries.end(),
+        [id](const StoreIndex::Entry& entry) { return entry.run_id == id; });
+    if (present) continue;
+    put(id, stream, record);
+    ++image.appended;
   }
-  return index;
+
+  index.store_bytes = image.store.size();
+  index.store_digest = snapshot::fnv1a(image.store);
+  image.index = encode_store_index(index);
+  return image;
 }
 
 std::string store_data_path(const std::string& dir) {
@@ -352,52 +409,28 @@ StatusOr<std::uint64_t> append_records(const std::string& dir,
   }
   if (!lease.is_ok()) return lease.status();
 
-  auto existing = load_store(dir);
-  if (!existing.is_ok()) return existing.status();
-
-  // Rebuild the canonical image: every already-present frame in order,
-  // then each genuinely new record. Dedup by content identity makes the
-  // whole operation idempotent — replaying a registration (a resumed
-  // sweep re-merging, a re-run bench) leaves the bytes untouched.
-  std::vector<std::uint64_t> seen;
-  std::string image;
-  for (const RunRecord& record : existing->records) {
-    seen.push_back(record.run_id());
-    image += encode_frame(record);
+  auto data = read_file(store_data_path(dir));
+  if (!data.is_ok()) {
+    if (data.status().code() != StatusCode::kNotFound) return data.status();
+    data = std::string();  // a store nobody has registered into yet
   }
-  std::uint64_t appended = 0;
-  StoreContents merged = std::move(*existing);
-  for (const RunRecord& record : records) {
-    const std::uint64_t id = record.run_id();
-    bool duplicate = false;
-    for (std::uint64_t have : seen) {
-      if (have == id) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    seen.push_back(id);
-    image += encode_frame(record);
-    merged.records.push_back(record);
-    ++appended;
-  }
+  auto image = build_store_image(*data, store_data_path(dir), records);
+  if (!image.is_ok()) return image.status();
 
   // Rewrite unconditionally: even a no-op append repairs a missing or
   // stale index, and a store whose tail was torn externally is healed to
   // its valid prefix.
-  if (Status st = atomic_write_file(store_data_path(dir), image,
+  if (Status st = atomic_write_file(store_data_path(dir), image->store,
                                     "rundb.store");
       !st.is_ok()) {
     return st;
   }
-  const StoreIndex index = build_store_index(image, merged);
-  if (Status st = atomic_write_file(store_index_path(dir),
-                                    encode_store_index(index), "rundb.index");
+  if (Status st = atomic_write_file(store_index_path(dir), image->index,
+                                    "rundb.index");
       !st.is_ok()) {
     return st;
   }
-  return appended;
+  return image->appended;
 }
 
 std::vector<std::pair<std::string, double>> provider_metrics(

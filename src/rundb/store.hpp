@@ -6,11 +6,12 @@
 // `dc report`. It is built from the same material as the rest of the
 // durable-artifact layer:
 //
-//  * `store.dcrun` is append-only: a sequence of u32 LE length-prefixed
-//    frames, each frame a complete snapshot-format stream (magic,
-//    version, named records, FNV-1a checksum footer) encoding one
+//  * `store.dcrun` is append-only in content: a sequence of u32 LE
+//    length-prefixed frames, each frame a complete snapshot-format stream
+//    (magic, version, named records, FNV-1a checksum footer) encoding one
 //    RunRecord — the campaign journal's frame discipline applied to
-//    results instead of state transitions;
+//    results instead of state transitions. Records are only ever added,
+//    but the I/O is a whole-file rewrite (see below);
 //  * `store.idx` is a derived, rebuildable index (run ids, frame
 //    offsets, kind/label) pinned to the exact store bytes it indexes by
 //    size + FNV-1a digest, written atomically through util/fsio;
@@ -24,6 +25,17 @@
 // and the uninterrupted orchestrator both reach the merge step — leaves
 // the store byte-identical, which extends the sweep layer's
 // interrupted == uninterrupted contract to the run database.
+//
+// What an append costs: it reads the whole store and verifies every
+// frame (checksum and structure) exactly as parse_store does. A stored
+// frame whose bytes already are the canonical encoding of the record it
+// decodes to is copied unchanged, and its run id comes from its verified
+// checksum footer; only a non-canonical frame is re-encoded. Each new
+// record is encoded and hashed once. One FNV-1a pass over the new image
+// pins the index, and the store and the index are each rewritten with
+// one atomic_write_file call — five fsyncs with the lease. A byte of a
+// canonical stored frame therefore goes through two FNV-1a passes per
+// append: its frame's checksum and the image digest.
 #pragma once
 
 #include <cstdint>
@@ -107,9 +119,23 @@ std::string encode_store_index(const StoreIndex& index);
 StatusOr<StoreIndex> parse_store_index(const std::string& data,
                                        const std::string& label);
 
-/// Builds the index for a parsed store image.
-StoreIndex build_store_index(const std::string& data,
-                             const StoreContents& contents);
+/// The rebuilt files of a store directory after an append.
+struct StoreImage {
+  std::string store;           // the new store.dcrun bytes
+  std::string index;           // the new store.idx bytes, pinning `store`
+  std::uint64_t appended = 0;  // records of the batch that were new
+};
+
+/// The pure half of append_records: the store image `data` (the bytes of
+/// store.dcrun, "" for none) with `records` appended. Every complete frame
+/// is verified and kept in order — copied when canonical, re-encoded when
+/// not — a torn tail is dropped with a warning, and a corrupt frame
+/// refuses exactly as parse_store(data, label) does. Each record of the
+/// batch whose run id is not yet present (stored or earlier in the batch)
+/// is then appended. No filesystem access; the fuzzing harness drives it.
+StatusOr<StoreImage> build_store_image(const std::string& data,
+                                       const std::string& label,
+                                       const std::vector<RunRecord>& records);
 
 /// Paths inside a store directory (single source of truth).
 std::string store_data_path(const std::string& dir);
@@ -127,9 +153,11 @@ Status verify_store_index(const std::string& dir);
 
 /// Appends `records` to the store under `dir` (created if missing),
 /// skipping records whose run id is already present, and rewrites the
-/// index. Serialized against concurrent writers by the LOCK lease; a
-/// held lease is retried briefly before giving up. Returns the number of
-/// records actually appended (0 = everything was already registered).
+/// index: under the LOCK lease it reads store.dcrun, builds the new image
+/// with build_store_image, and writes the store, then the index, each
+/// with one atomic_write_file call. A held lease is retried briefly
+/// before giving up. Returns the number of records actually appended
+/// (0 = everything was already registered).
 StatusOr<std::uint64_t> append_records(const std::string& dir,
                                        const std::vector<RunRecord>& records);
 

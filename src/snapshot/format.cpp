@@ -42,13 +42,17 @@ std::string joined_path(const std::vector<std::string>& stack) {
 
 }  // namespace
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnvOffset;
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed) {
+  std::uint64_t h = seed;
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;
   }
   return h;
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  return fnv1a(bytes, kFnvOffset);
 }
 
 const char* record_kind_name(RecordKind kind) {
@@ -330,6 +334,20 @@ Status SnapshotReader::read_u64(std::string_view name, std::uint64_t& out) {
   auto st = read_record(RecordKind::kU64, name, payload);
   if (!st.is_ok()) return st;
   out = load_le<std::uint64_t>(payload.data());
+  return Status::ok();
+}
+
+Status SnapshotReader::read_count(std::string_view name, std::uint64_t& out) {
+  if (auto st = read_u64(name, out); !st.is_ok()) return st;
+  const std::size_t remaining = buffer_.size() - pos_;
+  if (out > remaining / kRecordHeaderBytes) {
+    return error(str_format(
+        "count '%.*s' of %llu is more than the %zu records the remaining %zu "
+        "bytes can hold — corrupt stream",
+        static_cast<int>(name.size()), name.data(),
+        static_cast<unsigned long long>(out), remaining / kRecordHeaderBytes,
+        remaining));
+  }
   return Status::ok();
 }
 

@@ -158,6 +158,11 @@ class SnapshotReader {
   Status end_section();
 
   Status read_u64(std::string_view name, std::uint64_t& out);
+  /// A u64 element count that sizes the list read next. Refuses, before
+  /// anything is allocated, a count the rest of the stream cannot hold:
+  /// more than one element per 3 bytes, the size of the smallest record.
+  /// Restores read a count here before they reserve room for it.
+  Status read_count(std::string_view name, std::uint64_t& out);
   Status read_i64(std::string_view name, std::int64_t& out);
   Status read_f64(std::string_view name, double& out);
   Status read_bool(std::string_view name, bool& out);
@@ -218,5 +223,9 @@ StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> section_digests(
 
 /// FNV-1a 64-bit, the digest used across the snapshot subsystem.
 std::uint64_t fnv1a(std::string_view bytes);
+/// FNV-1a continued from the state `seed` over `bytes`: fnv1a(a + b) ==
+/// fnv1a(b, fnv1a(a)). A finished stream's footer is fnv1a(body), so the
+/// digest of the whole stream is fnv1a(footer bytes, footer value).
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed);
 
 }  // namespace dc::snapshot

@@ -18,12 +18,15 @@
 #include "cluster/resource_pool.hpp"
 #include "cluster/usage_recorder.hpp"
 #include "core/job_emulator.hpp"
+#include "core/mtc_server.hpp"
 #include "core/system_runner.hpp"
 #include "core/systems.hpp"
+#include "core/wss_server.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/format.hpp"
 #include "util/rng.hpp"
 #include "workflow/montage.hpp"
+#include "workload/demand_profile.hpp"
 #include "workload/models.hpp"
 #include "workload/trace.hpp"
 
@@ -484,8 +487,9 @@ core::ConsolidationWorkload crowded_workload() {
 }
 
 // The first 10-minute boundary at which `model`'s snapshot of the crowded
-// workload has a record `name` in the HTC server's section.
-std::string snapshot_with(SystemModel model, std::string_view name) {
+// workload has a record `name` in `section`.
+std::string snapshot_with(SystemModel model, std::string_view section,
+                          std::string_view name) {
   const core::ConsolidationWorkload workload = crowded_workload();
   core::SystemRunner runner(model, workload, {});
   for (SimTime t = 10 * kMinute; t <= kDay; t += 10 * kMinute) {
@@ -493,7 +497,7 @@ std::string snapshot_with(SystemModel model, std::string_view name) {
     SnapshotWriter writer;
     EXPECT_TRUE(runner.save(writer).is_ok());
     std::string finished = writer.finish();
-    if (first_value(finished, "htc:snap", name) >= 0) return finished;
+    if (first_value(finished, section, name) >= 0) return finished;
   }
   ADD_FAILURE() << "no snapshot has a '" << name << "' record";
   return {};
@@ -508,17 +512,20 @@ Status restore_into_passive(SystemModel model, const std::string& finished) {
   return resumed.restore(*reader);
 }
 
-void expect_refused(const Status& status, const std::string& value) {
+// A typed refusal that names `who` (the provider or component) and `value`.
+void expect_refused(const Status& status, const std::string& who,
+                    const std::string& value) {
   ASSERT_FALSE(status.is_ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("snap"), std::string::npos)
+  EXPECT_NE(status.message().find(who), std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find(value), std::string::npos)
       << status.message();
 }
 
 TEST(SnapshotComponents, HtcRestoreRefusesQueuedIdsOfNoQueuedJob) {
-  const std::string finished = snapshot_with(SystemModel::kDcs, "queued");
+  const std::string finished =
+      snapshot_with(SystemModel::kDcs, "htc:snap", "queued");
   ASSERT_FALSE(finished.empty());
   // The unedited re-encoding is the same stream, and restores.
   ASSERT_EQ(reencode(finished, "", "", 0), finished);
@@ -532,13 +539,13 @@ TEST(SnapshotComponents, HtcRestoreRefusesQueuedIdsOfNoQueuedJob) {
     expect_refused(restore_into_passive(
                        SystemModel::kDcs,
                        reencode(finished, "htc:snap", "queued", bad)),
-                   std::to_string(bad));
+                   "snap", std::to_string(bad));
   }
 }
 
 TEST(SnapshotComponents, HtcRestoreRefusesLeaseIdsBeyondTheLedger) {
   const std::string finished =
-      snapshot_with(SystemModel::kDawningCloud, "grant_lease");
+      snapshot_with(SystemModel::kDawningCloud, "htc:snap", "grant_lease");
   ASSERT_FALSE(finished.empty());
   ASSERT_TRUE(
       restore_into_passive(SystemModel::kDawningCloud, finished).is_ok());
@@ -547,8 +554,137 @@ TEST(SnapshotComponents, HtcRestoreRefusesLeaseIdsBeyondTheLedger) {
     expect_refused(restore_into_passive(
                        SystemModel::kDawningCloud,
                        reencode(finished, "htc:snap", field, 40000000)),
-                   "40000000");
+                   "snap", "40000000");
   }
+}
+
+// --- MTC, DRP and trigger-monitor restore: task ids name a task --------------
+// A task id indexes its workflow's DAG when the job completes or the trigger
+// fires, so an id beyond the DAG must be refused at restore, not crash the
+// resumed run later.
+
+// A field of `model`'s snapshot of the crowded workload.
+struct SnapshotField {
+  SystemModel model;
+  std::string_view section;
+  std::string_view name;
+};
+
+TEST(SnapshotComponents, RestoreRefusesTaskIdsBeyondTheirWorkflow) {
+  const SnapshotField ids[] = {
+      {SystemModel::kDawningCloud, "mtc:wf", "ref_task"},
+      {SystemModel::kDrp, "drp:wf", "work_task"},
+  };
+  for (const SnapshotField& id : ids) {
+    SCOPED_TRACE(id.name);
+    const std::string finished = snapshot_with(id.model, id.section, id.name);
+    ASSERT_FALSE(finished.empty());
+    ASSERT_TRUE(restore_into_passive(id.model, finished).is_ok());
+    for (const std::int64_t bad : {std::int64_t{50000000}, std::int64_t{-1}}) {
+      SCOPED_TRACE(bad);
+      const std::string edited =
+          reencode(finished, id.section, id.name, bad);
+      expect_refused(restore_into_passive(id.model, edited), "wf",
+                     std::to_string(bad));
+    }
+  }
+}
+
+TEST(SnapshotComponents, TriggerMonitorRestoreRefusesTriggersBeyondTheirDag) {
+  workflow::MontageParams params;
+  params.inputs = 4;
+  core::TriggerMonitor monitor;
+  const auto wf = monitor.register_workflow(workflow::make_montage(params, 5));
+  monitor.add_external_trigger(wf, 1);
+  SnapshotWriter writer;
+  ASSERT_TRUE(monitor.save(writer).is_ok());
+  const std::string finished = writer.finish();
+
+  const auto restore = [](const std::string& stream) {
+    auto reader = SnapshotReader::from_buffer(stream);
+    if (!reader.is_ok()) return reader.status();
+    core::TriggerMonitor restored;
+    return restored.restore(*reader);
+  };
+  ASSERT_TRUE(restore(finished).is_ok());
+  for (const std::int64_t bad : {std::int64_t{50000000}, std::int64_t{-1}}) {
+    SCOPED_TRACE(bad);
+    expect_refused(restore(reencode(finished, "", "task", bad)),
+                   "trigger monitor", std::to_string(bad));
+  }
+}
+
+// --- Restore refuses element counts the stream cannot hold -------------------
+// Each of these counts sizes a reserve() before any element is read. A
+// count of 2^62 must come back as a typed error naming the field and its
+// section, not abort the process with std::length_error.
+
+constexpr std::int64_t kHugeCount = std::int64_t{1} << 62;
+
+void expect_count_refused(const Status& status, std::string_view section,
+                          std::string_view name) {
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(name), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("section '" + std::string(section) + "'"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(SnapshotComponents, RestoreRefusesCountsTheStreamCannotHold) {
+  const SnapshotField counts[] = {
+      {SystemModel::kDcs, "htc:snap", "job_count"},
+      {SystemModel::kDawningCloud, "htc:snap", "grant_count"},
+      {SystemModel::kDawningCloud, "mtc:wf", "task_ref_count"},
+      {SystemModel::kDawningCloud, "lifecycle", "record_count"},
+      {SystemModel::kDawningCloud, "lifecycle", "transition_count"},
+      {SystemModel::kDawningCloud, "htc:snap.ledger", "lease_count"},
+      {SystemModel::kDcs, "provision", "breakpoint_count"},
+      {SystemModel::kDawningCloud, "provision", "event_count"},
+      {SystemModel::kDrp, "drp:wf", "run_count"},
+      {SystemModel::kDrp, "drp:wf", "vm_lease_count"},
+      {SystemModel::kDrp, "drp:snap", "active_count"},
+      {SystemModel::kDrp, "drp:snap", "finish_count"},
+      {SystemModel::kDrp, "drp:snap", "completion_count"},
+  };
+  for (const SnapshotField& count : counts) {
+    SCOPED_TRACE(std::string(count.section) + " " + std::string(count.name));
+    const std::string finished =
+        snapshot_with(count.model, count.section, count.name);
+    ASSERT_FALSE(finished.empty());
+    ASSERT_TRUE(restore_into_passive(count.model, finished).is_ok());
+    expect_count_refused(
+        restore_into_passive(count.model, reencode(finished, count.section,
+                                                   count.name, kHugeCount)),
+        count.section, count.name);
+  }
+}
+
+TEST(SnapshotComponents, WssRestoreRefusesAGrantCountTheStreamCannotHold) {
+  const auto profile = [] { return workload::DemandProfile({10, 40, 10}); };
+  core::WssServer::Config config;
+  config.name = "web";
+  config.policy = core::WssServer::ElasticPolicy{};
+
+  sim::Simulator simulator;
+  core::ResourceProvisionService provision(cluster::ResourcePool::unbounded());
+  core::WssServer server(simulator, provision, config, profile());
+  simulator.schedule_at(0, [&] { server.start(); });
+  simulator.run_until(2 * kHour);
+  SnapshotWriter writer;
+  ASSERT_TRUE(server.save(writer).is_ok());
+  const std::string finished = writer.finish();
+  ASSERT_GT(first_value(finished, "", "grant_count"), 0);
+
+  sim::Simulator fresh_simulator;
+  core::ResourceProvisionService fresh_provision(
+      cluster::ResourcePool::unbounded());
+  core::WssServer fresh(fresh_simulator, fresh_provision, config, profile());
+  auto reader = SnapshotReader::from_buffer(
+      reencode(finished, "", "grant_count", kHugeCount));
+  ASSERT_TRUE(reader.is_ok());
+  expect_count_refused(fresh.restore(*reader), "", "grant_count");
 }
 
 }  // namespace

@@ -2,18 +2,25 @@
 // content-addressed dedup makes appends idempotent and byte-stable, torn
 // tails are dropped loudly while mid-stream corruption refuses, and the
 // derived index is pinned to the exact store bytes it indexes.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "metrics/report.hpp"
 #include "rundb/store.hpp"
+#include "snapshot/format.hpp"
 #include "util/csv.hpp"
 #include "util/fsio.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace dc {
 namespace {
@@ -185,6 +192,327 @@ TEST(RunStore, IndexEntriesLocateEveryFrame) {
     ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
     EXPECT_EQ(decoded->run_id(), records[i].run_id());
   }
+}
+
+// --- The append path ---------------------------------------------------------
+// append_records copies each stored frame that is already canonical and
+// re-encodes only the ones that are not; these tests pin what that must
+// keep: refusal of corrupt frames, healing of torn tails, canonical
+// rewriting, and the bytes of the re-encoding algorithm it replaced.
+
+constexpr std::size_t kHeaderBytes = 12;  // magic + version
+constexpr std::size_t kFooterBytes = 8;   // FNV-1a of the body
+
+/// `stream` behind its u32 LE length prefix: one store frame.
+std::string frame_of(const std::string& stream) {
+  std::string frame(4, '\0');
+  snapshot::store_le(frame.data(), static_cast<std::uint32_t>(stream.size()));
+  return frame + stream;
+}
+
+/// Seals an edited stream body (header + records) with its checksum
+/// footer, so it verifies like a stream SnapshotWriter::finish() wrote.
+std::string seal(std::string body) {
+  const std::uint64_t sum = snapshot::fnv1a(body);
+  body.resize(body.size() + kFooterBytes);
+  snapshot::store_le(body.data() + body.size() - kFooterBytes, sum);
+  return body;
+}
+
+std::string canonical_body(const rundb::RunRecord& record) {
+  const std::string stream = rundb::encode_run_record(record);
+  return stream.substr(0, stream.size() - kFooterBytes);
+}
+
+// Two streams that verify and decode to `record` without being its
+// canonical encoding: the decoder ignores what follows the `trace`
+// section and the names of section ends. A canonical body ends with the
+// trace section's end and then the run section's end, 3 bytes each.
+std::string with_extra_field(const rundb::RunRecord& record) {
+  std::string body = canonical_body(record);
+  snapshot::SnapshotWriter extra;
+  extra.field_u64("extra", 7);
+  body.insert(body.size() - 3, extra.buffer().substr(kHeaderBytes));
+  return seal(body);
+}
+
+std::string with_named_section_end(const rundb::RunRecord& record) {
+  std::string body = canonical_body(record);
+  body.replace(body.size() - 6, 3, std::string("\x02\x03\x00" "end", 6));
+  return seal(body);
+}
+
+void write_store(const std::string& dir, const std::string& bytes) {
+  fs::create_directories(dir);
+  ASSERT_TRUE(
+      atomic_write_file(rundb::store_data_path(dir), bytes, "test.store")
+          .is_ok());
+}
+
+std::string read_bytes(const std::string& path) {
+  auto bytes = read_file(path);
+  EXPECT_TRUE(bytes.is_ok()) << bytes.status().to_string();
+  return bytes.is_ok() ? *bytes : std::string();
+}
+
+TEST(RunStore, AppendRefusesACorruptFrameAndLeavesBothFilesAlone) {
+  const std::string dir = fresh_dir("append_corrupt");
+  ASSERT_TRUE(rundb::append_records(dir, {sample_record("DCS/NASA", 7.5),
+                                          sample_record("DCS/BLUE", 3.25)})
+                  .is_ok());
+  std::string corrupt = read_bytes(rundb::store_data_path(dir));
+  corrupt[10] ^= 0x5a;  // inside frame 0's stream
+  write_store(dir, corrupt);
+  const std::string index = read_bytes(rundb::store_index_path(dir));
+
+  auto appended =
+      rundb::append_records(dir, {sample_record("SSP/Montage", 1.0)});
+  ASSERT_FALSE(appended.is_ok());
+  EXPECT_EQ(appended.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(appended.status().message().find("at record 0 (byte offset 0)"),
+            std::string::npos)
+      << appended.status().message();
+  EXPECT_EQ(read_bytes(rundb::store_data_path(dir)), corrupt);
+  EXPECT_EQ(read_bytes(rundb::store_index_path(dir)), index);
+}
+
+TEST(RunStore, AppendHealsATornTailToItsValidPrefix) {
+  const std::string dir = fresh_dir("append_torn");
+  const rundb::RunRecord nasa = sample_record("DCS/NASA", 7.5);
+  const rundb::RunRecord montage = sample_record("SSP/Montage", 1.0);
+  ASSERT_TRUE(
+      rundb::append_records(dir, {nasa, sample_record("DCS/BLUE", 3.25)})
+          .is_ok());
+  const std::string bytes = read_bytes(rundb::store_data_path(dir));
+  write_store(dir, bytes.substr(0, bytes.size() - 5));
+
+  std::FILE* log = std::tmpfile();
+  ASSERT_NE(log, nullptr);
+  Log::set_stream(log);
+  auto appended = rundb::append_records(dir, {montage});
+  Log::set_stream(stderr);
+  std::string warning(256, '\0');
+  std::rewind(log);
+  warning.resize(std::fread(warning.data(), 1, warning.size(), log));
+  std::fclose(log);
+
+  ASSERT_TRUE(appended.is_ok()) << appended.status().to_string();
+  EXPECT_EQ(*appended, 1u);
+  const std::string nasa_frame = frame_of(rundb::encode_run_record(nasa));
+  EXPECT_NE(warning.find(str_format("torn trailing record at byte offset %zu",
+                                    nasa_frame.size())),
+            std::string::npos)
+      << warning;
+  EXPECT_EQ(read_bytes(rundb::store_data_path(dir)),
+            nasa_frame + frame_of(rundb::encode_run_record(montage)));
+  EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
+}
+
+TEST(RunStore, AppendRewritesNonCanonicalFramesInCanonicalForm) {
+  const rundb::RunRecord nasa = sample_record("DCS/NASA", 7.5);
+  const rundb::RunRecord blue = sample_record("DCS/BLUE", 3.25);
+  const rundb::RunRecord montage = sample_record("SSP/Montage", 1.0);
+  const std::pair<const char*, std::string> variants[] = {
+      {"extra field after the trace section", with_extra_field(nasa)},
+      {"named section end", with_named_section_end(nasa)},
+  };
+  for (const auto& [what, stream] : variants) {
+    SCOPED_TRACE(what);
+    ASSERT_NE(stream, rundb::encode_run_record(nasa));
+    auto decoded = rundb::decode_run_record(stream);
+    ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+    ASSERT_EQ(decoded->run_id(), nasa.run_id());
+
+    const std::string dir = fresh_dir("noncanonical");
+    write_store(dir,
+                frame_of(stream) + frame_of(rundb::encode_run_record(blue)));
+    // `nasa` is already stored, under its canonical run id.
+    auto appended = rundb::append_records(dir, {nasa, montage});
+    ASSERT_TRUE(appended.is_ok()) << appended.status().to_string();
+    EXPECT_EQ(*appended, 1u);
+    const std::string store = read_bytes(rundb::store_data_path(dir));
+    EXPECT_EQ(store, frame_of(rundb::encode_run_record(nasa)) +
+                         frame_of(rundb::encode_run_record(blue)) +
+                         frame_of(rundb::encode_run_record(montage)));
+    const std::string index_bytes = read_bytes(rundb::store_index_path(dir));
+    auto index = rundb::parse_store_index(index_bytes, "index");
+    ASSERT_TRUE(index.is_ok()) << index.status().to_string();
+    ASSERT_EQ(index->entries.size(), 3u);
+    EXPECT_EQ(index->entries[0].run_id, nasa.run_id());
+    EXPECT_EQ(index->entries[0].length,
+              rundb::encode_run_record(nasa).size());
+    EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
+
+    auto again = rundb::append_records(dir, {nasa, montage});
+    ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+    EXPECT_EQ(*again, 0u);
+    EXPECT_EQ(read_bytes(rundb::store_data_path(dir)), store);
+    EXPECT_EQ(read_bytes(rundb::store_index_path(dir)), index_bytes);
+  }
+}
+
+/// The re-encoding append that build_store_image replaced, kept as its
+/// reference: parse the store, re-encode every stored record, append each
+/// batch record whose run_id() is not yet present, and index through
+/// per-record encodes.
+StatusOr<rundb::StoreImage> reference_image(
+    const std::string& data, const std::string& label,
+    const std::vector<rundb::RunRecord>& records) {
+  auto contents = rundb::parse_store(data, label);
+  if (!contents.is_ok()) return contents.status();
+  rundb::StoreImage image;
+  std::vector<std::uint64_t> seen;
+  std::vector<rundb::RunRecord> merged = contents->records;
+  for (const rundb::RunRecord& record : contents->records) {
+    seen.push_back(record.run_id());
+    image.store += frame_of(rundb::encode_run_record(record));
+  }
+  for (const rundb::RunRecord& record : records) {
+    const std::uint64_t id = record.run_id();
+    if (std::find(seen.begin(), seen.end(), id) != seen.end()) continue;
+    seen.push_back(id);
+    image.store += frame_of(rundb::encode_run_record(record));
+    merged.push_back(record);
+    ++image.appended;
+  }
+  rundb::StoreIndex index;
+  index.store_bytes = image.store.size();
+  index.store_digest = snapshot::fnv1a(image.store);
+  std::uint64_t offset = 0;
+  for (const rundb::RunRecord& record : merged) {
+    const std::uint64_t length = rundb::encode_run_record(record).size();
+    index.entries.push_back(
+        {record.run_id(), offset, length, record.kind, record.label});
+    offset += 4 + length;
+  }
+  image.index = rundb::encode_store_index(index);
+  return image;
+}
+
+rundb::RunRecord random_record(Rng& rng) {
+  static const char* const kLabels[] = {"DCS/NASA", "SSP/BLUE", "DRP/Montage",
+                                        "cell-000002/dcs/NASA"};
+  rundb::RunRecord record;
+  record.kind = rng.bernoulli(0.8) ? "run" : "campaign-cell";
+  record.source = "tests/sample.dcfg";
+  record.label = kLabels[rng.uniform_int(0, 3)];
+  for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i) {
+    record.params.emplace_back("p" + std::to_string(i),
+                               std::to_string(rng.uniform_int(0, 2)));
+  }
+  for (std::int64_t i = rng.uniform_int(0, 4); i > 0; --i) {
+    const double value = 0.5 * static_cast<double>(rng.uniform_int(0, 3));
+    record.metrics.emplace_back("m" + std::to_string(i), value);
+  }
+  record.trace_events = static_cast<std::uint64_t>(rng.uniform_int(0, 1));
+  record.trace_digest = rng.bernoulli(0.5) ? "" : "00c0ffee00c0ffee";
+  return record;
+}
+
+TEST(RunStore, BuildStoreImageMatchesTheReencodingReference) {
+  const LogLevel level = Log::level();
+  Log::set_level(LogLevel::kError);  // the torn-tail cases warn twice each
+  int with_duplicates = 0, with_noncanonical = 0, with_torn_tail = 0,
+      with_repeats = 0, refused = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<rundb::RunRecord> pool;  // stored, then batch, records
+    std::string data;
+    const std::int64_t stored = rng.uniform_int(0, 40);
+    const std::int64_t odd = rng.bernoulli(0.3) ? rng.uniform_int(0, 40) : -1;
+    bool duplicate = false, noncanonical = false;
+    for (std::int64_t i = 0; i < stored; ++i) {
+      const bool repeat = !pool.empty() && rng.bernoulli(0.15);
+      const rundb::RunRecord record =
+          repeat ? pool[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(pool.size()) - 1))]
+                 : random_record(rng);
+      duplicate = duplicate || repeat;
+      std::string stream = rundb::encode_run_record(record);
+      if (i == odd) {
+        stream = rng.bernoulli(0.5) ? with_extra_field(record)
+                                    : with_named_section_end(record);
+        noncanonical = true;
+      }
+      data += frame_of(stream);
+      pool.push_back(record);
+    }
+    const bool torn = rng.bernoulli(0.25);
+    if (torn) {
+      const std::string tail =
+          frame_of(rundb::encode_run_record(random_record(rng)));
+      const std::int64_t kept =
+          rng.uniform_int(1, static_cast<std::int64_t>(tail.size()) - 1);
+      data += tail.substr(0, static_cast<std::size_t>(kept));
+    }
+    if (!data.empty() && rng.bernoulli(0.05)) {
+      data[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(data.size()) - 1))] ^= 0x20;
+    }
+    std::vector<rundb::RunRecord> batch;
+    bool repeats = false;
+    for (std::int64_t i = rng.uniform_int(0, 5); i > 0; --i) {
+      const bool repeat = !pool.empty() && rng.bernoulli(0.35);
+      batch.push_back(
+          repeat ? pool[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(pool.size()) - 1))]
+                 : random_record(rng));
+      pool.push_back(batch.back());
+      repeats = repeats || repeat;
+    }
+
+    const auto want = reference_image(data, "store", batch);
+    const auto got = rundb::build_store_image(data, "store", batch);
+    ASSERT_EQ(got.is_ok(), want.is_ok())
+        << (got.is_ok() ? want.status() : got.status()).to_string();
+    if (!want.is_ok()) {
+      EXPECT_EQ(got.status().code(), want.status().code());
+      EXPECT_EQ(got.status().message(), want.status().message());
+      ++refused;
+      continue;
+    }
+    EXPECT_EQ(got->store, want->store);
+    EXPECT_EQ(got->index, want->index);
+    EXPECT_EQ(got->appended, want->appended);
+    with_duplicates += duplicate;
+    with_noncanonical += noncanonical;
+    with_torn_tail += torn;
+    with_repeats += repeats;
+  }
+  Log::set_level(level);
+  // The generator must reach every shape the reference is there to pin.
+  EXPECT_GE(with_duplicates, 50);
+  EXPECT_GE(with_noncanonical, 20);
+  EXPECT_GE(with_torn_tail, 20);
+  EXPECT_GE(with_repeats, 50);
+  EXPECT_GE(refused, 1);
+}
+
+// Digests of both files after a fixed append sequence, captured from the
+// re-encoding append this one replaced: the bytes on disk are unchanged.
+TEST(RunStore, ThreeBatchAppendSequenceKeepsItsPinnedBytes) {
+  const std::string dir = fresh_dir("pinned");
+  const rundb::RunRecord nasa = sample_record("DCS/NASA", 7.5);
+  const rundb::RunRecord blue = sample_record("DCS/BLUE", 3.25);
+  const rundb::RunRecord montage = sample_record("SSP/Montage", 1.0);
+  rundb::RunRecord sjf = nasa;
+  sjf.params.emplace_back("scheduler", "sjf");
+  const std::vector<std::vector<rundb::RunRecord>> batches = {
+      {nasa, blue}, {blue, montage, montage}, {nasa, sjf}};
+  std::vector<std::uint64_t> appended;
+  for (const auto& batch : batches) {
+    auto count = rundb::append_records(dir, batch);
+    ASSERT_TRUE(count.is_ok()) << count.status().to_string();
+    appended.push_back(*count);
+  }
+  EXPECT_EQ(appended, (std::vector<std::uint64_t>{2, 1, 1}));
+  const std::string store = read_bytes(rundb::store_data_path(dir));
+  const std::string index = read_bytes(rundb::store_index_path(dir));
+  EXPECT_EQ(store.size(), 1521u);
+  EXPECT_EQ(index.size(), 492u);
+  EXPECT_EQ(snapshot::fnv1a(store), 0xa43f9021eaebb1f4ULL);
+  EXPECT_EQ(snapshot::fnv1a(index), 0xe4486e3f459906cdULL);
 }
 
 // The run store's metric vocabulary and the results CSV are the same
