@@ -17,90 +17,17 @@
 // price the recovery policy: checkpointed work re-runs only the tail past
 // the last checkpoint, so its wasted node*hours are strictly lower
 // whenever anything was killed mid-run.
-//
-// With --json <path> the bench additionally writes a google-benchmark
-// shaped report (one "iteration" record per system/point with the
-// availability metrics as user counters) for bench_to_json to fold into
-// the committed BENCH_availability.json. All fields are simulation
-// outputs — no wall clock, no host probing — so the report is byte-stable
-// per seed.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/paper.hpp"
 #include "core/systems.hpp"
 #include "metrics/report.hpp"
-#include "util/strings.hpp"
 
-namespace {
-
-struct Record {
-  std::string name;
-  dc::core::SystemResult result;
-};
-
-void write_gbench_json(const std::string& path,
-                       const std::vector<Record>& records) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "ablation_availability: cannot write %s\n",
-                 path.c_str());
-    std::exit(1);
-  }
-  // Deterministic stand-ins for the machine context: this "benchmark"
-  // measures simulated availability, not wall time.
-  out << "{\n"
-      << "  \"context\": {\n"
-      << "    \"date\": \"simulated\",\n"
-      << "    \"host_name\": \"des-kernel\",\n"
-      << "    \"num_cpus\": 1,\n"
-      << "    \"mhz_per_cpu\": 0,\n"
-      << "    \"library_build_type\": \"release\"\n"
-      << "  },\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const dc::core::SystemResult& r = records[i].result;
-    std::int64_t completed = 0;
-    for (const auto& provider : r.providers) completed += provider.completed_jobs;
-    out << "    {\n"
-        << "      \"name\": \"" << records[i].name << "\",\n"
-        << "      \"run_type\": \"iteration\",\n"
-        << "      \"iterations\": 1,\n"
-        << "      \"real_time\": 0.0,\n"
-        << "      \"cpu_time\": 0.0,\n"
-        << "      \"time_unit\": \"ns\",\n"
-        << "      \"availability\": "
-        << dc::str_format("%.6f", r.availability) << ",\n"
-        << "      \"goodput_node_hours\": "
-        << dc::str_format("%.2f", r.goodput_node_hours) << ",\n"
-        << "      \"wasted_node_hours\": "
-        << dc::str_format("%.2f", r.wasted_node_hours) << ",\n"
-        << "      \"failure_events\": " << r.failure_events << ",\n"
-        << "      \"nodes_failed\": " << r.nodes_failed << ",\n"
-        << "      \"nodes_repaired\": " << r.nodes_repaired << ",\n"
-        << "      \"jobs_killed\": " << r.jobs_killed << ",\n"
-        << "      \"jobs_failed\": " << r.jobs_failed << ",\n"
-        << "      \"completed_jobs\": " << completed << "\n"
-        << "    }" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   using namespace dc;
-
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
 
   struct Point {
     const char* label;
@@ -128,7 +55,6 @@ int main(int argc, char** argv) {
               "nodes_failed", "nodes_repaired", "jobs_killed", "jobs_failed",
               "completed", "consumption_node_hours"});
 
-  std::vector<Record> records;
   for (const Point& point : points) {
     for (const Policy& policy : policies) {
       core::RunOptions options;
@@ -164,11 +90,6 @@ int main(int argc, char** argv) {
             .cell(completed)
             .cell(result.total_consumption_node_hours);
         csv.end_row();
-        records.push_back(
-            Record{str_format("availability/%s/mttf_%s/%s",
-                              core::system_model_name(result.model),
-                              point.label, policy.label),
-                   result});
       }
       if (policy.checkpoint_interval > 0 || point.mttf == 0) {
         std::printf("MTTF %s, MTTR 30m, policy %s:\n", point.label,
@@ -177,7 +98,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  if (!json_path.empty()) write_gbench_json(json_path, records);
   return 0;
 }

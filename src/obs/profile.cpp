@@ -8,7 +8,6 @@ namespace dc::obs {
 const char* profile_phase_name(ProfilePhase phase) {
   switch (phase) {
     case ProfilePhase::kDispatch: return "dispatch";
-    case ProfilePhase::kSweep: return "sweep_chunk";
     case ProfilePhase::kSnapshotSave: return "snapshot_save";
     case ProfilePhase::kSnapshotRestore: return "snapshot_restore";
     case ProfilePhase::kExport: return "export";
@@ -17,19 +16,12 @@ const char* profile_phase_name(ProfilePhase phase) {
   return "unknown";
 }
 
-void PhaseProfiler::accumulate(ProfilePhase phase, std::uint64_t calls,
-                               std::uint64_t ns, std::uint64_t units) {
+void PhaseProfiler::add(ProfilePhase phase, std::uint64_t ns,
+                        std::uint64_t units) {
   auto& totals = totals_[static_cast<std::size_t>(phase)];
-  totals.calls += calls;
+  ++totals.calls;
   totals.ns += ns;
   totals.units += units;
-}
-
-void PhaseProfiler::absorb_sweep(const SweepStats& stats) {
-  accumulate(ProfilePhase::kSweep,
-             stats.chunks.load(std::memory_order_relaxed),
-             stats.busy_ns.load(std::memory_order_relaxed),
-             stats.indices.load(std::memory_order_relaxed));
 }
 
 void PhaseProfiler::note(std::string_view name, double value) {
@@ -77,24 +69,6 @@ std::string PhaseProfiler::table() const {
   for (const auto& [name, value] : notes_) {
     out += str_format("  %s = %.10g\n", name.c_str(), value);
   }
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> PhaseProfiler::counters() const {
-  std::vector<std::pair<std::string, double>> out;
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(ProfilePhase::kPhaseCount); ++i) {
-    const auto& totals = totals_[i];
-    if (totals.calls == 0) continue;
-    const std::string base =
-        std::string("profile_") + profile_phase_name(static_cast<ProfilePhase>(i));
-    out.emplace_back(base + "_ns", static_cast<double>(totals.ns));
-    out.emplace_back(base + "_calls", static_cast<double>(totals.calls));
-    if (totals.units > 0) {
-      out.emplace_back(base + "_units", static_cast<double>(totals.units));
-    }
-  }
-  out.insert(out.end(), notes_.begin(), notes_.end());
   return out;
 }
 

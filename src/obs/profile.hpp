@@ -1,10 +1,8 @@
 // Kernel self-profiling (see docs/OBSERVABILITY.md).
 //
 // A PhaseProfiler accumulates wall-clock time per kernel phase — event
-// dispatch, sweep-pool chunks, snapshot write/restore, trace export —
-// and reports it two ways: an aligned per-run table for humans, and a
-// flat name→value counter block shaped for bench_to_json, so benchmark
-// runs can publish dispatch-phase timings into BENCH_*.json.
+// dispatch, snapshot write/restore, trace export — and reports it as an
+// aligned per-run table, followed by the run's named notes.
 //
 // Wall-clock readings use std::chrono::steady_clock and are strictly
 // observational: no simulation decision ever reads them, so profiling a
@@ -19,17 +17,14 @@
 #include <utility>
 #include <vector>
 
-#include "util/parallel.hpp"
-
 namespace dc::obs {
 
 enum class ProfilePhase : std::uint8_t {
   kDispatch = 0,         // Simulator::run_until event dispatch
-  kSweep = 1,            // sweep-pool chunk execution (absorb_sweep)
-  kSnapshotSave = 2,     // SystemRunner::save_file
-  kSnapshotRestore = 3,  // SystemRunner::restore_file
-  kExport = 4,           // trace / metrics export
-  kPhaseCount = 5,
+  kSnapshotSave = 1,     // SystemRunner::save_file
+  kSnapshotRestore = 2,  // SystemRunner::restore_file
+  kExport = 3,           // trace / metrics export
+  kPhaseCount = 4,
 };
 
 const char* profile_phase_name(ProfilePhase phase);
@@ -63,16 +58,9 @@ class PhaseProfiler {
 
   /// Records one timed call of `phase` covering `units` work items
   /// (events dispatched, bytes written, ...).
-  void add(ProfilePhase phase, std::uint64_t ns, std::uint64_t units = 0) {
-    accumulate(phase, 1, ns, units);
-  }
-  void accumulate(ProfilePhase phase, std::uint64_t calls, std::uint64_t ns,
-                  std::uint64_t units);
+  void add(ProfilePhase phase, std::uint64_t ns, std::uint64_t units = 0);
 
-  /// Folds collected sweep-pool chunk timings into the kSweep phase.
-  void absorb_sweep(const SweepStats& stats);
-
-  /// Extra named values published alongside the phase counters
+  /// Extra named values printed below the phase table
   /// (peak_pending, events_processed, ...). Last write wins.
   void note(std::string_view name, double value);
 
@@ -80,14 +68,9 @@ class PhaseProfiler {
   std::uint64_t ns(ProfilePhase phase) const;
   std::uint64_t units(ProfilePhase phase) const;
 
-  /// Aligned per-run profile table.
+  /// Aligned per-run profile table of the exercised phases, then the
+  /// notes in first-write order.
   std::string table() const;
-
-  /// Flat counter block: profile_<phase>_{ns,calls,units} for every
-  /// exercised phase plus every note, in deterministic order. Feed each
-  /// pair into benchmark user counters (or print as JSON) and
-  /// bench_to_json passes them through into the committed BENCH files.
-  std::vector<std::pair<std::string, double>> counters() const;
 
  private:
   struct PhaseTotals {

@@ -320,7 +320,7 @@ StatusOr<StoreImage> build_store_image(const std::string& data,
 
   // Then each genuinely new record. Dedup by content identity makes the
   // whole operation idempotent — replaying a registration (a resumed
-  // sweep re-merging, a re-run bench) leaves the bytes untouched.
+  // sweep re-merging a cell) leaves the bytes untouched.
   for (const RunRecord& record : records) {
     const std::string stream = encode_run_record(record);
     const std::uint64_t id = stream_digest(stream);

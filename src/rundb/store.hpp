@@ -1,8 +1,8 @@
 // The indexed run database (docs/FORMATS.md "Run store", docs/OBSERVABILITY.md).
 //
 // A run store is a directory holding every registered run outcome of a
-// working tree — single `dc run` invocations, merged sweep-campaign
-// cells, and bench registrations — as one queryable corpus for
+// working tree — single `dc run` invocations and merged sweep-campaign
+// cells — as one queryable corpus for
 // `dc report`. It is built from the same material as the rest of the
 // durable-artifact layer:
 //
@@ -52,8 +52,8 @@ namespace dc::rundb {
 /// ordered parameter assignment that produced it, the ordered metric
 /// values it yielded, and an optional trace summary.
 struct RunRecord {
-  std::string kind;    // "run" | "campaign-cell" | "bench"
-  std::string source;  // config path, "campaign:<digest16>", bench report
+  std::string kind;    // "run" | "campaign-cell" (older stores: "bench")
+  std::string source;  // config path, "campaign:<digest16>"
   std::string label;   // "dcs/ProviderA", "cell-000002/dcs/ProviderA", ...
   /// Parameter axes in a fixed caller-chosen order (run flags in CLI
   /// order, campaign axes in canonical spec order).

@@ -1,8 +1,8 @@
 #include "util/parallel.hpp"
 
+#include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -14,10 +14,6 @@
 
 namespace dc {
 namespace {
-
-// Installed stats collector; the pool takes no timestamps when null.
-// Observational only — wall-clock time never feeds back into any result.
-std::atomic<SweepStats*> g_sweep_stats{nullptr};
 
 // True on any thread currently executing inside a parallel region (a pool
 // worker draining a job, or the submitting thread while its job runs).
@@ -126,21 +122,7 @@ class SweepPool {
           job.next.fetch_add(job.chunk, std::memory_order_relaxed);
       if (begin >= job.count) return;
       const std::size_t end = std::min(begin + job.chunk, job.count);
-      SweepStats* stats = g_sweep_stats.load(std::memory_order_acquire);
-      if (stats != nullptr) {
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) (*job.fn)(i);
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        stats->chunks.fetch_add(1, std::memory_order_relaxed);
-        stats->indices.fetch_add(end - begin, std::memory_order_relaxed);
-        stats->busy_ns.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                    .count()),
-            std::memory_order_relaxed);
-      } else {
-        for (std::size_t i = begin; i < end; ++i) (*job.fn)(i);
-      }
+      for (std::size_t i = begin; i < end; ++i) (*job.fn)(i);
       // Cursor sanity: chunks are claimed disjointly from the atomic
       // cursor, so completions can never exceed the index space. A
       // violation means two participants ran the same chunk.
@@ -190,10 +172,6 @@ class SweepPool {
 
 }  // namespace
 
-void set_sweep_stats(SweepStats* stats) {
-  g_sweep_stats.store(stats, std::memory_order_release);
-}
-
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("DC_THREADS")) {
     char* end = nullptr;
@@ -222,25 +200,7 @@ void parallel_for_index(std::size_t count,
   if (threads == 0) threads = default_thread_count();
   threads = std::min(threads, count);
   if (threads <= 1 || t_in_parallel_region) {
-    SweepStats* stats =
-        t_in_parallel_region ? nullptr
-                             : g_sweep_stats.load(std::memory_order_acquire);
-    if (stats != nullptr) {
-      // Degenerate one-participant sweep: account for it as one chunk so
-      // DC_THREADS=1 profiles still show sweep time.
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-      const auto elapsed = std::chrono::steady_clock::now() - start;
-      stats->chunks.fetch_add(1, std::memory_order_relaxed);
-      stats->indices.fetch_add(count, std::memory_order_relaxed);
-      stats->busy_ns.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()),
-          std::memory_order_relaxed);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-    }
+    for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
   SweepPool::instance().run(count, fn, threads);

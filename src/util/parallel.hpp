@@ -17,7 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <thread>
@@ -30,21 +29,6 @@ namespace dc {
 /// malformed or non-positive DC_THREADS is rejected with a dc::Log warning
 /// rather than silently misread.
 std::size_t default_thread_count();
-
-/// Wall-clock accounting for sweep-pool work, fed to the kernel
-/// self-profiler (obs::PhaseProfiler::absorb_sweep). Atomic because pool
-/// workers accumulate concurrently; purely observational, so it never
-/// affects sweep results.
-struct SweepStats {
-  std::atomic<std::uint64_t> chunks{0};    // contiguous index chunks claimed
-  std::atomic<std::uint64_t> indices{0};   // total indices executed
-  std::atomic<std::uint64_t> busy_ns{0};   // wall time inside callbacks
-};
-
-/// Installs (or with nullptr removes) the process-wide sweep stats
-/// collector. Install before launching sweeps and read after they drain;
-/// when no collector is installed the pool takes no timestamps at all.
-void set_sweep_stats(SweepStats* stats);
 
 /// Invokes fn(i) for every i in [0, count), distributing indices over
 /// `threads` workers (0 = default_thread_count()). fn must be safe to call

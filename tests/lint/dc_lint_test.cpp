@@ -435,8 +435,8 @@ TEST(DcLintR10, RundbSitsAboveCoreButBelowCampaign) {
 TEST(DcLintR10, SrcMayNotReachOutsideSrc) {
   const auto run = join_project(
       {{"src/util/helper.cpp",
-        "#include \"../../tools/bench_report.hpp\"\n"},
-       {"tools/bench_report.hpp", "#pragma once\n"}});
+        "#include \"../../tools/helper.hpp\"\n"},
+       {"tools/helper.hpp", "#pragma once\n"}});
   ASSERT_EQ(run.project.size(), 1u) << dc_lint::to_human(run.project);
   EXPECT_EQ(run.project[0].rule, "dc-r10");
   EXPECT_NE(run.project[0].message.find("outside src/"), std::string::npos);

@@ -3,22 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
-#include <vector>
-
-#include "util/parallel.hpp"
 
 namespace dc::obs {
 namespace {
-
-std::vector<std::pair<std::string, double>>::const_iterator find_counter(
-    const std::vector<std::pair<std::string, double>>& counters,
-    const std::string& name) {
-  for (auto it = counters.begin(); it != counters.end(); ++it) {
-    if (it->first == name) return it;
-  }
-  return counters.end();
-}
 
 TEST(PhaseProfiler, AddAccumulatesCallsNsAndUnits) {
   PhaseProfiler profiler;
@@ -29,7 +16,7 @@ TEST(PhaseProfiler, AddAccumulatesCallsNsAndUnits) {
   EXPECT_EQ(profiler.ns(ProfilePhase::kDispatch), 3000u);
   EXPECT_EQ(profiler.units(ProfilePhase::kDispatch), 40u);
   EXPECT_EQ(profiler.calls(ProfilePhase::kExport), 1u);
-  EXPECT_EQ(profiler.calls(ProfilePhase::kSweep), 0u);
+  EXPECT_EQ(profiler.calls(ProfilePhase::kSnapshotRestore), 0u);
 }
 
 TEST(PhaseProfiler, ScopeRecordsOnDestruction) {
@@ -38,42 +25,17 @@ TEST(PhaseProfiler, ScopeRecordsOnDestruction) {
   EXPECT_EQ(profiler.calls(ProfilePhase::kSnapshotSave), 1u);
 }
 
-TEST(PhaseProfiler, AbsorbSweepFoldsPoolStats) {
+TEST(PhaseProfiler, TableShowsTheLastWriteOfEachNote) {
   PhaseProfiler profiler;
-  SweepStats stats;
-  stats.chunks.store(8);
-  stats.busy_ns.store(123456);
-  stats.indices.store(1000);
-  profiler.absorb_sweep(stats);
-  EXPECT_EQ(profiler.calls(ProfilePhase::kSweep), 8u);
-  EXPECT_EQ(profiler.ns(ProfilePhase::kSweep), 123456u);
-  EXPECT_EQ(profiler.units(ProfilePhase::kSweep), 1000u);
-}
-
-TEST(PhaseProfiler, CountersExportExercisedPhasesAndNotes) {
-  PhaseProfiler profiler;
-  profiler.add(ProfilePhase::kDispatch, 5000, 100);
-  profiler.add(ProfilePhase::kExport, 700);  // no units
   profiler.note("events_processed", 100.0);
-  profiler.note("events_processed", 200.0);  // last write wins
   profiler.note("peak_pending", 7.0);
-
-  const auto counters = profiler.counters();
-  auto it = find_counter(counters, "profile_dispatch_ns");
-  ASSERT_NE(it, counters.end());
-  EXPECT_DOUBLE_EQ(it->second, 5000.0);
-  it = find_counter(counters, "profile_dispatch_units");
-  ASSERT_NE(it, counters.end());
-  EXPECT_DOUBLE_EQ(it->second, 100.0);
-  // Unit-less phases publish ns/calls but no units counter.
-  EXPECT_NE(find_counter(counters, "profile_export_ns"), counters.end());
-  EXPECT_EQ(find_counter(counters, "profile_export_units"), counters.end());
-  // Untouched phases are absent entirely.
-  EXPECT_EQ(find_counter(counters, "profile_sweep_chunk_ns"), counters.end());
-  it = find_counter(counters, "events_processed");
-  ASSERT_NE(it, counters.end());
-  EXPECT_DOUBLE_EQ(it->second, 200.0);
-  EXPECT_NE(find_counter(counters, "peak_pending"), counters.end());
+  profiler.note("events_processed", 200.0);  // last write wins
+  const std::string table = profiler.table();
+  EXPECT_NE(table.find("events_processed = 200\n"), std::string::npos) << table;
+  EXPECT_EQ(table.find("events_processed = 100"), std::string::npos) << table;
+  // A rewritten note keeps the place of its first write.
+  EXPECT_LT(table.find("events_processed"), table.find("peak_pending = 7"))
+      << table;
 }
 
 TEST(PhaseProfiler, TableShowsExercisedPhasesOnly) {
