@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/failure_injector.hpp"
+#include "core/fault/fault_domain.hpp"
 #include "core/job_emulator.hpp"
 #include "core/mtc_server.hpp"
 #include "core/paper.hpp"
@@ -79,9 +79,9 @@ int main() {
     }
 
     const SimTime horizon = workload.effective_horizon();
-    core::FailureInjector::Config injector_config;
+    core::fault::FaultDomain::Config injector_config;
     injector_config.mean_time_between_failures = row.mtbf == 0 ? kHour : row.mtbf;
-    core::FailureInjector injector(sim, injector_config);
+    core::fault::FaultDomain injector(sim, injector_config);
     for (auto& server : htc_servers) injector.watch(server.get());
     for (auto& server : mtc_servers) injector.watch(server.get());
     if (row.mtbf > 0) {

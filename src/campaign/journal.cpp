@@ -258,20 +258,4 @@ StatusOr<JournalContents> load_journal(const std::string& path) {
   return parse_journal(*bytes, path);
 }
 
-long long process_start_ticks(long long pid) {
-  return dc::process_start_ticks(pid);
-}
-
-StatusOr<CampaignLock> CampaignLock::acquire(const std::string& path) {
-  PidLease::Wording wording;
-  wording.site = "campaign.lock";
-  wording.busy_prefix = "campaign is already being orchestrated by";
-  wording.busy_suffix =
-      "a campaign may have only one orchestrator — wait for it "
-      "or kill it first";
-  auto lease = PidLease::acquire(path, wording);
-  if (!lease.is_ok()) return lease.status();
-  return CampaignLock(std::move(*lease));
-}
-
 }  // namespace dc::campaign

@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/pidlock.hpp"
 #include "util/status.hpp"
 
 namespace dc::campaign {
@@ -106,31 +105,5 @@ StatusOr<JournalContents> load_journal(const std::string& path);
 /// the frame decoder without touching the filesystem.
 StatusOr<JournalContents> parse_journal(const std::string& data,
                                         const std::string& label);
-
-/// The kernel start-tick of process `pid` — forwards to
-/// dc::process_start_ticks (util/pidlock.hpp), kept here for the
-/// campaign-layer callers and tests that adopted this name first.
-long long process_start_ticks(long long pid);
-
-/// A lease file that rejects double resume: holding the lock means being
-/// the campaign's only orchestrator. The campaign flavour of
-/// util/pidlock.hpp's PidLease: pid + start-tick identity, stale leases
-/// (dead pid, recycled pid, corrupt stamp) broken with a warning, a live
-/// matching holder refused with campaign wording.
-class CampaignLock {
- public:
-  static StatusOr<CampaignLock> acquire(const std::string& path);
-
-  CampaignLock(CampaignLock&&) noexcept = default;
-  CampaignLock& operator=(CampaignLock&&) noexcept = default;
-  CampaignLock(const CampaignLock&) = delete;
-  CampaignLock& operator=(const CampaignLock&) = delete;
-
-  const std::string& path() const { return lease_.path(); }
-
- private:
-  explicit CampaignLock(PidLease lease) : lease_(std::move(lease)) {}
-  PidLease lease_;  // released (unlinked) on destruction
-};
 
 }  // namespace dc::campaign

@@ -93,26 +93,6 @@ std::string csv_quote(const std::string& value) {
   return out;
 }
 
-std::string json_escape(const std::string& value) {
-  std::string out;
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Merges the per-cell result.csv files into one long-format table,
 /// prefixing every data row with the cell id and its axis assignment. Row
 /// order is cell-id order, so the merged table is byte-identical however
@@ -164,14 +144,17 @@ std::string render_results_json(std::uint64_t spec_digest,
   json += "  \"cells\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const CellOutcome& o = outcomes[i];
-    json += str_format("    {\"cell\": %llu, \"key\": \"%s\", \"state\": \"%s\"",
-                       static_cast<unsigned long long>(o.cell),
-                       json_escape(o.key).c_str(), cell_state_name(o.state));
+    json += str_format("    {\"cell\": %llu, \"key\": \"",
+                       static_cast<unsigned long long>(o.cell));
+    append_json_escaped(json, o.key);
+    json += str_format("\", \"state\": \"%s\"", cell_state_name(o.state));
     if (o.state == CellState::kDone) {
       json += str_format(", \"artifact_digest\": \"%016llx\"",
                          static_cast<unsigned long long>(o.artifact_digest));
     } else {
-      json += ", \"reason\": \"" + json_escape(o.reason) + "\"";
+      json += ", \"reason\": \"";
+      append_json_escaped(json, o.reason);
+      json += "\"";
     }
     json += (i + 1 < outcomes.size()) ? "},\n" : "}\n";
   }
@@ -248,24 +231,18 @@ Status register_campaign_store(const std::string& campaign_dir,
 
 }  // namespace
 
-StatusOr<DrillMode> parse_drill_mode(std::string_view name) {
-  if (name.empty() || name == "none") return DrillMode::kNone;
-  if (name == "kill-orchestrator") return DrillMode::kKillOrchestrator;
-  if (name == "kill-worker") return DrillMode::kKillWorker;
-  if (name == "hang-worker") return DrillMode::kHangWorker;
-  if (name == "poison-cell") return DrillMode::kPoisonCell;
-  return Status::invalid_argument(
-      "unknown drill mode '" + std::string(name) +
-      "' (expected kill-orchestrator, kill-worker, hang-worker, or "
-      "poison-cell)");
-}
-
 std::string campaign_journal_path(const std::string& campaign_dir) {
   return campaign_dir + "/journal.dcj";
 }
 
 std::string campaign_lock_path(const std::string& campaign_dir) {
   return campaign_dir + "/LOCK";
+}
+
+PidLease::Wording campaign_lease_wording() {
+  return {"campaign.lock", "campaign is already being orchestrated by",
+          "a campaign may have only one orchestrator — wait for it or kill "
+          "it first"};
 }
 
 std::string campaign_cell_dir(const std::string& campaign_dir,
@@ -388,7 +365,8 @@ StatusOr<CampaignReport> run_campaign(const SweepSpec& spec,
   }
 
   // One orchestrator per campaign: the pid lease rejects double resume.
-  auto lock = CampaignLock::acquire(campaign_lock_path(config.campaign_dir));
+  auto lock = PidLease::acquire(campaign_lock_path(config.campaign_dir),
+                                campaign_lease_wording());
   if (!lock.is_ok()) return lock.status();
 
   const std::string journal_path = campaign_journal_path(config.campaign_dir);

@@ -23,6 +23,7 @@
 
 #include "campaign/journal.hpp"
 #include "campaign/spec.hpp"
+#include "util/pidlock.hpp"
 #include "util/status.hpp"
 
 namespace dc::campaign {
@@ -35,10 +36,6 @@ enum class DrillMode {
   kHangWorker,        // cell `drill_cell` stops heartbeating once
   kPoisonCell,        // cell `drill_cell` fails every attempt (quarantine)
 };
-
-/// Parses "", "kill-orchestrator", "kill-worker", "hang-worker",
-/// "poison-cell".
-StatusOr<DrillMode> parse_drill_mode(std::string_view name);
 
 struct OrchestratorConfig {
   std::string campaign_dir;  // journal, lock, cells/, merged results
@@ -115,6 +112,9 @@ std::string format_campaign_status(const CampaignStatus& status);
 /// orchestrator, the report subcommand, and the drill harness).
 std::string campaign_journal_path(const std::string& campaign_dir);
 std::string campaign_lock_path(const std::string& campaign_dir);
+/// The campaign lock's diagnostics: a second orchestrator on a live lease
+/// is refused with "campaign is already being orchestrated by live pid N".
+PidLease::Wording campaign_lease_wording();
 std::string campaign_cell_dir(const std::string& campaign_dir,
                               std::uint64_t cell);
 std::string campaign_results_csv_path(const std::string& campaign_dir);

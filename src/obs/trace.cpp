@@ -15,24 +15,6 @@ namespace {
 // Sim seconds → Chrome trace microseconds.
 constexpr std::int64_t kMicrosPerSecond = 1000000;
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 // One event in the ring blob's 44-byte layout: time, dur, a0, a1 as u64
 // LE, then name, actor and phase << 16 | category as u32 LE.
 char* pack_event(char* p, const TraceEvent& event) {
@@ -259,7 +241,7 @@ std::string TraceSink::chrome_json() const {
     out += str_format("{\"ph\":\"M\",\"pid\":1,\"tid\":%u,"
                       "\"name\":\"thread_name\",\"args\":{\"name\":\"",
                       id + 1);
-    append_escaped(out, names_[id]);
+    append_json_escaped(out, names_[id]);
     out += "\"}}";
   }
   for (const auto& event : recorded) {
@@ -279,9 +261,9 @@ std::string TraceSink::chrome_json() const {
           static_cast<long long>(event.time * kMicrosPerSecond));
     }
     out += "\"name\":\"";
-    append_escaped(out, names_[event.name]);
+    append_json_escaped(out, names_[event.name]);
     out += "\",\"cat\":\"";
-    append_escaped(out, trace_category_name(category));
+    append_json_escaped(out, trace_category_name(category));
     out += str_format("\",\"args\":{\"a0\":%lld,\"a1\":%lld}}",
                       static_cast<long long>(event.a0),
                       static_cast<long long>(event.a1));
@@ -357,13 +339,23 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   }
   std::uint64_t event_count = 0;
   std::string blob;
-  if (Status s = reader.read_u64("events", event_count); !s.is_ok()) return s;
+  if (Status s = reader.read_count("events", event_count); !s.is_ok()) {
+    return s;
+  }
   if (Status s = reader.read_bytes("ring", blob); !s.is_ok()) return s;
   if (blob.size() != event_count * kTraceEventPacked) {
     return Status::internal(
         str_format("trace ring blob is %zu bytes, want %llu events * %zu",
                    blob.size(), static_cast<unsigned long long>(event_count),
                    kTraceEventPacked));
+  }
+  if (capacity < event_count || capacity > kMaxTraceCapacity) {
+    return Status::invalid_argument(str_format(
+        "snapshot: trace ring capacity %llu is below its %llu events or "
+        "above %zu (%s)",
+        static_cast<unsigned long long>(capacity),
+        static_cast<unsigned long long>(event_count), kMaxTraceCapacity,
+        reader.context().c_str()));
   }
   ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
   head_ = 0;

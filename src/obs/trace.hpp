@@ -81,6 +81,9 @@ struct TraceEvent {
 /// Serialized size of one TraceEvent in the snapshot blob.
 inline constexpr std::size_t kTraceEventPacked = 44;
 
+/// The largest ring, in events, that a snapshot restore accepts.
+inline constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 24;
+
 /// An event decoded back out of a Chrome trace JSON export.
 struct ParsedTraceEvent {
   std::string name;

@@ -7,7 +7,7 @@
 // *with a fresh trace sink attached* observes exactly the events the
 // original run emitted in that window — even when the original run was
 // never traced. That is the debugging move the divergence auditor
-// (tools/crash_resume) can only gesture at: not "the state differs at
+// (snapshot-diff) can only gesture at: not "the state differs at
 // t=86400" but "here is every event between t=86400 and t=90000".
 //
 // The bisector composes the same pieces the other way: given two runs of

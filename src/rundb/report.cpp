@@ -26,26 +26,6 @@ std::string csv_quote(const std::string& value) {
   return quoted;
 }
 
-std::string json_escape(const std::string& value) {
-  std::string out;
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 const double* find_metric(const RunRecord& record, const std::string& name) {
   for (const auto& [metric, value] : record.metrics) {
     if (metric == name) return &value;
@@ -191,21 +171,29 @@ StatusOr<std::string> render_report(const std::vector<RunRecord>& records,
     }
     case ReportFormat::kJson: {
       std::string out = "{\n  \"records\": [";
+      const auto quoted = [&out](std::string_view text) {
+        out += '"';
+        append_json_escaped(out, text);
+        out += '"';
+      };
       bool first_record = true;
       for (const RunRecord& record : records) {
         out += first_record ? "\n" : ",\n";
         first_record = false;
-        out += "    {\n";
-        out += "      \"kind\": \"" + json_escape(record.kind) + "\",\n";
-        out += "      \"source\": \"" + json_escape(record.source) + "\",\n";
-        out += "      \"label\": \"" + json_escape(record.label) + "\",\n";
-        out += "      \"params\": {";
+        out += "    {\n      \"kind\": ";
+        quoted(record.kind);
+        out += ",\n      \"source\": ";
+        quoted(record.source);
+        out += ",\n      \"label\": ";
+        quoted(record.label);
+        out += ",\n      \"params\": {";
         bool first = true;
         for (const auto& [key, value] : record.params) {
           out += first ? "" : ", ";
           first = false;
-          out += "\"" + json_escape(key) + "\": \"" + json_escape(value) +
-                 "\"";
+          quoted(key);
+          out += ": ";
+          quoted(value);
         }
         out += "},\n      \"metrics\": {";
         first = true;
@@ -214,16 +202,18 @@ StatusOr<std::string> render_report(const std::vector<RunRecord>& records,
           if (value == nullptr) continue;
           out += first ? "" : ", ";
           first = false;
-          out += "\"" + json_escape(name) + "\": " + json_num_text(*value);
+          quoted(name);
+          out += ": " + json_num_text(*value);
         }
         out += "}";
         if (!record.trace_digest.empty() || record.trace_events != 0) {
           out += str_format(
               ",\n      \"trace\": {\"events\": %llu, \"dropped\": %llu, "
-              "\"digest\": \"%s\"}",
+              "\"digest\": ",
               static_cast<unsigned long long>(record.trace_events),
-              static_cast<unsigned long long>(record.trace_dropped),
-              json_escape(record.trace_digest).c_str());
+              static_cast<unsigned long long>(record.trace_dropped));
+          quoted(record.trace_digest);
+          out += "}";
         }
         out += "\n    }";
       }

@@ -16,7 +16,7 @@
 //  * two snapshots of the same run at the same instant are byte-comparable
 //    record by record — `diff_snapshots` walks both streams in lockstep and
 //    reports the first diverging section/field, which is the divergence
-//    auditor used by tools/crash_resume.
+//    auditor behind `dawningcloud snapshot-diff`.
 //
 // Truncation, corruption, bad magic, and version skew are all detected in
 // SnapshotReader::from_file and reported through util/status.hpp with

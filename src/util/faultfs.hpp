@@ -32,14 +32,14 @@
 // ';'-separated) or DC_FAULT_PLAN_FILE, and via --fault-plan on the CLI.
 // DC_FAULT_TRACE=<path> appends one line per hooked operation
 // ("HIT <site> <op> <path>", plus "FIRED <site> <op> <fault>" when a rule
-// triggers) — the enumeration channel tools/io_drill uses to discover
+// triggers) — the enumeration channel tools/drill uses to discover
 // every I/O site a run reaches. Rules marked `once` disarm across process
 // boundaries through marker files in DC_FAULT_ONCE_DIR, so a retried
 // campaign worker survives the retry (a transient host fault, not a
 // poisoned cell).
 //
 // Cleanup paths (the unlink of a temp file after a failed write) are
-// intentionally NOT hooked: the zero-debris invariant io_drill verifies
+// intentionally NOT hooked: the zero-debris invariant tools/drill verifies
 // would be vacuous if the injector could also veto the cleanup.
 #pragma once
 

@@ -19,7 +19,7 @@
 // Every primitive inside atomic_write_file goes through the util/faultfs
 // seam (docs/ROBUSTNESS.md): under an installed fault plan the open,
 // each write, the fsyncs, the close, and the rename can individually
-// fail, short-write, or crash the process, and tools/io_drill verifies
+// fail, short-write, or crash the process, and tools/drill verifies
 // the contract above actually holds at every such point. The `site`
 // argument names the I/O site for fault addressing and enumeration
 // ("snapshot.save", "campaign.results.csv", ...).

@@ -1,6 +1,6 @@
 // A crash-safe single-writer pid lease (docs/SWEEP.md, docs/FORMATS.md).
 //
-// PidLease is the generalized form of the campaign orchestrator's lock:
+// PidLease is the campaign orchestrator's lock and the run store's:
 // an O_EXCL-created file stamped with the holder's pid *and* its kernel
 // start tick, so holding the file means being the resource's only writer.
 // The start tick defeats pid recycling — a stale lease whose pid was
@@ -8,7 +8,7 @@
 // broken with a warning, never treated as a live holder. Corrupt or
 // unparseable lease contents are likewise stale, never fatal.
 //
-// The lease write goes through the util/faultfs seam, so io_drill can
+// The lease write goes through the util/faultfs seam, so tools/drill can
 // fault every step; cleanup of our own partial lease is never injected.
 // Callers supply the diagnostic wording (who "holds" the resource and
 // what the single-writer rule is called), so campaign and run-store

@@ -97,6 +97,24 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+void append_json_escaped(std::string& out, std::string_view text) {
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += str_format("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 std::string str_format(const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);

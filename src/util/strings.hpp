@@ -30,6 +30,11 @@ StatusOr<double> parse_double(std::string_view token);
 /// Joins tokens with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
+/// Appends `text` escaped for the inside of a JSON string: quote,
+/// backslash, \n, \r and \t get their short escapes, any other control
+/// byte becomes \u00XX.
+void append_json_escaped(std::string& out, std::string_view text);
+
 /// printf-style formatting into a std::string.
 std::string str_format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

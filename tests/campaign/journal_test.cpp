@@ -1,6 +1,7 @@
 // Campaign-journal regression: frame round trips, the crash-semantics
 // split (torn tail warn-and-drop vs mid-file corruption refusal), and the
-// pid-lease lock that rejects a second orchestrator.
+// campaign lock — a util/pidlock PidLease with the campaign's wording —
+// that rejects a second orchestrator.
 #include "campaign/journal.hpp"
 
 #include <fstream>
@@ -11,7 +12,9 @@
 
 #include <unistd.h>
 
+#include "campaign/orchestrator.hpp"
 #include "util/log.hpp"
+#include "util/pidlock.hpp"
 
 namespace dc::campaign {
 namespace {
@@ -131,11 +134,11 @@ TEST(Journal, MissingFileIsNotFound) {
 TEST(CampaignLockTest, SecondAcquireRefusedWhileHolderLives) {
   const std::string path = temp_path("campaign_lock_live");
   ::unlink(path.c_str());
-  auto lock = CampaignLock::acquire(path);
+  auto lock = PidLease::acquire(path, campaign_lease_wording());
   ASSERT_TRUE(lock.is_ok()) << lock.status().to_string();
 
   // Our own pid is alive by definition: the second acquire must refuse.
-  auto second = CampaignLock::acquire(path);
+  auto second = PidLease::acquire(path, campaign_lease_wording());
   ASSERT_FALSE(second.is_ok());
   EXPECT_NE(second.status().message().find("already being orchestrated"),
             std::string::npos);
@@ -145,10 +148,10 @@ TEST(CampaignLockTest, ReleaseAllowsReacquire) {
   const std::string path = temp_path("campaign_lock_release");
   ::unlink(path.c_str());
   {
-    auto lock = CampaignLock::acquire(path);
+    auto lock = PidLease::acquire(path, campaign_lease_wording());
     ASSERT_TRUE(lock.is_ok());
   }
-  auto again = CampaignLock::acquire(path);
+  auto again = PidLease::acquire(path, campaign_lease_wording());
   EXPECT_TRUE(again.is_ok());
 }
 
@@ -159,7 +162,7 @@ TEST(CampaignLockTest, StaleLeaseOfDeadPidIsBroken) {
   dump(path, "2147400000\n");
 
   ScopedLogLevel quiet(LogLevel::kOff);
-  auto lock = CampaignLock::acquire(path);
+  auto lock = PidLease::acquire(path, campaign_lease_wording());
   EXPECT_TRUE(lock.is_ok()) << lock.status().to_string();
 }
 
@@ -169,7 +172,7 @@ TEST(CampaignLockTest, CorruptLeaseIsTreatedAsStaleNotFatal) {
   dump(path, "\x00\xff not a pid at all \x7f");
 
   ScopedLogLevel quiet(LogLevel::kOff);
-  auto lock = CampaignLock::acquire(path);
+  auto lock = PidLease::acquire(path, campaign_lease_wording());
   EXPECT_TRUE(lock.is_ok()) << lock.status().to_string();
 }
 
@@ -187,7 +190,7 @@ TEST(CampaignLockTest, RecycledPidWithWrongStartTickIsStale) {
   dump(path, stamp.str());
 
   ScopedLogLevel quiet(LogLevel::kOff);
-  auto lock = CampaignLock::acquire(path);
+  auto lock = PidLease::acquire(path, campaign_lease_wording());
   EXPECT_TRUE(lock.is_ok()) << lock.status().to_string();
 }
 
@@ -199,7 +202,7 @@ TEST(CampaignLockTest, LivePidWithMatchingStartTickIsRefused) {
   stamp << "pid " << pid << "\nstart " << process_start_ticks(pid) << "\n";
   dump(path, stamp.str());
 
-  auto lock = CampaignLock::acquire(path);
+  auto lock = PidLease::acquire(path, campaign_lease_wording());
   ASSERT_FALSE(lock.is_ok());
   EXPECT_NE(lock.status().message().find("already being orchestrated"),
             std::string::npos);

@@ -1,7 +1,9 @@
-// Orchestrator regression: journal folding, status formatting, drill-mode
-// parsing, campaign-directory paths, and the up-front refusals (invalid
-// grid, missing journal). The full fork/SIGKILL/resume behaviour is
-// exercised end-to-end by tools/sweep_drill.cpp (ctest: sweep_drill_all).
+// Orchestrator regression: journal folding, status formatting,
+// campaign-directory paths, and the up-front refusals (invalid grid,
+// missing journal). The full fork/SIGKILL/resume behaviour is exercised
+// end-to-end by the campaign scenarios of tools/drill.cpp (ctests
+// drill_kill_orchestrator, drill_kill_worker, drill_hang_worker,
+// drill_poison_cell and drill_double_orchestrate).
 #include "campaign/orchestrator.hpp"
 
 #include <filesystem>
@@ -29,19 +31,6 @@ void append_all(const std::string& campaign_dir,
   for (const JournalEntry& entry : entries) {
     ASSERT_TRUE(appender->append(entry).is_ok());
   }
-}
-
-TEST(DrillModeParse, KnownAndUnknown) {
-  EXPECT_TRUE(parse_drill_mode("").is_ok());
-  EXPECT_EQ(*parse_drill_mode("none"), DrillMode::kNone);
-  EXPECT_EQ(*parse_drill_mode("kill-orchestrator"),
-            DrillMode::kKillOrchestrator);
-  EXPECT_EQ(*parse_drill_mode("kill-worker"), DrillMode::kKillWorker);
-  EXPECT_EQ(*parse_drill_mode("hang-worker"), DrillMode::kHangWorker);
-  EXPECT_EQ(*parse_drill_mode("poison-cell"), DrillMode::kPoisonCell);
-  auto bad = parse_drill_mode("chaos-monkey");
-  ASSERT_FALSE(bad.is_ok());
-  EXPECT_NE(bad.status().message().find("chaos-monkey"), std::string::npos);
 }
 
 TEST(CampaignPaths, LiveUnderTheCampaignDir) {

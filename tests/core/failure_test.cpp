@@ -1,4 +1,4 @@
-#include "core/failure_injector.hpp"
+#include "core/fault/fault_domain.hpp"
 
 #include <gtest/gtest.h>
 
@@ -223,11 +223,11 @@ TEST_F(FailureTest, InjectorDrivesWeightedFailures) {
     server.start();
     for (int i = 0; i < 50; ++i) server.submit(20 * kHour, 1);
   });
-  FailureInjector::Config config;
+  fault::FaultDomain::Config config;
   config.mean_time_between_failures = 2 * kHour;
   config.min_failed_nodes = 2;
   config.max_failed_nodes = 5;
-  FailureInjector injector(sim_, config);
+  fault::FaultDomain injector(sim_, config);
   injector.watch(&server);
   sim_.schedule_at(1, [&] { injector.start(24 * kHour); });
   sim_.run_until(48 * kHour);

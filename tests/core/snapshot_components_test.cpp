@@ -22,6 +22,7 @@
 #include "core/system_runner.hpp"
 #include "core/systems.hpp"
 #include "core/wss_server.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/format.hpp"
 #include "util/rng.hpp"
@@ -685,6 +686,49 @@ TEST(SnapshotComponents, WssRestoreRefusesAGrantCountTheStreamCannotHold) {
       reencode(finished, "", "grant_count", kHugeCount));
   ASSERT_TRUE(reader.is_ok());
   expect_count_refused(fresh.restore(*reader), "", "grant_count");
+}
+
+// --- TraceSink restore: the ring is sized by the stream ----------------------
+
+std::string saved_trace(std::size_t capacity, int events) {
+  obs::TraceSink sink(capacity);
+  for (int i = 0; i < events; ++i) {
+    sink.instant(i * kMinute, obs::TraceCategory::kKernel, "tick", "sim", i);
+  }
+  SnapshotWriter writer;
+  sink.save(writer);
+  return writer.finish();
+}
+
+Status restore_trace(const std::string& finished) {
+  auto reader = SnapshotReader::from_buffer(finished);
+  if (!reader.is_ok()) return reader.status();
+  obs::TraceSink sink;
+  return sink.restore(*reader);
+}
+
+TEST(SnapshotComponents, TraceRestoreRefusesAnEventCountTheStreamCannotHold) {
+  // An empty ring packs an empty blob, and 44 * 2^62 wraps to 0 bytes.
+  const std::string finished = saved_trace(64, 0);
+  ASSERT_TRUE(restore_trace(finished).is_ok());
+  expect_count_refused(
+      restore_trace(reencode(finished, "trace", "events", kHugeCount)),
+      "trace", "events");
+}
+
+TEST(SnapshotComponents, TraceRestoreRefusesARingCapacityOutOfRange) {
+  const std::string finished = saved_trace(64, 4);
+  ASSERT_TRUE(restore_trace(finished).is_ok());
+  // Too large to allocate, one past the named maximum, and smaller than
+  // the 4 events the ring must hold.
+  for (const std::int64_t bad :
+       {kHugeCount, static_cast<std::int64_t>(obs::kMaxTraceCapacity) + 1,
+        std::int64_t{3}}) {
+    SCOPED_TRACE(bad);
+    expect_refused(
+        restore_trace(reencode(finished, "trace", "capacity", bad)),
+        "trace ring capacity", std::to_string(bad));
+  }
 }
 
 }  // namespace

@@ -72,6 +72,12 @@ TEST(Join, Basic) {
   EXPECT_EQ(join({"solo"}, ","), "solo");
 }
 
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlBytes) {
+  std::string out = "x";
+  append_json_escaped(out, "a\"b\\c\nd\re\tf\x01g");
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\nd\\re\\tf\\u0001g");
+}
+
 TEST(StrFormat, FormatsLikePrintf) {
   EXPECT_EQ(str_format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(str_format("%.2f", 3.14159), "3.14");

@@ -748,11 +748,11 @@ void rule_r13(Ctx& ctx) {
 // metric/trace exports — must flow
 // through util/fsio's atomic_write_file or the util/faultfs primitives
 // (xopen/xwrite/...): that is what makes the artifacts crash-atomic and
-// what puts them inside the fault-injection surface io_drill exercises. A
-// raw ofstream, fopen("w"), or ::open(O_WRONLY|...) in those subsystems
-// silently escapes both guarantees. Read-side I/O (ifstream, fopen("r"),
-// open(O_RDONLY)) is untouched. A write that must stay raw — e.g. an
-// out-of-band debug channel — carries `// dc-rawio: <reason>`.
+// what puts them inside the fault-injection surface tools/drill
+// exercises. A raw ofstream, fopen("w"), or ::open(O_WRONLY|...) in those
+// subsystems silently escapes both guarantees. Read-side I/O (ifstream,
+// fopen("r"), open(O_RDONLY)) is untouched. A write that must stay raw —
+// e.g. an out-of-band debug channel — carries `// dc-rawio: <reason>`.
 
 bool is_durable_artifact_path(std::string_view path) {
   return path.find("src/snapshot") != std::string_view::npos ||
