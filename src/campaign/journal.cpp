@@ -22,14 +22,6 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
-std::uint32_t decode_u32le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
 StatusOr<CellState> parse_cell_state(std::string_view name) {
   if (name == "claimed") return CellState::kClaimed;
   if (name == "running") return CellState::kRunning;
@@ -60,11 +52,9 @@ std::string encode_entry(const JournalEntry& entry) {
   writer.end_section();
   const std::string payload = writer.finish();
   std::string frame;
-  frame.reserve(payload.size() + 4);
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(
-        static_cast<char>((payload.size() >> (8 * i)) & 0xff));
-  }
+  frame.reserve(sizeof(std::uint32_t) + payload.size());
+  frame.resize(sizeof(std::uint32_t));
+  snapshot::store_le(frame.data(), static_cast<std::uint32_t>(payload.size()));
   frame += payload;
   return frame;
 }
@@ -222,7 +212,7 @@ StatusOr<JournalContents> parse_journal(const std::string& data,
       contents.truncated_tail = true;
       break;
     }
-    const std::uint32_t length = decode_u32le(data.data() + pos);
+    const auto length = snapshot::load_le<std::uint32_t>(data.data() + pos);
     if (length > data.size() || pos + 4 + length > data.size()) {
       contents.truncated_tail = true;
       break;

@@ -21,7 +21,7 @@
 //    not a crash artifact — load refuses with the entry index and byte
 //    offset rather than resuming from silently wrong state.
 //
-// Appends are fdatasync'd before append() returns, so an acknowledged
+// Appends are fsync'd before append() returns, so an acknowledged
 // transition survives the orchestrator being SIGKILLed immediately after.
 #pragma once
 

@@ -13,7 +13,7 @@
 //    events scheduled — inside a simulator between begin_restore() and
 //    finish_restore();
 //  * save/restore field lists must match one-to-one; drift is caught three
-//    ways: field-name checks in SnapshotReader, the dc-r6 lint rule, and
+//    ways: field-name checks in SnapshotReader, the dc-r9 lint rule, and
 //    the divergence auditor.
 #pragma once
 

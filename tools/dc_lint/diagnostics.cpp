@@ -1,7 +1,6 @@
 #include "diagnostics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace dc_lint {
 
@@ -22,15 +21,12 @@ const std::vector<RuleInfo>& rule_table() {
       {"dc-r5", "warning",
        "header hygiene: include guard or #pragma once, and no "
        "'using namespace std' in headers"},
-      {"dc-r6", "error",
-       "superseded by dc-r9 (kept as a waiver alias): snapshot save/restore "
-       "field-count drift"},
       {"dc-r7", "error",
        "no direct stdio output in src/core or src/sim; narrate through "
        "dc::Log or DC_TRACE_* macros"},
       {"dc-r8", "error",
        "no float/double math or unordered containers in scheduler-queue "
-       "sources; bucket indexing stays integer-only"},
+       "sources; ordering math stays integer-only"},
       {"dc-r9", "error",
        "snapshot semantic completeness: save/restore field-name sets must "
        "match, and every data member is persisted, delegated, or marked "
@@ -51,8 +47,8 @@ const std::vector<RuleInfo>& rule_table() {
        "sleeps in src/campaign except supervision plumbing annotated "
        "// dc-wallclock: <reason>"},
       {"dc-r14", "error",
-       "durable-artifact paths (src/snapshot, src/campaign, src/obs) must "
-       "write through util/fsio or util/faultfs, never raw "
+       "durable-artifact paths (src/snapshot, src/campaign, src/rundb, "
+       "src/obs) must write through util/fsio or util/faultfs, never raw "
        "ofstream/fopen/open; deliberate raw channels carry "
        "// dc-rawio: <reason>"},
       {"dc-waiver", "error",
@@ -69,17 +65,11 @@ const RuleInfo* find_rule(std::string_view rule) {
   return nullptr;
 }
 
-bool waiver_matches(std::string_view waiver_rule, std::string_view diag_rule) {
-  if (waiver_rule == diag_rule) return true;
-  // dc-r9 superseded dc-r6; waivers written against dc-r6 keep working.
-  return waiver_rule == "dc-r6" && diag_rule == "dc-r9";
-}
-
 bool consume_waiver(std::vector<WaiverSite>& sites, int line,
                     std::string_view rule) {
   bool hit = false;
   for (WaiverSite& site : sites) {
-    if (site.target_line == line && waiver_matches(site.rule, rule)) {
+    if (site.target_line == line && site.rule == rule) {
       site.used = true;
       hit = true;  // keep scanning: duplicate sites all count as used
     }
@@ -110,65 +100,6 @@ std::string to_human(const std::vector<Diagnostic>& diagnostics) {
     out += d.message;
     out += '\n';
   }
-  return out;
-}
-
-void json_escape_into(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string to_json(const std::vector<Diagnostic>& diagnostics, int files_scanned,
-                    int waived, int baselined) {
-  int errors = 0;
-  int warnings = 0;
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == "error") ++errors;
-    else ++warnings;
-  }
-  std::string out = "{\"tool\":\"dc-lint\",\"version\":2,\"files_scanned\":";
-  out += std::to_string(files_scanned);
-  out += ",\"diagnostics\":[";
-  bool first = true;
-  for (const Diagnostic& d : diagnostics) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"file\":\"";
-    json_escape_into(out, d.file);
-    out += "\",\"line\":";
-    out += std::to_string(d.line);
-    out += ",\"rule\":\"";
-    json_escape_into(out, d.rule);
-    out += "\",\"severity\":\"";
-    json_escape_into(out, d.severity);
-    out += "\",\"message\":\"";
-    json_escape_into(out, d.message);
-    out += "\"}";
-  }
-  out += "],\"summary\":{\"errors\":";
-  out += std::to_string(errors);
-  out += ",\"warnings\":";
-  out += std::to_string(warnings);
-  out += ",\"waived\":";
-  out += std::to_string(waived);
-  out += ",\"baselined\":";
-  out += std::to_string(baselined);
-  out += "}}";
   return out;
 }
 

@@ -1,13 +1,11 @@
 // Shared diagnostic surface of dc-lint v2: the Diagnostic record every
 // pass emits, the rule-metadata table (ids, default severities, summaries
 // — the single source for SARIF rule descriptors and the docs table), the
-// inline-waiver model, and the plain-text/JSON renderers.
+// inline-waiver model, and the plain-text renderer.
 //
-// Rule ids and aliases: every diagnostic carries one canonical rule id
-// ("dc-r1" .. "dc-r12", or "dc-waiver" for the stale-suppression audit).
-// A waiver written for an alias keeps working after a rule is superseded:
-// a dc-r6 waiver also waives dc-r9, which replaced the r6 field-count
-// heuristic with name-level matching.
+// Every diagnostic carries one canonical rule id ("dc-r1" .. "dc-r14",
+// or "dc-waiver" for the stale-suppression audit), and a waiver names
+// the id it suppresses.
 #pragma once
 
 #include <string>
@@ -19,13 +17,13 @@ namespace dc_lint {
 struct Diagnostic {
   std::string file;
   int line = 0;
-  std::string rule;      // canonical id: "dc-r1" .. "dc-r12", "dc-waiver"
+  std::string rule;      // canonical id: "dc-r1" .. "dc-r14", "dc-waiver"
   std::string severity;  // "error" | "warning"
   std::string message;
 };
 
 /// Static metadata for one rule, consumed by the SARIF emitter, the
-/// baseline's severity overrides, and --help.
+/// lexer's waiver harvest, and --help.
 struct RuleInfo {
   const char* id;
   const char* default_severity;
@@ -39,10 +37,6 @@ const std::vector<RuleInfo>& rule_table();
 /// The table row for `rule`, or nullptr for unknown ids.
 const RuleInfo* find_rule(std::string_view rule);
 
-/// True when a waiver written as `waiver_rule` suppresses a diagnostic of
-/// `diag_rule` — identity, plus historical aliases (dc-r6 waives dc-r9).
-bool waiver_matches(std::string_view waiver_rule, std::string_view diag_rule);
-
 /// One harvested suppression site. Sites created by the same comment share
 /// a `group`; the unused-waiver audit only fires for groups where no site
 /// was ever consumed (the dc-r4 `ordered-reduction` annotation registers
@@ -55,9 +49,8 @@ struct WaiverSite {
   bool used = false;   // consumed by at least one diagnostic
 };
 
-/// True when some site covers (`line`, `rule`) — alias-aware via
-/// waiver_matches(). A hit marks every matching site used (for the
-/// stale-suppression audit).
+/// True when some site covers (`line`, `rule`). A hit marks every
+/// matching site used (for the stale-suppression audit).
 bool consume_waiver(std::vector<WaiverSite>& sites, int line,
                     std::string_view rule);
 
@@ -66,15 +59,5 @@ void sort_diagnostics(std::vector<Diagnostic>& diagnostics);
 
 /// Renders diagnostics in `file:line: severity[rule]: message` form.
 std::string to_human(const std::vector<Diagnostic>& diagnostics);
-
-/// Renders the machine-readable report:
-/// {"tool":"dc-lint","version":2,"files_scanned":N,
-///  "diagnostics":[{"file","line","rule","severity","message"},...],
-///  "summary":{"errors":N,"warnings":N,"waived":N,"baselined":N}}
-std::string to_json(const std::vector<Diagnostic>& diagnostics, int files_scanned,
-                    int waived, int baselined);
-
-/// Escapes `text` into `out` as a JSON string body (no quotes added).
-void json_escape_into(std::string& out, std::string_view text);
 
 }  // namespace dc_lint

@@ -1,17 +1,12 @@
 #include "driver.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
-#include "baseline.hpp"
-#include "cache.hpp"
 #include "fixes.hpp"
 #include "project_model.hpp"
 #include "rules.hpp"
@@ -89,7 +84,6 @@ void audit_waivers(const std::string& file, const std::vector<WaiverSite>& sites
 }  // namespace
 
 DriverResult run_driver(const DriverOptions& options) {
-  const auto started = std::chrono::steady_clock::now();
   DriverResult result;
 
   std::vector<std::string> files;
@@ -98,65 +92,18 @@ DriverResult run_driver(const DriverOptions& options) {
   }
   result.files_scanned = static_cast<int>(files.size());
 
-  AnalysisCache cache;
-  const bool use_cache = !options.cache_path.empty();
-  if (use_cache) cache.load(options.cache_path);
-
-  // Pass 1, in parallel: each worker pulls the next unclaimed file. The
-  // workers share no mutable state beyond the atomic counter and their
-  // own slots, so no locking is needed.
-  std::vector<FileAnalysis> analyses(files.size());
-  std::vector<std::uint64_t> hashes(files.size(), 0);
-  std::vector<char> read_failed(files.size(), 0);
-  std::vector<char> cache_hit(files.size(), 0);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= files.size()) break;
-      std::string source;
-      if (!read_file(files[i], source)) {
-        read_failed[i] = 1;
-        continue;
-      }
-      hashes[i] = fnv1a_hash(source);
-      if (use_cache && cache.lookup(files[i], hashes[i], analyses[i])) {
-        cache_hit[i] = 1;
-        continue;
-      }
-      analyses[i] = analyze_file(files[i], source);
+  // Pass 1, file by file in sorted order.
+  std::vector<FileAnalysis> analyses;
+  analyses.reserve(files.size());
+  for (const std::string& file : files) {
+    std::string source;
+    if (!read_file(file, source)) {
+      result.errors.push_back("cannot read " + file);
+      continue;
     }
-  };
-  int jobs = options.jobs > 0
-                 ? options.jobs
-                 : static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  jobs = std::min<int>(jobs, std::max<int>(1, static_cast<int>(files.size())));
-  {
-    std::vector<std::thread> pool;
-    for (int t = 1; t < jobs; ++t) pool.emplace_back(worker);
-    worker();
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (read_failed[i]) result.errors.push_back("cannot read " + files[i]);
+    analyses.push_back(analyze_file(file, source));
   }
   if (!result.errors.empty()) return result;
-
-  // Persist the cache now, before the project phase mutates waiver state:
-  // cached entries must hold pass-1 results only.
-  if (use_cache) {
-    AnalysisCache refreshed;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      refreshed.store(files[i], hashes[i], analyses[i]);
-      if (cache_hit[i]) ++result.cache_hits;
-      else ++result.cache_misses;
-    }
-    if (!refreshed.save(options.cache_path)) {
-      result.notes.push_back("could not write cache: " + options.cache_path);
-    }
-  }
 
   // Pass 2: the cross-TU join.
   std::vector<Diagnostic> all;
@@ -192,46 +139,10 @@ DriverResult run_driver(const DriverOptions& options) {
     audit_waivers(files[i], analyses[i].waivers, all);
   }
 
-  // Baseline.
-  Baseline baseline;
-  if (!options.baseline_path.empty()) {
-    std::vector<std::string> parse_errors;
-    baseline = load_baseline(options.baseline_path, parse_errors);
-    for (std::string& err : parse_errors) result.errors.push_back(std::move(err));
-    if (!result.errors.empty()) return result;
-  }
-  apply_severity_overrides(baseline, all);
-
-  if (options.write_baseline) {
-    sort_diagnostics(all);
-    std::ofstream out(options.baseline_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      result.errors.push_back("cannot write baseline: " + options.baseline_path);
-      return result;
-    }
-    const std::string text = render_baseline(baseline, all);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    result.notes.push_back("baseline written: " + options.baseline_path + " (" +
-                           std::to_string(all.size()) + " entries)");
-  }
-
-  std::vector<Diagnostic> kept;
-  kept.reserve(all.size());
-  for (Diagnostic& d : all) {
-    if (baseline.loaded && baseline_match(baseline, d)) {
-      ++result.baselined;
-      continue;
-    }
-    kept.push_back(std::move(d));
-  }
-  for (const std::string& entry : stale_baseline_entries(baseline)) {
-    result.notes.push_back("stale baseline entry (fixed? delete it): " + entry);
-  }
-
   // Mechanical fixes.
   if (options.fix) {
     std::map<std::string, std::vector<Diagnostic>> by_file;
-    for (const Diagnostic& d : kept) {
+    for (const Diagnostic& d : all) {
       if (d.rule == "dc-waiver" ||
           (d.rule == "dc-r5" &&
            d.message.find("missing '#pragma once'") != std::string::npos)) {
@@ -257,20 +168,17 @@ DriverResult run_driver(const DriverOptions& options) {
     }
     if (!fixed_keys.empty()) {
       std::vector<Diagnostic> remaining;
-      remaining.reserve(kept.size());
-      for (Diagnostic& d : kept) {
+      remaining.reserve(all.size());
+      for (Diagnostic& d : all) {
         if (fixed_keys.count({d.file, {d.rule, d.line}}) != 0) continue;
         remaining.push_back(std::move(d));
       }
-      kept.swap(remaining);
+      all.swap(remaining);
     }
   }
 
-  sort_diagnostics(kept);
-  result.diagnostics = std::move(kept);
-  result.elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now() - started)
-                          .count();
+  sort_diagnostics(all);
+  result.diagnostics = std::move(all);
   return result;
 }
 

@@ -1,15 +1,12 @@
 // The dc-lint driver: everything between the CLI and the rules.
 //
 //   1. collect   — walk the root paths for C++ sources, sorted.
-//   2. analyze   — pass 1 per file, in parallel, through the content-
-//                  hash cache when one is configured.
+//   2. analyze   — pass 1, one file at a time in that order.
 //   3. join      — build the ProjectModel and run dc-r9/r10/r12.
 //   4. waivers   — consume inline waivers against project diagnostics,
 //                  then audit for suppression comments that matched
 //                  nothing anywhere (dc-waiver).
-//   5. baseline  — apply severity overrides, drop accepted findings,
-//                  report stale entries; optionally regenerate.
-//   6. fix       — optionally apply the mechanical fixes in place.
+//   5. fix       — optionally apply the mechanical fixes in place.
 #pragma once
 
 #include <string>
@@ -21,24 +18,16 @@ namespace dc_lint {
 
 struct DriverOptions {
   std::vector<std::string> roots;  // files or directories
-  std::string baseline_path;       // "" = no baseline
-  bool write_baseline = false;
-  std::string cache_path;          // "" = no incremental cache
-  int jobs = 0;                    // <= 0: one per hardware thread
   bool fix = false;
 };
 
 struct DriverResult {
   std::vector<Diagnostic> diagnostics;  // final, sorted by (file,line,rule)
-  std::vector<std::string> notes;       // informational (stale baseline, ...)
-  std::vector<std::string> errors;      // I/O or config problems → exit 2
+  std::vector<std::string> notes;       // informational (a failed --fix write)
+  std::vector<std::string> errors;      // I/O problems → exit 2
   int files_scanned = 0;
   int waived = 0;
-  int baselined = 0;
-  int cache_hits = 0;
-  int cache_misses = 0;
   int fixes_applied = 0;
-  long long elapsed_ms = 0;
 };
 
 DriverResult run_driver(const DriverOptions& options);

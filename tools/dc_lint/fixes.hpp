@@ -6,7 +6,7 @@
 //                            no longer suppresses anything (the whole
 //                            line when nothing else is on it).
 //
-// Everything else (r1-r4, r7-r12) needs a human decision about *what the
+// Everything else (r1-r4, r7-r14) needs a human decision about *what the
 // code should do instead*, so --fix leaves those diagnostics alone.
 #pragma once
 

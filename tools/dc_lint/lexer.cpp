@@ -255,7 +255,6 @@ FileLex lex(std::string_view src) {
     }
   }
 
-  out.line_count = line;
   return out;
 }
 

@@ -69,7 +69,6 @@ struct FileLex {
   std::set<int> volatile_lines;
   std::set<int> wallclock_lines;
   std::set<int> rawio_lines;
-  int line_count = 0;
 };
 
 FileLex lex(std::string_view source);

@@ -1,31 +1,20 @@
 // dc-lint: the project's determinism & invariant static-analysis pass.
 //
-//   dc_lint [options] <path>...     paths are files or directories
+//   dc_lint [--sarif] [--fix] <path>...     paths are files or directories
 //
-//   --json                 machine-readable report (version 2)
-//   --sarif                SARIF 2.1.0 log (GitHub code scanning)
-//   --baseline FILE        suppress findings accepted in FILE; report
-//                          stale entries
-//   --write-baseline FILE  regenerate FILE from the current findings
-//                          (keeps its severity directives)
-//   --cache FILE           incremental cache: unchanged files reuse the
-//                          previous run's per-file analysis
-//   --jobs N               analysis threads (default: hardware)
-//   --fix                  apply mechanical fixes in place (missing
-//                          #pragma once, stale suppression comments)
-//   --stats                print timing and cache hit/miss to stderr
+//   --sarif   SARIF 2.1.0 log (GitHub code scanning)
+//   --fix     apply mechanical fixes in place (missing #pragma once,
+//             stale suppression comments)
 //
 // Directories are walked recursively for C++ sources (.cpp/.cc/.cxx) and
-// headers (.h/.hpp/.hxx/.hh). Exit status: 0 when no un-waived,
-// un-baselined diagnostics were produced, 1 when there were diagnostics,
-// 2 on usage or I/O errors.
+// headers (.h/.hpp/.hxx/.hh). Exit status: 0 when no un-waived
+// diagnostics were produced, 1 when there were diagnostics, 2 on usage or
+// I/O errors.
 //
 // The CMake `lint` target (and the `dc_lint_tree` ctest) runs
-// `dc_lint --baseline dc_lint_baseline.txt src tools bench` from the
-// source root; CI fails on any new diagnostic. Rules and waiver syntax:
-// docs/STATIC_ANALYSIS.md.
+// `dc_lint src tools bench` from the source root; CI fails on any
+// diagnostic. Rules and waiver syntax: docs/STATIC_ANALYSIS.md.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -38,53 +27,19 @@ namespace {
 
 constexpr const char* kVersion = "2.0.0";
 
-constexpr const char* kUsage =
-    "usage: dc_lint [--json|--sarif] [--baseline FILE] [--write-baseline FILE]\n"
-    "               [--cache FILE] [--jobs N] [--fix] [--stats] <path>...\n";
-
-bool want_value(int argc, char** argv, int& i, const char* flag,
-                std::string& out) {
-  if (std::strcmp(argv[i], flag) != 0) return false;
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "dc-lint: %s needs a value\n%s", flag, kUsage);
-    out.clear();
-    return true;
-  }
-  out = argv[++i];
-  return true;
-}
+constexpr const char* kUsage = "usage: dc_lint [--sarif] [--fix] <path>...\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Output { kHuman, kJson, kSarif };
-  Output output = Output::kHuman;
-  bool stats = false;
+  bool sarif = false;
   dc_lint::DriverOptions options;
-  std::string value;
 
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      output = Output::kJson;
-    } else if (std::strcmp(argv[i], "--sarif") == 0) {
-      output = Output::kSarif;
+    if (std::strcmp(argv[i], "--sarif") == 0) {
+      sarif = true;
     } else if (std::strcmp(argv[i], "--fix") == 0) {
       options.fix = true;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
-    } else if (want_value(argc, argv, i, "--baseline", value)) {
-      if (value.empty()) return 2;
-      options.baseline_path = value;
-    } else if (want_value(argc, argv, i, "--write-baseline", value)) {
-      if (value.empty()) return 2;
-      options.baseline_path = value;
-      options.write_baseline = true;
-    } else if (want_value(argc, argv, i, "--cache", value)) {
-      if (value.empty()) return 2;
-      options.cache_path = value;
-    } else if (want_value(argc, argv, i, "--jobs", value)) {
-      if (value.empty()) return 2;
-      options.jobs = std::atoi(value.c_str());
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       std::printf("%s\nrules:\n", kUsage);
@@ -113,30 +68,16 @@ int main(int argc, char** argv) {
   for (const std::string& note : result.notes) {
     std::fprintf(stderr, "dc-lint: %s\n", note.c_str());
   }
-  if (stats) {
-    std::fprintf(stderr,
-                 "dc-lint: %d file(s) in %lld ms, cache %d hit / %d miss, "
-                 "%d fix(es)\n",
-                 result.files_scanned, result.elapsed_ms, result.cache_hits,
-                 result.cache_misses, result.fixes_applied);
-  }
 
-  if (output == Output::kJson) {
-    const std::string report =
-        dc_lint::to_json(result.diagnostics, result.files_scanned,
-                         result.waived, result.baselined);
-    std::fwrite(report.data(), 1, report.size(), stdout);
-    std::fputc('\n', stdout);
-  } else if (output == Output::kSarif) {
+  if (sarif) {
     const std::string report = dc_lint::to_sarif(result.diagnostics, kVersion);
     std::fwrite(report.data(), 1, report.size(), stdout);
     std::fputc('\n', stdout);
   } else {
     const std::string report = dc_lint::to_human(result.diagnostics);
     std::fwrite(report.data(), 1, report.size(), stdout);
-    std::printf("dc-lint: %d file(s), %zu diagnostic(s), %d waived, %d baselined\n",
-                result.files_scanned, result.diagnostics.size(), result.waived,
-                result.baselined);
+    std::printf("dc-lint: %d file(s), %zu diagnostic(s), %d waived\n",
+                result.files_scanned, result.diagnostics.size(), result.waived);
   }
   return result.diagnostics.empty() ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // The cross-TU project model: per-file facts distilled from the token
-// stream (pass 1, cacheable), joined into a whole-project view (pass 2)
-// that the semantic rule families run over.
+// stream (pass 1), joined into a whole-project view (pass 2) that the
+// semantic rule families run over.
 //
 //   * FileFacts — what one translation unit contributes: its resolved-to-
 //     be includes, the classes it declares (with data members and their

@@ -827,7 +827,6 @@ FileAnalysis analyze_file(const std::string& display_path,
   const FileLex lx = lex(source);
   FileAnalysis result;
   result.waivers = lx.waivers;
-  result.line_count = lx.line_count;
   Ctx ctx{display_path, lx, result};
   rule_r1(ctx);
   rule_r2(ctx);

@@ -20,20 +20,19 @@
 //   dc-r7  no direct printf/fprintf/puts output in src/core or src/sim;
 //          those subsystems speak through dc::Log or DC_TRACE_* macros.
 //   dc-r8  no float/double math or unordered containers in
-//          scheduler-queue sources; bucket indexing stays integer-only.
+//          scheduler-queue sources; ordering math stays integer-only.
 //   dc-r11 sweep-race heuristic: inside a parallel_for_index /
 //          parallel_map_index callback, no write through a captured
 //          reference or pointer to state that is not indexed by the
 //          callback's loop variable.
+//   dc-r13 no clocks or sleeps in src/campaign, except supervision
+//          plumbing annotated `// dc-wallclock: <reason>`.
 //   dc-r14 raw writes in durable-artifact paths: src/snapshot,
-//          src/campaign, and src/obs must persist through util/fsio /
-//          util/faultfs (crash-atomicity + fault-injection coverage), not
-//          ofstream, fopen with a write mode, or ::open with write-side
-//          O_* flags. `// dc-rawio: <reason>` waives a reviewed line.
-//
-// dc-r6 (the v1 save/restore field-count heuristic) is gone: dc-r9 now
-// matches field names across translation units. Waivers written against
-// dc-r6 keep working as an alias for dc-r9 (see diagnostics.hpp).
+//          src/campaign, src/rundb, and src/obs must persist through
+//          util/fsio / util/faultfs (crash-atomicity + fault-injection
+//          coverage), not ofstream, fopen with a write mode, or ::open
+//          with write-side O_* flags. `// dc-rawio: <reason>` waives a
+//          reviewed line.
 //
 // The project-model rules (dc-r9, dc-r10, dc-r12) need the whole-tree
 // join and live in project_model.hpp. analyze_file() feeds them by
@@ -56,14 +55,13 @@ namespace dc_lint {
 /// project model joins, the local-rule diagnostics (already filtered by
 /// inline waivers), and the waiver sites with their local `used` flags —
 /// the driver consumes project-rule waivers against the same vector, then
-/// audits for stale groups. This is also the unit of incremental caching:
-/// it depends only on (path, content), never on other files.
+/// audits for stale groups. It depends only on (path, content), never on
+/// other files.
 struct FileAnalysis {
   FileFacts facts;
   std::vector<Diagnostic> diagnostics;
   std::vector<WaiverSite> waivers;
-  int waived = 0;      // local diagnostics suppressed by inline waivers
-  int line_count = 0;
+  int waived = 0;  // local diagnostics suppressed by inline waivers
 };
 
 /// Pass 1: lexes `source`, runs the local rules, and distills FileFacts.

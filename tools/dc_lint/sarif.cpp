@@ -1,13 +1,31 @@
 #include "sarif.hpp"
 
 #include <cstddef>
+#include <cstdio>
 
 namespace dc_lint {
 namespace {
 
+// Appends `text` as a quoted JSON string.
 void append_quoted(std::string& out, std::string_view text) {
   out += '"';
-  json_escape_into(out, text);
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
   out += '"';
 }
 
