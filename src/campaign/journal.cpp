@@ -12,10 +12,9 @@
 #endif
 
 #include "snapshot/format.hpp"
+#include "snapshot/frames.hpp"
 #include "util/faultfs.hpp"
 #include "util/fsio.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace dc::campaign {
 namespace {
@@ -50,12 +49,8 @@ std::string encode_entry(const JournalEntry& entry) {
     writer.field_str("reason", entry.reason);
   }
   writer.end_section();
-  const std::string payload = writer.finish();
   std::string frame;
-  frame.reserve(sizeof(std::uint32_t) + payload.size());
-  frame.resize(sizeof(std::uint32_t));
-  snapshot::store_le(frame.data(), static_cast<std::uint32_t>(payload.size()));
-  frame += payload;
+  snapshot::append_frame(frame, writer.finish());
   return frame;
 }
 
@@ -101,6 +96,11 @@ Status decode_entry(std::string payload, JournalEntry& out) {
   return reader->end_section();
 }
 
+constexpr snapshot::FrameWording kWording{
+    "campaign journal", "entry",
+    "refusing to resume from damaged campaign state; inspect or delete the "
+    "campaign directory and re-run",
+    " (crash mid-append); resuming from the last complete entry"};
 
 }  // namespace
 
@@ -204,41 +204,15 @@ Status JournalAppender::append(const JournalEntry& entry) {
 StatusOr<JournalContents> parse_journal(const std::string& data,
                                         const std::string& label) {
   JournalContents contents;
-  std::size_t pos = 0;
-  std::size_t index = 0;
-  while (pos < data.size()) {
-    if (pos + 4 > data.size()) {
-      // Not even a full length prefix: torn tail of a crashed append.
-      contents.truncated_tail = true;
-      break;
-    }
-    const auto length = snapshot::load_le<std::uint32_t>(data.data() + pos);
-    if (length > data.size() || pos + 4 + length > data.size()) {
-      contents.truncated_tail = true;
-      break;
-    }
-    JournalEntry entry;
-    if (Status st = decode_entry(data.substr(pos + 4, length), entry);
-        !st.is_ok()) {
-      // A complete frame that fails verification is corruption, not a
-      // crash artifact — refuse to resume from it.
-      return Status::failed_precondition(str_format(
-          "campaign journal '%s' is corrupt at entry %zu (byte offset %zu): "
-          "%s — refusing to resume from damaged campaign state; inspect or "
-          "delete the campaign directory and re-run",
-          label.c_str(), index, pos, st.message().c_str()));
-    }
-    contents.entries.push_back(std::move(entry));
-    pos += 4 + length;
-    ++index;
-  }
-  if (contents.truncated_tail) {
-    Log::raw(LogLevel::kWarn,
-             "campaign journal '%s': dropping torn trailing record at byte "
-             "offset %zu (crash mid-append); resuming from the last complete "
-             "entry",
-             label.c_str(), pos);
-  }
+  auto torn = snapshot::walk_frames(
+      data, label, kWording, [&](std::string_view stream) {
+        JournalEntry entry;
+        Status st = decode_entry(std::string(stream), entry);
+        if (st.is_ok()) contents.entries.push_back(std::move(entry));
+        return st;
+      });
+  if (!torn.is_ok()) return torn.status();
+  contents.truncated_tail = *torn;
   return contents;
 }
 

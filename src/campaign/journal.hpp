@@ -10,7 +10,8 @@
 // (snapshot::SnapshotWriter::finish(): magic, version, named records,
 // FNV-1a checksum footer). Reusing the snapshot encoding buys the
 // journal the same auditability guarantees the simulator state gets:
-// framed, named, versioned, and checksummed per entry.
+// framed, named, versioned, and checksummed per entry. The frame codec
+// and its crash policy are snapshot/frames.hpp, shared with the run store.
 //
 // Crash semantics on load:
 //

@@ -83,16 +83,6 @@ Status wait_for_orphan(std::int64_t pid, std::int64_t timeout_ms) {
   return Status::ok();
 }
 
-std::string csv_quote(const std::string& value) {
-  std::string out = "\"";
-  for (char c : value) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out += "\"";
-  return out;
-}
-
 /// Merges the per-cell result.csv files into one long-format table,
 /// prefixing every data row with the cell id and its axis assignment. Row
 /// order is cell-id order, so the merged table is byte-identical however
@@ -124,7 +114,7 @@ StatusOr<std::string> merge_results_csv(
       }
       merged +=
           str_format("%llu,", static_cast<unsigned long long>(outcome.cell)) +
-          csv_quote(outcome.key) + ",";
+          csv_quote(outcome.key, /*always=*/true) + ",";
       merged.append(line);
       merged += "\n";
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 
 #include "obs/metrics.hpp"
@@ -657,14 +658,19 @@ std::string snapshot_path(const std::string& dir, SystemModel model,
                     system_model_name(model), static_cast<long long>(t));
 }
 
-StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
-                                            SystemModel model) {
+StatusOr<std::vector<SnapshotBoundary>> list_snapshot_boundaries(
+    const std::string& dir, SystemModel model) {
   namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::directory_iterator it(dir, ec);
+  if (ec) {
+    return Status::not_found("snapshot directory '" + dir +
+                             "': " + ec.message());
+  }
   const std::string prefix = std::string(system_model_name(model)) + "_t";
   const std::string suffix = ".dcsnap";
-  std::vector<std::string> candidates;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  std::vector<SnapshotBoundary> boundaries;
+  for (const auto& entry : it) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
     if (name.size() <= prefix.size() + suffix.size()) continue;
@@ -672,16 +678,26 @@ StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
     if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
       continue;
     }
-    candidates.push_back(entry.path().string());
+    const std::string digits =
+        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
+    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
+    boundaries.push_back(
+        {std::strtoll(digits.c_str(), nullptr, 10), entry.path().string()});
   }
-  if (ec) {
-    return Status::not_found("snapshot directory '" + dir +
-                             "': " + ec.message());
-  }
-  if (candidates.empty()) return std::string();
-  // Zero-padded times make lexical order chronological: newest first.
-  std::sort(candidates.begin(), candidates.end(), std::greater<>());
-  for (const std::string& path : candidates) {
+  std::sort(boundaries.begin(), boundaries.end(),
+            [](const SnapshotBoundary& a, const SnapshotBoundary& b) {
+              return a.time != b.time ? a.time < b.time : a.path < b.path;
+            });
+  return boundaries;
+}
+
+StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
+                                            SystemModel model) {
+  auto candidates = list_snapshot_boundaries(dir, model);
+  if (!candidates.is_ok()) return candidates.status();
+  if (candidates->empty()) return std::string();
+  for (auto it = candidates->rbegin(); it != candidates->rend(); ++it) {
+    const std::string& path = it->path;
     auto reader = snapshot::SnapshotReader::from_file(path);
     if (!reader.is_ok()) {
       Log::raw(LogLevel::kWarn, "skipping snapshot %s: %s\n", path.c_str(),
@@ -703,7 +719,7 @@ StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
       "snapshot directory '%s' holds %zu candidate snapshot(s) for %s but "
       "none verifies — refusing to silently restart from scratch; remove "
       "the files to start a fresh run",
-      dir.c_str(), candidates.size(), system_model_name(model)));
+      dir.c_str(), candidates->size(), system_model_name(model)));
 }
 
 StatusOr<SystemResult> run_system_snapshotted(

@@ -165,7 +165,21 @@ class SystemRunner {
 /// inside `dir` (zero-padded so lexical order is chronological order).
 std::string snapshot_path(const std::string& dir, SystemModel model, SimTime t);
 
-/// Newest snapshot in `dir` whose name matches `model` and whose stream
+/// One auto-snapshot of a run directory: the simulated instant its name
+/// encodes and the file that freezes it.
+struct SnapshotBoundary {
+  SimTime time = 0;
+  std::string path;
+};
+
+/// The auto-snapshots of `model` under `dir`, oldest first: the regular
+/// files named as snapshot_path names them, with an all-digit time. Only
+/// names are checked; verification happens on restore. kNotFound when
+/// `dir` cannot be listed.
+StatusOr<std::vector<SnapshotBoundary>> list_snapshot_boundaries(
+    const std::string& dir, SystemModel model);
+
+/// Newest snapshot of list_snapshot_boundaries(dir, model) whose stream
 /// verifies (checksum, magic, version) and declares the same model in its
 /// meta section. Corrupt/mismatched candidates are skipped with a warning.
 /// Returns "" when the directory holds no candidate at all (fresh start);

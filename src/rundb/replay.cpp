@@ -1,9 +1,6 @@
 #include "rundb/replay.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "snapshot/format.hpp"
@@ -11,8 +8,6 @@
 
 namespace dc::rundb {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Digest lists compare equal only section-for-section: a section present
 /// on one side only is a divergence too (a component appearing or
@@ -43,44 +38,6 @@ std::vector<std::string> diverging_section_names(
 }
 
 }  // namespace
-
-StatusOr<std::vector<SnapshotBoundary>> list_snapshot_boundaries(
-    const std::string& dir, core::SystemModel model) {
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::not_found("snapshot directory '" + dir +
-                             "': " + ec.message());
-  }
-  const std::string prefix =
-      std::string(core::system_model_name(model)) + "_t";
-  const std::string suffix = ".dcsnap";
-  std::vector<SnapshotBoundary> boundaries;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.rfind(prefix, 0) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    SnapshotBoundary boundary;
-    boundary.time = std::strtoll(digits.c_str(), nullptr, 10);
-    boundary.path = entry.path().string();
-    boundaries.push_back(std::move(boundary));
-  }
-  std::sort(boundaries.begin(), boundaries.end(),
-            [](const SnapshotBoundary& a, const SnapshotBoundary& b) {
-              return a.time < b.time;
-            });
-  return boundaries;
-}
 
 StatusOr<ReplayWindow> replay_window(core::SystemModel model,
                                      const core::ConsolidationWorkload& workload,
@@ -169,14 +126,15 @@ StatusOr<BisectReport> bisect_divergence(const std::string& golden_dir,
                                          core::SystemModel model,
                                          const std::string& golden_trace,
                                          const std::string& other_trace) {
-  auto golden = list_snapshot_boundaries(golden_dir, model);
+  auto golden = core::list_snapshot_boundaries(golden_dir, model);
   if (!golden.is_ok()) return golden.status();
-  auto other = list_snapshot_boundaries(other_dir, model);
+  auto other = core::list_snapshot_boundaries(other_dir, model);
   if (!other.is_ok()) return other.status();
 
   // The shared boundary grid: instants both runs snapshotted. Different
   // --snapshot-every values still intersect on common multiples.
-  std::vector<std::pair<SnapshotBoundary, SnapshotBoundary>> shared;
+  std::vector<std::pair<core::SnapshotBoundary, core::SnapshotBoundary>>
+      shared;
   std::size_t gi = 0, oi = 0;
   while (gi < golden->size() && oi < other->size()) {
     if ((*golden)[gi].time < (*other)[oi].time) {

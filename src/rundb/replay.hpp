@@ -30,19 +30,6 @@
 
 namespace dc::rundb {
 
-/// One snapshot boundary of a run directory: the simulated instant and
-/// the snapshot file that freezes it.
-struct SnapshotBoundary {
-  SimTime time = 0;
-  std::string path;
-};
-
-/// The auto-snapshot boundaries of `model` under `dir`, sorted by time
-/// (the filename encodes the instant; see core::snapshot_path). Only
-/// name-matching files are listed; verification happens on restore.
-StatusOr<std::vector<SnapshotBoundary>> list_snapshot_boundaries(
-    const std::string& dir, core::SystemModel model);
-
 /// The outcome of one replayed window.
 struct ReplayWindow {
   SimTime start = 0;  // the restored boundary instant

@@ -15,17 +15,6 @@ namespace {
 std::string num_text(double value) { return str_format("%.10g", value); }
 std::string json_num_text(double value) { return str_format("%.17g", value); }
 
-std::string csv_quote(const std::string& value) {
-  if (value.find_first_of(",\"\n") == std::string::npos) return value;
-  std::string quoted = "\"";
-  for (char c : value) {
-    if (c == '"') quoted += "\"\"";
-    else quoted.push_back(c);
-  }
-  quoted += "\"";
-  return quoted;
-}
-
 const double* find_metric(const RunRecord& record, const std::string& name) {
   for (const auto& [metric, value] : record.metrics) {
     if (metric == name) return &value;

@@ -10,8 +10,8 @@
 #endif
 
 #include "snapshot/format.hpp"
+#include "snapshot/frames.hpp"
 #include "util/fsio.hpp"
-#include "util/log.hpp"
 #include "util/pidlock.hpp"
 #include "util/strings.hpp"
 
@@ -61,63 +61,11 @@ std::uint64_t stream_digest(std::string_view stream) {
                          snapshot::load_le<std::uint64_t>(footer.data()));
 }
 
-/// Appends one frame to a store image: u32 LE length prefix + stream.
-void append_frame(std::string& image, std::string_view stream) {
-  const std::size_t at = image.size();
-  image.resize(at + sizeof(std::uint32_t));
-  snapshot::store_le(image.data() + at,
-                     static_cast<std::uint32_t>(stream.size()));
-  image.append(stream);
-}
-
-/// The one frame walker behind parse_store and build_store_image. Decodes
-/// and verifies every complete frame of `data` in order and hands
-/// `visit(stream, record)` the frame's stream (the bytes after its length
-/// prefix) and the record it decodes to. A frame reaching past EOF is a
-/// torn tail: it is reported and the walk stops there. A complete frame
-/// that fails verification refuses with its record index and byte offset.
-/// Returns whether a torn tail was dropped.
-template <typename Visit>
-StatusOr<bool> walk_frames(const std::string& data, const std::string& label,
-                           Visit&& visit) {
-  std::size_t pos = 0;
-  std::size_t index = 0;
-  bool torn = false;
-  while (pos < data.size()) {
-    if (data.size() - pos < sizeof(std::uint32_t)) {
-      torn = true;
-      break;
-    }
-    const auto length = snapshot::load_le<std::uint32_t>(data.data() + pos);
-    if (length > data.size() - pos - sizeof(std::uint32_t)) {
-      torn = true;
-      break;
-    }
-    const std::string_view stream(data.data() + pos + sizeof(std::uint32_t),
-                                  length);
-    auto record = decode_run_record(std::string(stream));
-    if (!record.is_ok()) {
-      // A complete frame that fails verification is corruption, not a
-      // crash artifact — refuse rather than report from damaged data.
-      return Status::failed_precondition(str_format(
-          "run store '%s' is corrupt at record %zu (byte offset %zu): %s — "
-          "refusing to report from damaged run data; delete the store "
-          "directory and re-register",
-          label.c_str(), index, pos, record.status().message().c_str()));
-    }
-    visit(stream, std::move(*record));
-    pos += sizeof(std::uint32_t) + length;
-    ++index;
-  }
-  if (torn) {
-    Log::raw(LogLevel::kWarn,
-             "run store '%s': dropping torn trailing record at byte offset "
-             "%zu; the atomic write path never tears — the store was "
-             "damaged externally",
-             label.c_str(), pos);
-  }
-  return torn;
-}
+constexpr snapshot::FrameWording kWording{
+    "run store", "record",
+    "refusing to report from damaged run data; delete the store directory "
+    "and re-register",
+    "; the atomic write path never tears — the store was damaged externally"};
 
 }  // namespace
 
@@ -207,86 +155,16 @@ StatusOr<RunRecord> decode_run_record(const std::string& payload) {
 StatusOr<StoreContents> parse_store(const std::string& data,
                                     const std::string& label) {
   StoreContents contents;
-  auto torn = walk_frames(data, label, [&](std::string_view, RunRecord record) {
-    contents.records.push_back(std::move(record));
-  });
+  auto torn = snapshot::walk_frames(
+      data, label, kWording, [&](std::string_view stream) {
+        auto record = decode_run_record(std::string(stream));
+        if (!record.is_ok()) return record.status();
+        contents.records.push_back(std::move(*record));
+        return Status::ok();
+      });
   if (!torn.is_ok()) return torn.status();
   contents.truncated_tail = *torn;
   return contents;
-}
-
-std::string encode_store_index(const StoreIndex& index) {
-  snapshot::SnapshotWriter writer;
-  writer.begin_section("index");
-  writer.field_u64("store_bytes", index.store_bytes);
-  writer.field_u64("store_digest", index.store_digest);
-  writer.begin_section("entries");
-  writer.field_u64("count", index.entries.size());
-  for (const StoreIndex::Entry& entry : index.entries) {
-    writer.begin_section("entry");
-    writer.field_u64("run_id", entry.run_id);
-    writer.field_u64("offset", entry.offset);
-    writer.field_u64("length", entry.length);
-    writer.field_str("kind", entry.kind);
-    writer.field_str("label", entry.label);
-    writer.end_section();
-  }
-  writer.end_section();
-  writer.end_section();
-  return writer.finish();
-}
-
-StatusOr<StoreIndex> parse_store_index(const std::string& data,
-                                       const std::string& label) {
-  auto reader = snapshot::SnapshotReader::from_buffer(data);
-  if (!reader.is_ok()) {
-    return Status::failed_precondition(
-        str_format("run-store index '%s': %s", label.c_str(),
-                   reader.status().message().c_str()));
-  }
-  StoreIndex index;
-  if (Status st = reader->begin_section("index"); !st.is_ok()) return st;
-  if (Status st = reader->read_u64("store_bytes", index.store_bytes);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->read_u64("store_digest", index.store_digest);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->begin_section("entries"); !st.is_ok()) return st;
-  std::uint64_t count = 0;
-  if (Status st = reader->read_u64("count", count); !st.is_ok()) return st;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (reader->at_section_end()) {
-      return Status::invalid_argument(
-          str_format("run-store index '%s': entry count %llu exceeds encoded "
-                     "entries",
-                     label.c_str(), static_cast<unsigned long long>(count)));
-    }
-    StoreIndex::Entry entry;
-    if (Status st = reader->begin_section("entry"); !st.is_ok()) return st;
-    if (Status st = reader->read_u64("run_id", entry.run_id); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_u64("offset", entry.offset); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_u64("length", entry.length); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_str("kind", entry.kind); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_str("label", entry.label); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->end_section(); !st.is_ok()) return st;
-    index.entries.push_back(std::move(entry));
-  }
-  if (Status st = reader->end_section(); !st.is_ok()) return st;
-  if (Status st = reader->end_section(); !st.is_ok()) return st;
-  return index;
 }
 
 StatusOr<StoreImage> build_store_image(const std::string& data,
@@ -294,28 +172,30 @@ StatusOr<StoreImage> build_store_image(const std::string& data,
                                        const std::vector<RunRecord>& records) {
   StoreImage image;
   image.store.reserve(data.size());
-  StoreIndex index;
-  const auto put = [&](std::uint64_t id, std::string_view stream,
-                       const RunRecord& record) {
-    index.entries.push_back(
-        {id, image.store.size(), stream.size(), record.kind, record.label});
-    append_frame(image.store, stream);
+  std::vector<std::uint64_t> ids;  // run id of each frame of the image
+  const auto put = [&](std::uint64_t id, std::string_view stream) {
+    ids.push_back(id);
+    snapshot::append_frame(image.store, stream);
   };
 
   // Every stored frame, in order: copied when its bytes are already the
   // canonical encoding of what it decodes to (its verified footer then
   // gives its run id), rewritten in canonical form when they are not.
-  auto torn = walk_frames(data, label, [&](std::string_view stream,
-                                           const RunRecord& record) {
-    snapshot::SnapshotWriter canonical;
-    write_run_record(canonical, record);
-    if (canonical.buffer() == stream.substr(0, stream.size() - kFooterBytes)) {
-      put(stream_digest(stream), stream, record);
-    } else {
-      const std::string rewritten = canonical.finish();
-      put(stream_digest(rewritten), rewritten, record);
-    }
-  });
+  auto torn = snapshot::walk_frames(
+      data, label, kWording, [&](std::string_view stream) {
+        auto record = decode_run_record(std::string(stream));
+        if (!record.is_ok()) return record.status();
+        snapshot::SnapshotWriter canonical;
+        write_run_record(canonical, *record);
+        if (canonical.buffer() ==
+            stream.substr(0, stream.size() - kFooterBytes)) {
+          put(stream_digest(stream), stream);
+        } else {
+          const std::string rewritten = canonical.finish();
+          put(stream_digest(rewritten), rewritten);
+        }
+        return Status::ok();
+      });
   if (!torn.is_ok()) return torn.status();
 
   // Then each genuinely new record. Dedup by content identity makes the
@@ -324,26 +204,15 @@ StatusOr<StoreImage> build_store_image(const std::string& data,
   for (const RunRecord& record : records) {
     const std::string stream = encode_run_record(record);
     const std::uint64_t id = stream_digest(stream);
-    const bool present = std::any_of(
-        index.entries.begin(), index.entries.end(),
-        [id](const StoreIndex::Entry& entry) { return entry.run_id == id; });
-    if (present) continue;
-    put(id, stream, record);
+    if (std::find(ids.begin(), ids.end(), id) != ids.end()) continue;
+    put(id, stream);
     ++image.appended;
   }
-
-  index.store_bytes = image.store.size();
-  index.store_digest = snapshot::fnv1a(image.store);
-  image.index = encode_store_index(index);
   return image;
 }
 
 std::string store_data_path(const std::string& dir) {
   return dir + "/store.dcrun";
-}
-
-std::string store_index_path(const std::string& dir) {
-  return dir + "/store.idx";
 }
 
 std::string store_lock_path(const std::string& dir) { return dir + "/LOCK"; }
@@ -359,27 +228,6 @@ StatusOr<StoreContents> load_store(const std::string& dir) {
   return parse_store(*bytes, store_data_path(dir));
 }
 
-Status verify_store_index(const std::string& dir) {
-  auto index_bytes = read_file(store_index_path(dir));
-  if (!index_bytes.is_ok()) return index_bytes.status();
-  auto index = parse_store_index(*index_bytes, store_index_path(dir));
-  if (!index.is_ok()) return index.status();
-  auto store_bytes = read_file(store_data_path(dir));
-  const std::string data = store_bytes.is_ok() ? *store_bytes : std::string();
-  if (index->store_bytes != data.size() ||
-      index->store_digest != snapshot::fnv1a(data)) {
-    return Status::failed_precondition(str_format(
-        "run-store index '%s' is stale: it pins %llu bytes (digest %016llx) "
-        "but the store holds %zu bytes (digest %016llx) — the index is "
-        "derived; re-register any record to rebuild it",
-        store_index_path(dir).c_str(),
-        static_cast<unsigned long long>(index->store_bytes),
-        static_cast<unsigned long long>(index->store_digest), data.size(),
-        static_cast<unsigned long long>(snapshot::fnv1a(data))));
-  }
-  return Status::ok();
-}
-
 StatusOr<std::uint64_t> append_records(const std::string& dir,
                                        const std::vector<RunRecord>& records) {
   std::error_code ec;
@@ -393,7 +241,7 @@ StatusOr<std::uint64_t> append_records(const std::string& dir,
   wording.busy_prefix = "run store is already being written by";
   wording.busy_suffix =
       "writers serialize through the store lock — retry once it is released";
-  // Registration is quick (read + rewrite + two atomic writes), so a
+  // Registration is quick (read + rebuild + one atomic write), so a
   // briefly-held lease is worth waiting out before reporting contention.
   StatusOr<PidLease> lease = Status::internal("run store: lease not attempted");
   for (int attempt = 0;; ++attempt) {
@@ -417,16 +265,10 @@ StatusOr<std::uint64_t> append_records(const std::string& dir,
   auto image = build_store_image(*data, store_data_path(dir), records);
   if (!image.is_ok()) return image.status();
 
-  // Rewrite unconditionally: even a no-op append repairs a missing or
-  // stale index, and a store whose tail was torn externally is healed to
-  // its valid prefix.
+  // Rewrite unconditionally: a store whose tail was torn externally is
+  // healed to its valid prefix, and a non-canonical frame is rewritten.
   if (Status st = atomic_write_file(store_data_path(dir), image->store,
                                     "rundb.store");
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st = atomic_write_file(store_index_path(dir), image->index,
-                                    "rundb.index");
       !st.is_ok()) {
     return st;
   }

@@ -1,20 +1,16 @@
-// The indexed run database (docs/FORMATS.md "Run store", docs/OBSERVABILITY.md).
+// The run database (docs/FORMATS.md "DCRUN", docs/OBSERVABILITY.md).
 //
 // A run store is a directory holding every registered run outcome of a
 // working tree — single `dc run` invocations and merged sweep-campaign
-// cells — as one queryable corpus for
-// `dc report`. It is built from the same material as the rest of the
-// durable-artifact layer:
+// cells — as one queryable corpus for `dc report`. It is built from the
+// same material as the rest of the durable-artifact layer:
 //
-//  * `store.dcrun` is append-only in content: a sequence of u32 LE
-//    length-prefixed frames, each frame a complete snapshot-format stream
+//  * `store.dcrun` is append-only in content: a framed log
+//    (snapshot/frames.hpp, the campaign journal's codec and crash
+//    policy) whose every frame is a complete snapshot-format stream
 //    (magic, version, named records, FNV-1a checksum footer) encoding one
-//    RunRecord — the campaign journal's frame discipline applied to
-//    results instead of state transitions. Records are only ever added,
-//    but the I/O is a whole-file rewrite (see below);
-//  * `store.idx` is a derived, rebuildable index (run ids, frame
-//    offsets, kind/label) pinned to the exact store bytes it indexes by
-//    size + FNV-1a digest, written atomically through util/fsio;
+//    RunRecord. Records are only ever added, but the I/O is a whole-file
+//    rewrite (see below);
 //  * writers serialize through a `LOCK` PidLease (util/pidlock.hpp) and
 //    rewrite the store atomically, so concurrent registrations never
 //    interleave partial frames and readers never observe a torn store.
@@ -31,11 +27,10 @@
 // frame whose bytes already are the canonical encoding of the record it
 // decodes to is copied unchanged, and its run id comes from its verified
 // checksum footer; only a non-canonical frame is re-encoded. Each new
-// record is encoded and hashed once. One FNV-1a pass over the new image
-// pins the index, and the store and the index are each rewritten with
-// one atomic_write_file call — five fsyncs with the lease. A byte of a
-// canonical stored frame therefore goes through two FNV-1a passes per
-// append: its frame's checksum and the image digest.
+// record is encoded and hashed once. The store is rewritten with one
+// atomic_write_file call — three fsyncs with the lease. A byte of a
+// canonical stored frame goes through one FNV-1a pass per append, its
+// frame's checksum.
 #pragma once
 
 #include <cstdint>
@@ -98,31 +93,9 @@ struct StoreContents {
 StatusOr<StoreContents> parse_store(const std::string& data,
                                     const std::string& label);
 
-/// The derived index: one entry per frame, pinned to the indexed bytes.
-struct StoreIndex {
-  std::uint64_t store_bytes = 0;   // size of store.dcrun when indexed
-  std::uint64_t store_digest = 0;  // fnv1a of those bytes
-  struct Entry {
-    std::uint64_t run_id = 0;
-    std::uint64_t offset = 0;  // frame start (length prefix) in store.dcrun
-    std::uint64_t length = 0;  // frame payload length
-    std::string kind;
-    std::string label;
-  };
-  std::vector<Entry> entries;  // frame order
-};
-
-/// Canonical snapshot-format encoding of the index.
-std::string encode_store_index(const StoreIndex& index);
-
-/// Decodes an index stream; exposed for the fuzzing harness.
-StatusOr<StoreIndex> parse_store_index(const std::string& data,
-                                       const std::string& label);
-
-/// The rebuilt files of a store directory after an append.
+/// The rebuilt store after an append.
 struct StoreImage {
   std::string store;           // the new store.dcrun bytes
-  std::string index;           // the new store.idx bytes, pinning `store`
   std::uint64_t appended = 0;  // records of the batch that were new
 };
 
@@ -139,25 +112,18 @@ StatusOr<StoreImage> build_store_image(const std::string& data,
 
 /// Paths inside a store directory (single source of truth).
 std::string store_data_path(const std::string& dir);
-std::string store_index_path(const std::string& dir);
 std::string store_lock_path(const std::string& dir);
 
 /// Loads `<dir>/store.dcrun`. A missing store is an empty store (reading
 /// a database nobody has registered into yet is not an error).
 StatusOr<StoreContents> load_store(const std::string& dir);
 
-/// Verifies `<dir>/store.idx` against the current store bytes: present,
-/// decodable, and pinned to the same size + digest. NotFound when the
-/// index is missing; failed_precondition when it is stale or corrupt.
-Status verify_store_index(const std::string& dir);
-
 /// Appends `records` to the store under `dir` (created if missing),
-/// skipping records whose run id is already present, and rewrites the
-/// index: under the LOCK lease it reads store.dcrun, builds the new image
-/// with build_store_image, and writes the store, then the index, each
-/// with one atomic_write_file call. A held lease is retried briefly
-/// before giving up. Returns the number of records actually appended
-/// (0 = everything was already registered).
+/// skipping records whose run id is already present: under the LOCK
+/// lease it reads store.dcrun, builds the new image with
+/// build_store_image, and writes it with one atomic_write_file call. A
+/// held lease is retried briefly before giving up. Returns the number of
+/// records actually appended (0 = everything was already registered).
 StatusOr<std::uint64_t> append_records(const std::string& dir,
                                        const std::vector<RunRecord>& records);
 

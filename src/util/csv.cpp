@@ -7,13 +7,11 @@
 #include "util/strings.hpp"
 
 namespace dc {
-namespace {
 
-bool needs_quoting(std::string_view text) {
-  return text.find_first_of(",\"\n") != std::string_view::npos;
-}
-
-std::string quote(std::string_view text) {
+std::string csv_quote(std::string_view text, bool always) {
+  if (!always && text.find_first_of(",\"\n") == std::string_view::npos) {
+    return std::string(text);
+  }
   std::string out = "\"";
   for (char c : text) {
     if (c == '"') out += '"';
@@ -23,13 +21,11 @@ std::string quote(std::string_view text) {
   return out;
 }
 
-}  // namespace
-
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {}
 
 CsvWriter& CsvWriter::cell(std::string_view text) {
   if (row_started_) out_ << ',';
-  out_ << (needs_quoting(text) ? quote(text) : std::string(text));
+  out_ << csv_quote(text);
   row_started_ = true;
   return *this;
 }

@@ -14,7 +14,12 @@
 
 namespace dc {
 
-/// Streams rows to a CSV file. Fields containing commas/quotes are quoted.
+/// `text` as one CSV field: wrapped in double quotes, each quote doubled,
+/// when it holds a comma, a quote or a newline, or whenever `always` is
+/// set; otherwise as it is.
+std::string csv_quote(std::string_view text, bool always = false);
+
+/// Streams rows to a CSV file. Fields are quoted by csv_quote.
 class CsvWriter {
  public:
   /// Opens (truncates) `path`. Check ok() before writing.

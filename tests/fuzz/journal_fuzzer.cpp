@@ -1,9 +1,10 @@
 // Fuzz target: the campaign journal frame decoder.
 //
-// parse_journal walks u32-length-prefixed snapshot-format frames, dropping
-// a torn tail and refusing mid-file corruption. Arbitrary bytes must come
-// back as a typed Status or a consistent JournalContents — never a crash
-// or an unbounded allocation from a hostile length prefix.
+// parse_journal walks u32-length-prefixed snapshot-format frames through
+// the shared frame walker (snapshot/frames.hpp, which parse_store uses
+// too), dropping a torn tail and refusing mid-file corruption. Arbitrary
+// bytes must come back as a typed Status or a consistent JournalContents
+// — never a crash or an unbounded allocation from a hostile length prefix.
 #include <cstdint>
 #include <string>
 #include <string_view>

@@ -2,19 +2,19 @@
 // builder behind every registration.
 //
 // The first input byte selects the target (structure-aware dispatch, so
-// one corpus exercises all four): the framed store stream, the derived
-// index, a single record payload, or build_store_image appending a fixed
-// two-record batch to the store stream. Arbitrary bytes must come back as
-// a typed Status or consistent contents — never a crash, an unbounded
-// allocation from a hostile length prefix, or an index entry pointing
-// outside the bytes it claims to pin.
+// one corpus exercises all three): the framed store stream, a single
+// record payload, or build_store_image appending a fixed two-record batch
+// to the store stream. Arbitrary bytes must come back as a typed Status
+// or consistent contents — never a crash, an unbounded allocation from a
+// hostile length prefix, or an image other than the canonical frames of
+// the records it holds.
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "rundb/store.hpp"
-#include "snapshot/format.hpp"
+#include "snapshot/frames.hpp"
 
 namespace {
 
@@ -47,10 +47,10 @@ bool contains(const std::vector<dc::rundb::RunRecord>& records,
   return false;
 }
 
-// The image of `store` plus the fixed batch: the old valid records, then
-// the batch records not already present, every frame canonical, pinned by
-// its index, and appending the batch again changes nothing. A refusal is
-// exactly parse_store's.
+// The image of `store` plus the fixed batch is the canonical frames of the
+// old valid records, then of the batch records not already present, and
+// appending the batch again changes nothing. A refusal is exactly
+// parse_store's.
 void fuzz_image(const std::string& store) {
   const std::vector<dc::rundb::RunRecord> batch = fixed_batch();
   auto image = dc::rundb::build_store_image(store, "fuzz", batch);
@@ -66,40 +66,24 @@ void fuzz_image(const std::string& store) {
   for (const auto& record : batch) {
     if (!contains(want, record.run_id())) want.push_back(record);
   }
-  auto parsed = dc::rundb::parse_store(image->store, "fuzz");
-  check(parsed.is_ok() && !parsed->truncated_tail &&
-        parsed->records.size() == want.size() &&
+  std::string canonical;
+  for (const auto& record : want) {
+    dc::snapshot::append_frame(canonical,
+                               dc::rundb::encode_run_record(record));
+  }
+  check(image->store == canonical &&
         image->appended == want.size() - old->records.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    check(parsed->records[i].run_id() == want[i].run_id());
-  }
-
-  auto index = dc::rundb::parse_store_index(image->index, "fuzz");
-  check(index.is_ok() && index->store_bytes == image->store.size() &&
-        index->store_digest == dc::snapshot::fnv1a(image->store) &&
-        index->entries.size() == want.size());
-  std::uint64_t offset = 0;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const auto& entry = index->entries[i];
-    check(entry.offset == offset &&
-          entry.offset + 4 + entry.length <= image->store.size());
-    const std::string stream = image->store.substr(entry.offset + 4,
-                                                   entry.length);
-    check(entry.run_id == parsed->records[i].run_id() &&
-          stream == dc::rundb::encode_run_record(parsed->records[i]));
-    offset += 4 + entry.length;
-  }
 
   auto again = dc::rundb::build_store_image(image->store, "fuzz", batch);
   check(again.is_ok() && again->appended == 0 &&
-        again->store == image->store && again->index == image->index);
+        again->store == image->store);
 }
 
 void fuzz_one(std::string_view data) {
   if (data.empty() || data.size() > kMaxInput) return;
   const std::uint8_t selector = static_cast<std::uint8_t>(data[0]);
   const std::string payload(data.substr(1));
-  switch (selector % 4) {
+  switch (selector % 3) {
     case 0: {
       auto parsed = dc::rundb::parse_store(payload, "fuzz");
       if (parsed.is_ok()) {
@@ -111,15 +95,6 @@ void fuzz_one(std::string_view data) {
       break;
     }
     case 1: {
-      auto parsed = dc::rundb::parse_store_index(payload, "fuzz");
-      if (parsed.is_ok()) {
-        for (const auto& entry : parsed->entries) {
-          (void)(entry.offset + entry.length);
-        }
-      }
-      break;
-    }
-    case 2: {
       auto decoded = dc::rundb::decode_run_record(payload);
       if (decoded.is_ok()) {
         // Round-trip: a payload the decoder accepts must re-encode to

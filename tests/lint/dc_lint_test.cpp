@@ -837,4 +837,36 @@ TEST(DcLintWaivers, UnusedSitesKeepTheirGroupForTheAudit) {
   EXPECT_NE(analysis.waivers[0].group, analysis.waivers[1].group);
 }
 
+TEST(DcLintWaivers, UnknownRuleIdsAreAuditedAndFixed) {
+  dc_lint::DriverOptions options;
+  options.roots = {fixture_path("unknown_waiver_ids.cpp")};
+  const dc_lint::DriverResult audited = dc_lint::run_driver(options);
+  ASSERT_EQ(audited.diagnostics.size(), 2u)
+      << dc_lint::to_human(audited.diagnostics);
+  expect_all_rule(audited.diagnostics, "dc-waiver", "error");
+  EXPECT_EQ(lines_of(audited.diagnostics), (std::vector<int>{8, 10}));
+  EXPECT_NE(audited.diagnostics[0].message.find(
+                "suppression for dc-r6 names no dc-lint rule"),
+            std::string::npos)
+      << audited.diagnostics[0].message;
+  EXPECT_NE(audited.diagnostics[1].message.find("dc-r99"), std::string::npos)
+      << audited.diagnostics[1].message;
+
+  // --fix strips both comments and leaves the clang-tidy waiver alone.
+  const std::string path =
+      temp_file("unknown_waiver_ids.cpp", fixture("unknown_waiver_ids.cpp"));
+  options.roots = {path};
+  options.fix = true;
+  const dc_lint::DriverResult fixed = dc_lint::run_driver(options);
+  EXPECT_EQ(fixed.fixes_applied, 2);
+  EXPECT_TRUE(fixed.diagnostics.empty())
+      << dc_lint::to_human(fixed.diagnostics);
+  const std::string after = read_file_or_die(path);
+  EXPECT_EQ(after.find("NOLINT(dc-r6)"), std::string::npos) << after;
+  EXPECT_EQ(after.find("NOLINTNEXTLINE(dc-r99)"), std::string::npos) << after;
+  EXPECT_NE(after.find("NOLINT(google-runtime-int, dc-rN)"), std::string::npos)
+      << after;
+  std::remove(path.c_str());
+}
+
 }  // namespace

@@ -135,7 +135,7 @@ TEST(ReplayWindow, EveryBoundaryReplaysTheGoldenSliceByteForByte) {
       ScopedThreads threads("1");
       golden = golden_snapshotted_run(model, workload, dir, fault_options());
     }
-    auto boundaries = rundb::list_snapshot_boundaries(dir, model);
+    auto boundaries = core::list_snapshot_boundaries(dir, model);
     ASSERT_TRUE(boundaries.is_ok()) << boundaries.status().to_string();
     ASSERT_GE(boundaries->size(), 2u);
 
@@ -160,7 +160,7 @@ TEST(ReplayWindow, RefusesAWindowEndingBeforeItsSnapshot) {
   const core::ConsolidationWorkload workload = make_workload();
   const std::string dir = fresh_dir("backwards");
   golden_snapshotted_run(SystemModel::kDcs, workload, dir, fault_options());
-  auto boundaries = rundb::list_snapshot_boundaries(dir, SystemModel::kDcs);
+  auto boundaries = core::list_snapshot_boundaries(dir, SystemModel::kDcs);
   ASSERT_TRUE(boundaries.is_ok());
   ASSERT_GE(boundaries->size(), 2u);
   auto window =
@@ -172,7 +172,7 @@ TEST(ReplayWindow, RefusesAWindowEndingBeforeItsSnapshot) {
 }
 
 TEST(ReplayWindow, ListingAMissingDirectoryIsATypedError) {
-  auto boundaries = rundb::list_snapshot_boundaries(
+  auto boundaries = core::list_snapshot_boundaries(
       ::testing::TempDir() + "rundb_replay_nowhere", SystemModel::kDcs);
   ASSERT_FALSE(boundaries.is_ok());
   EXPECT_EQ(boundaries.status().code(), StatusCode::kNotFound);
@@ -221,9 +221,9 @@ TEST(Bisect, LocalizesASeededDivergenceToOneIntervalAndTraceRecord) {
   const GoldenRun other =
       golden_snapshotted_run(model, workload, dir_c, mutated, 2 * kHour);
 
-  auto boundaries_a = rundb::list_snapshot_boundaries(dir_a, model);
+  auto boundaries_a = core::list_snapshot_boundaries(dir_a, model);
   ASSERT_TRUE(boundaries_a.is_ok());
-  auto boundaries_c = rundb::list_snapshot_boundaries(dir_c, model);
+  auto boundaries_c = core::list_snapshot_boundaries(dir_c, model);
   ASSERT_TRUE(boundaries_c.is_ok());
   const std::size_t n = std::min(boundaries_a->size(), boundaries_c->size());
   ASSERT_GE(n, 4u) << "need interior boundaries to make bisection meaningful";

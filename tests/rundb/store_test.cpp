@@ -1,7 +1,7 @@
 // The run store's durability contract: canonical encoding round-trips,
 // content-addressed dedup makes appends idempotent and byte-stable, torn
-// tails are dropped loudly while mid-stream corruption refuses, and the
-// derived index is pinned to the exact store bytes it indexes.
+// tails are dropped loudly while mid-stream corruption refuses, and an
+// append writes the data file and nothing else.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -84,15 +84,20 @@ TEST(RunStore, AppendIsIdempotentAndByteStable) {
   ASSERT_TRUE(bytes_after_first.is_ok());
 
   // Registering the same content again appends nothing and leaves the
-  // store (and its index) byte-identical — the interrupted==uninterrupted
-  // contract for registration.
+  // store byte-identical — the interrupted==uninterrupted contract for
+  // registration.
   auto second = rundb::append_records(dir, records);
   ASSERT_TRUE(second.is_ok()) << second.status().to_string();
   EXPECT_EQ(*second, 0u);
   auto bytes_after_second = read_file(rundb::store_data_path(dir));
   ASSERT_TRUE(bytes_after_second.is_ok());
   EXPECT_EQ(*bytes_after_first, *bytes_after_second);
-  EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
+  // The lease is released and no derived file is written beside the data.
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"store.dcrun"});
 
   auto loaded = rundb::load_store(dir);
   ASSERT_TRUE(loaded.is_ok());
@@ -138,60 +143,6 @@ TEST(RunStore, MidStreamCorruptionIsRefusedWithATypedError) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(parsed.status().message().find("corrupt"), std::string::npos)
       << parsed.status().message();
-}
-
-TEST(RunStore, IndexIsPinnedToTheStoreBytes) {
-  const std::string dir = fresh_dir("index");
-  ASSERT_TRUE(
-      rundb::append_records(dir, {sample_record("DCS/NASA", 7.5)}).is_ok());
-  EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
-
-  // Keep the old index around, append, put the old index back: it now
-  // pins different bytes and must be reported stale, not used.
-  auto stale_index = read_file(rundb::store_index_path(dir));
-  ASSERT_TRUE(stale_index.is_ok());
-  ASSERT_TRUE(
-      rundb::append_records(dir, {sample_record("DCS/BLUE", 3.25)}).is_ok());
-  EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
-  ASSERT_TRUE(atomic_write_file(rundb::store_index_path(dir), *stale_index,
-                                "test.stale_index")
-                  .is_ok());
-  Status stale = rundb::verify_store_index(dir);
-  ASSERT_FALSE(stale.is_ok());
-  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
-
-  fs::remove(rundb::store_index_path(dir));
-  Status missing = rundb::verify_store_index(dir);
-  ASSERT_FALSE(missing.is_ok());
-  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
-}
-
-TEST(RunStore, IndexEntriesLocateEveryFrame) {
-  const std::string dir = fresh_dir("entries");
-  const std::vector<rundb::RunRecord> records = {
-      sample_record("DCS/NASA", 7.5), sample_record("DCS/BLUE", 3.25)};
-  ASSERT_TRUE(rundb::append_records(dir, records).is_ok());
-
-  auto bytes = read_file(rundb::store_data_path(dir));
-  ASSERT_TRUE(bytes.is_ok());
-  auto index_bytes = read_file(rundb::store_index_path(dir));
-  ASSERT_TRUE(index_bytes.is_ok());
-  auto index = rundb::parse_store_index(*index_bytes, "index");
-  ASSERT_TRUE(index.is_ok()) << index.status().to_string();
-  ASSERT_EQ(index->entries.size(), 2u);
-  EXPECT_EQ(index->store_bytes, bytes->size());
-  for (std::size_t i = 0; i < index->entries.size(); ++i) {
-    const auto& entry = index->entries[i];
-    EXPECT_EQ(entry.run_id, records[i].run_id()) << "entry " << i;
-    EXPECT_EQ(entry.label, records[i].label) << "entry " << i;
-    // The (offset, length) pair frames a decodable record payload.
-    ASSERT_LE(entry.offset + 4 + entry.length, bytes->size());
-    const std::string payload =
-        bytes->substr(entry.offset + 4, entry.length);
-    auto decoded = rundb::decode_run_record(payload);
-    ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
-    EXPECT_EQ(decoded->run_id(), records[i].run_id());
-  }
 }
 
 // --- The append path ---------------------------------------------------------
@@ -255,7 +206,7 @@ std::string read_bytes(const std::string& path) {
   return bytes.is_ok() ? *bytes : std::string();
 }
 
-TEST(RunStore, AppendRefusesACorruptFrameAndLeavesBothFilesAlone) {
+TEST(RunStore, AppendRefusesACorruptFrameAndLeavesTheStoreAlone) {
   const std::string dir = fresh_dir("append_corrupt");
   ASSERT_TRUE(rundb::append_records(dir, {sample_record("DCS/NASA", 7.5),
                                           sample_record("DCS/BLUE", 3.25)})
@@ -263,7 +214,6 @@ TEST(RunStore, AppendRefusesACorruptFrameAndLeavesBothFilesAlone) {
   std::string corrupt = read_bytes(rundb::store_data_path(dir));
   corrupt[10] ^= 0x5a;  // inside frame 0's stream
   write_store(dir, corrupt);
-  const std::string index = read_bytes(rundb::store_index_path(dir));
 
   auto appended =
       rundb::append_records(dir, {sample_record("SSP/Montage", 1.0)});
@@ -273,7 +223,6 @@ TEST(RunStore, AppendRefusesACorruptFrameAndLeavesBothFilesAlone) {
             std::string::npos)
       << appended.status().message();
   EXPECT_EQ(read_bytes(rundb::store_data_path(dir)), corrupt);
-  EXPECT_EQ(read_bytes(rundb::store_index_path(dir)), index);
 }
 
 TEST(RunStore, AppendHealsATornTailToItsValidPrefix) {
@@ -305,7 +254,6 @@ TEST(RunStore, AppendHealsATornTailToItsValidPrefix) {
       << warning;
   EXPECT_EQ(read_bytes(rundb::store_data_path(dir)),
             nasa_frame + frame_of(rundb::encode_run_record(montage)));
-  EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
 }
 
 TEST(RunStore, AppendRewritesNonCanonicalFramesInCanonicalForm) {
@@ -334,27 +282,17 @@ TEST(RunStore, AppendRewritesNonCanonicalFramesInCanonicalForm) {
     EXPECT_EQ(store, frame_of(rundb::encode_run_record(nasa)) +
                          frame_of(rundb::encode_run_record(blue)) +
                          frame_of(rundb::encode_run_record(montage)));
-    const std::string index_bytes = read_bytes(rundb::store_index_path(dir));
-    auto index = rundb::parse_store_index(index_bytes, "index");
-    ASSERT_TRUE(index.is_ok()) << index.status().to_string();
-    ASSERT_EQ(index->entries.size(), 3u);
-    EXPECT_EQ(index->entries[0].run_id, nasa.run_id());
-    EXPECT_EQ(index->entries[0].length,
-              rundb::encode_run_record(nasa).size());
-    EXPECT_TRUE(rundb::verify_store_index(dir).is_ok());
 
     auto again = rundb::append_records(dir, {nasa, montage});
     ASSERT_TRUE(again.is_ok()) << again.status().to_string();
     EXPECT_EQ(*again, 0u);
     EXPECT_EQ(read_bytes(rundb::store_data_path(dir)), store);
-    EXPECT_EQ(read_bytes(rundb::store_index_path(dir)), index_bytes);
   }
 }
 
 /// The re-encoding append that build_store_image replaced, kept as its
-/// reference: parse the store, re-encode every stored record, append each
-/// batch record whose run_id() is not yet present, and index through
-/// per-record encodes.
+/// reference: parse the store, re-encode every stored record, and append
+/// each batch record whose run_id() is not yet present.
 StatusOr<rundb::StoreImage> reference_image(
     const std::string& data, const std::string& label,
     const std::vector<rundb::RunRecord>& records) {
@@ -362,7 +300,6 @@ StatusOr<rundb::StoreImage> reference_image(
   if (!contents.is_ok()) return contents.status();
   rundb::StoreImage image;
   std::vector<std::uint64_t> seen;
-  std::vector<rundb::RunRecord> merged = contents->records;
   for (const rundb::RunRecord& record : contents->records) {
     seen.push_back(record.run_id());
     image.store += frame_of(rundb::encode_run_record(record));
@@ -372,20 +309,8 @@ StatusOr<rundb::StoreImage> reference_image(
     if (std::find(seen.begin(), seen.end(), id) != seen.end()) continue;
     seen.push_back(id);
     image.store += frame_of(rundb::encode_run_record(record));
-    merged.push_back(record);
     ++image.appended;
   }
-  rundb::StoreIndex index;
-  index.store_bytes = image.store.size();
-  index.store_digest = snapshot::fnv1a(image.store);
-  std::uint64_t offset = 0;
-  for (const rundb::RunRecord& record : merged) {
-    const std::uint64_t length = rundb::encode_run_record(record).size();
-    index.entries.push_back(
-        {record.run_id(), offset, length, record.kind, record.label});
-    offset += 4 + length;
-  }
-  image.index = rundb::encode_store_index(index);
   return image;
 }
 
@@ -473,7 +398,6 @@ TEST(RunStore, BuildStoreImageMatchesTheReencodingReference) {
       continue;
     }
     EXPECT_EQ(got->store, want->store);
-    EXPECT_EQ(got->index, want->index);
     EXPECT_EQ(got->appended, want->appended);
     with_duplicates += duplicate;
     with_noncanonical += noncanonical;
@@ -489,8 +413,9 @@ TEST(RunStore, BuildStoreImageMatchesTheReencodingReference) {
   EXPECT_GE(refused, 1);
 }
 
-// Digests of both files after a fixed append sequence, captured from the
-// re-encoding append this one replaced: the bytes on disk are unchanged.
+// The store's size and digest after a fixed append sequence, captured
+// from the re-encoding append this one replaced: the bytes on disk are
+// unchanged.
 TEST(RunStore, ThreeBatchAppendSequenceKeepsItsPinnedBytes) {
   const std::string dir = fresh_dir("pinned");
   const rundb::RunRecord nasa = sample_record("DCS/NASA", 7.5);
@@ -508,11 +433,8 @@ TEST(RunStore, ThreeBatchAppendSequenceKeepsItsPinnedBytes) {
   }
   EXPECT_EQ(appended, (std::vector<std::uint64_t>{2, 1, 1}));
   const std::string store = read_bytes(rundb::store_data_path(dir));
-  const std::string index = read_bytes(rundb::store_index_path(dir));
   EXPECT_EQ(store.size(), 1521u);
-  EXPECT_EQ(index.size(), 492u);
   EXPECT_EQ(snapshot::fnv1a(store), 0xa43f9021eaebb1f4ULL);
-  EXPECT_EQ(snapshot::fnv1a(index), 0xe4486e3f459906cdULL);
 }
 
 // The run store's metric vocabulary and the results CSV are the same

@@ -42,6 +42,18 @@ TEST_F(CsvWriterTest, QuotesSpecialCharacters) {
   EXPECT_EQ(read_file(path_), "\"has,comma\",\"has\"\"quote\",plain\n");
 }
 
+TEST(CsvQuote, QuotesWhenNeededOrAlways) {
+  EXPECT_EQ(csv_quote("plain"), "plain");
+  EXPECT_EQ(csv_quote(""), "");
+  EXPECT_EQ(csv_quote("has,comma"), "\"has,comma\"");
+  EXPECT_EQ(csv_quote("has\"quote"), "\"has\"\"quote\"");
+  EXPECT_EQ(csv_quote("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(csv_quote("cr\ronly"), "cr\ronly");
+  EXPECT_EQ(csv_quote("plain", /*always=*/true), "\"plain\"");
+  EXPECT_EQ(csv_quote("", /*always=*/true), "\"\"");
+  EXPECT_EQ(csv_quote("a=\"b\"", /*always=*/true), "\"a=\"\"b\"\"\"");
+}
+
 TEST(CsvParse, RoundTripsWriterOutput) {
   const std::string path = ::testing::TempDir() + "/csv_roundtrip.csv";
   {

@@ -833,7 +833,7 @@ int cmd_replay_list(const std::map<std::string, std::string>& flags) {
     std::fputs("replay list: missing --snapshot-dir DIR\n", stderr);
     return 2;
   }
-  auto boundaries = rundb::list_snapshot_boundaries(dir_it->second, model);
+  auto boundaries = core::list_snapshot_boundaries(dir_it->second, model);
   if (!boundaries.is_ok()) {
     std::fprintf(stderr, "%s\n", boundaries.status().to_string().c_str());
     return 1;

@@ -74,10 +74,13 @@ void audit_waivers(const std::string& file, const std::vector<WaiverSite>& sites
   for (const WaiverSite& site : sites) {
     if (group_used[site.group]) continue;
     if (!reported.emplace(site.group, true).second) continue;
+    const char* why = find_rule(site.rule) != nullptr
+                          ? " no longer matches any diagnostic"
+                          : " names no dc-lint rule";
     out.push_back({file, site.origin_line, "dc-waiver", "error",
-                   "suppression for " + site.rule +
-                       " no longer matches any diagnostic; remove the "
-                       "comment (dc_lint --fix does it mechanically)"});
+                   "suppression for " + site.rule + why +
+                       "; remove the comment (dc_lint --fix does it "
+                       "mechanically)"});
   }
 }
 

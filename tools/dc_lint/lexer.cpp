@@ -32,15 +32,23 @@ bool two_char_punct(char a, char b) {
   }
 }
 
+// "dc-r" followed by one or more digits: the shape of every rule id.
+bool is_dc_rule_id(const std::string& item) {
+  return item.size() > 4 && item.compare(0, 4, "dc-r") == 0 &&
+         item.find_first_not_of("0123456789", 4) == std::string::npos;
+}
+
 // Harvests waiver and dc-volatile annotations from one comment's text.
 // `line` is the line the comment starts on. Each distinct directive gets
 // its own waiver group; the two sites of an ordered-reduction annotation
 // share one.
 void harvest_annotations(const std::string& text, int line, FileLex& out,
                          int& next_group) {
-  // NOLINT(...) / NOLINTNEXTLINE(...): collect known dc rule ids from the
-  // list. Unknown names (clang-tidy checks, documentation placeholders
-  // like dc-rN) are ignored.
+  // NOLINT(...) / NOLINTNEXTLINE(...): collect every dc-r<digits> id in
+  // the list, so an id no rule answers to (a retired rule, a typo) is
+  // reported by the waiver audit instead of lingering as dead text. Other
+  // names (clang-tidy checks, the dc-rN documentation placeholder) are
+  // ignored.
   for (std::size_t at = 0; (at = text.find("NOLINT", at)) != std::string::npos;) {
     std::size_t cursor = at + 6;
     int target = line;
@@ -55,7 +63,7 @@ void harvest_annotations(const std::string& text, int line, FileLex& out,
         for (std::size_t i = cursor + 1; i <= close; ++i) {
           const char c = text[i];
           if (c == ',' || c == ')') {
-            if (find_rule(item) != nullptr) {
+            if (is_dc_rule_id(item)) {
               out.waivers.push_back({item, line, target, next_group++, false});
             }
             item.clear();

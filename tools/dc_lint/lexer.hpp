@@ -47,8 +47,9 @@ struct Token {
 ///     followed by `ordered-reduction`) — dc-r4, same and following line
 ///     (one comment, two sites in one group, so the unused-waiver audit
 ///     treats either placement as consumed).
-/// Only ids present in rule_table() are harvested; a clang-tidy name or a
-/// documentation placeholder inside a NOLINT list is ignored.
+/// Every `dc-r<digits>` id is harvested, known to rule_table() or not, so
+/// the waiver audit reports an unknown one; a clang-tidy name or the
+/// `dc-rN` documentation placeholder inside a NOLINT list is ignored.
 ///
 /// `volatile_lines` holds the lines covered by a `// dc-volatile`
 /// annotation (the comment's own line and the next, so it reads naturally
