@@ -1,7 +1,6 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/description.hpp"
 #include "snapshot/format.hpp"
@@ -22,28 +21,18 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-bool is_known_axis(std::string_view key) {
-  const auto& keys = known_axis_keys();
-  return std::find(keys.begin(), keys.end(), key) != keys.end();
-}
-
 /// Splits a comma-separated value list; empty items are an error.
 StatusOr<std::vector<std::string>> split_values(std::string_view list,
                                                std::string_view key) {
   std::vector<std::string> values;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string_view::npos) comma = list.size();
-    const std::string_view item = trim(list.substr(start, comma - start));
+  for (const std::string_view raw : split_char(list, ',')) {
+    const std::string_view item = trim(raw);
     if (item.empty()) {
       return Status::invalid_argument(
           str_format("sweep spec: empty value in the '%.*s' list",
                      static_cast<int>(key.size()), key.data()));
     }
     values.emplace_back(item);
-    start = comma + 1;
-    if (comma == list.size()) break;
   }
   return values;
 }
@@ -62,7 +51,7 @@ void set_axis(SweepSpec& spec, std::string_view key,
 }
 
 void sort_axes(SweepSpec& spec) {
-  const auto& keys = known_axis_keys();
+  const auto& keys = core::run_setting_keys();
   std::sort(spec.axes.begin(), spec.axes.end(),
             [&keys](const SweepAxis& a, const SweepAxis& b) {
               const auto pa = std::find(keys.begin(), keys.end(), a.key);
@@ -102,11 +91,12 @@ Status apply_entry(SweepSpec& spec, std::string_view key,
     spec.snapshot_every = *every;
     return Status::ok();
   }
-  if (!is_known_axis(key)) {
-    std::string known = "config, snapshot-every";
-    for (const std::string& k : known_axis_keys()) known += ", " + k;
-    return Status::invalid_argument(where + "unknown key '" + std::string(key) +
-                                    "' (known keys: " + known + ")");
+  const auto& keys = core::run_setting_keys();
+  if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+    return Status::invalid_argument(
+        where + "unknown key '" + std::string(key) +
+        "' (known keys: config, snapshot-every, " +
+        join(keys, ", ") + ")");
   }
   auto values = split_values(value_list, key);
   if (!values.is_ok()) return values.status();
@@ -114,63 +104,19 @@ Status apply_entry(SweepSpec& spec, std::string_view key,
   return Status::ok();
 }
 
-StatusOr<std::int64_t> parse_int(std::string_view text, const CellSpec& cell,
-                                 std::string_view key) {
-  const std::string buf(text);
-  char* end = nullptr;
-  const std::int64_t value = std::strtoll(buf.c_str(), &end, 10);
-  if (end == buf.c_str() || *end != '\0') {
-    return Status::invalid_argument(str_format(
-        "cell %llu (%s): %.*s wants an integer, got '%s'",
-        static_cast<unsigned long long>(cell.id), cell.key().c_str(),
-        static_cast<int>(key.size()), key.data(), buf.c_str()));
-  }
-  return value;
-}
-
-StatusOr<SimDuration> parse_cell_duration(std::string_view text,
-                                          const CellSpec& cell,
-                                          std::string_view key) {
-  auto value = core::parse_duration(text);
-  if (!value.is_ok()) {
-    return Status::invalid_argument(str_format(
-        "cell %llu (%s): %.*s wants a duration, got '%.*s'",
-        static_cast<unsigned long long>(cell.id), cell.key().c_str(),
-        static_cast<int>(key.size()), key.data(), static_cast<int>(text.size()),
-        text.data()));
-  }
-  return *value;
-}
-
 }  // namespace
-
-const std::vector<std::string>& known_axis_keys() {
-  static const std::vector<std::string> kKeys = {
-      "system", "scheduler", "quantum", "capacity", "setup",
-      "mttf",   "mttr",      "fault-seed"};
-  return kKeys;
-}
 
 StatusOr<SweepSpec> parse_sweep_spec_string(std::string_view text,
                                             const std::string& base_dir) {
   SweepSpec spec;
   int line_no = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t nl = text.find('\n', start);
-    if (nl == std::string_view::npos) nl = text.size();
-    std::string_view line = text.substr(start, nl - start);
+  for (std::string_view line : split_char(text, '\n')) {
     ++line_no;
-    const bool last = nl == text.size();
-    start = nl + 1;
     if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
     line = trim(line);
-    if (line.empty()) {
-      if (last) break;
-      continue;
-    }
+    if (line.empty()) continue;
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
       return Status::invalid_argument(
@@ -191,7 +137,6 @@ StatusOr<SweepSpec> parse_sweep_spec_string(std::string_view text,
         !st.is_ok()) {
       return st;
     }
-    if (last) break;
   }
   if (spec.config_path.empty()) {
     return Status::invalid_argument(
@@ -218,27 +163,20 @@ StatusOr<SweepSpec> read_sweep_spec(const std::string& path) {
 }
 
 Status apply_spec_overrides(SweepSpec& spec, std::string_view overrides) {
-  std::size_t start = 0;
-  while (start <= overrides.size()) {
-    std::size_t semi = overrides.find(';', start);
-    if (semi == std::string_view::npos) semi = overrides.size();
-    const std::string_view item = trim(overrides.substr(start, semi - start));
-    const bool last = semi == overrides.size();
-    start = semi + 1;
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string_view::npos) {
-        return Status::invalid_argument(
-            "--set wants 'key=value[,value...]' items separated by ';', got '" +
-            std::string(item) + "'");
-      }
-      if (Status st = apply_entry(spec, trim(item.substr(0, eq)),
-                                  item.substr(eq + 1), {}, 0);
-          !st.is_ok()) {
-        return st;
-      }
+  for (const std::string_view raw : split_char(overrides, ';')) {
+    const std::string_view item = trim(raw);
+    if (item.empty()) continue;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string_view::npos) {
+      return Status::invalid_argument(
+          "--set wants 'key=value[,value...]' items separated by ';', got '" +
+          std::string(item) + "'");
     }
-    if (last) break;
+    if (Status st = apply_entry(spec, trim(item.substr(0, eq)),
+                                item.substr(eq + 1), {}, 0);
+        !st.is_ok()) {
+      return st;
+    }
   }
   sort_axes(spec);
   return Status::ok();
@@ -300,101 +238,20 @@ std::uint64_t spec_digest(const SweepSpec& spec) {
 }
 
 StatusOr<CellPlan> plan_cell(const CellSpec& cell) {
-  CellPlan plan;
-  bool have_system = false;
-  std::string mttf_text;
-  std::string mttr_text;
-  std::string fault_seed_text;
-  for (const auto& [key, value] : cell.assignment) {
-    if (key == "system") {
-      if (value == "dcs") plan.model = core::SystemModel::kDcs;
-      else if (value == "ssp") plan.model = core::SystemModel::kSsp;
-      else if (value == "drp") plan.model = core::SystemModel::kDrp;
-      else if (value == "dawningcloud") plan.model = core::SystemModel::kDawningCloud;
-      else {
-        return Status::invalid_argument(str_format(
-            "cell %llu (%s): unknown system '%s' "
-            "(dcs|ssp|drp|dawningcloud)",
-            static_cast<unsigned long long>(cell.id), cell.key().c_str(),
-            value.c_str()));
-      }
-      have_system = true;
-    } else if (key == "scheduler") {
-      if (value == "first-fit") {
-        plan.options.htc_scheduler = core::HtcSchedulerKind::kFirstFit;
-      } else if (value == "easy-backfill") {
-        plan.options.htc_scheduler = core::HtcSchedulerKind::kEasyBackfill;
-      } else if (value == "conservative-backfill") {
-        plan.options.htc_scheduler = core::HtcSchedulerKind::kConservativeBackfill;
-      } else if (value == "sjf") {
-        plan.options.htc_scheduler = core::HtcSchedulerKind::kSjf;
-      } else {
-        return Status::invalid_argument(str_format(
-            "cell %llu (%s): unknown scheduler '%s'",
-            static_cast<unsigned long long>(cell.id), cell.key().c_str(),
-            value.c_str()));
-      }
-    } else if (key == "quantum") {
-      auto quantum = parse_cell_duration(value, cell, key);
-      if (!quantum.is_ok()) return quantum.status();
-      if (*quantum <= 0) {
-        return Status::invalid_argument(str_format(
-            "cell %llu (%s): quantum must be positive",
-            static_cast<unsigned long long>(cell.id), cell.key().c_str()));
-      }
-      plan.options.billing_quantum = *quantum;
-    } else if (key == "capacity") {
-      auto capacity = parse_int(value, cell, key);
-      if (!capacity.is_ok()) return capacity.status();
-      plan.options.platform_capacity = *capacity;
-    } else if (key == "setup") {
-      auto setup = parse_cell_duration(value, cell, key);
-      if (!setup.is_ok()) return setup.status();
-      plan.options.setup_latency = *setup;
-    } else if (key == "mttf") {
-      mttf_text = value;
-    } else if (key == "mttr") {
-      mttr_text = value;
-    } else if (key == "fault-seed") {
-      fault_seed_text = value;
-    }
+  const auto refuse = [&cell](StatusCode code, const std::string& why) {
+    return Status(code, str_format("cell %llu (%s): %s",
+                                   static_cast<unsigned long long>(cell.id),
+                                   cell.key().c_str(), why.c_str()));
+  };
+  auto settings = core::parse_run_settings(cell.assignment);
+  if (!settings.is_ok()) {
+    return refuse(settings.status().code(), settings.status().message());
   }
-  if (!have_system) {
-    return Status::invalid_argument(str_format(
-        "cell %llu (%s): the grid needs a 'system' axis",
-        static_cast<unsigned long long>(cell.id), cell.key().c_str()));
+  if (!settings->model.has_value()) {
+    return refuse(StatusCode::kInvalidArgument,
+                  "the grid needs a 'system' axis");
   }
-  if (mttf_text.empty() != mttr_text.empty()) {
-    return Status::invalid_argument(str_format(
-        "cell %llu (%s): mttf and mttr must be swept (or fixed) together",
-        static_cast<unsigned long long>(cell.id), cell.key().c_str()));
-  }
-  if (!fault_seed_text.empty() && mttf_text.empty()) {
-    return Status::invalid_argument(str_format(
-        "cell %llu (%s): fault-seed needs mttf/mttr",
-        static_cast<unsigned long long>(cell.id), cell.key().c_str()));
-  }
-  if (!mttf_text.empty()) {
-    auto mttf = parse_cell_duration(mttf_text, cell, "mttf");
-    if (!mttf.is_ok()) return mttf.status();
-    auto mttr = parse_cell_duration(mttr_text, cell, "mttr");
-    if (!mttr.is_ok()) return mttr.status();
-    if (*mttf <= 0 || *mttr <= 0) {
-      return Status::invalid_argument(str_format(
-          "cell %llu (%s): mttf/mttr must be positive",
-          static_cast<unsigned long long>(cell.id), cell.key().c_str()));
-    }
-    core::fault::FaultDomain::Config faults;
-    faults.mean_time_between_failures = *mttf;
-    faults.mean_time_to_repair = *mttr;
-    if (!fault_seed_text.empty()) {
-      auto seed = parse_int(fault_seed_text, cell, "fault-seed");
-      if (!seed.is_ok()) return seed.status();
-      faults.seed = static_cast<std::uint64_t>(*seed);
-    }
-    plan.options.faults = faults;
-  }
-  return plan;
+  return CellPlan{*settings->model, std::move(settings->options)};
 }
 
 }  // namespace dc::campaign

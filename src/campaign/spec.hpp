@@ -7,8 +7,8 @@
 //
 // Everything here is deterministic by construction:
 //
-//  * axes are stored in one canonical order (known_axis_keys()), whatever
-//    order the spec file or the CLI overrides used;
+//  * axes are stored in one canonical order (core::run_setting_keys()),
+//    whatever order the spec file or the CLI overrides used;
 //  * values keep their spec order, so cell N always denotes the same
 //    parameter assignment (row-major expansion, last axis fastest);
 //  * spec_digest() fingerprints the canonical text, so a resumed campaign
@@ -40,11 +40,6 @@ struct SweepSpec {
   SimDuration snapshot_every = 0;  // 0 = no per-cell snapshots
   std::vector<SweepAxis> axes;
 };
-
-/// The axis vocabulary, in canonical (expansion) order. Mirrors the `run`
-/// subcommand's flags: system, scheduler, quantum, capacity, setup, mttf,
-/// mttr, fault-seed.
-const std::vector<std::string>& known_axis_keys();
 
 /// Parses a spec from text. `#` starts a comment; blank lines are
 /// skipped. A relative `config` path resolves against `base_dir`.
@@ -88,9 +83,11 @@ struct CellPlan {
   core::RunOptions options;
 };
 
-/// Resolves one cell. Errors name the cell and the offending key, so a
-/// bad spec fails the whole campaign up front instead of quarantining
-/// every cell one timeout at a time.
+/// Resolves one cell with core::parse_run_settings, the reader `run`'s
+/// flags go through, so a cell runs exactly the world the same flags
+/// would. Errors name the cell and the offending key, so a bad spec
+/// fails the whole campaign up front instead of quarantining every cell
+/// one timeout at a time.
 StatusOr<CellPlan> plan_cell(const CellSpec& cell);
 
 }  // namespace dc::campaign

@@ -1,14 +1,15 @@
 // One campaign cell, run to completion inside a forked worker process
 // (docs/SWEEP.md).
 //
-// The worker is the deterministic half of the orchestrator split: given a
-// cell's plan it produces byte-identical artifacts on every attempt —
-// fresh, retried, or resumed mid-cell from the newest valid snapshot (the
-// run_system_snapshotted guarantee from docs/SNAPSHOT.md). Heartbeats are
-// the one concession to supervision: a monotonic *counter* (never a
-// timestamp) touched at every chunk boundary, so nothing wall-clock-
-// derived can leak into result artifacts while the orchestrator still
-// gets a liveness signal to compare against its own clock.
+// The worker is the deterministic half of the orchestrator split: it runs
+// the cell through core::run_system_snapshotted, as `dawningcloud run
+// --snapshot-every` does, so every attempt — fresh, retried, or resumed
+// mid-cell from the newest valid snapshot — writes the same bytes.
+// Heartbeats are the one concession to supervision: a monotonic *counter*
+// (never a timestamp) touched at every chunk boundary, so nothing
+// wall-clock-derived can leak into result artifacts while the
+// orchestrator still gets a liveness signal to compare against its own
+// clock.
 #pragma once
 
 #include <cstdint>

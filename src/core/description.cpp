@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 #include "snapshot/format.hpp"
@@ -128,6 +129,7 @@ Status apply_stanza(const ProviderStanza& stanza, const std::string& base_dir,
 
 StatusOr<SimDuration> parse_duration(std::string_view token) {
   if (token.empty()) return Status::invalid_argument("empty duration");
+  const std::string_view text = token;
   SimDuration multiplier = 1;
   switch (token.back()) {
     case 's': multiplier = kSecond; token.remove_suffix(1); break;
@@ -139,6 +141,10 @@ StatusOr<SimDuration> parse_duration(std::string_view token) {
   auto value = parse_int(token);
   if (!value.is_ok()) return value.status();
   if (*value < 0) return Status::invalid_argument("negative duration");
+  if (*value > std::numeric_limits<SimDuration>::max() / multiplier) {
+    return Status::out_of_range("duration out of range: " +
+                                std::string(text));
+  }
   return *value * multiplier;
 }
 

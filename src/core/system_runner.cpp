@@ -691,6 +691,12 @@ StatusOr<std::vector<SnapshotBoundary>> list_snapshot_boundaries(
   return boundaries;
 }
 
+namespace {
+
+/// Newest snapshot of `model` in `dir` whose stream verifies and declares
+/// that model; others are skipped with a warning. "" when `dir` holds no
+/// candidate at all (fresh start); an error when every candidate is
+/// unusable — restarting from nothing would be a wrong answer.
 StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
                                             SystemModel model) {
   auto candidates = list_snapshot_boundaries(dir, model);
@@ -700,7 +706,7 @@ StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
     const std::string& path = it->path;
     auto reader = snapshot::SnapshotReader::from_file(path);
     if (!reader.is_ok()) {
-      Log::raw(LogLevel::kWarn, "skipping snapshot %s: %s\n", path.c_str(),
+      Log::raw(LogLevel::kWarn, "skipping snapshot %s: %s", path.c_str(),
                reader.status().message().c_str());
       continue;
     }
@@ -708,7 +714,7 @@ StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
     Status st = reader->begin_section("meta");
     if (st.is_ok()) st = reader->read_str("model", found_model);
     if (!st.is_ok() || found_model != system_model_name(model)) {
-      Log::raw(LogLevel::kWarn, "skipping snapshot %s: %s\n", path.c_str(),
+      Log::raw(LogLevel::kWarn, "skipping snapshot %s: %s", path.c_str(),
                st.is_ok() ? ("model mismatch: " + found_model).c_str()
                           : st.message().c_str());
       continue;
@@ -721,6 +727,8 @@ StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
       "the files to start a fresh run",
       dir.c_str(), candidates->size(), system_model_name(model)));
 }
+
+}  // namespace
 
 StatusOr<SystemResult> run_system_snapshotted(
     SystemModel model, const ConsolidationWorkload& workload,
@@ -750,7 +758,7 @@ StatusOr<SystemResult> run_system_snapshotted(
       runner = std::make_unique<SystemRunner>(model, workload, options,
                                               SystemRunner::Mode::kRestore);
       if (auto st = runner->restore_file(path); !st.is_ok()) return st;
-      Log::raw(LogLevel::kInfo, "resumed %s from %s at t=%lld\n",
+      Log::raw(LogLevel::kInfo, "resumed %s from %s at t=%lld",
                system_model_name(model), path.c_str(),
                static_cast<long long>(runner->now()));
     }
@@ -759,27 +767,24 @@ StatusOr<SystemResult> run_system_snapshotted(
     runner = std::make_unique<SystemRunner>(model, workload, options);
   }
 
+  // Boundaries sit at fixed multiples of the interval regardless of where
+  // a resume started, so continuous and resumed runs snapshot at identical
+  // instants. Without an interval the one chunk ends at the horizon.
   const SimTime horizon = runner->horizon();
-  if (policy.every <= 0) {
-    runner->run_until(horizon);
-  } else {
-    SimTime t = runner->now();
-    while (t < horizon) {
-      // Boundaries sit at fixed multiples of the interval regardless of
-      // where a resume started, so continuous and resumed runs snapshot
-      // at identical instants.
-      SimTime next = (t / policy.every + 1) * policy.every;
-      next = std::min(next, horizon);
-      runner->run_until(next);
-      t = next;
-      if (t < horizon) {
-        if (auto st = runner->save_file(snapshot_path(policy.dir, model, t));
-            !st.is_ok()) {
-          return st;
-        }
+  SimTime t = runner->now();
+  do {
+    t = policy.every > 0
+            ? std::min(horizon, (t / policy.every + 1) * policy.every)
+            : horizon;
+    runner->run_until(t);
+    if (t < horizon) {
+      if (auto st = runner->save_file(snapshot_path(policy.dir, model, t));
+          !st.is_ok()) {
+        return st;
       }
     }
-  }
+    if (policy.on_boundary) policy.on_boundary(t);
+  } while (t < horizon);
   return runner->finalize();
 }
 

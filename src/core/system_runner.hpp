@@ -26,6 +26,7 @@
 // begin_restore/finish_restore bracket with its pending-event count check.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,6 +67,9 @@ struct SnapshotPolicy {
   std::string resume_from;
   /// Attempt to resume from `dir` before starting fresh.
   bool resume = false;
+  /// Called after every chunk, the last one included, with the instant it
+  /// ended at and its snapshot on disk. The sweep worker heartbeats here.
+  std::function<void(SimTime)> on_boundary;
 };
 
 class SystemRunner {
@@ -178,16 +182,6 @@ struct SnapshotBoundary {
 /// `dir` cannot be listed.
 StatusOr<std::vector<SnapshotBoundary>> list_snapshot_boundaries(
     const std::string& dir, SystemModel model);
-
-/// Newest snapshot of list_snapshot_boundaries(dir, model) whose stream
-/// verifies (checksum, magic, version) and declares the same model in its
-/// meta section. Corrupt/mismatched candidates are skipped with a warning.
-/// Returns "" when the directory holds no candidate at all (fresh start);
-/// an error when candidates exist but every one is unusable — resuming
-/// silently from nothing when snapshots were expected would be a wrong
-/// answer, not a recovery.
-StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
-                                            SystemModel model);
 
 /// run_system with crash consistency: optionally resumes from the newest
 /// valid snapshot (policy.resume / policy.resume_from), runs in

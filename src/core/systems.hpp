@@ -20,12 +20,15 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/fault/fault_domain.hpp"
 #include "core/fault/recovery.hpp"
 #include "core/lifecycle.hpp"
 #include "core/policies.hpp"
+#include "util/status.hpp"
 #include "util/time.hpp"
 #include "workflow/dag.hpp"
 #include "workload/trace.hpp"
@@ -41,6 +44,9 @@ namespace dc::core {
 enum class SystemModel { kDcs, kSsp, kDrp, kDawningCloud };
 
 const char* system_model_name(SystemModel model);
+
+/// "dcs" | "ssp" | "drp" | "dawningcloud"; invalid_argument otherwise.
+StatusOr<SystemModel> parse_system_model(std::string_view name);
 
 /// Static usage-model traits (Table 1 of the paper).
 struct SystemTraits {
@@ -160,6 +166,9 @@ enum class HtcSchedulerKind {
 
 const char* htc_scheduler_name(HtcSchedulerKind kind);
 
+/// The htc_scheduler_name spellings; invalid_argument otherwise.
+StatusOr<HtcSchedulerKind> parse_htc_scheduler(std::string_view name);
+
 /// Options beyond the paper's defaults, used by the ablation benches.
 struct RunOptions {
   /// Billing quantum (default one hour, Section 4.4).
@@ -215,6 +224,27 @@ struct RunOptions {
   /// any caller-provided sink starts empty at the boundary.
   bool replay = false;
 };
+
+/// The run vocabulary, in canonical order: `dawningcloud run` flags and
+/// sweep axes alike, both read by parse_run_settings, so a sweep cell runs
+/// exactly the world the same flags would.
+const std::vector<std::string>& run_setting_keys();
+
+/// A world as parse_run_settings reads it: the model when `system` was
+/// given, and the options the other keys set (the rest keep defaults).
+struct RunSettings {
+  std::optional<SystemModel> model;
+  RunOptions options;
+};
+
+/// Reads (key, value) pairs of the run vocabulary. quantum, mttf and mttr
+/// are positive durations, setup a duration, capacity a node count (0 =
+/// unbounded), fault-seed an integer (a negative one wraps). mttf and mttr
+/// go together and turn faults on; fault-seed needs them. Errors name the
+/// key and the value: invalid_argument, or out_of_range for a number that
+/// does not fit.
+StatusOr<RunSettings> parse_run_settings(
+    const std::vector<std::pair<std::string, std::string>>& settings);
 
 /// Runs one system over the workload. Deterministic.
 SystemResult run_system(SystemModel model, const ConsolidationWorkload& workload,

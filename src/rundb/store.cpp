@@ -258,15 +258,18 @@ StatusOr<std::uint64_t> append_records(const std::string& dir,
   if (!lease.is_ok()) return lease.status();
 
   auto data = read_file(store_data_path(dir));
-  if (!data.is_ok()) {
+  const bool exists = data.is_ok();
+  if (!exists) {
     if (data.status().code() != StatusCode::kNotFound) return data.status();
     data = std::string();  // a store nobody has registered into yet
   }
   auto image = build_store_image(*data, store_data_path(dir), records);
   if (!image.is_ok()) return image.status();
 
-  // Rewrite unconditionally: a store whose tail was torn externally is
-  // healed to its valid prefix, and a non-canonical frame is rewritten.
+  // An image equal to the stored bytes added no record and healed nothing:
+  // leave the file alone. A torn tail or a non-canonical frame makes the
+  // image differ, so those are still rewritten.
+  if (exists && image->store == *data) return image->appended;
   if (Status st = atomic_write_file(store_data_path(dir), image->store,
                                     "rundb.store");
       !st.is_ok()) {

@@ -28,9 +28,10 @@
 // decodes to is copied unchanged, and its run id comes from its verified
 // checksum footer; only a non-canonical frame is re-encoded. Each new
 // record is encoded and hashed once. The store is rewritten with one
-// atomic_write_file call — three fsyncs with the lease. A byte of a
-// canonical stored frame goes through one FNV-1a pass per append, its
-// frame's checksum.
+// atomic_write_file call — three fsyncs with the lease. An append that
+// adds no record and heals nothing (no torn tail, no non-canonical frame)
+// writes nothing beyond the lease. A byte of a canonical stored frame
+// goes through one FNV-1a pass per append, its frame's checksum.
 #pragma once
 
 #include <cstdint>

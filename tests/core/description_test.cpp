@@ -174,6 +174,16 @@ TEST(ParseDuration, SuffixesAndPlainSeconds) {
   EXPECT_FALSE(parse_duration("").is_ok());
   EXPECT_FALSE(parse_duration("abc").is_ok());
   EXPECT_FALSE(parse_duration("-5s").is_ok());
+  // The largest day count that fits int64 seconds parses; one unit more
+  // (in days or minutes), or a count past int64 itself, is out_of_range
+  // rather than signed overflow.
+  EXPECT_EQ(*parse_duration("106751991167300d"), 106751991167300 * kDay);
+  for (const char* token : {"106751991167301d", "200000000000000d",
+                            "153722867280912931m", "9223372036854775808"}) {
+    auto overflow = parse_duration(token);
+    ASSERT_FALSE(overflow.is_ok()) << token;
+    EXPECT_EQ(overflow.status().code(), StatusCode::kOutOfRange) << token;
+  }
 }
 
 TEST(Description, DescribeRoundTripMentionsProviders) {

@@ -247,5 +247,108 @@ TEST(Systems, ProviderLookupByName) {
   EXPECT_EQ(result.provider("small").provider, "small");
 }
 
+// The run vocabulary `dawningcloud run` flags and `dc sweep` axes share:
+// every key with a valid value, the defaults, then one row per refusal
+// with its exact message and code.
+TEST(RunSettings, ReadsEveryKeyAndRefusesBadValues) {
+  using Settings = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(run_setting_keys(),
+            (std::vector<std::string>{"system", "scheduler", "quantum",
+                                      "capacity", "setup", "mttf", "mttr",
+                                      "fault-seed"}));
+
+  auto all = parse_run_settings({{"system", "drp"},
+                                 {"scheduler", "conservative-backfill"},
+                                 {"quantum", "30m"},
+                                 {"capacity", "800"},
+                                 {"setup", "5m"},
+                                 {"mttf", "200h"},
+                                 {"mttr", "2h"},
+                                 {"fault-seed", "-1"}});
+  ASSERT_TRUE(all.is_ok()) << all.status().to_string();
+  EXPECT_EQ(all->model, SystemModel::kDrp);
+  EXPECT_EQ(all->options.htc_scheduler,
+            HtcSchedulerKind::kConservativeBackfill);
+  EXPECT_EQ(all->options.billing_quantum, 30 * kMinute);
+  EXPECT_EQ(all->options.platform_capacity, 800);
+  EXPECT_EQ(all->options.setup_latency, 5 * kMinute);
+  ASSERT_TRUE(all->options.faults.has_value());
+  EXPECT_EQ(all->options.faults->mean_time_between_failures, 200 * kHour);
+  EXPECT_EQ(all->options.faults->mean_time_to_repair, 2 * kHour);
+  EXPECT_EQ(all->options.faults->seed, ~std::uint64_t{0});  // -1 wraps
+
+  auto defaults = parse_run_settings({{"capacity", "0"}});
+  ASSERT_TRUE(defaults.is_ok()) << defaults.status().to_string();
+  EXPECT_FALSE(defaults->model.has_value());
+  EXPECT_EQ(defaults->options.billing_quantum, kHour);
+  EXPECT_EQ(defaults->options.htc_scheduler, HtcSchedulerKind::kFirstFit);
+  EXPECT_EQ(defaults->options.platform_capacity, 0);  // unbounded
+  EXPECT_FALSE(defaults->options.faults.has_value());
+
+  for (const auto& [name, model] :
+       std::vector<std::pair<std::string, SystemModel>>{
+           {"dcs", SystemModel::kDcs},
+           {"ssp", SystemModel::kSsp},
+           {"drp", SystemModel::kDrp},
+           {"dawningcloud", SystemModel::kDawningCloud}}) {
+    auto parsed = parse_run_settings({{"system", name}});
+    ASSERT_TRUE(parsed.is_ok()) << name;
+    EXPECT_EQ(parsed->model, model) << name;
+  }
+  for (HtcSchedulerKind kind :
+       {HtcSchedulerKind::kFirstFit, HtcSchedulerKind::kEasyBackfill,
+        HtcSchedulerKind::kConservativeBackfill, HtcSchedulerKind::kSjf}) {
+    auto parsed =
+        parse_run_settings({{"scheduler", htc_scheduler_name(kind)}});
+    ASSERT_TRUE(parsed.is_ok()) << htc_scheduler_name(kind);
+    EXPECT_EQ(parsed->options.htc_scheduler, kind);
+  }
+
+  struct Refusal {
+    Settings settings;
+    std::string message;
+    StatusCode code = StatusCode::kInvalidArgument;
+  };
+  const std::string wants_nodes = "capacity wants a node count (0 = unbounded)";
+  const std::vector<Refusal> refusals = {
+      {{{"capacity", "abc"}}, wants_nodes + ", got 'abc'"},
+      {{{"capacity", "12x"}}, wants_nodes + ", got '12x'"},
+      {{{"capacity", "-5"}}, wants_nodes + ", got '-5'"},
+      {{{"capacity", "99999999999999999999"}},
+       wants_nodes + ", got '99999999999999999999'",
+       StatusCode::kOutOfRange},
+      {{{"mttf", "200h"}, {"mttr", "2h"}, {"fault-seed", "abc"}},
+       "fault-seed wants an integer, got 'abc'"},
+      {{{"fault-seed", "7"}}, "fault-seed needs mttf and mttr"},
+      {{{"mttf", "200h"}}, "mttf and mttr must be given together"},
+      {{{"mttr", "2h"}, {"fault-seed", "7"}},
+       "mttf and mttr must be given together"},
+      {{{"mttf", "0"}, {"mttr", "2h"}},
+       "mttf wants a positive duration, got '0'"},
+      {{{"quantum", "0"}}, "quantum wants a positive duration, got '0'"},
+      {{{"quantum", "200000000000000d"}},
+       "quantum wants a positive duration, got '200000000000000d'",
+       StatusCode::kOutOfRange},
+      {{{"setup", "-5m"}}, "setup wants a duration, got '-5m'"},
+      {{{"queue", "heap"}},
+       "unknown key 'queue' (known keys: system, scheduler, quantum, "
+       "capacity, setup, mttf, mttr, fault-seed)"},
+      {{{"system", "DCS"}}, "unknown system 'DCS' (dcs|ssp|drp|dawningcloud)"},
+      {{{"system", "all"}}, "unknown system 'all' (dcs|ssp|drp|dawningcloud)"},
+      {{{"scheduler", "fcfs"}},
+       "unknown scheduler 'fcfs' "
+       "(first-fit|easy-backfill|conservative-backfill|sjf)"},
+      {{{"scheduler", "easy_backfill"}},
+       "unknown scheduler 'easy_backfill' "
+       "(first-fit|easy-backfill|conservative-backfill|sjf)"},
+  };
+  for (const Refusal& refusal : refusals) {
+    auto parsed = parse_run_settings(refusal.settings);
+    ASSERT_FALSE(parsed.is_ok()) << refusal.message;
+    EXPECT_EQ(parsed.status().message(), refusal.message);
+    EXPECT_EQ(parsed.status().code(), refusal.code) << refusal.message;
+  }
+}
+
 }  // namespace
 }  // namespace dc::core

@@ -5,6 +5,7 @@
 // and model-mismatched snapshots must be rejected with a clear error,
 // never a crash or a silently wrong answer.
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "obs/trace.hpp"
 #include "snapshot/format.hpp"
 #include "util/csv.hpp"
+#include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "workflow/montage.hpp"
@@ -126,6 +128,15 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The lines of `text`, each without its newline; a final newline ends
+/// the last line rather than starting an empty one.
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
 TEST(SnapshotResume, ChunkedRunWithPeriodicSnapshotsMatchesUninterrupted) {
@@ -278,10 +289,40 @@ TEST(SnapshotResume, CorruptedSnapshotIsRejectedWithClearError) {
       {core::run_system(SystemModel::kDcs, workload, options)}, "corrupt_g");
   SnapshotPolicy fallback = policy;
   fallback.resume = true;
-  auto resumed = core::run_system_snapshotted(SystemModel::kDcs, workload,
-                                              options, fallback);
+  const std::string log_path = policy.dir + ".log";
+  std::FILE* log = std::fopen(log_path.c_str(), "w");
+  ASSERT_NE(log, nullptr);
+  Log::set_stream(log);
+  StatusOr<core::SystemResult> resumed = Status::internal("not run");
+  {
+    ScopedLogLevel info(LogLevel::kInfo);
+    resumed = core::run_system_snapshotted(SystemModel::kDcs, workload,
+                                           options, fallback);
+  }
+  Log::set_stream(stderr);
+  std::fclose(log);
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   EXPECT_EQ(golden, results_artifact({*resumed}, "corrupt_r"));
+
+  // The skip warning and the resume line are one line each: no empty
+  // line follows either.
+  const std::vector<std::string> lines = split_lines(read_file(log_path));
+  for (const std::string& prefix :
+       {"skipping snapshot " + files.back() + ": ",
+        "resumed DCS from " + files[files.size() - 2] + " at t="}) {
+    const auto at = std::find_if(
+        lines.begin(), lines.end(), [&prefix](const std::string& line) {
+          return line.compare(0, prefix.size(), prefix) == 0;
+        });
+    ASSERT_NE(at, lines.end()) << prefix;
+    EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                            [&prefix](const std::string& line) {
+                              return line.find(prefix) != std::string::npos;
+                            }),
+              1)
+        << prefix;
+    EXPECT_TRUE(at + 1 == lines.end() || !(at + 1)->empty()) << prefix;
+  }
 
   // Truncation (the crash-mid-write shape, had writes not been atomic) is
   // rejected just as loudly.

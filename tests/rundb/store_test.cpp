@@ -1,7 +1,8 @@
 // The run store's durability contract: canonical encoding round-trips,
 // content-addressed dedup makes appends idempotent and byte-stable, torn
 // tails are dropped loudly while mid-stream corruption refuses, and an
-// append writes the data file and nothing else.
+// append writes the data file and nothing else — and, when it adds and
+// heals nothing, not even that.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include "rundb/store.hpp"
 #include "snapshot/format.hpp"
 #include "util/csv.hpp"
+#include "util/faultfs.hpp"
 #include "util/fsio.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -85,10 +87,19 @@ TEST(RunStore, AppendIsIdempotentAndByteStable) {
 
   // Registering the same content again appends nothing and leaves the
   // store byte-identical — the interrupted==uninterrupted contract for
-  // registration.
+  // registration. It takes the lease and writes nothing else: no
+  // rundb.store op is reached.
+  const std::string trace = dir + ".fault_trace";
+  fs::remove(trace);
+  faultfs::set_trace_path(trace);
   auto second = rundb::append_records(dir, records);
+  faultfs::set_trace_path("");
   ASSERT_TRUE(second.is_ok()) << second.status().to_string();
   EXPECT_EQ(*second, 0u);
+  auto hits = read_file(trace);
+  ASSERT_TRUE(hits.is_ok()) << hits.status().to_string();
+  EXPECT_NE(hits->find("HIT rundb.lock "), std::string::npos) << *hits;
+  EXPECT_EQ(hits->find("rundb.store"), std::string::npos) << *hits;
   auto bytes_after_second = read_file(rundb::store_data_path(dir));
   ASSERT_TRUE(bytes_after_second.is_ok());
   EXPECT_EQ(*bytes_after_first, *bytes_after_second);

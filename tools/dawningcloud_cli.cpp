@@ -29,7 +29,9 @@
 // --profile — all single-system only, since sinks are per run.
 //
 // Every subcommand refuses a flag it does not accept (exit 2, naming the
-// flag), so a typo never silently runs the defaults.
+// flag), so a typo never silently runs the defaults. The world flags
+// (--system ... --fault-seed) are read by core::parse_run_settings, the
+// reader a `dc sweep` cell's axes go through.
 //
 // Experiment config files use the Section 2.2 requirement description
 // model; see data/paper_experiment.dcfg. Snapshot/resume semantics are
@@ -37,8 +39,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,20 +112,21 @@ int usage() {
   return 2;
 }
 
-/// The world-shaping flags `run` and `replay window` share
-/// (parse_world_options), in the order `run --db` records them.
-constexpr const char* kWorldFlags[] = {"quantum", "scheduler", "capacity",
-                                       "setup",   "mttf",      "mttr",
-                                       "fault-seed"};
+/// The flags a `run --db` registration records as params, in the order
+/// it records them. That order fixes the records' run ids, so it is not
+/// the canonical core::run_setting_keys() order.
+constexpr const char* kRecordedFlags[] = {"config", "quantum",  "scheduler",
+                                          "capacity", "setup", "mttf",
+                                          "mttr",   "fault-seed"};
 
 /// The flags each subcommand accepts, mirroring usage().
 const std::map<std::string, std::vector<std::string>>& accepted_flags() {
   static const auto kTable = [] {
     std::map<std::string, std::vector<std::string>> table = {
         {"run",
-         {"config", "system", "csv", "snapshot-every", "snapshot-dir",
-          "resume", "resume-from", "trace-out", "trace-filter",
-          "metrics-every", "metrics-out", "profile", "db"}},
+         {"config", "csv", "snapshot-every", "snapshot-dir", "resume",
+          "resume-from", "trace-out", "trace-filter", "metrics-every",
+          "metrics-out", "profile", "db"}},
         {"paper", {}},
         {"report-md", {"config"}},
         {"tune", {"config", "provider", "tolerance"}},
@@ -137,7 +140,7 @@ const std::map<std::string, std::vector<std::string>>& accepted_flags() {
         {"sweep report", {"dir"}},
         {"replay list", {"snapshot-dir", "system"}},
         {"replay window",
-         {"config", "system", "snapshot", "snapshot-dir", "from", "until",
+         {"config", "snapshot", "snapshot-dir", "from", "until",
           "trace-out", "trace-filter", "trace-capacity"}},
         {"replay bisect",
          {"golden-dir", "other-dir", "system", "golden-trace",
@@ -148,9 +151,11 @@ const std::map<std::string, std::vector<std::string>>& accepted_flags() {
          {"db", "db-b", "a", "b", "kind", "source", "label", "where",
           "select", "format"}},
     };
+    // Both shape a world with the run vocabulary, `--system` included.
     for (const char* command : {"run", "replay window"}) {
       auto& flags = table[command];
-      flags.insert(flags.end(), std::begin(kWorldFlags), std::end(kWorldFlags));
+      flags.insert(flags.end(), core::run_setting_keys().begin(),
+                   core::run_setting_keys().end());
     }
     return table;
   }();
@@ -225,93 +230,41 @@ void print_full_report(const std::vector<core::SystemResult>& results,
   std::puts(metrics::format_overhead_report(results).c_str());
 }
 
-/// "dcs"/"ssp"/"drp"/"dawningcloud" → model; false on anything else.
-bool parse_system_model(const std::string& name, core::SystemModel& model) {
-  if (name == "dcs") model = core::SystemModel::kDcs;
-  else if (name == "ssp") model = core::SystemModel::kSsp;
-  else if (name == "drp") model = core::SystemModel::kDrp;
-  else if (name == "dawningcloud") model = core::SystemModel::kDawningCloud;
-  else return false;
-  return true;
+/// The run-vocabulary flags given (core::run_setting_keys), read by
+/// core::parse_run_settings, the reader a `dc sweep` cell goes through: a
+/// replay must rebuild the world the original run had, or restore()
+/// refuses the snapshot. `--system all` is left out: it names no model.
+/// A refusal is printed as "<command>: <why>".
+std::optional<core::RunSettings> parse_world(
+    const char* command, const std::map<std::string, std::string>& flags) {
+  std::vector<std::pair<std::string, std::string>> given;
+  for (const std::string& key : core::run_setting_keys()) {
+    const auto it = flags.find(key);
+    if (it == flags.end() || (key == "system" && it->second == "all")) {
+      continue;
+    }
+    given.emplace_back(key, it->second);
+  }
+  auto settings = core::parse_run_settings(given);
+  if (!settings.is_ok()) {
+    std::fprintf(stderr, "%s: %s\n", command,
+                 settings.status().message().c_str());
+    return std::nullopt;
+  }
+  return std::move(*settings);
 }
 
-/// World-shaping flags shared by `run` and `replay window` (a replay must
-/// rebuild the same world the original run had — same quantum, scheduler,
-/// capacity, faults — or restore() refuses the snapshot). Returns 0 on
-/// success, else the exit code.
-int parse_world_options(const std::map<std::string, std::string>& flags,
-                        core::RunOptions& options) {
-  if (auto it = flags.find("quantum"); it != flags.end()) {
-    auto quantum = core::parse_duration(it->second);
-    if (!quantum.is_ok() || *quantum <= 0) {
-      std::fprintf(stderr, "bad --quantum\n");
-      return 2;
-    }
-    options.billing_quantum = *quantum;
-  }
-  if (auto it = flags.find("capacity"); it != flags.end()) {
-    options.platform_capacity = std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-  if (auto it = flags.find("setup"); it != flags.end()) {
-    auto setup = core::parse_duration(it->second);
-    if (!setup.is_ok()) {
-      std::fprintf(stderr, "bad --setup\n");
-      return 2;
-    }
-    options.setup_latency = *setup;
-  }
-  if (flags.count("mttf") != 0 || flags.count("mttr") != 0) {
-    auto mttf_it = flags.find("mttf");
-    auto mttr_it = flags.find("mttr");
-    if (mttf_it == flags.end() || mttr_it == flags.end()) {
-      std::fprintf(stderr, "--mttf and --mttr must be given together\n");
-      return 2;
-    }
-    auto mttf = core::parse_duration(mttf_it->second);
-    auto mttr = core::parse_duration(mttr_it->second);
-    if (!mttf.is_ok() || *mttf <= 0 || !mttr.is_ok() || *mttr <= 0) {
-      std::fprintf(stderr, "bad --mttf/--mttr\n");
-      return 2;
-    }
-    core::fault::FaultDomain::Config faults;
-    faults.mean_time_between_failures = *mttf;
-    faults.mean_time_to_repair = *mttr;
-    if (auto it = flags.find("fault-seed"); it != flags.end()) {
-      faults.seed = std::strtoull(it->second.c_str(), nullptr, 10);
-    }
-    options.faults = faults;
-  }
-  if (auto it = flags.find("scheduler"); it != flags.end()) {
-    const std::string& name = it->second;
-    if (name == "first-fit") {
-      options.htc_scheduler = core::HtcSchedulerKind::kFirstFit;
-    } else if (name == "easy-backfill") {
-      options.htc_scheduler = core::HtcSchedulerKind::kEasyBackfill;
-    } else if (name == "conservative-backfill") {
-      options.htc_scheduler = core::HtcSchedulerKind::kConservativeBackfill;
-    } else if (name == "sjf") {
-      options.htc_scheduler = core::HtcSchedulerKind::kSjf;
-    } else {
-      std::fprintf(stderr, "unknown --scheduler %s\n", name.c_str());
-      return 2;
-    }
-  }
-  return 0;
-}
-
-/// The world-shaping flags a run was invoked with, in a fixed order —
-/// the parameter axes a `run --db` registration records. Only flags
-/// actually given are recorded (the config file pins the defaults).
+/// The world-shaping flags a run was invoked with, in kRecordedFlags
+/// order — the parameter axes a `run --db` registration records. Only
+/// flags actually given are recorded (the config file pins the defaults).
 std::vector<std::pair<std::string, std::string>> world_params(
     const std::map<std::string, std::string>& flags) {
   std::vector<std::pair<std::string, std::string>> params;
-  const auto record = [&](const char* axis) {
+  for (const char* axis : kRecordedFlags) {
     if (auto it = flags.find(axis); it != flags.end()) {
       params.emplace_back(axis, it->second);
     }
-  };
-  record("config");
-  for (const char* axis : kWorldFlags) record(axis);
+  }
   return params;
 }
 
@@ -321,11 +274,10 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "%s\n", workload.status().to_string().c_str());
     return 1;
   }
-  core::RunOptions options;
-  if (int rc = parse_world_options(flags, options); rc != 0) return rc;
-
-  std::string system = "all";
-  if (auto it = flags.find("system"); it != flags.end()) system = it->second;
+  const auto world = parse_world("run", flags);
+  if (!world) return 2;
+  core::RunOptions options = world->options;
+  const std::optional<core::SystemModel> model = world->model;  // none: all
 
   core::SnapshotPolicy policy;
   if (auto it = flags.find("snapshot-every"); it != flags.end()) {
@@ -357,7 +309,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "snapshot flags need --snapshot-dir DIR\n");
     return 2;
   }
-  if (snapshotting && system == "all") {
+  if (snapshotting && !model) {
     std::fprintf(stderr,
                  "snapshot/resume needs a single --system (not 'all')\n");
     return 2;
@@ -413,7 +365,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   const bool observing = options.trace != nullptr ||
                          options.metrics != nullptr ||
                          options.profile != nullptr;
-  if (observing && system == "all") {
+  if (observing && !model) {
     std::fprintf(stderr,
                  "--trace-out/--metrics-every/--profile need a single "
                  "--system (not 'all'): sinks are per run\n");
@@ -422,28 +374,23 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   ScopedLogHook log_hook(options.trace);
 
   std::vector<core::SystemResult> results;
-  if (system == "all") {
+  if (!model) {
     results = core::run_all_systems(*workload, options);
   } else {
-    core::SystemModel model;
-    if (!parse_system_model(system, model)) {
-      std::fprintf(stderr, "unknown --system %s\n", system.c_str());
-      return 2;
-    }
     if (snapshotting) {
       auto result =
-          core::run_system_snapshotted(model, *workload, options, policy);
+          core::run_system_snapshotted(*model, *workload, options, policy);
       if (!result.is_ok()) {
         std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
         return 1;
       }
       results.push_back(std::move(*result));
     } else {
-      results.push_back(core::run_system(model, *workload, options));
+      results.push_back(core::run_system(*model, *workload, options));
     }
   }
 
-  if (system == "all") {
+  if (!model) {
     print_full_report(results, *workload);
   } else {
     for (const auto& result : results) {
@@ -576,7 +523,14 @@ int cmd_tune(const std::map<std::string, std::string>& flags) {
   }
   core::TuningObjective objective;
   if (auto it = flags.find("tolerance"); it != flags.end()) {
-    objective.quality_tolerance = std::strtod(it->second.c_str(), nullptr);
+    auto tolerance = parse_double(it->second);
+    if (!tolerance.is_ok() || !(*tolerance >= 0.0 && *tolerance <= 1.0)) {
+      std::fprintf(stderr,
+                   "tune: --tolerance wants a fraction in [0, 1], got '%s'\n",
+                   it->second.c_str());
+      return 2;
+    }
+    objective.quality_tolerance = *tolerance;
   }
   const std::vector<std::int64_t> b_grid = {5, 10, 20, 40, 60, 80, 120};
   for (const auto& spec : workload->htc) {
@@ -715,16 +669,20 @@ int cmd_trace_stats(const std::map<std::string, std::string>& flags) {
 
 }  // namespace
 
-/// Parses an optional integer flag into `out`; false (with a message) on a
-/// malformed value.
-bool flag_int(const std::map<std::string, std::string>& flags, const char* key,
+/// Parses an optional non-negative integer flag of `command` into `out`;
+/// false (with a message naming the command) on a malformed or negative
+/// value.
+bool flag_int(const char* command,
+              const std::map<std::string, std::string>& flags, const char* key,
               std::int64_t& out) {
   const auto it = flags.find(key);
   if (it == flags.end()) return true;
   auto parsed = parse_int(it->second);
-  if (!parsed.is_ok()) {
-    std::fprintf(stderr, "sweep: bad --%s '%s': %s\n", key,
-                 it->second.c_str(), parsed.status().message().c_str());
+  if (!parsed.is_ok() || *parsed < 0) {
+    std::fprintf(stderr, "%s: bad --%s '%s': %s\n", command, key,
+                 it->second.c_str(),
+                 parsed.is_ok() ? "negative"
+                                : parsed.status().message().c_str());
     return false;
   }
   out = *parsed;
@@ -761,12 +719,14 @@ int cmd_sweep_run(const std::map<std::string, std::string>& flags) {
 
   std::int64_t workers = config.workers;
   std::int64_t max_attempts = config.max_attempts;
-  if (!flag_int(flags, "workers", workers) ||
-      !flag_int(flags, "max-attempts", max_attempts) ||
-      !flag_int(flags, "heartbeat-timeout-ms", config.heartbeat_timeout_ms) ||
-      !flag_int(flags, "poll-ms", config.poll_interval_ms) ||
-      !flag_int(flags, "backoff-ms", config.backoff_base_ms) ||
-      !flag_int(flags, "backoff-cap-ms", config.backoff_cap_ms)) {
+  const char* command = "sweep run";
+  if (!flag_int(command, flags, "workers", workers) ||
+      !flag_int(command, flags, "max-attempts", max_attempts) ||
+      !flag_int(command, flags, "heartbeat-timeout-ms",
+                config.heartbeat_timeout_ms) ||
+      !flag_int(command, flags, "poll-ms", config.poll_interval_ms) ||
+      !flag_int(command, flags, "backoff-ms", config.backoff_base_ms) ||
+      !flag_int(command, flags, "backoff-cap-ms", config.backoff_cap_ms)) {
     return 2;
   }
   config.workers = static_cast<int>(workers);
@@ -816,12 +776,14 @@ int cmd_sweep_report(const std::map<std::string, std::string>& flags) {
 bool replay_system(const std::map<std::string, std::string>& flags,
                    core::SystemModel& model) {
   const auto it = flags.find("system");
-  if (it == flags.end() || !parse_system_model(it->second, model)) {
+  auto parsed = core::parse_system_model(it == flags.end() ? "" : it->second);
+  if (!parsed.is_ok()) {
     std::fputs("replay: need --system dcs|ssp|drp|dawningcloud (a replay "
                "restores exactly one world)\n",
                stderr);
     return false;
   }
+  model = *parsed;
   return true;
 }
 
@@ -855,8 +817,9 @@ int cmd_replay_window(const std::map<std::string, std::string>& flags) {
   }
   core::SystemModel model;
   if (!replay_system(flags, model)) return 2;
-  core::RunOptions options;
-  if (int rc = parse_world_options(flags, options); rc != 0) return rc;
+  const auto world = parse_world("replay window", flags);
+  if (!world) return 2;
+  const core::RunOptions& options = world->options;
 
   std::string snapshot_file;
   if (auto it = flags.find("snapshot"); it != flags.end()) {
@@ -901,7 +864,7 @@ int cmd_replay_window(const std::map<std::string, std::string>& flags) {
     mask = *parsed;
   }
   std::int64_t capacity = 0;
-  if (!flag_int(flags, "trace-capacity", capacity) || capacity < 0) return 2;
+  if (!flag_int("replay window", flags, "trace-capacity", capacity)) return 2;
 
   auto window = rundb::replay_window(model, *workload, options, snapshot_file,
                                      until, static_cast<std::size_t>(capacity),
