@@ -60,8 +60,8 @@ TuningResult tune(WorkloadType type, const std::string& provider,
   };
 
   // Grid phase: every point is independent (one Simulator each), so spread
-  // it over the thread pool; results land at fixed indices so the output
-  // is identical to a sequential run.
+  // it over parallel_map_index's threads; results land at fixed indices so
+  // the output is identical to a sequential run.
   std::vector<std::pair<std::int64_t, double>> grid;
   for (std::int64_t b : b_grid) {
     for (double r : r_grid) {

@@ -6,22 +6,21 @@
 // run: timestamps are SimTime seconds, names are interned in first-use
 // order, and the ring drops oldest-first with an explicit counter, so two
 // runs of the same experiment produce byte-identical exports regardless
-// of DC_THREADS and regardless of snapshot/resume boundaries. That makes
-// the trace a determinism oracle in its own right: `dawningcloud
-// trace-summary --trace a.json --other b.json` reports the first
-// diverging event the way snapshot-diff reports the first diverging
-// field.
+// of how many sweep threads run beside them and regardless of
+// snapshot/resume boundaries. That makes the trace a determinism oracle
+// in its own right: `dawningcloud trace-summary --trace a.json --other
+// b.json` reports the first diverging event the way snapshot-diff reports
+// the first diverging field.
 //
 // Sinks are owned per run (one per Simulator), never global, so parallel
 // parameter sweeps stay race-free: each sweep lane traces into its own
 // sink or into none.
 //
-// Emission goes through the DC_TRACE_* macros. By default they compile
-// to a null-pointer test plus a call — negligible off the kernel hot
-// path, which is deliberately *not* instrumented (per-event tracing
-// would tax EventQueueThroughput; the kernel exposes aggregate counters
-// to the PhaseProfiler instead). Defining DC_TRACE_DISABLED compiles
-// every emission site out entirely (arguments unevaluated).
+// Emission goes through the DC_TRACE_* macros. They compile to a
+// null-pointer test plus a call — negligible off the kernel hot path,
+// which is deliberately *not* instrumented (per-event tracing would tax
+// EventQueueThroughput; the kernel exposes aggregate counters to the
+// PhaseProfiler instead).
 #pragma once
 
 #include <cstdint>
@@ -250,9 +249,8 @@ bool diff_traces(const std::vector<ParsedTraceEvent>& golden,
 
 }  // namespace dc::obs
 
-// Emission macros. `sink` is a TraceSink* (may be null); with tracing
-// compiled in they cost one pointer test when the sink is null.
-#ifndef DC_TRACE_DISABLED
+// Emission macros. `sink` is a TraceSink* (may be null); they cost one
+// pointer test when the sink is null.
 #define DC_TRACE_INSTANT(sink, ...)                        \
   do {                                                     \
     if ((sink) != nullptr) (sink)->instant(__VA_ARGS__);   \
@@ -281,17 +279,3 @@ bool diff_traces(const std::vector<ParsedTraceEvent>& golden,
                    __VA_ARGS__);                                            \
     }                                                                       \
   } while (0)
-#else
-#define DC_TRACE_INSTANT(sink, ...) \
-  do {                              \
-  } while (0)
-#define DC_TRACE_SPAN(sink, ...) \
-  do {                           \
-  } while (0)
-#define DC_TRACE_INSTANT_C(sink, ...) \
-  do {                                \
-  } while (0)
-#define DC_TRACE_SPAN_C(sink, ...) \
-  do {                             \
-  } while (0)
-#endif

@@ -4,7 +4,7 @@
 // dc-lint (tools/dc_lint) enforces the determinism rules a lexer can see;
 // DC_INVARIANT audits the properties only a running kernel can check —
 // heap structure, slab free-list integrity, generation consistency,
-// simulation-time monotonicity, thread-pool cursor sanity.
+// simulation-time monotonicity, each parallel sweep index run exactly once.
 //
 // Configure with -DDC_CHECKED=ON (the `checked` CMake preset) to compile
 // the audits in; in every other build DC_INVARIANT expands to ((void)0) —

@@ -2,18 +2,14 @@
 //
 // Experiments are pure functions of their inputs and each owns its
 // Simulator, so parameter sweeps (Figures 9-11, the tuner's grids, the
-// robustness studies) are embarrassingly parallel. parallel_for_index
-// partitions [0, count) over a persistent worker pool; results are written
-// by index, so output ordering — and therefore every CSV and table — is
-// identical to the sequential run.
-//
-// Pool model (see docs/ARCHITECTURE.md, "Threading model"): workers are
-// spawned lazily on the first parallel call and reused for every
-// subsequent sweep — no thread spawn/join cost per call. Indices are
-// claimed in contiguous chunks from a shared atomic cursor; the calling
-// thread participates in its own job, so a sweep completes even with zero
-// pool workers (DC_THREADS=1) and nested parallel calls degrade to inline
-// execution instead of deadlocking.
+// robustness studies) are embarrassingly parallel. parallel_for_index is a
+// fork-join: each call starts `threads - 1` helper threads, and they and
+// the caller claim indices one at a time from one atomic cursor until
+// [0, count) is exhausted; the call returns after joining them. Results
+// are written by index, so output ordering — and therefore every CSV and
+// table — is identical to the sequential run. See docs/ARCHITECTURE.md,
+// "Threading model", for why a call spawns its helpers rather than
+// reusing a pool.
 #pragma once
 
 #include <algorithm>
@@ -24,16 +20,16 @@
 
 namespace dc {
 
-/// Number of worker threads to use: DC_THREADS env var if set to a valid
-/// positive integer, otherwise the hardware concurrency (min 1). A
-/// malformed or non-positive DC_THREADS is rejected with a dc::Log warning
-/// rather than silently misread.
+/// Number of threads a sweep uses by default: the hardware concurrency,
+/// at least 1.
 std::size_t default_thread_count();
 
 /// Invokes fn(i) for every i in [0, count), distributing indices over
-/// `threads` workers (0 = default_thread_count()). fn must be safe to call
-/// concurrently for distinct i. Runs inline when count <= 1, one thread,
-/// or when called from inside another parallel_for_index.
+/// `threads` threads (0 = default_thread_count()), the caller included.
+/// fn must be safe to call concurrently for distinct i. Runs inline when
+/// count <= 1, one thread, or when called from inside another
+/// parallel_for_index. A throw from fn, on any thread, stops further
+/// claims; the first one is rethrown once the helpers have joined.
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& fn,
                         std::size_t threads = 0);

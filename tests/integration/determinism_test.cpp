@@ -1,11 +1,10 @@
 // Seed-determinism regression: one seed, one answer — regardless of how
-// many worker threads the sweep pool uses. Runs the full four-system
-// experiment plus invoice generation under DC_THREADS=1 and DC_THREADS=4
-// and asserts every rendered artifact (tables, CSV, invoices) is
-// byte-identical, pinning the reproducibility contract that dc-lint
-// enforces statically (docs/STATIC_ANALYSIS.md).
+// many threads a parallel sweep uses. Runs the full four-system experiment
+// plus invoice generation at 1 and at 4 threads and asserts every rendered
+// artifact (tables, CSV, invoices) is byte-identical, pinning the
+// reproducibility contract that dc-lint enforces statically
+// (docs/STATIC_ANALYSIS.md).
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -113,21 +112,23 @@ struct Artifacts {
 };
 
 // googletest: ASSERT_* needs a void return, so results land in `out`.
-void run_experiment(const char* dc_threads, Artifacts* out) {
-  ASSERT_EQ(setenv("DC_THREADS", dc_threads, /*overwrite=*/1), 0)
-      << "setenv failed";
+void run_experiment(std::size_t threads, Artifacts* out) {
+  *out = Artifacts{};
   const core::ConsolidationWorkload workload = make_workload();
 
-  // The four systems evaluated concurrently on the sweep pool — the same
+  // The four systems evaluated concurrently, `threads` at a time — the same
   // shape as the figure benches.
   core::RunOptions options;
   const std::vector<core::SystemModel> models = {
       core::SystemModel::kDcs, core::SystemModel::kSsp, core::SystemModel::kDrp,
       core::SystemModel::kDawningCloud};
   const std::vector<core::SystemResult> systems =
-      parallel_map_index<core::SystemResult>(models.size(), [&](std::size_t i) {
-        return core::run_system(models[i], workload, options);
-      });
+      parallel_map_index<core::SystemResult>(
+          models.size(),
+          [&](std::size_t i) {
+            return core::run_system(models[i], workload, options);
+          },
+          threads);
 
   Artifacts& artifacts = *out;
   artifacts.tables = metrics::format_htc_provider_table(systems, "det", "HTC");
@@ -136,7 +137,7 @@ void run_experiment(const char* dc_threads, Artifacts* out) {
   artifacts.tables += metrics::format_overhead_report(systems);
 
   const std::string csv_path = ::testing::TempDir() + "determinism_" +
-                               std::string(dc_threads) + ".csv";
+                               std::to_string(threads) + ".csv";
   {
     CsvWriter csv(csv_path);
     ASSERT_TRUE(csv.ok()) << csv_path;
@@ -149,32 +150,18 @@ void run_experiment(const char* dc_threads, Artifacts* out) {
   ASSERT_FALSE(artifacts.csv.empty());
 
   const std::vector<std::string> invoices = parallel_map_index<std::string>(
-      4, [](std::size_t i) { return elastic_invoice(i); });
+      4, [](std::size_t i) { return elastic_invoice(i); }, threads);
   for (const std::string& invoice : invoices) artifacts.invoices += invoice;
 
   artifacts.digest =
       fnv1a(artifacts.tables + artifacts.csv + artifacts.invoices);
 }
 
-// Saves/restores DC_THREADS around one experiment run.
-void run_experiment_into(const char* dc_threads, Artifacts* out) {
-  *out = Artifacts{};
-  const char* saved = std::getenv("DC_THREADS");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-  run_experiment(dc_threads, out);
-  // Restore so later tests see the environment they started with.
-  if (saved == nullptr) {
-    unsetenv("DC_THREADS");
-  } else {
-    setenv("DC_THREADS", saved_value.c_str(), 1);
-  }
-}
-
 TEST(Determinism, SameSeedSameResultAcrossThreadCounts) {
   Artifacts single;
   Artifacts pooled;
-  run_experiment_into("1", &single);
-  run_experiment_into("4", &pooled);
+  run_experiment(1, &single);
+  run_experiment(4, &pooled);
 
   // Byte-identical first (the failure message names the artifact), then the
   // digest — the value a results pipeline would publish and diff.
@@ -226,23 +213,15 @@ std::string faulted_mtc_artifact(std::size_t variant) {
 }
 
 TEST(Determinism, FaultedMtcRunsAreByteIdenticalAcrossThreadCounts) {
-  const char* saved = std::getenv("DC_THREADS");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-  auto run_all = [](const char* threads) {
-    setenv("DC_THREADS", threads, 1);
+  auto run_all = [](std::size_t threads) {
     const std::vector<std::string> parts = parallel_map_index<std::string>(
-        4, [](std::size_t i) { return faulted_mtc_artifact(i); });
+        4, [](std::size_t i) { return faulted_mtc_artifact(i); }, threads);
     std::string all;
     for (const std::string& part : parts) all += part;
     return all;
   };
-  const std::string single = run_all("1");
-  const std::string pooled = run_all("4");
-  if (saved == nullptr) {
-    unsetenv("DC_THREADS");
-  } else {
-    setenv("DC_THREADS", saved_value.c_str(), 1);
-  }
+  const std::string single = run_all(1);
+  const std::string pooled = run_all(4);
   EXPECT_EQ(single, pooled);
   EXPECT_EQ(fnv1a(single), fnv1a(pooled));
 }
@@ -300,8 +279,8 @@ TEST(Determinism, RepeatedRunIsStableWithinProcess) {
   // (pointer-keyed containers, uninitialized reads) that varies run to run.
   Artifacts first;
   Artifacts second;
-  run_experiment_into("4", &first);
-  run_experiment_into("4", &second);
+  run_experiment(4, &first);
+  run_experiment(4, &second);
   EXPECT_EQ(first.digest, second.digest);
   EXPECT_EQ(first.tables, second.tables);
 }

@@ -1,12 +1,11 @@
 // Crash-consistency regression: a run interrupted at any snapshot
 // boundary and resumed from disk must produce results CSVs byte-identical
 // to an uninterrupted run — for all four systems, under fault injection,
-// and regardless of the sweep pool's thread count. Corrupted, truncated,
+// and regardless of a parallel sweep's thread count. Corrupted, truncated,
 // and model-mismatched snapshots must be rejected with a clear error,
 // never a crash or a silently wrong answer.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -213,19 +212,18 @@ TEST(SnapshotResume, ResumeFromEveryBoundaryIsByteIdentical) {
 TEST(SnapshotResume, ResumeIsByteIdenticalAcrossThreadCounts) {
   const core::ConsolidationWorkload workload = make_workload();
   const core::RunOptions options = make_options();
-  const char* saved = std::getenv("DC_THREADS");
-  const std::string saved_value = saved == nullptr ? "" : saved;
 
-  auto run_matrix = [&](const char* threads) {
-    setenv("DC_THREADS", threads, 1);
-    // All four systems resumed concurrently on the sweep pool — the same
+  auto run_matrix = [&](std::size_t threads) {
+    const std::string tag = std::to_string(threads);
+    // All four systems resumed concurrently, `threads` at a time — the same
     // shape as a figure bench restarted after a crash.
-    const std::vector<std::string> artifacts =
-        parallel_map_index<std::string>(kModels.size(), [&](std::size_t i) {
+    const std::vector<std::string> artifacts = parallel_map_index<std::string>(
+        kModels.size(),
+        [&](std::size_t i) {
           const SystemModel model = kModels[i];
           SnapshotPolicy policy;
           policy.every = 8 * kHour;
-          policy.dir = fresh_dir(std::string("snap_threads_") + threads +
+          policy.dir = fresh_dir("snap_threads_" + tag +
                                  core::system_model_name(model));
           auto first =
               core::run_system_snapshotted(model, workload, options, policy);
@@ -238,21 +236,16 @@ TEST(SnapshotResume, ResumeIsByteIdenticalAcrossThreadCounts) {
               core::run_system_snapshotted(model, workload, options, resume);
           EXPECT_TRUE(resumed.is_ok()) << resumed.status().to_string();
           return results_artifact({*resumed},
-                                  std::string("t") + threads +
-                                      core::system_model_name(model));
-        });
+                                  "t" + tag + core::system_model_name(model));
+        },
+        threads);
     std::string all;
     for (const std::string& artifact : artifacts) all += artifact;
     return all;
   };
 
-  const std::string single = run_matrix("1");
-  const std::string pooled = run_matrix("4");
-  if (saved == nullptr) {
-    unsetenv("DC_THREADS");
-  } else {
-    setenv("DC_THREADS", saved_value.c_str(), 1);
-  }
+  const std::string single = run_matrix(1);
+  const std::string pooled = run_matrix(4);
   EXPECT_EQ(single, pooled);
 }
 
@@ -453,9 +446,7 @@ TEST(SnapshotResume, DawningCloudTraceAndMetricsMatchPinnedDigests) {
                                              workload, options, policy);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(hex_digest(registry.timeseries_csv()), "428c18b6e6b218ca");
-#if !defined(DC_TRACE_DISABLED)
   EXPECT_EQ(hex_digest(sink.chrome_json()), "6acfa59fb93c85de");
-#endif
 }
 
 }  // namespace

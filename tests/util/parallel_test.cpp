@@ -4,12 +4,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/simulator.hpp"
-#include "util/log.hpp"
 #include "util/time.hpp"
 
 namespace dc {
@@ -63,52 +64,14 @@ TEST(DefaultThreadCount, AtLeastOne) {
   EXPECT_GE(default_thread_count(), 1u);
 }
 
-// RAII guard that sets DC_THREADS for one test and restores it after.
-class ScopedDcThreads {
- public:
-  explicit ScopedDcThreads(const char* value) {
-    const char* previous = std::getenv("DC_THREADS");
-    if (previous != nullptr) saved_ = previous;
-    had_previous_ = previous != nullptr;
-    ::setenv("DC_THREADS", value, 1);
-  }
-  ~ScopedDcThreads() {
-    if (had_previous_) {
-      ::setenv("DC_THREADS", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("DC_THREADS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_previous_ = false;
-};
-
-TEST(DefaultThreadCount, HonorsValidDcThreads) {
-  ScopedDcThreads env("8");
-  EXPECT_EQ(default_thread_count(), 8u);
-}
-
-TEST(DefaultThreadCount, RejectsGarbageDcThreads) {
-  ScopedLogLevel quiet(LogLevel::kError);  // the rejection warns; silence it
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t fallback = hw == 0 ? 1 : hw;
-  for (const char* bad : {"abc", "12abc", "", "-3", "0", "4.5", "0x10"}) {
-    ScopedDcThreads env(bad);
-    EXPECT_EQ(default_thread_count(), fallback)
-        << "DC_THREADS=\"" << bad << "\" should be rejected";
-  }
-}
-
 TEST(ParallelFor, NestedCallRunsInlineWithoutDeadlock) {
   std::atomic<int> inner_calls{0};
   parallel_for_index(
       4,
       [&](std::size_t) {
-        // A nested sweep from inside a parallel region must not try to
-        // re-enter the pool (the outer job may already occupy every
-        // worker); it degrades to inline execution on the calling thread.
+        // A nested sweep from inside a parallel region must not start
+        // helpers of its own (the outer call already keeps every core
+        // busy); it degrades to inline execution on the calling thread.
         const auto me = std::this_thread::get_id();
         parallel_for_index(
             8,
@@ -127,6 +90,33 @@ TEST(ParallelFor, PoolIsReusableAcrossManyJobs) {
     std::atomic<std::size_t> sum{0};
     parallel_for_index(100, [&](std::size_t i) { sum += i; }, 4);
     EXPECT_EQ(sum.load(), 4950u);
+  }
+}
+
+// A throw on the calling thread or on a helper reaches the caller once the
+// helpers have joined, and no index runs twice. The threads that do not
+// throw hold their first index until one has thrown, so the throwing side
+// is sure to claim one.
+TEST(ParallelFor, ThrowIsRethrownAfterTheHelpersJoin) {
+  const auto caller = std::this_thread::get_id();
+  for (const bool caller_throws : {true, false}) {
+    SCOPED_TRACE(caller_throws ? "caller throws" : "helpers throw");
+    std::atomic<bool> thrown{false};
+    std::vector<std::atomic<int>> visits(1000);
+    EXPECT_THROW(parallel_for_index(
+                     1000,
+                     [&](std::size_t i) {
+                       ++visits[i];
+                       if ((std::this_thread::get_id() == caller) ==
+                           caller_throws) {
+                         thrown = true;
+                         throw std::runtime_error("fn failed");
+                       }
+                       while (!thrown) std::this_thread::yield();
+                     },
+                     4),
+                 std::runtime_error);
+    for (const auto& count : visits) EXPECT_LE(count.load(), 1);
   }
 }
 

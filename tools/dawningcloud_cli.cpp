@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -669,20 +670,27 @@ int cmd_trace_stats(const std::map<std::string, std::string>& flags) {
 
 }  // namespace
 
-/// Parses an optional non-negative integer flag of `command` into `out`;
-/// false (with a message naming the command) on a malformed or negative
-/// value.
+/// Parses an optional integer flag of `command` in [0, max] into `out`;
+/// false (with a message naming the command) on a malformed, negative or
+/// too large value.
 bool flag_int(const char* command,
               const std::map<std::string, std::string>& flags, const char* key,
-              std::int64_t& out) {
+              std::int64_t& out,
+              std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
   const auto it = flags.find(key);
   if (it == flags.end()) return true;
   auto parsed = parse_int(it->second);
-  if (!parsed.is_ok() || *parsed < 0) {
+  std::string why;
+  if (!parsed.is_ok()) {
+    why = parsed.status().message();
+  } else if (*parsed < 0) {
+    why = "negative";
+  } else if (*parsed > max) {
+    why = "above " + std::to_string(max);
+  }
+  if (!why.empty()) {
     std::fprintf(stderr, "%s: bad --%s '%s': %s\n", command, key,
-                 it->second.c_str(),
-                 parsed.is_ok() ? "negative"
-                                : parsed.status().message().c_str());
+                 it->second.c_str(), why.c_str());
     return false;
   }
   out = *parsed;
@@ -720,8 +728,10 @@ int cmd_sweep_run(const std::map<std::string, std::string>& flags) {
   std::int64_t workers = config.workers;
   std::int64_t max_attempts = config.max_attempts;
   const char* command = "sweep run";
-  if (!flag_int(command, flags, "workers", workers) ||
-      !flag_int(command, flags, "max-attempts", max_attempts) ||
+  // The orchestrator counts both in int: refuse what would not fit.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  if (!flag_int(command, flags, "workers", workers, kIntMax) ||
+      !flag_int(command, flags, "max-attempts", max_attempts, kIntMax) ||
       !flag_int(command, flags, "heartbeat-timeout-ms",
                 config.heartbeat_timeout_ms) ||
       !flag_int(command, flags, "poll-ms", config.poll_interval_ms) ||

@@ -413,7 +413,7 @@ void rule_r8(Ctx& ctx) {
 // --------------------------------------------------------------------------
 // dc-r11: writes to shared state inside parallel sweep callbacks.
 //
-// The sweep pattern the thread pool is built for gives each callback
+// The sweep pattern parallel_for_index is built for gives each callback
 // invocation exclusive ownership of slot `i`: `out[i] = compute(i)`.
 // A write through a by-reference capture (or any captured pointer) whose
 // target is NOT indexed by the loop variable breaks that ownership — two
