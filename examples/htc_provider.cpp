@@ -7,10 +7,11 @@
 // (DSP). This example runs the organization's trace through all four and
 // prints the provider-facing metrics plus the monthly bill.
 //
-// Usage: htc_provider [nasa|blue] [seed]
+// Usage: htc_provider [nasa|blue] [seed >= 0]
 #include <cstdio>
 #include <string>
 
+#include "args.hpp"
 #include "core/htc_server.hpp"
 #include "core/job_emulator.hpp"
 #include "core/paper.hpp"
@@ -25,10 +26,17 @@
 int main(int argc, char** argv) {
   using namespace dc;
   const std::string which = argc > 1 ? argv[1] : "nasa";
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-               : (which == "nasa" ? core::PaperSeeds{}.nasa
-                                  : core::PaperSeeds{}.blue);
+  if (which != "nasa" && which != "blue") {
+    examples::refuse("htc_provider", "provider", which.c_str(),
+                     "want nasa or blue");
+    return 2;
+  }
+  const auto parsed_seed = examples::int_arg(
+      "htc_provider", argc, argv, 2, "seed", 0,
+      static_cast<std::int64_t>(which == "nasa" ? core::PaperSeeds{}.nasa
+                                                : core::PaperSeeds{}.blue));
+  if (!parsed_seed) return 2;
+  const auto seed = static_cast<std::uint64_t>(*parsed_seed);
 
   core::HtcWorkloadSpec spec = which == "blue" ? core::paper_blue_spec(seed)
                                                : core::paper_nasa_spec(seed);

@@ -5,10 +5,10 @@
 // busy nodes while the workflow executes — showing the B=10 -> 166 node
 // expansion at the first 3-second scan and the release after completion.
 //
-// Usage: mtc_montage [inputs] [B] [R]
+// Usage: mtc_montage [inputs >= 2] [B >= 0] [R > 0]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "core/mtc_server.hpp"
 #include "core/provision_service.hpp"
 #include "sched/fcfs.hpp"
@@ -17,10 +17,14 @@
 
 int main(int argc, char** argv) {
   using namespace dc;
+  const char* program = "mtc_montage";
+  const auto inputs =
+      examples::int_arg(program, argc, argv, 1, "inputs", 2, 166);
+  const auto b = examples::int_arg(program, argc, argv, 2, "B", 0, 10);
+  const auto r = examples::positive_arg(program, argc, argv, 3, "R", 8.0);
+  if (!inputs || !b || !r) return 2;
   workflow::MontageParams params;
-  params.inputs = argc > 1 ? std::strtoll(argv[1], nullptr, 10) : 166;
-  const std::int64_t b = argc > 2 ? std::strtoll(argv[2], nullptr, 10) : 10;
-  const double r = argc > 3 ? std::strtod(argv[3], nullptr) : 8.0;
+  params.inputs = *inputs;
 
   const workflow::Dag dag = workflow::make_montage(params, /*seed=*/7);
   std::printf("Montage workflow: %zu tasks, %zu edges, mean runtime %.2fs\n",
@@ -35,7 +39,7 @@ int main(int argc, char** argv) {
 
   core::MtcServer::MtcConfig config;
   config.name = "montage-tre";
-  config.policy = core::ResourceManagementPolicy::mtc(b, r);
+  config.policy = core::ResourceManagementPolicy::mtc(*b, *r);
   config.scheduler = &fcfs;
   core::MtcServer server(sim, provision, std::move(config));
 

@@ -1,21 +1,21 @@
 // trace_tools: generate, inspect and convert workload traces & workflows.
 //
 // Usage:
-//   trace_tools nasa [seed]            print stats of the synthetic NASA trace
-//   trace_tools blue [seed]            print stats of the synthetic BLUE trace
+//   trace_tools nasa [seed >= 0]       print stats of the synthetic NASA trace
+//   trace_tools blue [seed >= 0]       print stats of the synthetic BLUE trace
 //   trace_tools gen-nasa <out.swf>     write the synthetic NASA trace as SWF
 //   trace_tools gen-blue <out.swf>     write the synthetic BLUE trace as SWF
 //   trace_tools stats <file.swf>       print stats of any SWF trace
-//   trace_tools montage [inputs]       print structure of a Montage workflow
+//   trace_tools montage [inputs >= 2]  print structure of a Montage workflow
 //   trace_tools gen-montage <out.wff>  write the paper Montage workflow
 //
 // The "billed/used" line is the hourly-quantum rounding factor that
 // determines whether the DRP model wins or loses against fixed-size
 // provisioning for a given trace (Tables 2 and 3).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "args.hpp"
 #include "util/time.hpp"
 #include "workflow/montage.hpp"
 #include "workflow/wff.hpp"
@@ -73,11 +73,13 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   if (cmd == "nasa" || cmd == "blue") {
-    const std::uint64_t seed =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : (cmd == "nasa" ? 42 : 43);
+    const auto seed = examples::int_arg("trace_tools", argc, argv, 2, "seed", 0,
+                                        cmd == "nasa" ? 42 : 43);
+    if (!seed) return 2;
+    const auto trace_seed = static_cast<std::uint64_t>(*seed);
     const workload::Trace trace = cmd == "nasa"
-                                      ? workload::make_nasa_ipsc(seed)
-                                      : workload::make_sdsc_blue(seed);
+                                      ? workload::make_nasa_ipsc(trace_seed)
+                                      : workload::make_sdsc_blue(trace_seed);
     print_trace_report(trace);
     return 0;
   }
@@ -116,8 +118,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "montage") {
-    const std::int64_t inputs = argc > 2 ? std::strtoll(argv[2], nullptr, 10) : 166;
-    return run_montage(inputs);
+    const auto inputs =
+        examples::int_arg("trace_tools", argc, argv, 2, "inputs", 2, 166);
+    return inputs ? run_montage(*inputs) : 2;
   }
   if (cmd == "gen-montage") {
     if (argc < 3) {

@@ -7,7 +7,6 @@
 //                    [--mttf DURATION --mttr DURATION [--fault-seed N]]
 //                    [--snapshot-every DURATION --snapshot-dir DIR]
 //                    [--resume auto | --resume-from FILE]
-//   dawningcloud paper            # the built-in Section 4 experiment
 //   dawningcloud tune --config FILE --provider NAME [--tolerance FRACTION]
 //   dawningcloud describe --config FILE
 //   dawningcloud trace-stats --swf FILE
@@ -48,11 +47,9 @@
 #include "campaign/orchestrator.hpp"
 #include "campaign/spec.hpp"
 #include "core/description.hpp"
-#include "core/paper.hpp"
 #include "core/system_runner.hpp"
 #include "core/systems.hpp"
 #include "core/tuning.hpp"
-#include "metrics/markdown.hpp"
 #include "metrics/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -74,7 +71,7 @@ using namespace dc;
 
 int usage() {
   std::fputs(
-      "usage: dawningcloud <run|paper|tune|describe|trace-stats|snapshot-diff"
+      "usage: dawningcloud <run|tune|describe|trace-stats|snapshot-diff"
       "|trace-summary|sweep|replay|report> [options]\n"
       "  run         --config FILE [--system NAME] [--csv PATH]\n"
       "              [--quantum SECONDS] [--scheduler NAME]\n"
@@ -85,8 +82,6 @@ int usage() {
       "              [--trace-out FILE [--trace-filter CATEGORIES]]\n"
       "              [--metrics-every DURATION --metrics-out FILE]\n"
       "              [--profile] [--db DIR]\n"
-      "  paper       (no options) run the built-in paper experiment\n"
-      "  report-md   [--config FILE] emit markdown result tables\n"
       "  tune        --config FILE --provider NAME [--tolerance FRACTION]\n"
       "  describe    --config FILE\n"
       "  trace-stats --swf FILE\n"
@@ -128,8 +123,6 @@ const std::map<std::string, std::vector<std::string>>& accepted_flags() {
          {"config", "csv", "snapshot-every", "snapshot-dir", "resume",
           "resume-from", "trace-out", "trace-filter", "metrics-every",
           "metrics-out", "profile", "db"}},
-        {"paper", {}},
-        {"report-md", {"config"}},
         {"tune", {"config", "provider", "tolerance"}},
         {"describe", {"config"}},
         {"trace-stats", {"swf"}},
@@ -270,6 +263,18 @@ std::vector<std::pair<std::string, std::string>> world_params(
 }
 
 int cmd_run(const std::map<std::string, std::string>& flags) {
+  // An output flag without its path is refused before anything runs.
+  const std::pair<const char*, const char*> kOutputs[] = {
+      {"csv", "a file path"},
+      {"db", "a directory"},
+      {"metrics-out", "a file path"},
+      {"trace-out", "a file path"}};
+  for (const auto& [key, what] : kOutputs) {
+    if (auto it = flags.find(key); it != flags.end() && it->second.empty()) {
+      std::fprintf(stderr, "--%s needs %s\n", key, what);
+      return 2;
+    }
+  }
   auto workload = load_workload(flags);
   if (!workload.is_ok()) {
     std::fprintf(stderr, "%s\n", workload.status().to_string().c_str());
@@ -324,10 +329,6 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   std::string trace_out;
   if (auto it = flags.find("trace-out"); it != flags.end()) {
     trace_out = it->second;
-    if (trace_out.empty()) {
-      std::fprintf(stderr, "--trace-out needs a file path\n");
-      return 2;
-    }
     options.trace = &sink;
   }
   if (auto it = flags.find("trace-filter"); it != flags.end()) {
@@ -447,10 +448,6 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   // Run-database registration (docs/OBSERVABILITY.md "Time-travel
   // analysis"): one record per provider row, queryable with `dc report`.
   if (auto it = flags.find("db"); it != flags.end()) {
-    if (it->second.empty()) {
-      std::fprintf(stderr, "--db needs a directory\n");
-      return 2;
-    }
     const auto params = world_params(flags);
     std::uint64_t trace_events = 0, trace_dropped = 0;
     std::string trace_digest;
@@ -476,37 +473,6 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     std::printf("registered %llu record(s) into %s (%zu already present)\n",
                 static_cast<unsigned long long>(*appended), it->second.c_str(),
                 records.size() - static_cast<std::size_t>(*appended));
-  }
-  return 0;
-}
-
-int cmd_paper() {
-  const auto workload = core::paper_consolidation();
-  const auto results = core::run_all_systems(workload);
-  print_full_report(results, workload);
-  return 0;
-}
-
-int cmd_report_md(const std::map<std::string, std::string>& flags) {
-  core::ConsolidationWorkload workload;
-  if (flags.count("config") != 0) {
-    auto parsed = load_workload(flags);
-    if (!parsed.is_ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().to_string().c_str());
-      return 1;
-    }
-    workload = std::move(*parsed);
-  } else {
-    workload = core::paper_consolidation();
-  }
-  const auto results = core::run_all_systems(workload);
-  for (const auto& spec : workload.htc) {
-    std::printf("## %s\n\n%s\n", spec.name.c_str(),
-                metrics::markdown_htc_provider_table(results, spec.name).c_str());
-  }
-  for (const auto& spec : workload.mtc) {
-    std::printf("## %s\n\n%s\n", spec.name.c_str(),
-                metrics::markdown_mtc_provider_table(results, spec.name).c_str());
   }
   return 0;
 }
@@ -1123,8 +1089,6 @@ int main(int argc, char** argv) {
   }
 
   if (command == "run") return cmd_run(flags);
-  if (command == "paper") return cmd_paper();
-  if (command == "report-md") return cmd_report_md(flags);
   if (command == "tune") return cmd_tune(flags);
   if (command == "describe") return cmd_describe(flags);
   if (command == "trace-stats") return cmd_trace_stats(flags);
