@@ -541,17 +541,31 @@ Status HtcServer::save(snapshot::SnapshotWriter& writer) const {
   writer.field_i64("in_setup", in_setup_);
   writer.field_i64("down", down_);
 
-  writer.field_u64("job_count", jobs_.size());
-  for (const sched::Job& job : jobs_) {
-    writer.field_time("submit", job.submit);
-    writer.field_i64("runtime", job.runtime);
-    writer.field_i64("nodes", job.nodes);
-    writer.field_i64("task_id", job.task_id);
-    writer.field_u64("state", static_cast<std::uint64_t>(job.state));
-    writer.field_time("start", job.start);
-    writer.field_time("finish", job.finish);
-    writer.field_i64("retries", job.retries);
-    writer.field_i64("completed_work", job.completed_work);
+  // The job table: one packed column per field, job_count values each.
+  {
+    snapshot::PackedColumn submit, runtime, nodes, task_id, state, start,
+        finish, retries, completed_work;
+    for (const sched::Job& job : jobs_) {
+      submit.push(job.submit);
+      runtime.push(job.runtime);
+      nodes.push(job.nodes);
+      task_id.push(job.task_id);
+      state.push(static_cast<std::int64_t>(job.state));
+      start.push(job.start);
+      finish.push(job.finish);
+      retries.push(job.retries);
+      completed_work.push(job.completed_work);
+    }
+    writer.field_u64("job_count", jobs_.size());
+    writer.field_bytes("submit", submit);
+    writer.field_bytes("runtime", runtime);
+    writer.field_bytes("nodes", nodes);
+    writer.field_bytes("task_id", task_id);
+    writer.field_bytes("state", state);
+    writer.field_bytes("start", start);
+    writer.field_bytes("finish", finish);
+    writer.field_bytes("retries", retries);
+    writer.field_bytes("completed_work", completed_work);
   }
   writer.field_u64("queue_count", queue_.size());
   for (sched::JobId id : queue_.items()) writer.field_i64("queued", id);
@@ -677,31 +691,58 @@ Status HtcServer::restore(snapshot::SnapshotReader& reader) {
   if (auto st = reader.read_count("job_count", job_count); !st.is_ok()) {
     return st;
   }
+  std::vector<std::int64_t> submit, runtime, nodes, task_id, state, start,
+      finish, retries, completed_work;
+  if (auto st = reader.read_bytes("submit", job_count, submit); !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("runtime", job_count, runtime);
+      !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("nodes", job_count, nodes); !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("task_id", job_count, task_id);
+      !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("state", job_count, state); !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("start", job_count, start); !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("finish", job_count, finish); !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("retries", job_count, retries);
+      !st.is_ok()) {
+    return st;
+  }
+  if (auto st = reader.read_bytes("completed_work", job_count, completed_work);
+      !st.is_ok()) {
+    return st;
+  }
   jobs_.clear();
   jobs_.reserve(job_count);
-  for (std::uint64_t i = 0; i < job_count; ++i) {
+  for (std::size_t i = 0; i < job_count; ++i) {
+    if (state[i] < 0 ||
+        state[i] > static_cast<std::int64_t>(sched::JobState::kFailed)) {
+      return Status::invalid_argument(config_.name + ": bad job state " +
+                                      std::to_string(state[i]));
+    }
     sched::Job job;
     job.id = static_cast<sched::JobId>(i);
-    if (auto st = reader.read_time("submit", job.submit); !st.is_ok()) return st;
-    if (auto st = reader.read_i64("runtime", job.runtime); !st.is_ok()) return st;
-    if (auto st = reader.read_i64("nodes", job.nodes); !st.is_ok()) return st;
-    if (auto st = reader.read_i64("task_id", job.task_id); !st.is_ok()) return st;
-    std::uint64_t state = 0;
-    if (auto st = reader.read_u64("state", state); !st.is_ok()) return st;
-    if (state > static_cast<std::uint64_t>(sched::JobState::kFailed)) {
-      return Status::invalid_argument(config_.name + ": bad job state " +
-                                      std::to_string(state));
-    }
-    job.state = static_cast<sched::JobState>(state);
-    if (auto st = reader.read_time("start", job.start); !st.is_ok()) return st;
-    if (auto st = reader.read_time("finish", job.finish); !st.is_ok()) return st;
-    std::int64_t retries = 0;
-    if (auto st = reader.read_i64("retries", retries); !st.is_ok()) return st;
-    job.retries = static_cast<std::int32_t>(retries);
-    if (auto st = reader.read_i64("completed_work", job.completed_work);
-        !st.is_ok()) {
-      return st;
-    }
+    job.submit = submit[i];
+    job.runtime = runtime[i];
+    job.nodes = nodes[i];
+    job.task_id = task_id[i];
+    job.state = static_cast<sched::JobState>(state[i]);
+    job.start = start[i];
+    job.finish = finish[i];
+    job.retries = static_cast<std::int32_t>(retries[i]);
+    job.completed_work = completed_work[i];
     jobs_.push_back(job);
   }
   completion_events_.assign(jobs_.size(), sim::kInvalidEvent);

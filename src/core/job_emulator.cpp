@@ -71,7 +71,8 @@ Status JobEmulator::save(snapshot::SnapshotWriter& writer) const {
   for (std::size_t s = 0; s < streams_.size(); ++s) {
     const TraceStream& stream = streams_[s];
     // The unfired submissions are jobs next..end: the queued one, then
-    // the reserved ones on the seqs right after it.
+    // the reserved ones on the seqs right after it, each at its own
+    // submit time. The count, the queued one's seq and its time say all.
     const std::size_t count = stream.scaled_jobs.size() - stream.next;
     writer.field_u64("pending_count", count);
     if (count == 0) continue;
@@ -81,11 +82,8 @@ Status JobEmulator::save(snapshot::SnapshotWriter& writer) const {
                               std::to_string(s) +
                               " has no queued submission");
     }
-    for (std::size_t i = stream.next; i < stream.scaled_jobs.size(); ++i) {
-      writer.field_u64("job_index", i);
-      writer.field_time("time", stream.scaled_jobs[i].submit);
-      writer.field_u64("seq", queued->seq + (i - stream.next));
-    }
+    writer.field_u64("first_seq", queued->seq);
+    writer.field_time("time", queued->time);
   }
   writer.field_u64("oneshot_count", oneshots_.size());
   for (const OneShot& oneshot : oneshots_) {
@@ -120,43 +118,46 @@ Status JobEmulator::restore(snapshot::SnapshotReader& reader) {
         !st.is_ok()) {
       return st;
     }
-    // The unfired submissions must be the last pending_count jobs, on
-    // consecutive seqs, each at its job's submit time: the one shape the
-    // emulator writes, and the one that re-queuing a submission and
-    // reserving the rest reproduces.
-    const std::uint64_t first = jobs - std::min<std::uint64_t>(pending_count, jobs);
-    std::uint64_t first_seq = 0;
-    for (std::uint64_t p = 0; p < pending_count; ++p) {
-      std::uint64_t index = 0;
-      if (auto st = reader.read_u64("job_index", index); !st.is_ok()) return st;
-      if (index >= jobs) {
-        return Status::failed_precondition(
-            "job emulator: pending submission index " + std::to_string(index) +
-            " beyond the stream's " + std::to_string(jobs) + " jobs");
-      }
-      SimTime time = 0;
-      if (auto st = reader.read_time("time", time); !st.is_ok()) return st;
-      std::uint64_t seq = 0;
-      if (auto st = reader.read_u64("seq", seq); !st.is_ok()) return st;
-      if (p == 0) first_seq = seq;
-      if (index != first + p || seq != first_seq + p || seq == 0 ||
-          seq >= 0xffffffffull || time != stream.scaled_jobs[index].submit) {
-        return Status::failed_precondition(
-            where + ": unfired submission of job " + std::to_string(index) +
-            " at t=" + std::to_string(time) + " on seq " + std::to_string(seq) +
-            " does not continue jobs " + std::to_string(first) + ".." +
-            std::to_string(jobs - 1) +
-            " at their submit times on consecutive seqs");
-      }
+    if (pending_count > jobs) {
+      return Status::failed_precondition(
+          where + ": " + std::to_string(pending_count) +
+          " unfired submissions, beyond the stream's " + std::to_string(jobs) +
+          " jobs");
     }
     if (pending_count == 0) {
       stream.next = jobs;
       continue;
     }
-    stream.next = static_cast<std::size_t>(first);
+    std::uint64_t first_seq = 0;
+    if (auto st = reader.read_u64("first_seq", first_seq); !st.is_ok()) {
+      return st;
+    }
+    SimTime time = 0;
+    if (auto st = reader.read_time("time", time); !st.is_ok()) return st;
+    // The unfired submissions are the last pending_count jobs, on the
+    // consecutive seqs from first_seq, the queued one at its job's submit
+    // time: the one shape that re-queuing a submission and reserving the
+    // rest reproduces. The seqs were drawn before the snapshot, so they lie
+    // below the kernel's next seq (itself at most 0xffffffff), and the
+    // queued submission is not in the past.
+    const std::size_t first = jobs - static_cast<std::size_t>(pending_count);
+    const SimTime submit = stream.scaled_jobs[first].submit;
+    const std::uint64_t next_seq = simulator_->next_seq();
+    if (first_seq == 0 || first_seq > next_seq ||
+        pending_count > next_seq - first_seq || time != submit ||
+        time < simulator_->now()) {
+      return Status::failed_precondition(
+          where + ": unfired jobs " + std::to_string(first) + ".." +
+          std::to_string(jobs - 1) + " queued at t=" + std::to_string(time) +
+          " on seqs from " + std::to_string(first_seq) + ", want job " +
+          std::to_string(first) + "'s submit time " + std::to_string(submit) +
+          " (not before t=" + std::to_string(simulator_->now()) +
+          ") and seqs in [1, " + std::to_string(next_seq) + ")");
+    }
+    stream.next = first;
     stream.event = simulator_->restore_event(
-        stream.scaled_jobs[stream.next].submit,
-        static_cast<std::uint32_t>(first_seq), [this, s] { submit_next(s); });
+        time, static_cast<std::uint32_t>(first_seq),
+        [this, s] { submit_next(s); });
     if (pending_count > 1) {
       stream.reservation = simulator_->restore_reservation(
           static_cast<std::uint32_t>(first_seq + 1),

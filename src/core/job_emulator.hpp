@@ -25,9 +25,10 @@
 // mode and its interaction with the fixed one-hour billing quantum.
 //
 // Snapshot support: every emulate_trace/emulate_at call registers a stream
-// or one-shot in call order. A snapshot records, per stream, every
-// submission not yet fired with its (time, seq) — always a suffix of the
-// stream's jobs on consecutive seqs. A passive emulator (constructed with
+// or one-shot in call order. The submissions a stream has not yet fired
+// are always a suffix of its jobs, on consecutive seqs, each at its job's
+// submit time, so a snapshot records per stream only their count, the
+// first one's seq and its time. A passive emulator (constructed with
 // passive=true) records the same streams without scheduling anything, and
 // restore() re-queues each stream's next submission and re-reserves the
 // seqs of the rest. Registration order is the identity of a stream across

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <fstream>
+#include <memory>
 
 #include "util/fsio.hpp"
 #include "util/histogram.hpp"
@@ -15,33 +16,24 @@ namespace {
 // Sim seconds → Chrome trace microseconds.
 constexpr std::int64_t kMicrosPerSecond = 1000000;
 
-// One event in the ring blob's 44-byte layout: time, dur, a0, a1 as u64
-// LE, then name, actor and phase << 16 | category as u32 LE.
-char* pack_event(char* p, const TraceEvent& event) {
-  using snapshot::store_le;
-  p = store_le(p, static_cast<std::uint64_t>(event.time));
-  p = store_le(p, static_cast<std::uint64_t>(event.dur));
-  p = store_le(p, static_cast<std::uint64_t>(event.a0));
-  p = store_le(p, static_cast<std::uint64_t>(event.a1));
-  p = store_le(p, event.name);
-  p = store_le(p, event.actor);
-  return store_le(p, (static_cast<std::uint32_t>(event.phase) << 16) |
-                         event.category);
-}
+// One event in the snapshot's packed ring: seven varints, namely its
+// time as the zigzag difference from the previous event's, dur, a0 and
+// a1 zigzag, the name and actor ids, and category << 1 | phase.
+constexpr std::size_t kPackedEventWords = 7;
 
-TraceEvent unpack_event(const char* p) {
-  using snapshot::load_le;
-  TraceEvent event;
-  event.time = static_cast<SimTime>(load_le<std::uint64_t>(p));
-  event.dur = static_cast<SimDuration>(load_le<std::uint64_t>(p + 8));
-  event.a0 = static_cast<std::int64_t>(load_le<std::uint64_t>(p + 16));
-  event.a1 = static_cast<std::int64_t>(load_le<std::uint64_t>(p + 24));
-  event.name = load_le<std::uint32_t>(p + 32);
-  event.actor = load_le<std::uint32_t>(p + 36);
-  const auto packed = load_le<std::uint32_t>(p + 40);
-  event.category = static_cast<std::uint16_t>(packed & 0xffff);
-  event.phase = static_cast<std::uint16_t>(packed >> 16);
-  return event;
+char* put_packed_event(char* p, const TraceEvent& event,
+                       std::uint64_t& last_time) {
+  using snapshot::put_varint;
+  using snapshot::zigzag;
+  const auto time = static_cast<std::uint64_t>(event.time);
+  p = put_varint(p, zigzag(time - last_time));
+  last_time = time;
+  p = put_varint(p, zigzag(static_cast<std::uint64_t>(event.dur)));
+  p = put_varint(p, zigzag(static_cast<std::uint64_t>(event.a0)));
+  p = put_varint(p, zigzag(static_cast<std::uint64_t>(event.a1)));
+  p = put_varint(p, event.name);
+  p = put_varint(p, event.actor);
+  return put_varint(p, (std::uint64_t{event.category} << 1) | event.phase);
 }
 
 // Exports go through util/fsio's atomic tmp+fsync+rename: an interrupted
@@ -303,15 +295,20 @@ void TraceSink::save(snapshot::SnapshotWriter& writer) const {
   writer.field_u64("names", names_.size());
   for (const auto& name : names_) writer.field_str("name", name);
   // Oldest first, straight from the ring: slots head_.. to the end, then
-  // the wrapped part from slot 0 (empty until the ring has filled).
-  std::string blob(size_ * kTraceEventPacked, '\0');
-  char* p = blob.data();
+  // the wrapped part from slot 0 (empty until the ring has filled). The
+  // buffer has room for the longest encoding and is not zeroed; only the
+  // bytes written are stored.
+  const auto packed = std::make_unique_for_overwrite<char[]>(
+      size_ * kPackedEventWords * snapshot::kMaxVarintBytes);
+  char* p = packed.get();
+  std::uint64_t last_time = 0;
   const std::size_t tail = std::min(size_, ring_.size() - head_);
   for (std::size_t i = 0; i < size_; ++i) {
-    p = pack_event(p, ring_[i < tail ? head_ + i : i - tail]);
+    p = put_packed_event(p, ring_[i < tail ? head_ + i : i - tail], last_time);
   }
   writer.field_u64("events", size_);
-  writer.field_bytes("ring", blob.data(), blob.size());
+  writer.field_bytes("packed_ring", packed.get(),
+                     static_cast<std::size_t>(p - packed.get()));
   writer.end_section();
 }
 
@@ -338,16 +335,12 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
     names_.push_back(std::move(name));
   }
   std::uint64_t event_count = 0;
-  std::string blob;
+  std::string packed;
   if (Status s = reader.read_count("events", event_count); !s.is_ok()) {
     return s;
   }
-  if (Status s = reader.read_bytes("ring", blob); !s.is_ok()) return s;
-  if (blob.size() != event_count * kTraceEventPacked) {
-    return Status::internal(
-        str_format("trace ring blob is %zu bytes, want %llu events * %zu",
-                   blob.size(), static_cast<unsigned long long>(event_count),
-                   kTraceEventPacked));
+  if (Status s = reader.read_bytes("packed_ring", packed); !s.is_ok()) {
+    return s;
   }
   if (capacity < event_count || capacity > kMaxTraceCapacity) {
     return Status::invalid_argument(str_format(
@@ -357,6 +350,12 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
         static_cast<unsigned long long>(event_count), kMaxTraceCapacity,
         reader.context().c_str()));
   }
+  const auto ring_error = [&](const std::string& what) {
+    return Status::invalid_argument(
+        str_format("snapshot: trace ring of %llu events: %s (%s)",
+                   static_cast<unsigned long long>(event_count), what.c_str(),
+                   reader.context().c_str()));
+  };
   ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
   head_ = 0;
   size_ = 0;
@@ -364,13 +363,48 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   // push() below re-counts; keep the saved run totals.
   const std::uint64_t saved_emitted = emitted_;
   const std::uint64_t saved_dropped = dropped_;
-  const char* p = blob.data();
-  for (std::uint64_t i = 0; i < event_count; ++i, p += kTraceEventPacked) {
-    const TraceEvent event = unpack_event(p);
-    if (event.name >= names_.size() || event.actor >= names_.size()) {
-      return Status::internal("trace event references unknown name id");
+  snapshot::VarintReader varints(packed);
+  std::uint64_t time_bits = 0;
+  for (std::uint64_t i = 0; i < event_count; ++i) {
+    const auto index = static_cast<unsigned long long>(i);
+    if (varints.at_end()) {
+      return ring_error(str_format("ends after %llu", index));
     }
+    std::uint64_t word[kPackedEventWords];
+    for (std::uint64_t& w : word) {
+      if (Status s = varints.next(w); !s.is_ok()) {
+        return ring_error(
+            str_format("event %llu: %s", index, s.message().c_str()));
+      }
+    }
+    if (word[4] >= names_.size() || word[5] >= names_.size()) {
+      return ring_error(str_format(
+          "event %llu: name id %llu or actor id %llu is past the %zu-name "
+          "table",
+          index, static_cast<unsigned long long>(word[4]),
+          static_cast<unsigned long long>(word[5]), names_.size()));
+    }
+    const std::uint64_t category = word[6] >> 1;
+    if (category >= static_cast<std::uint64_t>(TraceCategory::kCategoryCount)) {
+      return ring_error(
+          str_format("event %llu: unknown category %llu", index,
+                     static_cast<unsigned long long>(category)));
+    }
+    time_bits += snapshot::unzigzag(word[0]);
+    TraceEvent event;
+    event.time = static_cast<SimTime>(time_bits);
+    event.dur = static_cast<SimDuration>(snapshot::unzigzag(word[1]));
+    event.a0 = static_cast<std::int64_t>(snapshot::unzigzag(word[2]));
+    event.a1 = static_cast<std::int64_t>(snapshot::unzigzag(word[3]));
+    event.name = static_cast<std::uint32_t>(word[4]);
+    event.actor = static_cast<std::uint32_t>(word[5]);
+    event.category = static_cast<std::uint16_t>(category);
+    event.phase = static_cast<std::uint16_t>(word[6] & 1);
     push(event);
+  }
+  if (!varints.at_end()) {
+    return ring_error(str_format("%zu bytes follow the last event",
+                                 packed.size() - varints.offset()));
   }
   emitted_ = saved_emitted;
   dropped_ = saved_dropped;

@@ -77,9 +77,6 @@ struct TraceEvent {
   std::uint16_t phase = 0;  // 0 = instant, 1 = span
 };
 
-/// Serialized size of one TraceEvent in the snapshot blob.
-inline constexpr std::size_t kTraceEventPacked = 44;
-
 /// The largest ring, in events, that a snapshot restore accepts.
 inline constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 24;
 

@@ -396,6 +396,73 @@ Status SnapshotReader::read_bytes(std::string_view name, std::string& out) {
   return Status::ok();
 }
 
+Status SnapshotReader::read_bytes(std::string_view name, std::uint64_t count,
+                                  std::vector<std::int64_t>& out) {
+  std::string_view payload;
+  auto st = read_record(RecordKind::kBytes, name, payload);
+  if (!st.is_ok()) return st;
+  const auto column_error = [&](const std::string& what) {
+    return error(str_format("packed column '%.*s' of %llu values: %s",
+                            static_cast<int>(name.size()), name.data(),
+                            static_cast<unsigned long long>(count),
+                            what.c_str()));
+  };
+  if (count > payload.size()) {
+    return column_error(str_format("%zu bytes cannot hold them",
+                                   payload.size()));
+  }
+  out.clear();
+  out.reserve(count);
+  VarintReader varints(payload);
+  std::int64_t value = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (varints.at_end()) {
+      return column_error(str_format("ends after %llu",
+                                     static_cast<unsigned long long>(i)));
+    }
+    if (Status s = varints.next_delta(value); !s.is_ok()) {
+      return column_error(s.message());
+    }
+    out.push_back(value);
+  }
+  if (!varints.at_end()) {
+    return column_error(str_format("%zu bytes follow the last one",
+                                   payload.size() - varints.offset()));
+  }
+  return Status::ok();
+}
+
+Status VarintReader::next(std::uint64_t& out) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+    if (pos_ + i >= bytes_.size()) {
+      return Status::invalid_argument(str_format(
+          "varint at byte %zu is cut short by the end of its %zu-byte payload",
+          pos_, bytes_.size()));
+    }
+    const auto byte = static_cast<unsigned char>(bytes_[pos_ + i]);
+    // The tenth byte holds bit 63 alone.
+    if (i == kMaxVarintBytes - 1 && byte > 1) break;
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+    if ((byte & 0x80) == 0) {
+      pos_ += i + 1;
+      out = value;
+      return Status::ok();
+    }
+  }
+  return Status::invalid_argument(str_format(
+      "varint at byte %zu runs past %zu bytes or 64 bits", pos_,
+      kMaxVarintBytes));
+}
+
+Status VarintReader::next_delta(std::int64_t& value) {
+  std::uint64_t word = 0;
+  if (Status s = next(word); !s.is_ok()) return s;
+  value = static_cast<std::int64_t>(static_cast<std::uint64_t>(value) +
+                                    unzigzag(word));
+  return Status::ok();
+}
+
 std::string SnapshotRecord::value_text() const {
   switch (kind) {
     case RecordKind::kSectionBegin: return "{";

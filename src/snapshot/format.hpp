@@ -4,12 +4,13 @@
 // tagged* records grouped into nested sections — one section per simulation
 // component. The format favours auditability over compactness:
 //
-//  * every field carries its name, so a reader can report "section
-//    'server:det' field 'owned_nodes': expected u64, found str" instead of
-//    desynchronizing silently;
-//  * all scalars are fixed-width little-endian (doubles are bit-cast
-//    through u64), so a snapshot taken on one machine restores bit-exactly
-//    on another;
+//  * every scalar field carries its name, and a table is one named record
+//    per column (a PackedColumn of varints, below), so a reader can report
+//    "section 'server:det' field 'owned_nodes': expected u64, found str"
+//    instead of desynchronizing silently;
+//  * all record scalars are fixed-width little-endian (doubles are
+//    bit-cast through u64), and packed payloads are LEB128 varints, so a
+//    snapshot taken on one machine restores bit-exactly on another;
 //  * the whole stream is covered by an FNV-1a checksum footer, and files
 //    are written atomically (temp file + rename), so a crash mid-write can
 //    never yield a file that both exists and passes verification;
@@ -91,6 +92,72 @@ T load_le(const char* p) {
   return value;
 }
 
+/// Longest LEB128 encoding of a u64: nine 7-bit groups and one 1-bit.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `value` at `p` as an LEB128 varint — 7 bits a byte, low group
+/// first, the high bit set on every byte but the last — and returns the
+/// byte after it, at most kMaxVarintBytes on.
+inline char* put_varint(char* p, std::uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<char>(value | 0x80);
+    value >>= 7;
+  }
+  *p++ = static_cast<char>(value);
+  return p;
+}
+
+/// Zigzag mapping of a two's-complement word: 0, -1, 1, -2, ... become
+/// 0, 1, 2, 3, ..., so a small value of either sign is a short varint.
+constexpr std::uint64_t zigzag(std::uint64_t bits) {
+  return (bits << 1) ^ (0 - (bits >> 63));
+}
+constexpr std::uint64_t unzigzag(std::uint64_t word) {
+  return (word >> 1) ^ (0 - (word & 1));
+}
+
+/// Bounded LEB128 reader over one payload, which it views and does not
+/// copy: every call yields a value or an invalid_argument naming the byte
+/// offset, and none reads past the payload.
+class VarintReader {
+ public:
+  explicit VarintReader(std::string_view bytes) : bytes_(bytes) {}
+
+  /// The next varint. Refuses one that the payload cuts short and one
+  /// that runs past kMaxVarintBytes or 64 bits.
+  Status next(std::uint64_t& out);
+  /// The next varint as a zigzag difference, added to `value` in wrapping
+  /// arithmetic: a PackedColumn's next value after `value`.
+  Status next_delta(std::int64_t& value);
+
+  bool at_end() const { return pos_ == bytes_.size(); }
+  std::size_t offset() const { return pos_; }
+
+ private:
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// A column of int64 values, each stored as the zigzag varint of its
+/// difference from the value before it (the first from 0). Differences
+/// wrap, so every int64 sequence round-trips. SnapshotWriter::field_bytes
+/// stores one as a `bytes` record; SnapshotReader::read_bytes with a count
+/// reads it back.
+class PackedColumn {
+ public:
+  void push(std::int64_t value) {
+    const auto bits = static_cast<std::uint64_t>(value);
+    char word[kMaxVarintBytes];
+    bytes_.append(word, put_varint(word, zigzag(bits - last_)));
+    last_ = bits;
+  }
+  std::string_view bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+  std::uint64_t last_ = 0;
+};
+
 /// Accumulates an encoded snapshot stream in memory; `write_file` appends
 /// the checksum footer and writes atomically. Each record grows the buffer
 /// once (header, name and payload together) and stores its scalars as
@@ -108,6 +175,9 @@ class SnapshotWriter {
   void field_bool(std::string_view name, bool value);
   void field_str(std::string_view name, std::string_view value);
   void field_bytes(std::string_view name, const void* data, std::size_t size);
+  void field_bytes(std::string_view name, const PackedColumn& column) {
+    field_bytes(name, column.bytes().data(), column.bytes().size());
+  }
   /// SimTime / SimDuration are i64 seconds; alias kept for readability.
   void field_time(std::string_view name, SimTime value) {
     field_i64(name, value);
@@ -168,6 +238,12 @@ class SnapshotReader {
   Status read_bool(std::string_view name, bool& out);
   Status read_str(std::string_view name, std::string& out);
   Status read_bytes(std::string_view name, std::string& out);
+  /// A PackedColumn of exactly `count` values. Refuses, before reserving
+  /// room, a count the payload cannot hold (a value takes at least one
+  /// byte); then a truncated or overlong varint, a column that ends early,
+  /// and bytes after the last value.
+  Status read_bytes(std::string_view name, std::uint64_t count,
+                    std::vector<std::int64_t>& out);
   Status read_time(std::string_view name, SimTime& out) {
     return read_i64(name, out);
   }

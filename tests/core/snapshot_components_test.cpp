@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -244,10 +245,24 @@ std::string to_hex(std::string_view bytes) {
   return out;
 }
 
-// The pin stream's emulator section at t=250, as the emulator that queued
-// one event per trace job at registration wrote it: jobs 2..5 pending on
-// seqs 4..7 (seq 1 is marker a, 8 the one-shot, 9 marker b).
+// The pin stream's emulator section at t=250: jobs 2..5 pending, the
+// first queued on seq 4 at t=300 and the rest reserved on seqs 5..7 (seq 1
+// is marker a, 8 the one-shot, 9 marker b).
 constexpr const char* kPinnedEmulatorSection =
+    "4443534e41500d0a" "01000000"                                // magic, version
+    "030c0073747265616d5f636f756e74" "0100000000000000"          // stream_count 1
+    "030d0070656e64696e675f636f756e74" "0400000000000000"        // pending_count 4
+    "03090066697273745f736571" "0400000000000000"                // first_seq 4
+    "04040074696d65" "2c01000000000000"                          // time 300
+    "030d006f6e6573686f745f636f756e74" "0100000000000000"        // oneshot_count 1
+    "06070070656e64696e67" "01"                                  // pending
+    "04040074696d65" "5e01000000000000"                          //   time 350
+    "030300736571" "0800000000000000";                           //   seq 8
+
+// The same section as the emulator wrote it before a stream was stored as
+// its count, first seq and time: a (job_index, time, seq) triple for every
+// unfired submission.
+constexpr const char* kPreChangeEmulatorSection =
     "4443534e41500d0a" "01000000"                                // magic, version
     "030c0073747265616d5f636f756e74" "0100000000000000"          // stream_count 1
     "030d0070656e64696e675f636f756e74" "0400000000000000"        // pending_count 4
@@ -300,9 +315,8 @@ struct EmulatorWorld {
 };
 
 // The emulator section of the pin stream saved at t=250 (jobs 0 and 1
-// submitted), as captured from the emulator that queued one event per
-// trace job at registration. Restored into a passive emulator on a fresh
-// kernel, the rest must fire exactly as in the uninterrupted run.
+// submitted). Restored into a passive emulator on a fresh kernel, the rest
+// must fire exactly as in the uninterrupted run.
 TEST(SnapshotComponents, JobEmulatorSectionMatchesPinnedBytesAndResumes) {
   EmulatorWorld original(/*passive=*/false);
   const sim::EventId before = original.sim.schedule_at(300, original.marker('a'));
@@ -346,77 +360,115 @@ TEST(SnapshotComponents, JobEmulatorSectionMatchesPinnedBytesAndResumes) {
 }
 
 // An emulator section for the pin stream plus its (fired) one-shot, with
-// the given (job_index, time, seq) pending submissions.
-std::string emulator_section(
-    std::initializer_list<std::array<std::uint64_t, 3>> pending) {
+// `pending` unfired submissions, the first queued at `time` on `first_seq`.
+std::string emulator_section(std::uint64_t pending, std::uint64_t first_seq,
+                             SimTime time) {
   SnapshotWriter writer;
   writer.field_u64("stream_count", 1);
-  writer.field_u64("pending_count", pending.size());
-  for (const auto& [index, time, seq] : pending) {
-    writer.field_u64("job_index", index);
-    writer.field_time("time", static_cast<SimTime>(time));
-    writer.field_u64("seq", seq);
+  writer.field_u64("pending_count", pending);
+  if (pending > 0) {
+    writer.field_u64("first_seq", first_seq);
+    writer.field_time("time", time);
   }
   writer.field_u64("oneshot_count", 1);
   writer.field_bool("pending", false);
   return writer.finish();
 }
 
-Status restore_emulator_section(const std::string& section) {
+// Restores `section` into a passive pin world whose kernel resumes at
+// t=250 with `next_seq`.
+Status restore_emulator_section(const std::string& section,
+                                std::uint32_t next_seq = 10) {
   EmulatorWorld world(/*passive=*/true);
-  world.sim.begin_restore(250, 10, 2);
+  world.sim.begin_restore(250, next_seq, 2);
   world.register_streams();
   auto reader = SnapshotReader::from_buffer(section);
   EXPECT_TRUE(reader.is_ok());
   return world.emulator.restore(*reader);
 }
 
-// Restore re-queues one submission and reserves the rest, so it takes only
-// the shape the emulator writes: a suffix of the stream's jobs, on
-// consecutive seqs, at the jobs' own submit times.
+// Restore re-queues one submission and reserves the rest. A section names
+// the unfired jobs by their count alone, so they are always a suffix of
+// the stream on consecutive seqs: a skipped or repeated job, or a jump or
+// reversal in the seqs, cannot be written. What can be written and is
+// still refused: more unfired jobs than the stream has, seq 0, seqs at or
+// past the kernel's next seq (so at or past 0xffffffff), and a time that
+// is not the first unfired job's submit time or lies in the past.
 TEST(SnapshotComponents, JobEmulatorRefusesPendingListsItCannotReserve) {
-  EXPECT_TRUE(restore_emulator_section(
-                  emulator_section({{2, 300, 4}, {3, 300, 5}, {4, 400, 6},
-                                    {5, 500, 7}}))
+  EXPECT_TRUE(restore_emulator_section(emulator_section(4, 4, 300)).is_ok());
+  EXPECT_TRUE(restore_emulator_section(emulator_section(4, 6, 300)).is_ok());
+  EXPECT_TRUE(restore_emulator_section(emulator_section(0, 0, 0)).is_ok());
+  // The largest seq a kernel draws is 0xfffffffe.
+  EXPECT_TRUE(restore_emulator_section(emulator_section(4, 0xfffffffbull, 300),
+                                       0xffffffffu)
                   .is_ok());
-  EXPECT_TRUE(restore_emulator_section(emulator_section({})).is_ok());
 
-  const std::vector<std::pair<const char*, std::string>> refused = {
-      {"stops before the last job",
-       emulator_section({{2, 300, 4}, {3, 300, 5}, {4, 400, 6}})},
-      {"skips a job",
-       emulator_section({{2, 300, 4}, {4, 400, 5}, {5, 500, 6}})},
-      {"repeats a job",
-       emulator_section({{4, 400, 6}, {4, 400, 7}, {5, 500, 8}})},
-      {"seqs jump",
-       emulator_section({{2, 300, 4}, {3, 300, 5}, {4, 400, 7}, {5, 500, 8}})},
-      {"seqs run backwards",
-       emulator_section({{4, 400, 6}, {5, 500, 5}})},
-      {"a time is not the job's submit time",
-       emulator_section({{2, 300, 4}, {3, 301, 5}, {4, 400, 6}, {5, 500, 7}})},
+  const std::vector<std::pair<const char*, Status>> refused = {
+      {"more unfired jobs than the stream has",
+       restore_emulator_section(emulator_section(7, 4, 100))},
+      {"first seq 0", restore_emulator_section(emulator_section(4, 0, 300))},
+      {"a seq at the kernel's next seq",
+       restore_emulator_section(emulator_section(4, 7, 300))},
+      {"first seq + count past 0xffffffff",
+       restore_emulator_section(emulator_section(4, 0xfffffffcull, 300),
+                                0xffffffffu)},
+      {"first seq past u32",
+       restore_emulator_section(emulator_section(1, 0x100000000ull, 500),
+                                0xffffffffu)},
+      {"first seq + count past u64",
+       restore_emulator_section(emulator_section(4, ~0ull, 300), 0xffffffffu)},
+      {"a time is not the first unfired job's submit time",
+       restore_emulator_section(emulator_section(4, 4, 301))},
+      {"the time of a later job",
+       restore_emulator_section(emulator_section(4, 4, 400))},
+      {"a submit time in the past",
+       restore_emulator_section(emulator_section(6, 2, 100))},
   };
-  for (const auto& [what, section] : refused) {
+  for (const auto& [what, status] : refused) {
     SCOPED_TRACE(what);
-    const Status status = restore_emulator_section(section);
     ASSERT_FALSE(status.is_ok());
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
     EXPECT_NE(status.message().find("trace stream 0"), std::string::npos)
         << status.message();
   }
-
-  const Status beyond = restore_emulator_section(emulator_section({{6, 600, 8}}));
-  ASSERT_FALSE(beyond.is_ok());
-  EXPECT_EQ(beyond.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(beyond.message().find("beyond the stream's 6 jobs"),
+  EXPECT_NE(refused[0].second.message().find("beyond the stream's 6 jobs"),
             std::string::npos)
-      << beyond.message();
+      << refused[0].second.message();
+}
+
+// The stream SnapshotWriter::finish() makes of `hex` (header and records).
+std::string finished_from_hex(std::string_view hex) {
+  std::string body;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    body += static_cast<char>(std::stoi(std::string(hex.substr(i, 2)),
+                                        nullptr, 16));
+  }
+  char footer[8];
+  snapshot::store_le(footer, snapshot::fnv1a(body));
+  return body.append(footer, sizeof(footer));
+}
+
+// A section written before streams were stored as (count, first seq,
+// time) is refused at its first drifted record, which the error names.
+TEST(SnapshotComponents, JobEmulatorRefusesThePreChangeSection) {
+  const Status status =
+      restore_emulator_section(finished_from_hex(kPreChangeEmulatorSection));
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("expected field 'first_seq', found "
+                                  "'job_index'"),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("drifted"), std::string::npos)
+      << status.message();
 }
 
 // --- HTC server restore: ids must name what they claim -----------------------
 
 // Re-encodes a finished snapshot record by record, replacing the integer
 // payload of the first record named `name` in section `section` with
-// `value` (no replacement when nothing matches).
+// `value` (no replacement when nothing matches). A bytes record so named
+// becomes an i64 record of `value`.
 std::string reencode(const std::string& finished, std::string_view section,
                      std::string_view name, std::int64_t value) {
   auto records = snapshot::decode_records(finished);
@@ -455,8 +507,14 @@ std::string reencode(const std::string& finished, std::string_view section,
         writer.field_str(record.name, record.payload);
         break;
       case snapshot::RecordKind::kBytes:
-        writer.field_bytes(record.name, record.payload.data(),
-                           record.payload.size());
+        // An integer in place of a packed column is the layout a job
+        // table had before it was packed.
+        if (target) {
+          writer.field_i64(record.name, value);
+        } else {
+          writer.field_bytes(record.name, record.payload.data(),
+                             record.payload.size());
+        }
         break;
     }
     replaced = replaced || target;
@@ -557,6 +615,30 @@ TEST(SnapshotComponents, HtcRestoreRefusesLeaseIdsBeyondTheLedger) {
                        reencode(finished, "htc:snap", field, 40000000)),
                    "snap", "40000000");
   }
+}
+
+// The job table is nine packed columns of job_count values each. A count
+// one off the columns' length is refused naming the first column, as is
+// the scalar 'submit' record with which the pre-packing layout began each
+// job.
+TEST(SnapshotComponents, HtcRestoreRefusesJobColumnsOfAnotherLength) {
+  const std::string finished =
+      snapshot_with(SystemModel::kDcs, "htc:snap", "queued");
+  ASSERT_FALSE(finished.empty());
+  const std::int64_t jobs = first_value(finished, "htc:snap", "job_count");
+  ASSERT_GT(jobs, 1);
+  for (const std::int64_t count : {jobs - 1, jobs + 1}) {
+    SCOPED_TRACE(count);
+    expect_refused(restore_into_passive(
+                       SystemModel::kDcs,
+                       reencode(finished, "htc:snap", "job_count", count)),
+                   "packed column 'submit' of " + std::to_string(count),
+                   "section 'htc:snap'");
+  }
+  expect_refused(
+      restore_into_passive(SystemModel::kDcs,
+                           reencode(finished, "htc:snap", "submit", 0)),
+      "expected bytes field 'submit', found i64 'submit'", "drifted");
 }
 
 // --- MTC, DRP and trigger-monitor restore: task ids name a task --------------
@@ -708,7 +790,7 @@ Status restore_trace(const std::string& finished) {
 }
 
 TEST(SnapshotComponents, TraceRestoreRefusesAnEventCountTheStreamCannotHold) {
-  // An empty ring packs an empty blob, and 44 * 2^62 wraps to 0 bytes.
+  // An empty ring packs an empty payload.
   const std::string finished = saved_trace(64, 0);
   ASSERT_TRUE(restore_trace(finished).is_ok());
   expect_count_refused(
@@ -729,6 +811,93 @@ TEST(SnapshotComponents, TraceRestoreRefusesARingCapacityOutOfRange) {
         restore_trace(reencode(finished, "trace", "capacity", bad)),
         "trace ring capacity", std::to_string(bad));
   }
+}
+
+// A trace section naming "job.submit" (id 0) and "p" (id 1), with
+// `events` events packed into the record `ring`.
+std::string trace_section(std::uint64_t events, std::string_view packed,
+                          std::string_view ring = "packed_ring") {
+  SnapshotWriter writer;
+  writer.begin_section("trace");
+  writer.field_u64("capacity", 64);
+  writer.field_u64("filter", obs::kTraceAll);
+  writer.field_u64("emitted", events);
+  writer.field_u64("dropped", 0);
+  writer.field_u64("names", 2);
+  writer.field_str("name", "job.submit");
+  writer.field_str("name", "p");
+  writer.field_u64("events", events);
+  writer.field_bytes(ring, packed.data(), packed.size());
+  writer.end_section();
+  return writer.finish();
+}
+
+// One packed event: t=0 (+0), dur 0, a0 1, a1 0, name 0, actor 1, job
+// instant.
+constexpr std::string_view kOneEvent("\x00\x00\x02\x00\x00\x01\x00", 7);
+
+TEST(SnapshotComponents, TraceRestoreRefusesAMalformedPackedRing) {
+  ASSERT_TRUE(restore_trace(trace_section(1, kOneEvent)).is_ok());
+  const std::string eleven = std::string(10, '\x80') + '\x00';
+  const struct {
+    const char* what;
+    std::uint64_t events;
+    std::string packed;
+    const char* names;
+  } cases[] = {
+      {"a name id past the table", 1,
+       std::string("\x00\x00\x02\x00\x02\x01\x00", 7),
+       "name id 2 or actor id 1 is past the 2-name table"},
+      {"an actor id past the table", 1,
+       std::string("\x00\x00\x02\x00\x00\x05\x00", 7),
+       "name id 0 or actor id 5 is past the 2-name table"},
+      {"an unknown category", 1,
+       std::string("\x00\x00\x02\x00\x00\x01\x12", 7),
+       "unknown category 9"},
+      {"a truncated varint", 1,
+       std::string("\x00\x00\x02\x00\x00\x01\x80", 7), "cut short"},
+      {"an 11-byte varint", 1, eleven + std::string(kOneEvent.substr(1)),
+       "runs past 10 bytes"},
+      {"one event short", 2, std::string(kOneEvent), "ends after 1"},
+      {"trailing bytes after the last event", 1,
+       std::string(kOneEvent) + '\x00', "1 bytes follow the last event"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const Status status = restore_trace(trace_section(c.events, c.packed));
+    expect_refused(status, "trace ring of " + std::to_string(c.events) +
+                               " events",
+                   c.names);
+    EXPECT_NE(status.message().find("section 'trace'"), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(SnapshotComponents, TraceRestoreWrapsATimeDeltaPastInt64) {
+  // t = INT64_MAX, then +1: the running time wraps in unsigned arithmetic
+  // (no signed overflow for UBSan to find) to INT64_MIN.
+  std::string packed = "\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+  packed += std::string(kOneEvent.substr(1));
+  packed += "\x02";
+  packed += std::string(kOneEvent.substr(1));
+  auto reader = SnapshotReader::from_buffer(trace_section(2, packed));
+  ASSERT_TRUE(reader.is_ok());
+  obs::TraceSink sink;
+  const Status restored = sink.restore(*reader);
+  ASSERT_TRUE(restored.is_ok()) << restored.to_string();
+  const std::vector<obs::TraceEvent> events = sink.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].time, std::numeric_limits<SimTime>::max());
+  EXPECT_EQ(events[1].time, std::numeric_limits<SimTime>::min());
+}
+
+// The ring as it was saved before it was packed, a 'ring' record of
+// 44-byte events, is refused by its name and never decoded as varints.
+TEST(SnapshotComponents, TraceRestoreRefusesThePreChangeRing) {
+  const Status status =
+      restore_trace(trace_section(1, std::string(44, '\0'), "ring"));
+  expect_refused(status, "expected field 'packed_ring', found 'ring'",
+                 "drifted");
 }
 
 }  // namespace

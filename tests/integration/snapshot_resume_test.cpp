@@ -383,11 +383,14 @@ TEST(SnapshotResume, ModelMismatchedSnapshotIsRejected) {
 // --- Pinned bytes --------------------------------------------------------------
 //
 // Every test above compares a build with itself. These compare it with
-// digests captured from the emulator that queued one event per trace job
-// at registration, so a change to seq assignment that moved every run the
+// pinned digests, so a change to seq assignment that moved every run the
 // same way would still fail here. The digests are FNV-1a over each
 // system's snapshot files in boundary order, over its results artifact,
-// and over DawningCloud's trace export and metrics timeseries.
+// and over DawningCloud's trace export and metrics timeseries. The results,
+// trace and metrics digests were captured from the emulator that queued
+// one event per trace job at registration; the snapshot digests from the
+// packed layout (varint trace ring, job columns, three numbers per
+// emulator stream).
 
 std::string hex_digest(std::string_view bytes) {
   return str_format("%016llx", static_cast<unsigned long long>(
@@ -405,10 +408,10 @@ TEST(SnapshotResume, SnapshotsAndResultsMatchPinnedDigests) {
   const core::ConsolidationWorkload workload = make_workload();
   const core::RunOptions options = make_options();
   const std::vector<PinnedRun> pinned = {
-      {SystemModel::kDcs, 7, "b26a72ddadd567cd", "e8c9ce6ff5d9e0e4"},
-      {SystemModel::kSsp, 7, "b9c948786f567d70", "72d83ebf6382bd8e"},
-      {SystemModel::kDrp, 7, "25f07d5c3f8500ce", "5d5a7b9b0efdca07"},
-      {SystemModel::kDawningCloud, 7, "1aabfe91e89af033", "d9dd0b86b1d8050c"},
+      {SystemModel::kDcs, 7, "b5702ee2e57717a8", "e8c9ce6ff5d9e0e4"},
+      {SystemModel::kSsp, 7, "e36da2d6142c597f", "72d83ebf6382bd8e"},
+      {SystemModel::kDrp, 7, "0a7c3605b2f106a0", "5d5a7b9b0efdca07"},
+      {SystemModel::kDawningCloud, 7, "e447ee2ee4989b76", "d9dd0b86b1d8050c"},
   };
   for (const PinnedRun& pin : pinned) {
     SCOPED_TRACE(core::system_model_name(pin.model));

@@ -378,6 +378,25 @@ TEST(DcLintR9, RealSnapshotPairIsCleanAndMutationIsCaught) {
   EXPECT_NE(caught[0].message.find("never read"), std::string::npos);
   EXPECT_NE(caught[1].message.find("'owned_nodes'"), std::string::npos);
   EXPECT_NE(caught[1].message.find("never written"), std::string::npos);
+
+  // The same for a packed job column: each is written and read with a
+  // literal name at its field_bytes / read_bytes call, so a computed name
+  // never switches the name diff off for the class.
+  const std::string column_mutated = replace_once(
+      body, "read_bytes(\"finish\"", "read_bytes(\"finished\"");
+  const auto column_drift =
+      join_project({{"src/core/htc_server.hpp", header},
+                    {"src/core/htc_server.cpp", column_mutated}});
+  std::vector<dc_lint::Diagnostic> column_caught;
+  for (const auto& d : column_drift.project) {
+    if (d.rule == "dc-r9") column_caught.push_back(d);
+  }
+  ASSERT_EQ(column_caught.size(), 2u)
+      << dc_lint::to_human(column_drift.project);
+  EXPECT_NE(column_caught[0].message.find("'finish'"), std::string::npos);
+  EXPECT_NE(column_caught[0].message.find("never read"), std::string::npos);
+  EXPECT_NE(column_caught[1].message.find("'finished'"), std::string::npos);
+  EXPECT_NE(column_caught[1].message.find("never written"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

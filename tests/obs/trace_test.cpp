@@ -183,21 +183,22 @@ std::string to_hex(std::string_view bytes) {
   return out;
 }
 
-/// The payload of the 'ring' record a sink saves.
+/// The payload of the 'packed_ring' record a sink saves.
 std::string saved_ring(const TraceSink& sink) {
   snapshot::SnapshotWriter writer;
   sink.save(writer);
   auto records = snapshot::decode_records(writer.finish());
   if (!records.is_ok()) return "<" + records.status().message() + ">";
   for (const auto& record : *records) {
-    if (record.name == "ring") return record.payload;
+    if (record.name == "packed_ring") return record.payload;
   }
   return "<no ring record>";
 }
 
-// The ring blob is pinned to its v1 layout: events oldest first, each
-// time, dur, a0, a1 as u64 LE, then name id, actor id and
-// phase << 16 | category as u32 LE (44 bytes).
+// The ring is pinned to its packed layout: events oldest first, each seven
+// LEB128 varints, namely the zigzag difference of its time from the
+// previous event's (the first from 0), zigzag dur, a0 and a1, then the
+// name id, the actor id and category << 1 | phase.
 TEST(TraceSink, SnapshotRingBytesArePinned) {
   TraceSink sink(/*capacity=*/3);
   for (std::int64_t i = 0; i < 5; ++i) {
@@ -208,24 +209,17 @@ TEST(TraceSink, SnapshotRingBytesArePinned) {
   // Six events through three slots: events 3, 4 and the span remain, and
   // the oldest sits in slot 0 again.
   EXPECT_EQ(to_hex(saved_ring(sink)),
-            // time              dur                a0
-            // a1                name       actor      phase|cat
-            "b400000000000000" "0000000000000000" "0300000000000000"
-            "fdffffffffffffff" "00000000" "01000000" "00000000"
-            "f000000000000000" "0000000000000000" "0400000000000000"
-            "fcffffffffffffff" "00000000" "01000000" "00000000"
-            "100e000000000000" "3c00000000000000" "0700000000000000"
-            "0800000000000000" "02000000" "03000000" "03000100");
+            // time   dur  a0   a1   name actor cat<<1|phase
+            "e802"    "00" "06" "05" "00" "01" "00"   // t=180, a0=3, a1=-3
+            "78"      "00" "08" "07" "00" "01" "00"   // +60, a0=4, a1=-4
+            "c034"    "78" "0e" "10" "02" "03" "07"); // +3360, span 60 s
   // A seventh moves the oldest to slot 1, so the ring is saved in two
   // pieces: slots 1-2, then slot 0.
   sink.instant(2 * kHour, TraceCategory::kFault, "node.fail", "p", 9, 10);
   EXPECT_EQ(to_hex(saved_ring(sink)),
-            "f000000000000000" "0000000000000000" "0400000000000000"
-            "fcffffffffffffff" "00000000" "01000000" "00000000"
-            "100e000000000000" "3c00000000000000" "0700000000000000"
-            "0800000000000000" "02000000" "03000000" "03000100"
-            "201c000000000000" "0000000000000000" "0900000000000000"
-            "0a00000000000000" "04000000" "01000000" "04000000");
+            "e003"    "00" "08" "07" "00" "01" "00"   // t=240
+            "c034"    "78" "0e" "10" "02" "03" "07"   // +3360
+            "a038"    "00" "12" "14" "04" "01" "08"); // +3600, fault
 }
 
 TEST(TraceDiff, IdenticalTracesMatch) {

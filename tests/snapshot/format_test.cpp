@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -509,6 +511,128 @@ TEST(SnapshotFormat, EncoderMatchesByteByByteReference) {
     EXPECT_EQ(first_difference(*written, finished), std::string::npos);
     EXPECT_TRUE(decode_records(finished).is_ok());
   }
+}
+
+// --- Packed columns: LEB128 varints of zigzag deltas ------------------------
+
+/// A finished stream holding one section 'table' with a bytes record
+/// 'finish' of `payload`.
+std::string column_stream(std::string_view payload) {
+  SnapshotWriter writer;
+  writer.begin_section("table");
+  writer.field_bytes("finish", payload.data(), payload.size());
+  writer.end_section();
+  return writer.finish();
+}
+
+/// Reads column_stream's 'finish' as a packed column of `count` values.
+Status read_column(const std::string& finished, std::uint64_t count,
+                   std::vector<std::int64_t>& out) {
+  auto reader = SnapshotReader::from_buffer(finished);
+  if (!reader.is_ok()) return reader.status();
+  if (Status s = reader->begin_section("table"); !s.is_ok()) return s;
+  return reader->read_bytes("finish", count, out);
+}
+
+/// The payload PackedColumn writes for `values`.
+std::string packed(std::initializer_list<std::int64_t> values) {
+  PackedColumn column;
+  for (const std::int64_t v : values) column.push(v);
+  return std::string(column.bytes());
+}
+
+TEST(PackedColumn, BytesArePinned) {
+  // 0, then +1, -2, +301 and -301 as zigzag varints: 0, 2, 3, 602, 601.
+  EXPECT_EQ(to_hex(packed({0, 1, -1, 300, -1})), "00" "02" "03" "da04" "d904");
+  // The largest delta takes ten bytes; the tenth holds bit 63 alone.
+  EXPECT_EQ(to_hex(packed({std::numeric_limits<std::int64_t>::min()})),
+            "ffffffffffffffffff01");
+}
+
+TEST(PackedColumn, RoundTripsEveryInt64Sequence) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> values = {0,    kMax, kMin, kMax, -1,   1,
+                                      kMin, 0,    kMin, kMin, kMax, 63,
+                                      64,   -64,  -65,  8191, 8192};
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const auto word = static_cast<std::int64_t>(rng());
+    values.push_back(word >> (rng() % 64));  // every magnitude
+  }
+  PackedColumn column;
+  for (const std::int64_t v : values) column.push(v);
+  std::vector<std::int64_t> back;
+  const Status st =
+      read_column(column_stream(column.bytes()), values.size(), back);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(back, values);
+}
+
+TEST(PackedColumn, DeltasPastInt64WrapInsteadOfOverflowing) {
+  // INT64_MAX, then a delta of +1: the running value wraps to INT64_MIN
+  // in unsigned arithmetic (no signed overflow for UBSan to find).
+  std::string payload = "\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+  payload += '\x02';
+  std::vector<std::int64_t> back;
+  const Status st = read_column(column_stream(payload), 2, back);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(back, (std::vector<std::int64_t>{
+                      std::numeric_limits<std::int64_t>::max(),
+                      std::numeric_limits<std::int64_t>::min()}));
+}
+
+TEST(PackedColumn, MalformedColumnsAreTypedErrors) {
+  const std::string three = packed({1000, 2000, 3000});  // 2 bytes each
+  const std::string eleven(10, '\x80');
+  const struct {
+    const char* what;
+    std::string payload;
+    std::uint64_t count;
+    const char* names;
+  } cases[] = {
+      {"one value short", three, 4, "ends after 3"},
+      {"one value long", three, 2, "2 bytes follow the last one"},
+      {"a count the payload cannot hold", three, std::uint64_t{1} << 62,
+       "6 bytes cannot hold them"},
+      {"a truncated varint", three.substr(0, 5), 3, "cut short"},
+      {"a lone continuation byte", "\x80", 1, "cut short"},
+      {"an 11-byte varint", eleven + '\x00', 1, "runs past 10 bytes"},
+      {"a tenth byte past bit 63", std::string(9, '\xff') + '\x02', 1,
+       "runs past 10 bytes"},
+      {"trailing bytes after the last value", packed({5}) + '\x00', 1,
+       "1 bytes follow the last one"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::vector<std::int64_t> out;
+    const Status st = read_column(column_stream(c.payload), c.count, out);
+    ASSERT_FALSE(st.is_ok());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("packed column 'finish'"), std::string::npos)
+        << st.message();
+    EXPECT_NE(st.message().find(c.names), std::string::npos) << st.message();
+    EXPECT_NE(st.message().find("section 'table'"), std::string::npos)
+        << st.message();
+  }
+}
+
+TEST(VarintReader, ReadsTheLargestVarintAndRefusesPastIt) {
+  const std::string payload = std::string(9, '\xff') + '\x01' + '\x00';
+  VarintReader reader(payload);
+  std::uint64_t value = 0;
+  ASSERT_TRUE(reader.next(value).is_ok());
+  EXPECT_EQ(value, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(reader.offset(), 10u);
+  ASSERT_TRUE(reader.next(value).is_ok());
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(reader.at_end());
+  // At the end, a further read is refused and the reader stays put.
+  const Status past = reader.next(value);
+  EXPECT_EQ(past.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.message().find("varint at byte 11"), std::string::npos)
+      << past.message();
+  EXPECT_EQ(reader.offset(), 11u);
 }
 
 }  // namespace

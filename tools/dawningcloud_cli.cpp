@@ -275,6 +275,15 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
       return 2;
     }
   }
+  // A snapshot directory alone would run without writing or reading a
+  // snapshot.
+  if (flags.count("snapshot-dir") != 0 && flags.count("snapshot-every") == 0 &&
+      flags.count("resume") == 0 && flags.count("resume-from") == 0) {
+    std::fputs("--snapshot-dir needs --snapshot-every, --resume or "
+               "--resume-from\n",
+               stderr);
+    return 2;
+  }
   auto workload = load_workload(flags);
   if (!workload.is_ok()) {
     std::fprintf(stderr, "%s\n", workload.status().to_string().c_str());
@@ -786,6 +795,11 @@ int cmd_replay_list(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_replay_window(const std::map<std::string, std::string>& flags) {
+  if (auto it = flags.find("trace-out");
+      it != flags.end() && it->second.empty()) {
+    std::fputs("replay window: --trace-out needs a file path\n", stderr);
+    return 2;
+  }
   auto workload = load_workload(flags);
   if (!workload.is_ok()) {
     std::fprintf(stderr, "%s\n", workload.status().to_string().c_str());
