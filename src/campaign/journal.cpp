@@ -31,24 +31,50 @@ StatusOr<CellState> parse_cell_state(std::string_view name) {
                                   "'");
 }
 
+/// A journal entry's records, over a writer or a reader.
+template <class Io>
+Status persist_entry(Io& io, JournalEntry& entry) {
+  return io.section("entry", [&]() -> Status {
+    std::string kind =
+        entry.kind == JournalEntry::Kind::kCampaign ? "campaign" : "cell";
+    if (Status st = io.str("kind", kind); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (kind == "campaign") {
+        entry.kind = JournalEntry::Kind::kCampaign;
+      } else if (kind == "cell") {
+        entry.kind = JournalEntry::Kind::kCell;
+      } else {
+        return Status::invalid_argument("unknown journal entry kind '" +
+                                        kind + "'");
+      }
+    }
+    if (entry.kind == JournalEntry::Kind::kCampaign) {
+      if (Status st = io.u64("spec_digest", entry.spec_digest); !st.is_ok()) {
+        return st;
+      }
+      return io.u64("cell_count", entry.cell_count);
+    }
+    if (Status st = io.u64("cell", entry.cell); !st.is_ok()) return st;
+    std::string state = cell_state_name(entry.state);
+    if (Status st = io.str("state", state); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      auto parsed = parse_cell_state(state);
+      if (!parsed.is_ok()) return parsed.status();
+      entry.state = *parsed;
+    }
+    if (Status st = io.i64("attempt", entry.attempt); !st.is_ok()) return st;
+    if (Status st = io.i64("pid", entry.pid); !st.is_ok()) return st;
+    if (Status st = io.u64("artifact_digest", entry.artifact_digest);
+        !st.is_ok()) {
+      return st;
+    }
+    return io.str("reason", entry.reason);
+  });
+}
+
 std::string encode_entry(const JournalEntry& entry) {
   snapshot::SnapshotWriter writer;
-  writer.begin_section("entry");
-  writer.field_str("kind",
-                   entry.kind == JournalEntry::Kind::kCampaign ? "campaign"
-                                                               : "cell");
-  if (entry.kind == JournalEntry::Kind::kCampaign) {
-    writer.field_u64("spec_digest", entry.spec_digest);
-    writer.field_u64("cell_count", entry.cell_count);
-  } else {
-    writer.field_u64("cell", entry.cell);
-    writer.field_str("state", cell_state_name(entry.state));
-    writer.field_i64("attempt", entry.attempt);
-    writer.field_i64("pid", entry.pid);
-    writer.field_u64("artifact_digest", entry.artifact_digest);
-    writer.field_str("reason", entry.reason);
-  }
-  writer.end_section();
+  (void)persist_entry(writer, const_cast<JournalEntry&>(entry));  // never fails
   std::string frame;
   snapshot::append_frame(frame, writer.finish());
   return frame;
@@ -57,43 +83,7 @@ std::string encode_entry(const JournalEntry& entry) {
 Status decode_entry(std::string payload, JournalEntry& out) {
   auto reader = snapshot::SnapshotReader::from_buffer(std::move(payload));
   if (!reader.is_ok()) return reader.status();
-  if (Status st = reader->begin_section("entry"); !st.is_ok()) return st;
-  std::string kind;
-  if (Status st = reader->read_str("kind", kind); !st.is_ok()) return st;
-  if (kind == "campaign") {
-    out.kind = JournalEntry::Kind::kCampaign;
-    if (Status st = reader->read_u64("spec_digest", out.spec_digest);
-        !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_u64("cell_count", out.cell_count);
-        !st.is_ok()) {
-      return st;
-    }
-  } else if (kind == "cell") {
-    out.kind = JournalEntry::Kind::kCell;
-    if (Status st = reader->read_u64("cell", out.cell); !st.is_ok()) return st;
-    std::string state;
-    if (Status st = reader->read_str("state", state); !st.is_ok()) return st;
-    auto parsed = parse_cell_state(state);
-    if (!parsed.is_ok()) return parsed.status();
-    out.state = *parsed;
-    if (Status st = reader->read_i64("attempt", out.attempt); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_i64("pid", out.pid); !st.is_ok()) return st;
-    if (Status st = reader->read_u64("artifact_digest", out.artifact_digest);
-        !st.is_ok()) {
-      return st;
-    }
-    if (Status st = reader->read_str("reason", out.reason); !st.is_ok()) {
-      return st;
-    }
-  } else {
-    return Status::invalid_argument("unknown journal entry kind '" + kind +
-                                    "'");
-  }
-  return reader->end_section();
+  return persist_entry(*reader, out);
 }
 
 constexpr snapshot::FrameWording kWording{

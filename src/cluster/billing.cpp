@@ -77,58 +77,43 @@ double AdjustmentMeter::overhead_seconds_per_hour(SimTime horizon) const {
   return overhead_seconds() / to_hours(horizon);
 }
 
+template <class Io>
+Status LeaseLedger::persist(Io& io) {
+  const auto each_lease = [&](Lease& lease) -> Status {
+    if (auto st = io.i64("nodes", lease.nodes); !st.is_ok()) return st;
+    if (auto st = io.i64("start", lease.start); !st.is_ok()) return st;
+    if (auto st = io.i64("end", lease.end); !st.is_ok()) return st;
+    return io.str("tag", lease.tag);
+  };
+  return snapshot::list(io, "lease_count", leases_, each_lease);
+}
+
 Status LeaseLedger::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_u64("lease_count", leases_.size());
-  for (const Lease& lease : leases_) {
-    writer.field_i64("nodes", lease.nodes);
-    writer.field_time("start", lease.start);
-    writer.field_time("end", lease.end);
-    writer.field_str("tag", lease.tag);
-  }
-  return Status::ok();
+  return const_cast<LeaseLedger&>(*this).persist(writer);
 }
 
 Status LeaseLedger::restore(snapshot::SnapshotReader& reader) {
-  std::uint64_t count = 0;
-  if (auto st = reader.read_count("lease_count", count); !st.is_ok()) return st;
-  leases_.clear();
-  leases_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Lease lease;
-    if (auto st = reader.read_i64("nodes", lease.nodes); !st.is_ok()) return st;
-    if (auto st = reader.read_time("start", lease.start); !st.is_ok()) return st;
-    if (auto st = reader.read_time("end", lease.end); !st.is_ok()) return st;
-    if (auto st = reader.read_str("tag", lease.tag); !st.is_ok()) return st;
-    leases_.push_back(std::move(lease));
+  return persist(reader);
+}
+
+template <class Io>
+Status AdjustmentMeter::persist(Io& io) {
+  if (auto st = io.i64("total_adjusted_nodes", total_); !st.is_ok()) {
+    return st;
   }
-  return Status::ok();
+  const auto each_event = [&](Adjustment& event) -> Status {
+    if (auto st = io.i64("time", event.time); !st.is_ok()) return st;
+    return io.i64("nodes", event.nodes);
+  };
+  return snapshot::list(io, "event_count", events_, each_event);
 }
 
 Status AdjustmentMeter::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_i64("total_adjusted_nodes", total_);
-  writer.field_u64("event_count", events_.size());
-  for (const Adjustment& event : events_) {
-    writer.field_time("time", event.time);
-    writer.field_i64("nodes", event.nodes);
-  }
-  return Status::ok();
+  return const_cast<AdjustmentMeter&>(*this).persist(writer);
 }
 
 Status AdjustmentMeter::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = reader.read_i64("total_adjusted_nodes", total_); !st.is_ok()) {
-    return st;
-  }
-  std::uint64_t count = 0;
-  if (auto st = reader.read_count("event_count", count); !st.is_ok()) return st;
-  events_.clear();
-  events_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Adjustment event{};
-    if (auto st = reader.read_time("time", event.time); !st.is_ok()) return st;
-    if (auto st = reader.read_i64("nodes", event.nodes); !st.is_ok()) return st;
-    events_.push_back(event);
-  }
-  return Status::ok();
+  return persist(reader);
 }
 
 }  // namespace dc::cluster

@@ -68,6 +68,9 @@ class LeaseLedger {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   std::vector<Lease> leases_;
 };
 
@@ -109,6 +112,9 @@ class AdjustmentMeter {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   double seconds_per_node_;  // dc-volatile: fixed by the billing config
   std::int64_t total_ = 0;
   std::vector<Adjustment> events_;

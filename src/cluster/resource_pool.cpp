@@ -46,30 +46,31 @@ void ResourcePool::release(NodeCount count) {
   allocated_ -= count;
 }
 
+template <class Io>
+Status ResourcePool::persist(Io& io) {
+  bool bounded = capacity_.has_value();
+  NodeCount capacity = capacity_.value_or(-1);
+  if (auto st = io.boolean("bounded", bounded); !st.is_ok()) return st;
+  if (auto st = io.i64("capacity", capacity); !st.is_ok()) return st;
+  if constexpr (!Io::kSaving) {
+    if (bounded != capacity_.has_value() ||
+        (bounded && capacity != *capacity_)) {
+      return Status::failed_precondition(
+          "resource pool: snapshot capacity " +
+          (bounded ? std::to_string(capacity) : std::string("unbounded")) +
+          " does not match the rebuilt pool — the snapshot belongs to a "
+          "different experiment configuration");
+    }
+  }
+  return io.i64("allocated", allocated_);
+}
+
 Status ResourcePool::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_bool("bounded", capacity_.has_value());
-  writer.field_i64("capacity", capacity_.value_or(-1));
-  writer.field_i64("allocated", allocated_);
-  return Status::ok();
+  return const_cast<ResourcePool&>(*this).persist(writer);
 }
 
 Status ResourcePool::restore(snapshot::SnapshotReader& reader) {
-  bool bounded = false;
-  if (auto st = reader.read_bool("bounded", bounded); !st.is_ok()) return st;
-  NodeCount capacity = -1;
-  if (auto st = reader.read_i64("capacity", capacity); !st.is_ok()) return st;
-  if (bounded != capacity_.has_value() ||
-      (bounded && capacity != *capacity_)) {
-    return Status::failed_precondition(
-        "resource pool: snapshot capacity " +
-        (bounded ? std::to_string(capacity) : std::string("unbounded")) +
-        " does not match the rebuilt pool — the snapshot belongs to a "
-        "different experiment configuration");
-  }
-  if (auto st = reader.read_i64("allocated", allocated_); !st.is_ok()) {
-    return st;
-  }
-  return Status::ok();
+  return persist(reader);
 }
 
 }  // namespace dc::cluster

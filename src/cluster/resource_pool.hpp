@@ -56,6 +56,9 @@ class ResourcePool {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   ResourcePool() = default;
 
   std::optional<NodeCount> capacity_;

@@ -59,33 +59,23 @@ std::vector<std::int64_t> UsageRecorder::hourly_peak_series(SimTime horizon) con
   return series;
 }
 
+template <class Io>
+Status UsageRecorder::persist(Io& io) {
+  if (auto st = io.i64("current", current_); !st.is_ok()) return st;
+  if (auto st = io.i64("peak", peak_); !st.is_ok()) return st;
+  const auto each_breakpoint = [&](Breakpoint& bp) -> Status {
+    if (auto st = io.i64("time", bp.time); !st.is_ok()) return st;
+    return io.i64("level", bp.level);
+  };
+  return snapshot::list(io, "breakpoint_count", breakpoints_, each_breakpoint);
+}
+
 Status UsageRecorder::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_i64("current", current_);
-  writer.field_i64("peak", peak_);
-  writer.field_u64("breakpoint_count", breakpoints_.size());
-  for (const Breakpoint& bp : breakpoints_) {
-    writer.field_time("time", bp.time);
-    writer.field_i64("level", bp.level);
-  }
-  return Status::ok();
+  return const_cast<UsageRecorder&>(*this).persist(writer);
 }
 
 Status UsageRecorder::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = reader.read_i64("current", current_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("peak", peak_); !st.is_ok()) return st;
-  std::uint64_t count = 0;
-  if (auto st = reader.read_count("breakpoint_count", count); !st.is_ok()) {
-    return st;
-  }
-  breakpoints_.clear();
-  breakpoints_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Breakpoint bp{};
-    if (auto st = reader.read_time("time", bp.time); !st.is_ok()) return st;
-    if (auto st = reader.read_i64("level", bp.level); !st.is_ok()) return st;
-    breakpoints_.push_back(bp);
-  }
-  return Status::ok();
+  return persist(reader);
 }
 
 std::vector<double> UsageRecorder::hourly_mean_series(SimTime horizon) const {

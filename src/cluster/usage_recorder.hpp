@@ -52,6 +52,9 @@ class UsageRecorder {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   std::int64_t current_ = 0;
   std::int64_t peak_ = 0;
   std::vector<Breakpoint> breakpoints_;

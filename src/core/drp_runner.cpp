@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/snapshot_walk.hpp"
+
 namespace dc::core {
 
 DrpRunner::DrpRunner(sim::Simulator& simulator,
@@ -371,347 +373,145 @@ double DrpRunner::tasks_per_second(SimTime horizon) const {
          static_cast<double>(span);
 }
 
-Status DrpRunner::save(snapshot::SnapshotWriter& writer) const {
-  writer.begin_section("ledger");
-  if (auto st = ledger_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.begin_section("held");
-  if (auto st = held_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
+template <class Io>
+Status DrpRunner::persist(Io& io) {
+  if (auto st = io.section("ledger", ledger_); !st.is_ok()) return st;
+  if (auto st = io.section("held", held_); !st.is_ok()) return st;
 
-  writer.field_u64("run_count", runs_.size());
-  for (const WorkflowRun& run : runs_) {
-    writer.field_u64("task_count", run.dag.size());
-    for (const workflow::Task& task : run.dag.tasks()) {
-      writer.field_str("name", task.name);
-      writer.field_i64("runtime", task.runtime);
-      writer.field_i64("nodes", task.nodes);
-    }
-    for (std::size_t t = 0; t < run.dag.size(); ++t) {
-      const auto& children = run.dag.children(static_cast<workflow::TaskId>(t));
-      writer.field_u64("child_count", children.size());
-      for (workflow::TaskId child : children) writer.field_i64("child", child);
-      writer.field_u64("pending_parents", run.pending_parents[t]);
-    }
-    writer.field_i64("remaining", run.remaining);
-    writer.field_i64("pool_size", run.pool_size);
-    writer.field_i64("idle_vms", run.idle_vms);
-    writer.field_u64("vm_lease_count", run.vm_leases.size());
-    for (cluster::LeaseId lease : run.vm_leases) {
-      writer.field_u64("vm_lease", lease);
-    }
-    writer.field_time("submitted_at", run.submitted);
-  }
-
-  writer.field_u64("active_count", active_.size());
-  for (const ActiveWork& work : active_) {
-    writer.field_i64("work_id", work.work_id);
-    writer.field_bool("is_task", work.is_task);
-    writer.field_i64("work_nodes", work.nodes);
-    writer.field_i64("work_runtime", work.runtime);
-    writer.field_i64("work_completed", work.completed_work);
-    writer.field_time("exec_start", work.exec_start);
-    const auto info = simulator_.pending_event_info(work.completion);
-    if (!info.has_value()) {
-      return Status::internal(name_ + ": active work " +
-                              std::to_string(work.work_id) +
-                              " has no pending completion event");
-    }
-    writer.field_time("completion_time", info->time);
-    writer.field_u64("completion_seq", info->seq);
-    writer.field_u64("work_lease", work.lease);
-    writer.field_u64("work_run", work.run_index);
-    writer.field_i64("work_task", work.task);
-    writer.field_i64("work_retries", work.retries);
-  }
-
-  writer.field_i64("next_work_id", next_work_id_);
-  writer.field_i64("submitted", submitted_);
-  writer.field_u64("finish_count", finish_times_.size());
-  for (SimTime finish : finish_times_) writer.field_time("finish_time", finish);
-  writer.field_u64("completion_count", completions_.size());
-  for (const Completion& completion : completions_) {
-    writer.field_time("comp_finish", completion.finish);
-    writer.field_i64("comp_node_seconds", completion.node_seconds);
-  }
-  writer.field_time("first_submit", first_submit_);
-  writer.field_time("last_finish", last_finish_);
-  writer.field_i64("peak_pool", peak_pool_);
-  writer.field_i64("jobs_killed", jobs_killed_);
-  writer.field_i64("jobs_failed", jobs_failed_);
-  writer.field_i64("wasted_node_seconds", wasted_node_seconds_);
-
-  std::vector<std::pair<PendingRetry, sim::Simulator::PendingEventInfo>> live;
-  for (const PendingRetry& retry : retry_events_) {
-    if (auto info = simulator_.pending_event_info(retry.event)) {
-      live.emplace_back(retry, *info);
-    }
-  }
-  writer.field_u64("retry_count", live.size());
-  for (const auto& [retry, info] : live) {
-    writer.field_bool("retry_is_task", retry.is_task);
-    writer.field_u64("retry_run", retry.run_index);
-    writer.field_i64("retry_task", retry.task);
-    writer.field_i64("retry_runtime", retry.runtime);
-    writer.field_i64("retry_nodes", retry.nodes);
-    writer.field_i64("retry_salvaged", retry.salvaged);
-    writer.field_i64("retry_retries", retry.retries);
-    writer.field_time("retry_time", info.time);
-    writer.field_u64("retry_seq", info.seq);
-  }
-  return Status::ok();
-}
-
-Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = reader.begin_section("ledger"); !st.is_ok()) return st;
-  if (auto st = ledger_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  if (auto st = reader.begin_section("held"); !st.is_ok()) return st;
-  if (auto st = held_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-
-  std::uint64_t run_count = 0;
-  if (auto st = reader.read_count("run_count", run_count); !st.is_ok()) {
-    return st;
-  }
-  runs_.clear();
-  runs_.reserve(run_count);
-  for (std::uint64_t r = 0; r < run_count; ++r) {
-    WorkflowRun run;
-    std::uint64_t task_count = 0;
-    if (auto st = reader.read_u64("task_count", task_count); !st.is_ok()) {
-      return st;
-    }
-    for (std::uint64_t t = 0; t < task_count; ++t) {
-      std::string name;
-      if (auto st = reader.read_str("name", name); !st.is_ok()) return st;
-      SimDuration runtime = 1;
-      if (auto st = reader.read_i64("runtime", runtime); !st.is_ok()) return st;
-      std::int64_t nodes = 1;
-      if (auto st = reader.read_i64("nodes", nodes); !st.is_ok()) return st;
-      run.dag.add_task(std::move(name), runtime, nodes);
-    }
-    run.pending_parents.resize(task_count);
-    for (std::uint64_t t = 0; t < task_count; ++t) {
-      std::uint64_t child_count = 0;
-      if (auto st = reader.read_u64("child_count", child_count); !st.is_ok()) {
-        return st;
-      }
-      for (std::uint64_t c = 0; c < child_count; ++c) {
-        workflow::TaskId child = 0;
-        if (auto st = reader.read_i64("child", child); !st.is_ok()) return st;
-        if (child < 0 || static_cast<std::uint64_t>(child) >= task_count) {
-          return Status::invalid_argument(
-              name_ + ": workflow edge to task " + std::to_string(child) +
-              " out of range");
-        }
-        run.dag.add_dependency(static_cast<workflow::TaskId>(t), child);
-      }
-      std::uint64_t pending = 0;
-      if (auto st = reader.read_u64("pending_parents", pending); !st.is_ok()) {
-        return st;
-      }
-      run.pending_parents[t] = static_cast<std::size_t>(pending);
-    }
-    if (auto st = reader.read_i64("remaining", run.remaining); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("pool_size", run.pool_size); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("idle_vms", run.idle_vms); !st.is_ok()) {
-      return st;
-    }
-    std::uint64_t vm_lease_count = 0;
-    if (auto st = reader.read_count("vm_lease_count", vm_lease_count);
+  const auto each_run = [&](WorkflowRun& run) -> Status {
+    if (auto st = persist_dag(io, run.dag, name_,
+                              {{"pending_parents", &run.pending_parents}});
         !st.is_ok()) {
       return st;
     }
-    run.vm_leases.reserve(vm_lease_count);
-    for (std::uint64_t v = 0; v < vm_lease_count; ++v) {
-      std::uint64_t lease = 0;
-      if (auto st = reader.read_u64("vm_lease", lease); !st.is_ok()) return st;
-      run.vm_leases.push_back(static_cast<cluster::LeaseId>(lease));
-    }
-    if (auto st = reader.read_time("submitted_at", run.submitted); !st.is_ok()) {
-      return st;
-    }
-    runs_.push_back(std::move(run));
-  }
-
-  std::uint64_t active_count = 0;
-  if (auto st = reader.read_count("active_count", active_count); !st.is_ok()) {
-    return st;
-  }
-  active_.clear();
-  active_.reserve(active_count);
-  for (std::uint64_t i = 0; i < active_count; ++i) {
-    ActiveWork work;
-    if (auto st = reader.read_i64("work_id", work.work_id); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_bool("is_task", work.is_task); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("work_nodes", work.nodes); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("work_runtime", work.runtime); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("work_completed", work.completed_work);
+    if (auto st = io.i64("remaining", run.remaining); !st.is_ok()) return st;
+    if (auto st = io.i64("pool_size", run.pool_size); !st.is_ok()) return st;
+    if (auto st = io.i64("idle_vms", run.idle_vms); !st.is_ok()) return st;
+    const auto each_vm = [&](cluster::LeaseId& lease) -> Status {
+      return io.u64("vm_lease", lease);
+    };
+    if (auto st = snapshot::list(io, "vm_lease_count", run.vm_leases, each_vm);
         !st.is_ok()) {
       return st;
     }
-    if (auto st = reader.read_time("exec_start", work.exec_start); !st.is_ok()) {
+    return io.i64("submitted_at", run.submitted);
+  };
+  if (auto st = snapshot::list(io, "run_count", runs_, each_run);
+      !st.is_ok()) {
+    return st;
+  }
+
+  const auto each_active = [&](ActiveWork& work) -> Status {
+    if (auto st = io.i64("work_id", work.work_id); !st.is_ok()) return st;
+    if (auto st = io.boolean("is_task", work.is_task); !st.is_ok()) return st;
+    if (auto st = io.i64("work_nodes", work.nodes); !st.is_ok()) return st;
+    if (auto st = io.i64("work_runtime", work.runtime); !st.is_ok()) return st;
+    if (auto st = io.i64("work_completed", work.completed_work); !st.is_ok()) {
       return st;
     }
-    SimTime time = 0;
-    if (auto st = reader.read_time("completion_time", time); !st.is_ok()) {
+    if (auto st = io.i64("exec_start", work.exec_start); !st.is_ok()) return st;
+    if (auto st = persist_event(
+            io, simulator_, {"completion_time", "completion_seq"},
+            work.completion,
+            [&] { return make_completion(work.work_id, work.is_task); });
+        !st.is_ok()) {
       return st;
     }
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("completion_seq", seq); !st.is_ok()) return st;
-    std::uint64_t lease = 0;
-    if (auto st = reader.read_u64("work_lease", lease); !st.is_ok()) return st;
-    work.lease = static_cast<cluster::LeaseId>(lease);
-    std::uint64_t run_index = 0;
-    if (auto st = reader.read_u64("work_run", run_index); !st.is_ok()) return st;
-    if (work.is_task && run_index >= runs_.size()) {
-      return Status::invalid_argument(name_ + ": active task on run " +
-                                      std::to_string(run_index) +
-                                      " out of range");
+    if (auto st = io.u64("work_lease", work.lease); !st.is_ok()) return st;
+    if (auto st = io.u64("work_run", work.run_index); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (work.is_task && work.run_index >= runs_.size()) {
+        return Status::invalid_argument(name_ + ": active task on run " +
+                                        std::to_string(work.run_index) +
+                                        " out of range");
+      }
     }
-    work.run_index = static_cast<std::size_t>(run_index);
-    if (auto st = reader.read_i64("work_task", work.task); !st.is_ok()) {
-      return st;
-    }
-    if (work.is_task) {
-      const std::size_t tasks = runs_[work.run_index].dag.size();
-      if (work.task < 0 || static_cast<std::uint64_t>(work.task) >= tasks) {
+    if (auto st = io.i64("work_task", work.task); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      const std::size_t tasks =
+          work.is_task ? runs_[work.run_index].dag.size() : 0;
+      if (work.is_task &&
+          (work.task < 0 || static_cast<std::uint64_t>(work.task) >= tasks)) {
         return Status::invalid_argument(
             name_ + ": active task " + std::to_string(work.task) +
-            " beyond run " + std::to_string(run_index) + "'s " +
+            " beyond run " + std::to_string(work.run_index) + "'s " +
             std::to_string(tasks) + " tasks");
       }
     }
-    std::int64_t retries = 0;
-    if (auto st = reader.read_i64("work_retries", retries); !st.is_ok()) {
-      return st;
-    }
-    work.retries = static_cast<std::int32_t>(retries);
-    work.completion = simulator_.restore_event(
-        time, static_cast<std::uint32_t>(seq),
-        make_completion(work.work_id, work.is_task));
-    active_.push_back(work);
-  }
-
-  if (auto st = reader.read_i64("next_work_id", next_work_id_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("submitted", submitted_); !st.is_ok()) {
-    return st;
-  }
-  std::uint64_t finish_count = 0;
-  if (auto st = reader.read_count("finish_count", finish_count); !st.is_ok()) {
-    return st;
-  }
-  finish_times_.clear();
-  finish_times_.reserve(finish_count);
-  for (std::uint64_t i = 0; i < finish_count; ++i) {
-    SimTime finish = 0;
-    if (auto st = reader.read_time("finish_time", finish); !st.is_ok()) {
-      return st;
-    }
-    finish_times_.push_back(finish);
-  }
-  std::uint64_t completion_count = 0;
-  if (auto st = reader.read_count("completion_count", completion_count);
-      !st.is_ok()) {
-    return st;
-  }
-  completions_.clear();
-  completions_.reserve(completion_count);
-  for (std::uint64_t i = 0; i < completion_count; ++i) {
-    Completion completion{0, 0};
-    if (auto st = reader.read_time("comp_finish", completion.finish);
-        !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("comp_node_seconds", completion.node_seconds);
-        !st.is_ok()) {
-      return st;
-    }
-    completions_.push_back(completion);
-  }
-  if (auto st = reader.read_time("first_submit", first_submit_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_time("last_finish", last_finish_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("peak_pool", peak_pool_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("jobs_killed", jobs_killed_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("jobs_failed", jobs_failed_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("wasted_node_seconds", wasted_node_seconds_);
+    return io.i64("work_retries", work.retries);
+  };
+  if (auto st = snapshot::list(io, "active_count", active_, each_active);
       !st.is_ok()) {
     return st;
   }
 
-  std::uint64_t retry_count = 0;
-  if (auto st = reader.read_u64("retry_count", retry_count); !st.is_ok()) {
+  if (auto st = io.i64("next_work_id", next_work_id_); !st.is_ok()) return st;
+  if (auto st = io.i64("submitted", submitted_); !st.is_ok()) return st;
+  const auto each_finish = [&](SimTime& finish) -> Status {
+    return io.i64("finish_time", finish);
+  };
+  if (auto st = snapshot::list(io, "finish_count", finish_times_, each_finish);
+      !st.is_ok()) {
     return st;
   }
-  retry_events_.clear();
-  for (std::uint64_t i = 0; i < retry_count; ++i) {
-    PendingRetry retry;
-    if (auto st = reader.read_bool("retry_is_task", retry.is_task);
-        !st.is_ok()) {
+  const auto each_completion = [&](Completion& completion) -> Status {
+    if (auto st = io.i64("comp_finish", completion.finish); !st.is_ok()) {
       return st;
     }
-    std::uint64_t run_index = 0;
-    if (auto st = reader.read_u64("retry_run", run_index); !st.is_ok()) {
-      return st;
-    }
-    if (retry.is_task && run_index >= runs_.size()) {
-      return Status::invalid_argument(name_ + ": pending retry on run " +
-                                      std::to_string(run_index) +
-                                      " out of range");
-    }
-    retry.run_index = static_cast<std::size_t>(run_index);
-    if (auto st = reader.read_i64("retry_task", retry.task); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("retry_runtime", retry.runtime); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("retry_nodes", retry.nodes); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reader.read_i64("retry_salvaged", retry.salvaged);
-        !st.is_ok()) {
-      return st;
-    }
-    std::int64_t retries = 0;
-    if (auto st = reader.read_i64("retry_retries", retries); !st.is_ok()) {
-      return st;
-    }
-    retry.retries = static_cast<std::int32_t>(retries);
-    SimTime time = 0;
-    if (auto st = reader.read_time("retry_time", time); !st.is_ok()) return st;
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("retry_seq", seq); !st.is_ok()) return st;
-    retry.event = simulator_.restore_event(
-        time, static_cast<std::uint32_t>(seq), make_retry(retry));
-    retry_events_.push_back(retry);
+    return io.i64("comp_node_seconds", completion.node_seconds);
+  };
+  if (auto st = snapshot::list(io, "completion_count", completions_,
+                               each_completion);
+      !st.is_ok()) {
+    return st;
   }
-  return Status::ok();
+  const std::pair<const char*, std::int64_t*> counters[] = {
+      {"first_submit", &first_submit_},
+      {"last_finish", &last_finish_},
+      {"peak_pool", &peak_pool_},
+      {"jobs_killed", &jobs_killed_},
+      {"jobs_failed", &jobs_failed_},
+      {"wasted_node_seconds", &wasted_node_seconds_}};
+  for (const auto& [name, counter] : counters) {
+    if (auto st = io.i64(name, *counter); !st.is_ok()) return st;
+  }
+
+  const auto each_retry = [&](PendingRetry& retry) -> Status {
+    if (auto st = io.boolean("retry_is_task", retry.is_task); !st.is_ok()) {
+      return st;
+    }
+    if (auto st = io.u64("retry_run", retry.run_index); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (retry.is_task && retry.run_index >= runs_.size()) {
+        return Status::invalid_argument(name_ + ": pending retry on run " +
+                                        std::to_string(retry.run_index) +
+                                        " out of range");
+      }
+    }
+    const std::pair<const char*, std::int64_t*> fields[] = {
+        {"retry_task", &retry.task},
+        {"retry_runtime", &retry.runtime},
+        {"retry_nodes", &retry.nodes},
+        {"retry_salvaged", &retry.salvaged}};
+    for (const auto& [name, field] : fields) {
+      if (auto st = io.i64(name, *field); !st.is_ok()) return st;
+    }
+    if (auto st = io.i64("retry_retries", retry.retries); !st.is_ok()) {
+      return st;
+    }
+    return persist_event(io, simulator_, {"retry_time", "retry_seq"},
+                         retry.event, [&] { return make_retry(retry); });
+  };
+  return persist_registry(io, simulator_, "retry_count", retry_events_,
+                          each_retry);
+}
+
+Status DrpRunner::save(snapshot::SnapshotWriter& writer) const {
+  return const_cast<DrpRunner&>(*this).persist(writer);
+}
+
+Status DrpRunner::restore(snapshot::SnapshotReader& reader) {
+  return persist(reader);
 }
 
 }  // namespace dc::core

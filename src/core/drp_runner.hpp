@@ -117,6 +117,9 @@ class DrpRunner : public fault::FaultTarget {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   struct WorkflowRun {
     workflow::Dag dag;
     std::vector<std::size_t> pending_parents;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/snapshot_walk.hpp"
+
 namespace dc::core::fault {
 
 void FaultDomain::start(SimTime until) {
@@ -96,122 +98,85 @@ void FaultDomain::inject(SimTime until) {
   schedule_next(until);
 }
 
-Status FaultDomain::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_bool("started", !active_.empty());
-  writer.field_u64("active_count", active_.size());
-  const auto& rng_state = rng_.state();
-  writer.field_u64("rng0", rng_state[0]);
-  writer.field_u64("rng1", rng_state[1]);
-  writer.field_u64("rng2", rng_state[2]);
-  writer.field_u64("rng3", rng_state[3]);
-  writer.field_i64("events", events_);
-  writer.field_i64("nodes_failed", nodes_failed_);
-  writer.field_i64("nodes_repaired", nodes_repaired_);
-  writer.field_i64("nodes_down", nodes_down_);
-  writer.field_i64("jobs_killed", jobs_killed_);
-
-  const auto inject = simulator_.pending_event_info(inject_event_);
-  writer.field_bool("inject_pending", inject.has_value());
-  if (inject.has_value()) {
-    writer.field_time("inject_time", inject->time);
-    writer.field_u64("inject_seq", inject->seq);
-    writer.field_time("inject_until", inject_until_);
-  }
-
-  std::vector<std::pair<RepairEvent, sim::Simulator::PendingEventInfo>> live;
-  for (const RepairEvent& repair : repair_events_) {
-    if (auto info = simulator_.pending_event_info(repair.event)) {
-      live.emplace_back(repair, *info);
+template <class Io>
+Status FaultDomain::persist(Io& io) {
+  bool started = !active_.empty();
+  std::uint64_t active_count = active_.size();
+  if (auto st = io.boolean("started", started); !st.is_ok()) return st;
+  if (auto st = io.u64("active_count", active_count); !st.is_ok()) return st;
+  if constexpr (!Io::kSaving) {
+    active_ = started ? watched_ : std::vector<FaultTarget*>{};
+    if (active_count != active_.size()) {
+      return Status::failed_precondition(
+          "fault domain: snapshot pinned " + std::to_string(active_count) +
+          " victims but the rebuilt domain watches " +
+          std::to_string(active_.size()) + " — watch order changed");
     }
   }
-  writer.field_u64("repair_count", live.size());
-  for (const auto& [repair, info] : live) {
-    writer.field_u64("victim", repair.victim);
-    writer.field_i64("failed", repair.failed);
-    writer.field_time("time", info.time);
-    writer.field_u64("seq", info.seq);
+  std::array<std::uint64_t, 4> rng_state = rng_.state();
+  const char* const rng_names[] = {"rng0", "rng1", "rng2", "rng3"};
+  for (std::size_t i = 0; i < rng_state.size(); ++i) {
+    if (auto st = io.u64(rng_names[i], rng_state[i]); !st.is_ok()) return st;
   }
-  return Status::ok();
-}
-
-Status FaultDomain::restore(snapshot::SnapshotReader& reader) {
-  bool started = false;
-  if (auto st = reader.read_bool("started", started); !st.is_ok()) return st;
-  std::uint64_t active_count = 0;
-  if (auto st = reader.read_u64("active_count", active_count); !st.is_ok()) {
-    return st;
-  }
-  active_ = started ? watched_ : std::vector<FaultTarget*>{};
-  if (active_count != active_.size()) {
-    return Status::failed_precondition(
-        "fault domain: snapshot pinned " + std::to_string(active_count) +
-        " victims but the rebuilt domain watches " +
-        std::to_string(active_.size()) + " — watch order changed");
-  }
-  std::array<std::uint64_t, 4> rng_state{};
-  if (auto st = reader.read_u64("rng0", rng_state[0]); !st.is_ok()) return st;
-  if (auto st = reader.read_u64("rng1", rng_state[1]); !st.is_ok()) return st;
-  if (auto st = reader.read_u64("rng2", rng_state[2]); !st.is_ok()) return st;
-  if (auto st = reader.read_u64("rng3", rng_state[3]); !st.is_ok()) return st;
-  rng_.set_state(rng_state);
-  if (auto st = reader.read_i64("events", events_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("nodes_failed", nodes_failed_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("nodes_repaired", nodes_repaired_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("nodes_down", nodes_down_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("jobs_killed", jobs_killed_); !st.is_ok()) {
-    return st;
+  if constexpr (!Io::kSaving) rng_.set_state(rng_state);
+  const std::pair<const char*, std::int64_t*> counters[] = {
+      {"events", &events_},
+      {"nodes_failed", &nodes_failed_},
+      {"nodes_repaired", &nodes_repaired_},
+      {"nodes_down", &nodes_down_},
+      {"jobs_killed", &jobs_killed_}};
+  for (const auto& [name, counter] : counters) {
+    if (auto st = io.i64(name, *counter); !st.is_ok()) return st;
   }
 
-  bool inject_pending = false;
-  if (auto st = reader.read_bool("inject_pending", inject_pending);
-      !st.is_ok()) {
+  bool inject_pending =
+      Io::kSaving && simulator_.pending_event_info(inject_event_).has_value();
+  if (auto st = io.boolean("inject_pending", inject_pending); !st.is_ok()) {
     return st;
   }
   if (inject_pending) {
-    SimTime time = 0;
-    if (auto st = reader.read_time("inject_time", time); !st.is_ok()) return st;
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("inject_seq", seq); !st.is_ok()) return st;
-    if (auto st = reader.read_time("inject_until", inject_until_);
-        !st.is_ok()) {
+    EventRecord next{"inject_time", "inject_seq"};
+    if (auto st = next.persist(io, simulator_, inject_event_); !st.is_ok()) {
       return st;
     }
-    const SimTime until = inject_until_;
-    inject_event_ = simulator_.restore_event(
-        time, static_cast<std::uint32_t>(seq), [this, until] { inject(until); });
+    if (auto st = io.i64("inject_until", inject_until_); !st.is_ok()) {
+      return st;
+    }
+    // The callback needs the window, recorded after the event's seq.
+    if constexpr (!Io::kSaving) {
+      const SimTime until = inject_until_;
+      if (auto st = next.rearm(io, simulator_, inject_event_,
+                               [this, until] { inject(until); });
+          !st.is_ok()) {
+        return st;
+      }
+    }
   }
 
-  std::uint64_t repair_count = 0;
-  if (auto st = reader.read_u64("repair_count", repair_count); !st.is_ok()) {
-    return st;
-  }
-  repair_events_.clear();
-  for (std::uint64_t i = 0; i < repair_count; ++i) {
-    std::uint64_t victim = 0;
-    if (auto st = reader.read_u64("victim", victim); !st.is_ok()) return st;
-    if (victim >= active_.size()) {
-      return Status::failed_precondition(
-          "fault domain: pending repair references victim " +
-          std::to_string(victim) + " beyond the active set");
+  const auto each_repair = [&](RepairEvent& repair) -> Status {
+    if (auto st = io.u64("victim", repair.victim); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (repair.victim >= active_.size()) {
+        return Status::failed_precondition(
+            "fault domain: pending repair references victim " +
+            std::to_string(repair.victim) + " beyond the active set");
+      }
     }
-    std::int64_t failed = 0;
-    if (auto st = reader.read_i64("failed", failed); !st.is_ok()) return st;
-    SimTime time = 0;
-    if (auto st = reader.read_time("time", time); !st.is_ok()) return st;
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("seq", seq); !st.is_ok()) return st;
-    const sim::EventId repair = simulator_.restore_event(
-        time, static_cast<std::uint32_t>(seq), make_repair(victim, failed));
-    repair_events_.push_back({repair, victim, failed});
-  }
-  return Status::ok();
+    if (auto st = io.i64("failed", repair.failed); !st.is_ok()) return st;
+    return persist_event(
+        io, simulator_, {"time", "seq"}, repair.event,
+        [&] { return make_repair(repair.victim, repair.failed); });
+  };
+  return persist_registry(io, simulator_, "repair_count", repair_events_,
+                          each_repair);
+}
+
+Status FaultDomain::save(snapshot::SnapshotWriter& writer) const {
+  return const_cast<FaultDomain&>(*this).persist(writer);
+}
+
+Status FaultDomain::restore(snapshot::SnapshotReader& reader) {
+  return persist(reader);
 }
 
 }  // namespace dc::core::fault

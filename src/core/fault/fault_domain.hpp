@@ -85,6 +85,9 @@ class FaultDomain {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   void schedule_next(SimTime until);
   void inject(SimTime until);
   std::int64_t total_healthy() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/snapshot_walk.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -533,18 +534,19 @@ std::int64_t HtcServer::completed_jobs(SimTime horizon) const {
   return count;
 }
 
-Status HtcServer::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_bool("started", started_);
-  writer.field_bool("shutdown", shutdown_);
-  writer.field_i64("owned", owned_);
-  writer.field_i64("busy", busy_);
-  writer.field_i64("in_setup", in_setup_);
-  writer.field_i64("down", down_);
+template <class Io>
+Status HtcServer::persist(Io& io) {
+  if (auto st = io.boolean("started", started_); !st.is_ok()) return st;
+  if (auto st = io.boolean("shutdown", shutdown_); !st.is_ok()) return st;
+  if (auto st = io.i64("owned", owned_); !st.is_ok()) return st;
+  if (auto st = io.i64("busy", busy_); !st.is_ok()) return st;
+  if (auto st = io.i64("in_setup", in_setup_); !st.is_ok()) return st;
+  if (auto st = io.i64("down", down_); !st.is_ok()) return st;
 
   // The job table: one packed column per field, job_count values each.
-  {
-    snapshot::PackedColumn submit, runtime, nodes, task_id, state, start,
-        finish, retries, completed_work;
+  typename Io::Column submit, runtime, nodes, task_id, state, start, finish,
+      retries, completed_work;
+  if constexpr (Io::kSaving) {
     for (const sched::Job& job : jobs_) {
       submit.push(job.submit);
       runtime.push(job.runtime);
@@ -556,456 +558,229 @@ Status HtcServer::save(snapshot::SnapshotWriter& writer) const {
       retries.push(job.retries);
       completed_work.push(job.completed_work);
     }
-    writer.field_u64("job_count", jobs_.size());
-    writer.field_bytes("submit", submit);
-    writer.field_bytes("runtime", runtime);
-    writer.field_bytes("nodes", nodes);
-    writer.field_bytes("task_id", task_id);
-    writer.field_bytes("state", state);
-    writer.field_bytes("start", start);
-    writer.field_bytes("finish", finish);
-    writer.field_bytes("retries", retries);
-    writer.field_bytes("completed_work", completed_work);
   }
-  writer.field_u64("queue_count", queue_.size());
-  for (sched::JobId id : queue_.items()) writer.field_i64("queued", id);
+  std::uint64_t job_count = jobs_.size();
+  if (auto st = io.count("job_count", job_count); !st.is_ok()) return st;
+  const std::pair<const char*, typename Io::Column*> columns[] = {
+      {"submit", &submit},   {"runtime", &runtime},
+      {"nodes", &nodes},     {"task_id", &task_id},
+      {"state", &state},     {"start", &start},
+      {"finish", &finish},   {"retries", &retries},
+      {"completed_work", &completed_work}};
+  for (const auto& [name, column] : columns) {
+    if (auto st = io.column(name, job_count, *column); !st.is_ok()) return st;
+  }
+  if constexpr (!Io::kSaving) {
+    jobs_.clear();
+    jobs_.reserve(job_count);
+    for (std::size_t i = 0; i < job_count; ++i) {
+      if (state[i] < 0 ||
+          state[i] > static_cast<std::int64_t>(sched::JobState::kFailed)) {
+        return Status::invalid_argument(config_.name + ": bad job state " +
+                                        std::to_string(state[i]));
+      }
+      sched::Job job;
+      job.id = static_cast<sched::JobId>(i);
+      job.submit = submit[i];
+      job.runtime = runtime[i];
+      job.nodes = nodes[i];
+      job.task_id = task_id[i];
+      job.state = static_cast<sched::JobState>(state[i]);
+      job.start = start[i];
+      job.finish = finish[i];
+      job.retries = static_cast<std::int32_t>(retries[i]);
+      job.completed_work = completed_work[i];
+      jobs_.push_back(job);
+    }
+    completion_events_.assign(jobs_.size(), sim::kInvalidEvent);
+  }
+
+  std::vector<sched::JobId> queued;
+  if constexpr (Io::kSaving) queued = queue_.items();
+  const auto each_queued = [&](sched::JobId& id) -> Status {
+    if (auto st = io.i64("queued", id); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (id < 0 || static_cast<std::size_t>(id) >= jobs_.size() ||
+          jobs_[static_cast<std::size_t>(id)].state !=
+              sched::JobState::kQueued) {
+        return Status::invalid_argument(config_.name + ": queued job " +
+                                        std::to_string(id) +
+                                        " is not a queued job");
+      }
+      queue_.push(id);
+    }
+    return Status::ok();
+  };
+  if constexpr (!Io::kSaving) queue_.clear();
+  if (auto st = snapshot::list(io, "queue_count", queued, each_queued);
+      !st.is_ok()) {
+    return st;
+  }
 
   // running_ order matters: fail_nodes kills from the back.
-  writer.field_u64("running_count", running_.size());
-  for (sched::JobId id : running_) {
-    writer.field_i64("running", id);
-    const auto info = simulator_.pending_event_info(
-        completion_events_[static_cast<std::size_t>(id)]);
-    if (!info.has_value()) {
-      return Status::internal(config_.name + ": running job " +
-                              std::to_string(id) +
-                              " has no pending completion event");
+  const auto each_running = [&](sched::JobId& id) -> Status {
+    if (auto st = io.i64("running", id); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (id < 0 || static_cast<std::size_t>(id) >= jobs_.size()) {
+        return Status::invalid_argument(config_.name + ": running job " +
+                                        std::to_string(id) + " out of range");
+      }
     }
-    writer.field_time("completion_time", info->time);
-    writer.field_u64("completion_seq", info->seq);
-  }
-
-  writer.begin_section("ledger");
-  if (auto st = ledger_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.begin_section("held");
-  if (auto st = held_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.field_bool("has_initial_lease", initial_lease_.has_value());
-  writer.field_u64("initial_lease", initial_lease_ ? *initial_lease_ : 0);
-
-  writer.field_u64("grant_count", grants_.size());
-  for (const Grant& grant : grants_) {
-    writer.field_i64("grant_nodes", grant.nodes);
-    writer.field_u64("grant_lease", grant.lease);
-    writer.field_bool("grant_active", grant.active);
-    const auto timer = simulator_.pending_timer_info(grant.timer);
-    writer.field_bool("timer_pending", timer.has_value());
-    if (timer.has_value()) {
-      writer.field_time("next_fire", timer->next_fire);
-      writer.field_u64("timer_seq", timer->seq);
-      writer.field_i64("period", timer->period);
-    }
-  }
-  const auto scan_info = simulator_.pending_timer_info(scan_timer_);
-  writer.field_bool("scan_pending", scan_info.has_value());
-  if (scan_info.has_value()) {
-    writer.field_time("scan_next_fire", scan_info->next_fire);
-    writer.field_u64("scan_seq", scan_info->seq);
-    writer.field_i64("scan_period", scan_info->period);
-  }
-
-  writer.field_i64("completed", completed_);
-  writer.field_time("first_submit", first_submit_);
-  writer.field_time("last_finish", last_finish_);
-  writer.field_i64("dynamic_grants", dynamic_grants_);
-  writer.field_i64("rejected_grants", rejected_grants_);
-  writer.field_i64("dropped_jobs", dropped_jobs_);
-  writer.field_i64("job_retries", job_retries_);
-  writer.field_i64("jobs_failed", jobs_failed_);
-  writer.field_i64("grant_timeouts", grant_timeouts_);
-  writer.field_i64("backfill_hits", backfill_hits_);
-  writer.field_i64("pending_retries", pending_retries_);
-  writer.field_i64("wasted_node_seconds", wasted_node_seconds_);
-  writer.begin_section("down_usage");
-  if (auto st = down_usage_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-
-  writer.field_bool("waiting_grant", waiting_grant_);
-  writer.field_u64("waiting_epoch", waiting_epoch_);
-  writer.field_i64("waiting_amount", waiting_amount_);
-  writer.field_str("waiting_tag", waiting_tag_);
-
-  std::vector<std::pair<SetupEvent, sim::Simulator::PendingEventInfo>> setups;
-  for (const SetupEvent& setup : setup_events_) {
-    if (auto info = simulator_.pending_event_info(setup.event)) {
-      setups.emplace_back(setup, *info);
-    }
-  }
-  writer.field_u64("setup_count", setups.size());
-  for (const auto& [setup, info] : setups) {
-    writer.field_i64("setup_amount", setup.amount);
-    writer.field_time("setup_time", info.time);
-    writer.field_u64("setup_seq", info.seq);
-  }
-
-  std::vector<std::pair<TimeoutEvent, sim::Simulator::PendingEventInfo>>
-      timeouts;
-  for (const TimeoutEvent& timeout : timeout_events_) {
-    if (auto info = simulator_.pending_event_info(timeout.event)) {
-      timeouts.emplace_back(timeout, *info);
-    }
-  }
-  writer.field_u64("timeout_count", timeouts.size());
-  for (const auto& [timeout, info] : timeouts) {
-    writer.field_u64("timeout_epoch", timeout.epoch);
-    writer.field_i64("timeout_amount", timeout.amount);
-    writer.field_time("timeout_time", info.time);
-    writer.field_u64("timeout_seq", info.seq);
-  }
-
-  std::vector<std::pair<RetryEvent, sim::Simulator::PendingEventInfo>> retries;
-  for (const RetryEvent& retry : retry_events_) {
-    if (auto info = simulator_.pending_event_info(retry.event)) {
-      retries.emplace_back(retry, *info);
-    }
-  }
-  writer.field_u64("retry_count", retries.size());
-  for (const auto& [retry, info] : retries) {
-    writer.field_i64("retry_job", retry.job);
-    writer.field_time("retry_time", info.time);
-    writer.field_u64("retry_seq", info.seq);
-  }
-  return Status::ok();
-}
-
-Status HtcServer::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = reader.read_bool("started", started_); !st.is_ok()) return st;
-  if (auto st = reader.read_bool("shutdown", shutdown_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("owned", owned_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("busy", busy_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("in_setup", in_setup_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("down", down_); !st.is_ok()) return st;
-
-  std::uint64_t job_count = 0;
-  if (auto st = reader.read_count("job_count", job_count); !st.is_ok()) {
-    return st;
-  }
-  std::vector<std::int64_t> submit, runtime, nodes, task_id, state, start,
-      finish, retries, completed_work;
-  if (auto st = reader.read_bytes("submit", job_count, submit); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("runtime", job_count, runtime);
+    return persist_event(io, simulator_, {"completion_time", "completion_seq"},
+                         completion_events_[static_cast<std::size_t>(id)],
+                         [&] { return make_completion(id); });
+  };
+  if (auto st = snapshot::list(io, "running_count", running_, each_running);
       !st.is_ok()) {
     return st;
   }
-  if (auto st = reader.read_bytes("nodes", job_count, nodes); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("task_id", job_count, task_id);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("state", job_count, state); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("start", job_count, start); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("finish", job_count, finish); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("retries", job_count, retries);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_bytes("completed_work", job_count, completed_work);
-      !st.is_ok()) {
-    return st;
-  }
-  jobs_.clear();
-  jobs_.reserve(job_count);
-  for (std::size_t i = 0; i < job_count; ++i) {
-    if (state[i] < 0 ||
-        state[i] > static_cast<std::int64_t>(sched::JobState::kFailed)) {
-      return Status::invalid_argument(config_.name + ": bad job state " +
-                                      std::to_string(state[i]));
-    }
-    sched::Job job;
-    job.id = static_cast<sched::JobId>(i);
-    job.submit = submit[i];
-    job.runtime = runtime[i];
-    job.nodes = nodes[i];
-    job.task_id = task_id[i];
-    job.state = static_cast<sched::JobState>(state[i]);
-    job.start = start[i];
-    job.finish = finish[i];
-    job.retries = static_cast<std::int32_t>(retries[i]);
-    job.completed_work = completed_work[i];
-    jobs_.push_back(job);
-  }
-  completion_events_.assign(jobs_.size(), sim::kInvalidEvent);
 
-  std::uint64_t queue_count = 0;
-  if (auto st = reader.read_u64("queue_count", queue_count); !st.is_ok()) {
+  if (auto st = io.section("ledger", ledger_); !st.is_ok()) return st;
+  if (auto st = io.section("held", held_); !st.is_ok()) return st;
+  bool has_initial = initial_lease_.has_value();
+  std::uint64_t initial_lease = initial_lease_.value_or(0);
+  if (auto st = io.boolean("has_initial_lease", has_initial); !st.is_ok()) {
     return st;
   }
-  queue_.clear();
-  for (std::uint64_t i = 0; i < queue_count; ++i) {
-    sched::JobId id = 0;
-    if (auto st = reader.read_i64("queued", id); !st.is_ok()) return st;
-    if (id < 0 || static_cast<std::size_t>(id) >= jobs_.size() ||
-        jobs_[static_cast<std::size_t>(id)].state != sched::JobState::kQueued) {
-      return Status::invalid_argument(config_.name + ": queued job " +
-                                      std::to_string(id) +
-                                      " is not a queued job");
-    }
-    queue_.push(id);
-  }
-
-  std::uint64_t running_count = 0;
-  if (auto st = reader.read_u64("running_count", running_count); !st.is_ok()) {
+  if (auto st = io.u64("initial_lease", initial_lease); !st.is_ok()) {
     return st;
   }
-  running_.clear();
-  for (std::uint64_t i = 0; i < running_count; ++i) {
-    sched::JobId id = 0;
-    if (auto st = reader.read_i64("running", id); !st.is_ok()) return st;
-    if (id < 0 || static_cast<std::size_t>(id) >= jobs_.size()) {
-      return Status::invalid_argument(config_.name + ": running job " +
-                                      std::to_string(id) + " out of range");
-    }
-    running_.push_back(id);
-    SimTime time = 0;
-    if (auto st = reader.read_time("completion_time", time); !st.is_ok()) {
-      return st;
-    }
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("completion_seq", seq); !st.is_ok()) return st;
-    completion_events_[static_cast<std::size_t>(id)] = simulator_.restore_event(
-        time, static_cast<std::uint32_t>(seq), make_completion(id));
-  }
-
-  if (auto st = reader.begin_section("ledger"); !st.is_ok()) return st;
-  if (auto st = ledger_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  if (auto st = reader.begin_section("held"); !st.is_ok()) return st;
-  if (auto st = held_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  bool has_initial = false;
-  if (auto st = reader.read_bool("has_initial_lease", has_initial);
-      !st.is_ok()) {
-    return st;
-  }
-  std::uint64_t initial_lease = 0;
-  if (auto st = reader.read_u64("initial_lease", initial_lease); !st.is_ok()) {
-    return st;
-  }
-  if (has_initial && initial_lease >= ledger_.lease_count()) {
-    return Status::invalid_argument(
-        config_.name + ": initial lease " + std::to_string(initial_lease) +
-        " beyond the ledger's " + std::to_string(ledger_.lease_count()) +
-        " leases");
-  }
-  initial_lease_.reset();
-  if (has_initial) initial_lease_ = static_cast<cluster::LeaseId>(initial_lease);
-
-  std::uint64_t grant_count = 0;
-  if (auto st = reader.read_count("grant_count", grant_count); !st.is_ok()) {
-    return st;
-  }
-  grants_.clear();
-  grants_.reserve(grant_count);
-  for (std::uint64_t i = 0; i < grant_count; ++i) {
-    Grant grant{0, 0, sim::kInvalidTimer, true};
-    if (auto st = reader.read_i64("grant_nodes", grant.nodes); !st.is_ok()) {
-      return st;
-    }
-    std::uint64_t lease = 0;
-    if (auto st = reader.read_u64("grant_lease", lease); !st.is_ok()) {
-      return st;
-    }
-    if (lease >= ledger_.lease_count()) {
+  if constexpr (!Io::kSaving) {
+    if (has_initial && initial_lease >= ledger_.lease_count()) {
       return Status::invalid_argument(
-          config_.name + ": grant lease " + std::to_string(lease) +
+          config_.name + ": initial lease " + std::to_string(initial_lease) +
           " beyond the ledger's " + std::to_string(ledger_.lease_count()) +
           " leases");
     }
-    grant.lease = static_cast<cluster::LeaseId>(lease);
-    if (auto st = reader.read_bool("grant_active", grant.active); !st.is_ok()) {
-      return st;
-    }
-    bool timer_pending = false;
-    if (auto st = reader.read_bool("timer_pending", timer_pending);
-        !st.is_ok()) {
-      return st;
-    }
-    if (timer_pending) {
-      SimTime next_fire = 0;
-      if (auto st = reader.read_time("next_fire", next_fire); !st.is_ok()) {
-        return st;
+    initial_lease_.reset();
+    if (has_initial) initial_lease_ = initial_lease;
+  }
+
+  const auto each_grant = [&](Grant& grant) -> Status {
+    if (auto st = io.i64("grant_nodes", grant.nodes); !st.is_ok()) return st;
+    if (auto st = io.u64("grant_lease", grant.lease); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (grant.lease >= ledger_.lease_count()) {
+        return Status::invalid_argument(
+            config_.name + ": grant lease " + std::to_string(grant.lease) +
+            " beyond the ledger's " + std::to_string(ledger_.lease_count()) +
+            " leases");
       }
-      std::uint64_t seq = 0;
-      if (auto st = reader.read_u64("timer_seq", seq); !st.is_ok()) return st;
-      SimDuration period = 0;
-      if (auto st = reader.read_i64("period", period); !st.is_ok()) return st;
-      grant.timer = simulator_.restore_periodic(
-          next_fire, static_cast<std::uint32_t>(seq), period,
-          make_idle_check(static_cast<std::size_t>(i)));
     }
-    grants_.push_back(grant);
-  }
-  bool scan_pending = false;
-  if (auto st = reader.read_bool("scan_pending", scan_pending); !st.is_ok()) {
-    return st;
-  }
-  scan_timer_ = sim::kInvalidTimer;
-  if (scan_pending) {
-    SimTime next_fire = 0;
-    if (auto st = reader.read_time("scan_next_fire", next_fire); !st.is_ok()) {
+    if (auto st = io.boolean("grant_active", grant.active); !st.is_ok()) {
       return st;
     }
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("scan_seq", seq); !st.is_ok()) return st;
-    SimDuration period = 0;
-    if (auto st = reader.read_i64("scan_period", period); !st.is_ok()) return st;
-    scan_timer_ = simulator_.restore_periodic(
-        next_fire, static_cast<std::uint32_t>(seq), period, make_scan());
+    const auto index = static_cast<std::size_t>(&grant - grants_.data());
+    return persist_timer(io, simulator_,
+                         {"timer_pending", "next_fire", "timer_seq", "period"},
+                         grant.timer, [&] { return make_idle_check(index); });
+  };
+  if (auto st = snapshot::list(io, "grant_count", grants_, each_grant);
+      !st.is_ok()) {
+    return st;
+  }
+  if (auto st = persist_timer(
+          io, simulator_,
+          {"scan_pending", "scan_next_fire", "scan_seq", "scan_period"},
+          scan_timer_, [&] { return make_scan(); });
+      !st.is_ok()) {
+    return st;
   }
 
-  if (auto st = reader.read_i64("completed", completed_); !st.is_ok()) return st;
-  if (auto st = reader.read_time("first_submit", first_submit_); !st.is_ok()) {
-    return st;
+  const std::pair<const char*, std::int64_t*> counters[] = {
+      {"completed", &completed_},
+      {"first_submit", &first_submit_},
+      {"last_finish", &last_finish_},
+      {"dynamic_grants", &dynamic_grants_},
+      {"rejected_grants", &rejected_grants_},
+      {"dropped_jobs", &dropped_jobs_},
+      {"job_retries", &job_retries_},
+      {"jobs_failed", &jobs_failed_},
+      {"grant_timeouts", &grant_timeouts_},
+      {"backfill_hits", &backfill_hits_},
+      {"pending_retries", &pending_retries_},
+      {"wasted_node_seconds", &wasted_node_seconds_}};
+  for (const auto& [name, counter] : counters) {
+    if (auto st = io.i64(name, *counter); !st.is_ok()) return st;
   }
-  if (auto st = reader.read_time("last_finish", last_finish_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("dynamic_grants", dynamic_grants_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("rejected_grants", rejected_grants_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("dropped_jobs", dropped_jobs_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("job_retries", job_retries_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("jobs_failed", jobs_failed_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("grant_timeouts", grant_timeouts_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("backfill_hits", backfill_hits_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("pending_retries", pending_retries_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("wasted_node_seconds", wasted_node_seconds_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.begin_section("down_usage"); !st.is_ok()) return st;
-  if (auto st = down_usage_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
+  if (auto st = io.section("down_usage", down_usage_); !st.is_ok()) return st;
 
-  if (auto st = reader.read_bool("waiting_grant", waiting_grant_); !st.is_ok()) {
+  if (auto st = io.boolean("waiting_grant", waiting_grant_); !st.is_ok()) {
     return st;
   }
-  if (auto st = reader.read_u64("waiting_epoch", waiting_epoch_); !st.is_ok()) {
+  if (auto st = io.u64("waiting_epoch", waiting_epoch_); !st.is_ok()) {
     return st;
   }
-  if (auto st = reader.read_i64("waiting_amount", waiting_amount_);
-      !st.is_ok()) {
+  if (auto st = io.i64("waiting_amount", waiting_amount_); !st.is_ok()) {
     return st;
   }
-  if (auto st = reader.read_str("waiting_tag", waiting_tag_); !st.is_ok()) {
-    return st;
-  }
-  if (waiting_grant_ &&
-      !provision_.reattach_waiting(
-          consumer_, make_waiting_grant(waiting_amount_, waiting_tag_))) {
-    return Status::failed_precondition(
-        config_.name +
-        ": snapshot says a dynamic request is waiting but the restored "
-        "provision service has no waiting entry for this consumer");
+  if (auto st = io.str("waiting_tag", waiting_tag_); !st.is_ok()) return st;
+  if constexpr (!Io::kSaving) {
+    if (waiting_grant_ &&
+        !provision_.reattach_waiting(
+            consumer_, make_waiting_grant(waiting_amount_, waiting_tag_))) {
+      return Status::failed_precondition(
+          config_.name +
+          ": snapshot says a dynamic request is waiting but the restored "
+          "provision service has no waiting entry for this consumer");
+    }
   }
 
-  std::uint64_t setup_count = 0;
-  if (auto st = reader.read_u64("setup_count", setup_count); !st.is_ok()) {
+  const auto each_setup = [&](SetupEvent& setup) -> Status {
+    if (auto st = io.i64("setup_amount", setup.amount); !st.is_ok()) return st;
+    return persist_event(io, simulator_, {"setup_time", "setup_seq"},
+                         setup.event,
+                         [&] { return make_setup_done(setup.amount); });
+  };
+  if (auto st = persist_registry(io, simulator_, "setup_count", setup_events_,
+                                 each_setup);
+      !st.is_ok()) {
     return st;
   }
-  setup_events_.clear();
-  for (std::uint64_t i = 0; i < setup_count; ++i) {
-    std::int64_t amount = 0;
-    if (auto st = reader.read_i64("setup_amount", amount); !st.is_ok()) {
+  const auto each_timeout = [&](TimeoutEvent& timeout) -> Status {
+    if (auto st = io.u64("timeout_epoch", timeout.epoch); !st.is_ok()) {
       return st;
     }
-    SimTime time = 0;
-    if (auto st = reader.read_time("setup_time", time); !st.is_ok()) return st;
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("setup_seq", seq); !st.is_ok()) return st;
-    setup_events_.push_back(
-        {simulator_.restore_event(time, static_cast<std::uint32_t>(seq),
-                                  make_setup_done(amount)),
-         amount});
-  }
-
-  std::uint64_t timeout_count = 0;
-  if (auto st = reader.read_u64("timeout_count", timeout_count); !st.is_ok()) {
-    return st;
-  }
-  timeout_events_.clear();
-  for (std::uint64_t i = 0; i < timeout_count; ++i) {
-    std::uint64_t epoch = 0;
-    if (auto st = reader.read_u64("timeout_epoch", epoch); !st.is_ok()) {
+    if (auto st = io.i64("timeout_amount", timeout.amount); !st.is_ok()) {
       return st;
     }
-    std::int64_t amount = 0;
-    if (auto st = reader.read_i64("timeout_amount", amount); !st.is_ok()) {
-      return st;
-    }
-    SimTime time = 0;
-    if (auto st = reader.read_time("timeout_time", time); !st.is_ok()) return st;
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("timeout_seq", seq); !st.is_ok()) return st;
-    timeout_events_.push_back(
-        {simulator_.restore_event(time, static_cast<std::uint32_t>(seq),
-                                  make_grant_timeout(epoch, amount)),
-         epoch, amount});
-  }
-
-  std::uint64_t retry_count = 0;
-  if (auto st = reader.read_u64("retry_count", retry_count); !st.is_ok()) {
+    return persist_event(
+        io, simulator_, {"timeout_time", "timeout_seq"}, timeout.event,
+        [&] { return make_grant_timeout(timeout.epoch, timeout.amount); });
+  };
+  if (auto st = persist_registry(io, simulator_, "timeout_count",
+                                 timeout_events_, each_timeout);
+      !st.is_ok()) {
     return st;
   }
-  retry_events_.clear();
-  for (std::uint64_t i = 0; i < retry_count; ++i) {
-    sched::JobId job = 0;
-    if (auto st = reader.read_i64("retry_job", job); !st.is_ok()) return st;
-    if (job < 0 || static_cast<std::size_t>(job) >= jobs_.size()) {
-      return Status::invalid_argument(config_.name + ": pending retry of job " +
-                                      std::to_string(job) + " out of range");
+  const auto each_retry = [&](RetryEvent& retry) -> Status {
+    if (auto st = io.i64("retry_job", retry.job); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (retry.job < 0 ||
+          static_cast<std::size_t>(retry.job) >= jobs_.size()) {
+        return Status::invalid_argument(config_.name +
+                                        ": pending retry of job " +
+                                        std::to_string(retry.job) +
+                                        " out of range");
+      }
     }
-    SimTime time = 0;
-    if (auto st = reader.read_time("retry_time", time); !st.is_ok()) return st;
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("retry_seq", seq); !st.is_ok()) return st;
-    retry_events_.push_back(
-        {simulator_.restore_event(time, static_cast<std::uint32_t>(seq),
-                                  make_retry_release(job)),
-         job});
-  }
-  return Status::ok();
+    return persist_event(io, simulator_, {"retry_time", "retry_seq"},
+                         retry.event,
+                         [&] { return make_retry_release(retry.job); });
+  };
+  return persist_registry(io, simulator_, "retry_count", retry_events_,
+                          each_retry);
+}
+
+template Status HtcServer::persist(snapshot::SnapshotWriter&);
+template Status HtcServer::persist(snapshot::SnapshotReader&);
+
+Status HtcServer::save(snapshot::SnapshotWriter& writer) const {
+  return const_cast<HtcServer&>(*this).persist(writer);
+}
+
+Status HtcServer::restore(snapshot::SnapshotReader& reader) {
+  return persist(reader);
 }
 
 }  // namespace dc::core

@@ -208,6 +208,11 @@ class HtcServer : public fault::FaultTarget {
   virtual Status restore(snapshot::SnapshotReader& reader);
 
  protected:
+  /// The server's records, over a writer or a reader (docs/SNAPSHOT.md,
+  /// "One walk per component"); the MTC server's walk extends it.
+  template <class Io>
+  Status persist(Io& io);
+
   sim::Simulator& simulator() { return simulator_; }
   obs::TraceSink* trace() { return trace_; }
   /// Pre-interned actor name for trace emission (== config().name).

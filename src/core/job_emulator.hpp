@@ -73,6 +73,9 @@ class JobEmulator {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   struct TraceStream {
     std::function<void(const workload::TraceJob&)> submit;
     std::vector<workload::TraceJob> scaled_jobs;  // nondecreasing submit

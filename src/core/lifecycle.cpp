@@ -114,94 +114,77 @@ Status LifecycleService::destroy_tre(TreId id,
   return Status::ok();
 }
 
-Status LifecycleService::save(snapshot::SnapshotWriter& writer) const {
-  if (chains_in_flight_ != 0) {
-    return Status::failed_precondition(
-        "lifecycle service: " + std::to_string(chains_in_flight_) +
-        " TRE creation chain(s) are mid-flight at the snapshot boundary — "
-        "snapshot between run_until chunks, not from inside a callback, "
-        "and keep snapshot boundaries off instants where TREs are being "
-        "created with nonzero latencies");
+template <class Io>
+Status LifecycleService::persist(Io& io) {
+  if constexpr (Io::kSaving) {
+    if (chains_in_flight_ != 0) {
+      return Status::failed_precondition(
+          "lifecycle service: " + std::to_string(chains_in_flight_) +
+          " TRE creation chain(s) are mid-flight at the snapshot boundary — "
+          "snapshot between run_until chunks, not from inside a callback, "
+          "and keep snapshot boundaries off instants where TREs are being "
+          "created with nonzero latencies");
+    }
+  } else {
+    chains_in_flight_ = 0;
   }
-  writer.field_u64("record_count", records_.size());
-  for (const Record& record : records_) {
-    writer.field_str("provider", record.spec.provider_name);
-    writer.field_u64("type", static_cast<std::uint64_t>(record.spec.type));
-    writer.field_i64("initial_nodes", record.spec.requested_initial_nodes);
-    writer.field_str("os", record.spec.operating_system);
-    writer.field_u64("state", static_cast<std::uint64_t>(record.state));
-  }
-  writer.field_u64("transition_count", transitions_.size());
-  for (const Transition& transition : transitions_) {
-    writer.field_i64("tre", transition.tre);
-    writer.field_u64("to_state", static_cast<std::uint64_t>(transition.state));
-    writer.field_time("at", transition.time);
-  }
-  return Status::ok();
-}
-
-Status LifecycleService::restore(snapshot::SnapshotReader& reader) {
-  std::uint64_t record_count = 0;
-  if (auto st = reader.read_count("record_count", record_count); !st.is_ok()) {
-    return st;
-  }
-  records_.clear();
-  records_.reserve(record_count);
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    Record record;
-    if (auto st = reader.read_str("provider", record.spec.provider_name);
+  const auto each_record = [&](Record& record) -> Status {
+    if (auto st = io.str("provider", record.spec.provider_name); !st.is_ok()) {
+      return st;
+    }
+    auto type = static_cast<std::uint64_t>(record.spec.type);
+    if (auto st = io.u64("type", type); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (type > static_cast<std::uint64_t>(WorkloadType::kMtc)) {
+        return Status::invalid_argument("lifecycle: bad workload type " +
+                                        std::to_string(type));
+      }
+      record.spec.type = static_cast<WorkloadType>(type);
+    }
+    if (auto st = io.i64("initial_nodes", record.spec.requested_initial_nodes);
         !st.is_ok()) {
       return st;
     }
-    std::uint64_t type = 0;
-    if (auto st = reader.read_u64("type", type); !st.is_ok()) return st;
-    if (type > static_cast<std::uint64_t>(WorkloadType::kMtc)) {
-      return Status::invalid_argument("lifecycle: bad workload type " +
-                                      std::to_string(type));
-    }
-    record.spec.type = static_cast<WorkloadType>(type);
-    if (auto st = reader.read_i64("initial_nodes",
-                                  record.spec.requested_initial_nodes);
-        !st.is_ok()) {
+    if (auto st = io.str("os", record.spec.operating_system); !st.is_ok()) {
       return st;
     }
-    if (auto st = reader.read_str("os", record.spec.operating_system);
-        !st.is_ok()) {
-      return st;
+    auto state = static_cast<std::uint64_t>(record.state);
+    if (auto st = io.u64("state", state); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (state > static_cast<std::uint64_t>(TreState::kDestroyed)) {
+        return Status::invalid_argument("lifecycle: bad TRE state " +
+                                        std::to_string(state));
+      }
+      record.state = static_cast<TreState>(state);
     }
-    std::uint64_t state = 0;
-    if (auto st = reader.read_u64("state", state); !st.is_ok()) return st;
-    if (state > static_cast<std::uint64_t>(TreState::kDestroyed)) {
-      return Status::invalid_argument("lifecycle: bad TRE state " +
-                                      std::to_string(state));
-    }
-    record.state = static_cast<TreState>(state);
-    records_.push_back(std::move(record));
-  }
-  std::uint64_t transition_count = 0;
-  if (auto st = reader.read_count("transition_count", transition_count);
+    return Status::ok();
+  };
+  if (auto st = snapshot::list(io, "record_count", records_, each_record);
       !st.is_ok()) {
     return st;
   }
-  transitions_.clear();
-  transitions_.reserve(transition_count);
-  for (std::uint64_t i = 0; i < transition_count; ++i) {
-    Transition transition{};
-    if (auto st = reader.read_i64("tre", transition.tre); !st.is_ok()) return st;
-    std::uint64_t state = 0;
-    if (auto st = reader.read_u64("to_state", state); !st.is_ok()) return st;
-    if (state > static_cast<std::uint64_t>(TreState::kDestroyed)) {
-      return Status::invalid_argument("lifecycle: bad transition state " +
-                                      std::to_string(state));
+  const auto each_transition = [&](Transition& transition) -> Status {
+    if (auto st = io.i64("tre", transition.tre); !st.is_ok()) return st;
+    auto state = static_cast<std::uint64_t>(transition.state);
+    if (auto st = io.u64("to_state", state); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (state > static_cast<std::uint64_t>(TreState::kDestroyed)) {
+        return Status::invalid_argument("lifecycle: bad transition state " +
+                                        std::to_string(state));
+      }
+      transition.state = static_cast<TreState>(state);
     }
-    transition.state = static_cast<TreState>(state);
-    if (auto st = reader.read_time("at", transition.time); !st.is_ok()) {
-      return st;
-    }
-    transitions_.push_back(transition);
-  }
-  chains_in_flight_ = 0;
-  return Status::ok();
+    return io.i64("at", transition.time);
+  };
+  return snapshot::list(io, "transition_count", transitions_, each_transition);
+}
+
+Status LifecycleService::save(snapshot::SnapshotWriter& writer) const {
+  return const_cast<LifecycleService&>(*this).persist(writer);
+}
+
+Status LifecycleService::restore(snapshot::SnapshotReader& reader) {
+  return persist(reader);
 }
 
 TreState LifecycleService::state(TreId id) const {

@@ -103,6 +103,9 @@ class LifecycleService {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   struct Record {
     TreSpec spec;
     TreState state = TreState::kInexistent;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "core/snapshot_walk.hpp"
+
 namespace dc::core {
 
 TriggerMonitor::WorkflowIndex TriggerMonitor::register_workflow(
@@ -176,173 +178,96 @@ double MtcServer::tasks_per_second(SimTime horizon) const {
          static_cast<double>(span);
 }
 
+template <class Io>
+Status TriggerMonitor::persist(Io& io) {
+  std::uint64_t workflow_count = dags_.size();
+  if (auto st = io.count("workflow_count", workflow_count); !st.is_ok()) {
+    return st;
+  }
+  if constexpr (!Io::kSaving) {
+    dags_.clear();
+    dags_.resize(workflow_count);
+    pending_parents_.assign(workflow_count, {});
+    pending_triggers_.assign(workflow_count, {});
+    remaining_.assign(workflow_count, 0);
+  }
+  for (std::size_t wf = 0; wf < workflow_count; ++wf) {
+    if constexpr (!Io::kSaving) dags_[wf] = std::make_unique<workflow::Dag>();
+    if (auto st = persist_dag(io, *dags_[wf], "trigger monitor",
+                              {{"pending_parents", &pending_parents_[wf]},
+                               {"pending_triggers", &pending_triggers_[wf]}});
+        !st.is_ok()) {
+      return st;
+    }
+    if (auto st = io.i64("remaining", remaining_[wf]); !st.is_ok()) return st;
+  }
+  const auto each_trigger = [&](ExternalTrigger& trigger) -> Status {
+    if (auto st = io.u64("wf", trigger.wf); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (trigger.wf >= dags_.size()) {
+        return Status::invalid_argument(
+            "trigger monitor: trigger on workflow " +
+            std::to_string(trigger.wf) + " out of range");
+      }
+    }
+    if (auto st = io.i64("task", trigger.task); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      const std::size_t tasks = dags_[trigger.wf]->size();
+      if (trigger.task < 0 ||
+          static_cast<std::uint64_t>(trigger.task) >= tasks) {
+        return Status::invalid_argument(
+            "trigger monitor: trigger on task " + std::to_string(trigger.task) +
+            " beyond workflow " + std::to_string(trigger.wf) + "'s " +
+            std::to_string(tasks) + " tasks");
+      }
+    }
+    return io.boolean("fired", trigger.fired);
+  };
+  return snapshot::list(io, "trigger_count", triggers_, each_trigger);
+}
+
 Status TriggerMonitor::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_u64("workflow_count", dags_.size());
-  for (std::size_t wf = 0; wf < dags_.size(); ++wf) {
-    const workflow::Dag& dag = *dags_[wf];
-    writer.field_u64("task_count", dag.size());
-    for (const workflow::Task& task : dag.tasks()) {
-      writer.field_str("name", task.name);
-      writer.field_i64("runtime", task.runtime);
-      writer.field_i64("nodes", task.nodes);
-    }
-    for (std::size_t t = 0; t < dag.size(); ++t) {
-      const auto& children = dag.children(static_cast<workflow::TaskId>(t));
-      writer.field_u64("child_count", children.size());
-      for (workflow::TaskId child : children) writer.field_i64("child", child);
-      writer.field_u64("pending_parents", pending_parents_[wf][t]);
-      writer.field_u64("pending_triggers", pending_triggers_[wf][t]);
-    }
-    writer.field_i64("remaining", remaining_[wf]);
-  }
-  writer.field_u64("trigger_count", triggers_.size());
-  for (const ExternalTrigger& trigger : triggers_) {
-    writer.field_u64("wf", trigger.wf);
-    writer.field_i64("task", trigger.task);
-    writer.field_bool("fired", trigger.fired);
-  }
-  return Status::ok();
+  return const_cast<TriggerMonitor&>(*this).persist(writer);
 }
 
 Status TriggerMonitor::restore(snapshot::SnapshotReader& reader) {
-  dags_.clear();
-  pending_parents_.clear();
-  pending_triggers_.clear();
-  remaining_.clear();
-  triggers_.clear();
-  std::uint64_t workflow_count = 0;
-  if (auto st = reader.read_u64("workflow_count", workflow_count); !st.is_ok()) {
-    return st;
-  }
-  for (std::uint64_t wf = 0; wf < workflow_count; ++wf) {
-    std::uint64_t task_count = 0;
-    if (auto st = reader.read_u64("task_count", task_count); !st.is_ok()) {
-      return st;
-    }
-    auto dag = std::make_unique<workflow::Dag>();
-    for (std::uint64_t t = 0; t < task_count; ++t) {
-      std::string name;
-      if (auto st = reader.read_str("name", name); !st.is_ok()) return st;
-      SimDuration runtime = 1;
-      if (auto st = reader.read_i64("runtime", runtime); !st.is_ok()) return st;
-      std::int64_t nodes = 1;
-      if (auto st = reader.read_i64("nodes", nodes); !st.is_ok()) return st;
-      dag->add_task(std::move(name), runtime, nodes);
-    }
-    std::vector<std::size_t> parents(task_count, 0);
-    std::vector<std::size_t> triggers(task_count, 0);
-    for (std::uint64_t t = 0; t < task_count; ++t) {
-      std::uint64_t child_count = 0;
-      if (auto st = reader.read_u64("child_count", child_count); !st.is_ok()) {
-        return st;
+  return persist(reader);
+}
+
+template <class Io>
+Status MtcServer::persist(Io& io) {
+  if (auto st = HtcServer::persist(io); !st.is_ok()) return st;
+  if (auto st = io.section("monitor", monitor_); !st.is_ok()) return st;
+  const auto each_ref = [&](TaskRef& ref) -> Status {
+    if (auto st = io.u64("ref_wf", ref.wf); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (ref.wf >= monitor_.workflow_count()) {
+        return Status::invalid_argument(name() + ": task ref on workflow " +
+                                        std::to_string(ref.wf) +
+                                        " out of range");
       }
-      for (std::uint64_t c = 0; c < child_count; ++c) {
-        workflow::TaskId child = 0;
-        if (auto st = reader.read_i64("child", child); !st.is_ok()) return st;
-        if (child < 0 || static_cast<std::uint64_t>(child) >= task_count) {
-          return Status::invalid_argument(
-              "trigger monitor: edge to task " + std::to_string(child) +
-              " beyond the workflow's " + std::to_string(task_count) +
-              " tasks");
-        }
-        dag->add_dependency(static_cast<workflow::TaskId>(t), child);
+    }
+    if (auto st = io.i64("ref_task", ref.task); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      const std::size_t tasks = monitor_.dag(ref.wf).size();
+      if (ref.task < 0 || static_cast<std::uint64_t>(ref.task) >= tasks) {
+        return Status::invalid_argument(
+            name() + ": task ref to task " + std::to_string(ref.task) +
+            " beyond workflow " + std::to_string(ref.wf) + "'s " +
+            std::to_string(tasks) + " tasks");
       }
-      std::uint64_t pending_parent_count = 0;
-      if (auto st = reader.read_u64("pending_parents", pending_parent_count);
-          !st.is_ok()) {
-        return st;
-      }
-      parents[t] = static_cast<std::size_t>(pending_parent_count);
-      std::uint64_t pending_trigger_count = 0;
-      if (auto st = reader.read_u64("pending_triggers", pending_trigger_count);
-          !st.is_ok()) {
-        return st;
-      }
-      triggers[t] = static_cast<std::size_t>(pending_trigger_count);
     }
-    std::int64_t remaining = 0;
-    if (auto st = reader.read_i64("remaining", remaining); !st.is_ok()) {
-      return st;
-    }
-    dags_.push_back(std::move(dag));
-    pending_parents_.push_back(std::move(parents));
-    pending_triggers_.push_back(std::move(triggers));
-    remaining_.push_back(remaining);
-  }
-  std::uint64_t trigger_count = 0;
-  if (auto st = reader.read_u64("trigger_count", trigger_count); !st.is_ok()) {
-    return st;
-  }
-  for (std::uint64_t i = 0; i < trigger_count; ++i) {
-    ExternalTrigger trigger{0, 0, false};
-    std::uint64_t wf = 0;
-    if (auto st = reader.read_u64("wf", wf); !st.is_ok()) return st;
-    if (wf >= dags_.size()) {
-      return Status::invalid_argument("trigger monitor: trigger on workflow " +
-                                      std::to_string(wf) + " out of range");
-    }
-    trigger.wf = static_cast<WorkflowIndex>(wf);
-    if (auto st = reader.read_i64("task", trigger.task); !st.is_ok()) return st;
-    const std::size_t tasks = dags_[trigger.wf]->size();
-    if (trigger.task < 0 || static_cast<std::uint64_t>(trigger.task) >= tasks) {
-      return Status::invalid_argument(
-          "trigger monitor: trigger on task " + std::to_string(trigger.task) +
-          " beyond workflow " + std::to_string(wf) + "'s " +
-          std::to_string(tasks) + " tasks");
-    }
-    if (auto st = reader.read_bool("fired", trigger.fired); !st.is_ok()) {
-      return st;
-    }
-    triggers_.push_back(trigger);
-  }
-  return Status::ok();
+    return Status::ok();
+  };
+  return snapshot::list(io, "task_ref_count", task_refs_, each_ref);
 }
 
 Status MtcServer::save(snapshot::SnapshotWriter& writer) const {
-  if (auto st = HtcServer::save(writer); !st.is_ok()) return st;
-  writer.begin_section("monitor");
-  if (auto st = monitor_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.field_u64("task_ref_count", task_refs_.size());
-  for (const TaskRef& ref : task_refs_) {
-    writer.field_u64("ref_wf", ref.wf);
-    writer.field_i64("ref_task", ref.task);
-  }
-  return Status::ok();
+  return const_cast<MtcServer&>(*this).persist(writer);
 }
 
 Status MtcServer::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = HtcServer::restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.begin_section("monitor"); !st.is_ok()) return st;
-  if (auto st = monitor_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  std::uint64_t task_ref_count = 0;
-  if (auto st = reader.read_count("task_ref_count", task_ref_count);
-      !st.is_ok()) {
-    return st;
-  }
-  task_refs_.clear();
-  task_refs_.reserve(task_ref_count);
-  for (std::uint64_t i = 0; i < task_ref_count; ++i) {
-    TaskRef ref{0, 0};
-    std::uint64_t wf = 0;
-    if (auto st = reader.read_u64("ref_wf", wf); !st.is_ok()) return st;
-    if (wf >= monitor_.workflow_count()) {
-      return Status::invalid_argument(name() + ": task ref on workflow " +
-                                      std::to_string(wf) + " out of range");
-    }
-    ref.wf = static_cast<TriggerMonitor::WorkflowIndex>(wf);
-    if (auto st = reader.read_i64("ref_task", ref.task); !st.is_ok()) return st;
-    const std::size_t tasks = monitor_.dag(ref.wf).size();
-    if (ref.task < 0 || static_cast<std::uint64_t>(ref.task) >= tasks) {
-      return Status::invalid_argument(
-          name() + ": task ref to task " + std::to_string(ref.task) +
-          " beyond workflow " + std::to_string(wf) + "'s " +
-          std::to_string(tasks) + " tasks");
-    }
-    task_refs_.push_back(ref);
-  }
-  return Status::ok();
+  return persist(reader);
 }
 
 }  // namespace dc::core

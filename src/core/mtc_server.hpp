@@ -83,6 +83,9 @@ class TriggerMonitor {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   struct ExternalTrigger {
     WorkflowIndex wf;
     workflow::TaskId task;
@@ -190,6 +193,9 @@ class MtcServer : public HtcServer {
   }
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   void handle_completion(const sched::Job& job);
   /// Submits the given ready tasks of workflow `wf` as jobs.
   void submit_ready(TriggerMonitor::WorkflowIndex wf,

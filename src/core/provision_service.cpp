@@ -147,79 +147,68 @@ void ResourceProvisionService::record_hardware_swap(SimTime now,
                      consumers_[consumer].held);
 }
 
+template <class Io>
+Status ResourceProvisionService::persist(Io& io) {
+  if constexpr (Io::kSaving) {
+    assert(!draining_ && "snapshot taken from inside a grant callback");
+  }
+  if (auto st = io.part(pool_); !st.is_ok()) return st;
+  std::uint64_t consumer_count = consumers_.size();
+  if (auto st = io.u64("consumer_count", consumer_count); !st.is_ok()) {
+    return st;
+  }
+  if constexpr (!Io::kSaving) {
+    if (consumer_count != consumers_.size()) {
+      return Status::failed_precondition(
+          "provision service: snapshot has " + std::to_string(consumer_count) +
+          " consumers but the rebuilt world registered " +
+          std::to_string(consumers_.size()) +
+          " — the snapshot belongs to a different experiment");
+    }
+  }
+  for (Consumer& consumer : consumers_) {
+    std::string name = consumer.name;
+    if (auto st = io.str("name", name); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (name != consumer.name) {
+        return Status::failed_precondition(
+            "provision service: snapshot consumer '" + name +
+            "' does not match rebuilt consumer '" + consumer.name +
+            "' — registration order changed");
+      }
+    }
+    if (auto st = io.i64("held", consumer.held); !st.is_ok()) return st;
+  }
+  const auto each_waiting = [&](WaitingRequest& request) -> Status {
+    if (auto st = io.u64("consumer", request.consumer); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (request.consumer >= consumers_.size()) {
+        return Status::failed_precondition(
+            "provision service: waiting request references consumer " +
+            std::to_string(request.consumer) + " beyond the registry");
+      }
+    }
+    if (auto st = io.i64("nodes", request.nodes); !st.is_ok()) return st;
+    return io.u64("sequence", request.sequence);
+  };
+  if (auto st = snapshot::list(io, "waiting_count", waiting_, each_waiting);
+      !st.is_ok()) {
+    return st;
+  }
+  if (auto st = io.u64("next_sequence", next_sequence_); !st.is_ok()) {
+    return st;
+  }
+  if (auto st = io.i64("rejected", rejected_); !st.is_ok()) return st;
+  if (auto st = io.part(usage_); !st.is_ok()) return st;
+  return io.part(adjustments_);
+}
+
 Status ResourceProvisionService::save(snapshot::SnapshotWriter& writer) const {
-  assert(!draining_ && "snapshot taken from inside a grant callback");
-  if (auto st = pool_.save(writer); !st.is_ok()) return st;
-  writer.field_u64("consumer_count", consumers_.size());
-  for (const Consumer& consumer : consumers_) {
-    writer.field_str("name", consumer.name);
-    writer.field_i64("held", consumer.held);
-  }
-  writer.field_u64("waiting_count", waiting_.size());
-  for (const WaitingRequest& request : waiting_) {
-    writer.field_u64("consumer", request.consumer);
-    writer.field_i64("nodes", request.nodes);
-    writer.field_u64("sequence", request.sequence);
-  }
-  writer.field_u64("next_sequence", next_sequence_);
-  writer.field_i64("rejected", rejected_);
-  if (auto st = usage_.save(writer); !st.is_ok()) return st;
-  if (auto st = adjustments_.save(writer); !st.is_ok()) return st;
-  return Status::ok();
+  return const_cast<ResourceProvisionService&>(*this).persist(writer);
 }
 
 Status ResourceProvisionService::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = pool_.restore(reader); !st.is_ok()) return st;
-  std::uint64_t consumer_count = 0;
-  if (auto st = reader.read_u64("consumer_count", consumer_count); !st.is_ok()) {
-    return st;
-  }
-  if (consumer_count != consumers_.size()) {
-    return Status::failed_precondition(
-        "provision service: snapshot has " + std::to_string(consumer_count) +
-        " consumers but the rebuilt world registered " +
-        std::to_string(consumers_.size()) +
-        " — the snapshot belongs to a different experiment");
-  }
-  for (Consumer& consumer : consumers_) {
-    std::string name;
-    if (auto st = reader.read_str("name", name); !st.is_ok()) return st;
-    if (name != consumer.name) {
-      return Status::failed_precondition(
-          "provision service: snapshot consumer '" + name +
-          "' does not match rebuilt consumer '" + consumer.name +
-          "' — registration order changed");
-    }
-    if (auto st = reader.read_i64("held", consumer.held); !st.is_ok()) return st;
-  }
-  std::uint64_t waiting_count = 0;
-  if (auto st = reader.read_u64("waiting_count", waiting_count); !st.is_ok()) {
-    return st;
-  }
-  waiting_.clear();
-  for (std::uint64_t i = 0; i < waiting_count; ++i) {
-    WaitingRequest request{};
-    std::uint64_t consumer = 0;
-    if (auto st = reader.read_u64("consumer", consumer); !st.is_ok()) return st;
-    if (consumer >= consumers_.size()) {
-      return Status::failed_precondition(
-          "provision service: waiting request references consumer " +
-          std::to_string(consumer) + " beyond the registry");
-    }
-    request.consumer = consumer;
-    if (auto st = reader.read_i64("nodes", request.nodes); !st.is_ok()) return st;
-    if (auto st = reader.read_u64("sequence", request.sequence); !st.is_ok()) {
-      return st;
-    }
-    waiting_.push_back(std::move(request));
-  }
-  if (auto st = reader.read_u64("next_sequence", next_sequence_); !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("rejected", rejected_); !st.is_ok()) return st;
-  if (auto st = usage_.restore(reader); !st.is_ok()) return st;
-  if (auto st = adjustments_.restore(reader); !st.is_ok()) return st;
-  return Status::ok();
+  return persist(reader);
 }
 
 bool ResourceProvisionService::reattach_waiting(

@@ -109,6 +109,9 @@ class ResourceProvisionService {
   Status verify_waiting_restored() const;
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   struct Consumer {
     std::string name;
     obs::TraceName trace_name;  // cached intern of name

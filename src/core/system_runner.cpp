@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "core/snapshot_walk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -311,69 +312,149 @@ void SystemRunner::run_until(SimTime t) {
       sim_.events_processed() - before);
 }
 
-Status SystemRunner::save(snapshot::SnapshotWriter& writer) const {
-  writer.begin_section("meta");
-  writer.field_str("model", system_model_name(model_));
-  writer.field_time("horizon", horizon_);
-  writer.field_u64("htc_specs", workload_.htc.size());
-  writer.field_u64("mtc_specs", workload_.mtc.size());
-  writer.field_bool("faults", injector_.has_value());
-  writer.end_section();
-
-  writer.begin_section("kernel");
-  writer.field_time("now", sim_.now());
-  writer.field_u64("next_seq", sim_.next_seq());
-  writer.field_u64("processed", sim_.events_processed());
-  writer.field_u64("pending", sim_.pending_live());
-  writer.end_section();
-
-  writer.begin_section("provision");
-  if (auto st = provision_->save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  if (lifecycle_) {
-    writer.begin_section("lifecycle");
-    if (auto st = lifecycle_->save(writer); !st.is_ok()) return st;
-    writer.end_section();
+template <class Io>
+Status SystemRunner::persist(Io& io) {
+  if constexpr (!Io::kSaving) {
+    if (mode_ != Mode::kRestore) {
+      return Status::failed_precondition(
+          "restore() needs a Mode::kRestore runner — a fresh runner has "
+          "already armed its t=0 events and the kernel is not virgin");
+    }
   }
-  writer.begin_section("emulator");
-  if (auto st = emulator_->save(writer); !st.is_ok()) return st;
-  writer.end_section();
+  const auto meta = [&]() -> Status {
+    std::string model_name = system_model_name(model_);
+    if (auto st = io.str("model", model_name); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (model_name != system_model_name(model_)) {
+        return Status::failed_precondition(
+            str_format("snapshot was taken for model %s but this runner is "
+                       "built for %s",
+                       model_name.c_str(), system_model_name(model_)));
+      }
+    }
+    SimTime horizon = horizon_;
+    std::uint64_t htc_specs = workload_.htc.size();
+    std::uint64_t mtc_specs = workload_.mtc.size();
+    bool faults = injector_.has_value();
+    if (auto st = io.i64("horizon", horizon); !st.is_ok()) return st;
+    if (auto st = io.u64("htc_specs", htc_specs); !st.is_ok()) return st;
+    if (auto st = io.u64("mtc_specs", mtc_specs); !st.is_ok()) return st;
+    if (auto st = io.boolean("faults", faults); !st.is_ok()) return st;
+    if constexpr (!Io::kSaving) {
+      if (horizon != horizon_ || htc_specs != workload_.htc.size() ||
+          mtc_specs != workload_.mtc.size() ||
+          faults != injector_.has_value()) {
+        return Status::failed_precondition(str_format(
+            "snapshot world shape (horizon %lld, %llu htc + %llu mtc specs, "
+            "faults=%d) does not match the rebuilt world (horizon %lld, %zu "
+            "+ %zu specs, faults=%d) — resume needs the same workload and "
+            "options",
+            static_cast<long long>(horizon),
+            static_cast<unsigned long long>(htc_specs),
+            static_cast<unsigned long long>(mtc_specs), faults ? 1 : 0,
+            static_cast<long long>(horizon_), workload_.htc.size(),
+            workload_.mtc.size(), injector_.has_value() ? 1 : 0));
+      }
+    }
+    return Status::ok();
+  };
+  if (auto st = io.section("meta", meta); !st.is_ok()) return st;
+
+  SimTime now = sim_.now();
+  std::uint64_t next_seq = sim_.next_seq();
+  std::uint64_t processed = sim_.events_processed();
+  std::uint64_t pending = sim_.pending_live();
+  const auto kernel = [&]() -> Status {
+    if (auto st = io.i64("now", now); !st.is_ok()) return st;
+    if (auto st = io.u64("next_seq", next_seq); !st.is_ok()) return st;
+    if (auto st = io.u64("processed", processed); !st.is_ok()) return st;
+    return io.u64("pending", pending);
+  };
+  if (auto st = io.section("kernel", kernel); !st.is_ok()) return st;
+  if constexpr (!Io::kSaving) {
+    if (now < 0 || next_seq == 0 || next_seq > 0xffffffffull) {
+      return Status::invalid_argument(
+          str_format("kernel counters out of range (now=%lld next_seq=%llu)",
+                     static_cast<long long>(now),
+                     static_cast<unsigned long long>(next_seq)));
+    }
+    sim_.begin_restore(now, static_cast<std::uint32_t>(next_seq), processed);
+  }
+
+  if (auto st = io.section("provision", *provision_); !st.is_ok()) return st;
+  if (lifecycle_) {
+    if (auto st = io.section("lifecycle", *lifecycle_); !st.is_ok()) return st;
+  }
+  if (auto st = io.section("emulator", *emulator_); !st.is_ok()) return st;
   for (const auto& server : htc_servers_) {
-    writer.begin_section("htc:" + server->name());
-    if (auto st = server->save(writer); !st.is_ok()) return st;
-    writer.end_section();
+    if (auto st = io.section("htc:" + server->name(), *server); !st.is_ok()) {
+      return st;
+    }
   }
   for (const auto& server : mtc_servers_) {
-    writer.begin_section("mtc:" + server->name());
-    if (auto st = server->save(writer); !st.is_ok()) return st;
-    writer.end_section();
+    if (auto st = io.section("mtc:" + server->name(), *server); !st.is_ok()) {
+      return st;
+    }
   }
   for (const auto& runner : runners_) {
-    writer.begin_section("drp:" + runner->name());
-    if (auto st = runner->save(writer); !st.is_ok()) return st;
-    writer.end_section();
+    if (auto st = io.section("drp:" + runner->name(), *runner); !st.is_ok()) {
+      return st;
+    }
   }
   if (injector_) {
-    writer.begin_section("faults");
-    if (auto st = injector_->save(writer); !st.is_ok()) return st;
-    writer.end_section();
+    if (auto st = io.section("faults", *injector_); !st.is_ok()) return st;
   }
 
   // Observability travels with the world: the trace ring (so a resumed
   // run's export is byte-identical to an uninterrupted one) and the
   // metrics-sampler timer (part of the kernel's pending set).
-  writer.begin_section("obs");
-  writer.field_bool("has_trace", options_.trace != nullptr);
-  if (options_.trace != nullptr) options_.trace->save(writer);
-  const auto sampler = sim_.pending_timer_info(sampler_timer_);
-  writer.field_bool("sampler_pending", sampler.has_value());
-  if (sampler.has_value()) {
-    writer.field_time("sampler_next_fire", sampler->next_fire);
-    writer.field_u64("sampler_seq", sampler->seq);
-    writer.field_i64("sampler_period", sampler->period);
+  const auto observability = [&]() -> Status {
+    bool has_trace = options_.trace != nullptr;
+    if (auto st = io.boolean("has_trace", has_trace); !st.is_ok()) return st;
+    obs::TraceSink* trace = options_.trace;
+    std::optional<obs::TraceSink> scratch;
+    if constexpr (!Io::kSaving) {
+      if (options_.replay) {
+        // Replay-attach (docs/OBSERVABILITY.md "Time-travel analysis"):
+        // the snapshot's ring describes the past — everything emitted
+        // before the boundary — but a replay wants only the window ahead,
+        // and may attach a sink to a run that was never traced. Decode a
+        // saved ring into a discarded scratch sink so the reader stays
+        // aligned; the caller's sink (if any) starts empty at the boundary.
+        trace = has_trace ? &scratch.emplace() : nullptr;
+      } else if (has_trace != (options_.trace != nullptr)) {
+        return Status::failed_precondition(
+            has_trace
+                ? "snapshot carries a trace ring but this resume has no "
+                  "trace sink — resume with --trace-out (the ring is part "
+                  "of the byte-identity contract)"
+                : "this resume has a trace sink but the snapshot carries "
+                  "no trace ring — the original run was not traced");
+      }
+    }
+    if (trace != nullptr) {
+      if (auto st = io.part(*trace); !st.is_ok()) return st;
+    }
+    // Re-armed even when this resume passes no registry: the timer's fire
+    // events are part of the kernel's pending set and sequence stream, so
+    // dropping it would diverge from the uninterrupted run. The callback
+    // no-ops without a registry.
+    return persist_timer(io, sim_,
+                         {"sampler_pending", "sampler_next_fire",
+                          "sampler_seq", "sampler_period"},
+                         sampler_timer_, [&] { return make_sampler(); });
+  };
+  if (auto st = io.section("obs", observability); !st.is_ok()) return st;
+
+  if constexpr (!Io::kSaving) {
+    if (auto st = sim_.finish_restore(pending); !st.is_ok()) return st;
+    return provision_->verify_waiting_restored();
   }
-  writer.end_section();
   return Status::ok();
+}
+
+Status SystemRunner::save(snapshot::SnapshotWriter& writer) const {
+  return const_cast<SystemRunner&>(*this).persist(writer);
 }
 
 Status SystemRunner::save_file(const std::string& path) const {
@@ -387,154 +468,7 @@ Status SystemRunner::save_file(const std::string& path) const {
 }
 
 Status SystemRunner::restore(snapshot::SnapshotReader& reader) {
-  if (mode_ != Mode::kRestore) {
-    return Status::failed_precondition(
-        "restore() needs a Mode::kRestore runner — a fresh runner has "
-        "already armed its t=0 events and the kernel is not virgin");
-  }
-
-  if (auto st = reader.begin_section("meta"); !st.is_ok()) return st;
-  std::string model_name;
-  if (auto st = reader.read_str("model", model_name); !st.is_ok()) return st;
-  if (model_name != system_model_name(model_)) {
-    return Status::failed_precondition(
-        str_format("snapshot was taken for model %s but this runner is "
-                   "built for %s",
-                   model_name.c_str(), system_model_name(model_)));
-  }
-  SimTime horizon = 0;
-  if (auto st = reader.read_time("horizon", horizon); !st.is_ok()) return st;
-  std::uint64_t htc_specs = 0;
-  if (auto st = reader.read_u64("htc_specs", htc_specs); !st.is_ok()) return st;
-  std::uint64_t mtc_specs = 0;
-  if (auto st = reader.read_u64("mtc_specs", mtc_specs); !st.is_ok()) return st;
-  bool faults = false;
-  if (auto st = reader.read_bool("faults", faults); !st.is_ok()) return st;
-  if (horizon != horizon_ || htc_specs != workload_.htc.size() ||
-      mtc_specs != workload_.mtc.size() || faults != injector_.has_value()) {
-    return Status::failed_precondition(str_format(
-        "snapshot world shape (horizon %lld, %llu htc + %llu mtc specs, "
-        "faults=%d) does not match the rebuilt world (horizon %lld, %zu + "
-        "%zu specs, faults=%d) — resume needs the same workload and options",
-        static_cast<long long>(horizon),
-        static_cast<unsigned long long>(htc_specs),
-        static_cast<unsigned long long>(mtc_specs), faults ? 1 : 0,
-        static_cast<long long>(horizon_), workload_.htc.size(),
-        workload_.mtc.size(), injector_.has_value() ? 1 : 0));
-  }
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-
-  if (auto st = reader.begin_section("kernel"); !st.is_ok()) return st;
-  SimTime now = 0;
-  if (auto st = reader.read_time("now", now); !st.is_ok()) return st;
-  std::uint64_t next_seq = 0;
-  if (auto st = reader.read_u64("next_seq", next_seq); !st.is_ok()) return st;
-  std::uint64_t processed = 0;
-  if (auto st = reader.read_u64("processed", processed); !st.is_ok()) return st;
-  std::uint64_t pending = 0;
-  if (auto st = reader.read_u64("pending", pending); !st.is_ok()) return st;
-  if (now < 0 || next_seq == 0 || next_seq > 0xffffffffull) {
-    return Status::invalid_argument(
-        str_format("kernel counters out of range (now=%lld next_seq=%llu)",
-                   static_cast<long long>(now),
-                   static_cast<unsigned long long>(next_seq)));
-  }
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  sim_.begin_restore(now, static_cast<std::uint32_t>(next_seq), processed);
-
-  if (auto st = reader.begin_section("provision"); !st.is_ok()) return st;
-  if (auto st = provision_->restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  if (lifecycle_) {
-    if (auto st = reader.begin_section("lifecycle"); !st.is_ok()) return st;
-    if (auto st = lifecycle_->restore(reader); !st.is_ok()) return st;
-    if (auto st = reader.end_section(); !st.is_ok()) return st;
-  }
-  if (auto st = reader.begin_section("emulator"); !st.is_ok()) return st;
-  if (auto st = emulator_->restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  for (const auto& server : htc_servers_) {
-    if (auto st = reader.begin_section("htc:" + server->name()); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = server->restore(reader); !st.is_ok()) return st;
-    if (auto st = reader.end_section(); !st.is_ok()) return st;
-  }
-  for (const auto& server : mtc_servers_) {
-    if (auto st = reader.begin_section("mtc:" + server->name()); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = server->restore(reader); !st.is_ok()) return st;
-    if (auto st = reader.end_section(); !st.is_ok()) return st;
-  }
-  for (const auto& runner : runners_) {
-    if (auto st = reader.begin_section("drp:" + runner->name()); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = runner->restore(reader); !st.is_ok()) return st;
-    if (auto st = reader.end_section(); !st.is_ok()) return st;
-  }
-  if (injector_) {
-    if (auto st = reader.begin_section("faults"); !st.is_ok()) return st;
-    if (auto st = injector_->restore(reader); !st.is_ok()) return st;
-    if (auto st = reader.end_section(); !st.is_ok()) return st;
-  }
-
-  if (auto st = reader.begin_section("obs"); !st.is_ok()) return st;
-  bool has_trace = false;
-  if (auto st = reader.read_bool("has_trace", has_trace); !st.is_ok()) return st;
-  if (options_.replay) {
-    // Replay-attach (docs/OBSERVABILITY.md "Time-travel analysis"): the
-    // snapshot's ring describes the past — everything emitted before the
-    // boundary — but a replay wants only the window ahead, and may attach
-    // a sink to a run that was never traced. Decode a saved ring into a
-    // discarded scratch sink so the reader stays aligned; the caller's
-    // sink (if any) starts empty at the boundary.
-    if (has_trace) {
-      obs::TraceSink scratch;
-      if (auto st = scratch.restore(reader); !st.is_ok()) return st;
-    }
-  } else {
-    if (has_trace != (options_.trace != nullptr)) {
-      return Status::failed_precondition(
-          has_trace ? "snapshot carries a trace ring but this resume has no "
-                      "trace sink — resume with --trace-out (the ring is part "
-                      "of the byte-identity contract)"
-                    : "this resume has a trace sink but the snapshot carries "
-                      "no trace ring — the original run was not traced");
-    }
-    if (options_.trace != nullptr) {
-      if (auto st = options_.trace->restore(reader); !st.is_ok()) return st;
-    }
-  }
-  bool sampler_pending = false;
-  if (auto st = reader.read_bool("sampler_pending", sampler_pending);
-      !st.is_ok()) {
-    return st;
-  }
-  if (sampler_pending) {
-    SimTime next_fire = 0;
-    if (auto st = reader.read_time("sampler_next_fire", next_fire);
-        !st.is_ok()) {
-      return st;
-    }
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("sampler_seq", seq); !st.is_ok()) return st;
-    std::int64_t period = 0;
-    if (auto st = reader.read_i64("sampler_period", period); !st.is_ok()) {
-      return st;
-    }
-    // Re-armed even when this resume passes no registry: the timer's fire
-    // events are part of the kernel's pending set and sequence stream, so
-    // dropping it would diverge from the uninterrupted run. The callback
-    // no-ops without a registry.
-    sampler_timer_ = sim_.restore_periodic(
-        next_fire, static_cast<std::uint32_t>(seq), period, make_sampler());
-  }
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-
-  if (auto st = sim_.finish_restore(pending); !st.is_ok()) return st;
-  return provision_->verify_waiting_restored();
+  return persist(reader);
 }
 
 Status SystemRunner::restore_file(const std::string& path) {
@@ -712,7 +646,7 @@ StatusOr<std::string> latest_valid_snapshot(const std::string& dir,
     }
     std::string found_model;
     Status st = reader->begin_section("meta");
-    if (st.is_ok()) st = reader->read_str("model", found_model);
+    if (st.is_ok()) st = reader->str("model", found_model);
     if (!st.is_ok() || found_model != system_model_name(model)) {
       Log::raw(LogLevel::kWarn, "skipping snapshot %s: %s", path.c_str(),
                st.is_ok() ? ("model mismatch: " + found_model).c_str()

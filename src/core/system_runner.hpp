@@ -121,6 +121,9 @@ class SystemRunner {
   SystemResult finalize();
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+
   void build();
   /// Fresh mode: schedules server starts / TRE creations, feeds the
   /// emulator, arms the fault domain and the metrics sampler. Restore

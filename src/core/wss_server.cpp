@@ -164,139 +164,4 @@ void WssServer::shutdown() {
   shutdown_ = true;
 }
 
-Status WssServer::save(snapshot::SnapshotWriter& writer) const {
-  writer.field_bool("started", started_);
-  writer.field_bool("shutdown", shutdown_);
-  writer.field_i64("owned", owned_);
-  writer.field_i64("down", down_);
-  writer.begin_section("down_usage");
-  if (auto st = down_usage_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.begin_section("ledger");
-  if (auto st = ledger_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.begin_section("held");
-  if (auto st = held_.save(writer); !st.is_ok()) return st;
-  writer.end_section();
-  writer.field_bool("has_initial_lease", initial_lease_.has_value());
-  writer.field_u64("initial_lease", initial_lease_ ? *initial_lease_ : 0);
-  writer.field_u64("grant_count", grants_.size());
-  for (const Grant& grant : grants_) {
-    writer.field_i64("grant_nodes", grant.nodes);
-    writer.field_u64("grant_lease", grant.lease);
-    writer.field_bool("grant_active", grant.active);
-    const auto timer = simulator_.pending_timer_info(grant.timer);
-    writer.field_bool("timer_pending", timer.has_value());
-    if (timer.has_value()) {
-      writer.field_time("next_fire", timer->next_fire);
-      writer.field_u64("timer_seq", timer->seq);
-      writer.field_i64("period", timer->period);
-    }
-  }
-  const auto scan_info = simulator_.pending_timer_info(scan_timer_);
-  writer.field_bool("scan_pending", scan_info.has_value());
-  if (scan_info.has_value()) {
-    writer.field_time("scan_next_fire", scan_info->next_fire);
-    writer.field_u64("scan_seq", scan_info->seq);
-    writer.field_i64("scan_period", scan_info->period);
-  }
-  writer.field_f64("violation_node_hours", violation_node_hours_);
-  writer.field_i64("violation_seconds", violation_seconds_);
-  writer.field_time("last_scan", last_scan_);
-  return Status::ok();
-}
-
-Status WssServer::restore(snapshot::SnapshotReader& reader) {
-  if (auto st = reader.read_bool("started", started_); !st.is_ok()) return st;
-  if (auto st = reader.read_bool("shutdown", shutdown_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("owned", owned_); !st.is_ok()) return st;
-  if (auto st = reader.read_i64("down", down_); !st.is_ok()) return st;
-  if (auto st = reader.begin_section("down_usage"); !st.is_ok()) return st;
-  if (auto st = down_usage_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  if (auto st = reader.begin_section("ledger"); !st.is_ok()) return st;
-  if (auto st = ledger_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  if (auto st = reader.begin_section("held"); !st.is_ok()) return st;
-  if (auto st = held_.restore(reader); !st.is_ok()) return st;
-  if (auto st = reader.end_section(); !st.is_ok()) return st;
-  bool has_initial = false;
-  if (auto st = reader.read_bool("has_initial_lease", has_initial);
-      !st.is_ok()) {
-    return st;
-  }
-  std::uint64_t initial_lease = 0;
-  if (auto st = reader.read_u64("initial_lease", initial_lease); !st.is_ok()) {
-    return st;
-  }
-  initial_lease_.reset();
-  if (has_initial) initial_lease_ = static_cast<cluster::LeaseId>(initial_lease);
-  std::uint64_t grant_count = 0;
-  if (auto st = reader.read_count("grant_count", grant_count); !st.is_ok()) {
-    return st;
-  }
-  grants_.clear();
-  grants_.reserve(grant_count);
-  for (std::uint64_t i = 0; i < grant_count; ++i) {
-    Grant grant{0, 0, sim::kInvalidTimer, true};
-    if (auto st = reader.read_i64("grant_nodes", grant.nodes); !st.is_ok()) {
-      return st;
-    }
-    std::uint64_t lease = 0;
-    if (auto st = reader.read_u64("grant_lease", lease); !st.is_ok()) return st;
-    grant.lease = static_cast<cluster::LeaseId>(lease);
-    if (auto st = reader.read_bool("grant_active", grant.active); !st.is_ok()) {
-      return st;
-    }
-    bool timer_pending = false;
-    if (auto st = reader.read_bool("timer_pending", timer_pending);
-        !st.is_ok()) {
-      return st;
-    }
-    if (timer_pending) {
-      SimTime next_fire = 0;
-      if (auto st = reader.read_time("next_fire", next_fire); !st.is_ok()) {
-        return st;
-      }
-      std::uint64_t seq = 0;
-      if (auto st = reader.read_u64("timer_seq", seq); !st.is_ok()) return st;
-      SimDuration period = 0;
-      if (auto st = reader.read_i64("period", period); !st.is_ok()) return st;
-      grant.timer = simulator_.restore_periodic(
-          next_fire, static_cast<std::uint32_t>(seq), period,
-          make_idle_check(static_cast<std::size_t>(i)));
-    }
-    grants_.push_back(grant);
-  }
-  bool scan_pending = false;
-  if (auto st = reader.read_bool("scan_pending", scan_pending); !st.is_ok()) {
-    return st;
-  }
-  scan_timer_ = sim::kInvalidTimer;
-  if (scan_pending) {
-    SimTime next_fire = 0;
-    if (auto st = reader.read_time("scan_next_fire", next_fire); !st.is_ok()) {
-      return st;
-    }
-    std::uint64_t seq = 0;
-    if (auto st = reader.read_u64("scan_seq", seq); !st.is_ok()) return st;
-    SimDuration period = 0;
-    if (auto st = reader.read_i64("scan_period", period); !st.is_ok()) return st;
-    scan_timer_ = simulator_.restore_periodic(
-        next_fire, static_cast<std::uint32_t>(seq), period, make_scan());
-  }
-  if (auto st = reader.read_f64("violation_node_hours", violation_node_hours_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_i64("violation_seconds", violation_seconds_);
-      !st.is_ok()) {
-    return st;
-  }
-  if (auto st = reader.read_time("last_scan", last_scan_); !st.is_ok()) {
-    return st;
-  }
-  return Status::ok();
-}
-
 }  // namespace dc::core

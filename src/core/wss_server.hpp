@@ -26,8 +26,6 @@
 #include "core/fault/fault_target.hpp"
 #include "core/provision_service.hpp"
 #include "sim/simulator.hpp"
-#include "snapshot/format.hpp"
-#include "util/status.hpp"
 #include "workload/demand_profile.hpp"
 
 namespace dc::core {
@@ -90,12 +88,6 @@ class WssServer : public fault::FaultTarget {
   /// Seconds during which demand exceeded the holding.
   SimDuration violation_seconds() const { return violation_seconds_; }
 
-  /// Serializes the holding, leases, usage series, SLA accumulators, and
-  /// the (next_fire, seq) of the scan and per-grant idle timers; restore()
-  /// runs on a freshly constructed server and re-arms the timers itself.
-  Status save(snapshot::SnapshotWriter& writer) const;
-  Status restore(snapshot::SnapshotReader& reader);
-
  private:
   void scan(SimTime now);
   std::int64_t required_at(SimTime t) const;
@@ -103,10 +95,10 @@ class WssServer : public fault::FaultTarget {
   sim::Simulator::TimerCallback make_idle_check(std::size_t grant_index);
 
   sim::Simulator& simulator_;
-  ResourceProvisionService& provision_;  // dc-volatile: wiring
-  Config config_;                        // dc-volatile: fixed by config
-  workload::DemandProfile profile_;      // dc-volatile: fixed by config
-  ResourceProvisionService::ConsumerId consumer_ = 0;  // dc-volatile: reassigned at re-registration
+  ResourceProvisionService& provision_;
+  Config config_;
+  workload::DemandProfile profile_;
+  ResourceProvisionService::ConsumerId consumer_ = 0;
 
   bool started_ = false;
   bool shutdown_ = false;

@@ -286,70 +286,72 @@ Status TraceSink::export_csv(const std::string& path) const {
   return atomic_write_file(path, csv(), "obs.trace.csv");
 }
 
-void TraceSink::save(snapshot::SnapshotWriter& writer) const {
-  writer.begin_section("trace");
-  writer.field_u64("capacity", ring_.size());
-  writer.field_u64("filter", filter_);
-  writer.field_u64("emitted", emitted_);
-  writer.field_u64("dropped", dropped_);
-  writer.field_u64("names", names_.size());
-  for (const auto& name : names_) writer.field_str("name", name);
-  // Oldest first, straight from the ring: slots head_.. to the end, then
-  // the wrapped part from slot 0 (empty until the ring has filled). The
-  // buffer has room for the longest encoding and is not zeroed; only the
-  // bytes written are stored.
-  const auto packed = std::make_unique_for_overwrite<char[]>(
-      size_ * kPackedEventWords * snapshot::kMaxVarintBytes);
-  char* p = packed.get();
-  std::uint64_t last_time = 0;
-  const std::size_t tail = std::min(size_, ring_.size() - head_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    p = put_packed_event(p, ring_[i < tail ? head_ + i : i - tail], last_time);
-  }
-  writer.field_u64("events", size_);
-  writer.field_bytes("packed_ring", packed.get(),
-                     static_cast<std::size_t>(p - packed.get()));
-  writer.end_section();
+template <class Io>
+Status TraceSink::persist(Io& io) {
+  return io.section("trace", [&]() -> Status {
+    std::uint64_t capacity = ring_.size();
+    std::uint64_t filter = filter_;
+    if (Status s = io.u64("capacity", capacity); !s.is_ok()) return s;
+    if (Status s = io.u64("filter", filter); !s.is_ok()) return s;
+    if (Status s = io.u64("emitted", emitted_); !s.is_ok()) return s;
+    if (Status s = io.u64("dropped", dropped_); !s.is_ok()) return s;
+    const auto each_name = [&](std::string& text) -> Status {
+      return io.str("name", text);
+    };
+    if (Status s = snapshot::list(io, "names", names_, each_name); !s.is_ok()) {
+      return s;
+    }
+    if constexpr (!Io::kSaving) {
+      // The string table is rebuilt from the snapshot: any TraceName cache
+      // pointing at this sink may now hold a stale id. A fresh epoch
+      // invalidates them all at once.
+      name_ids_.clear();
+      for (std::size_t i = 0; i < names_.size(); ++i) {
+        name_ids_.emplace(names_[i], static_cast<std::uint32_t>(i));
+      }
+      epoch_ = next_trace_epoch();
+    }
+    // Oldest first, straight from the ring: slots head_.. to the end, then
+    // the wrapped part from slot 0 (empty until the ring has filled). The
+    // buffer has room for the longest encoding and is not zeroed; only the
+    // bytes written are stored.
+    std::uint64_t event_count = size_;
+    std::unique_ptr<char[]> buffer;
+    std::string_view packed;
+    if constexpr (Io::kSaving) {
+      buffer = std::make_unique_for_overwrite<char[]>(
+          size_ * kPackedEventWords * snapshot::kMaxVarintBytes);
+      char* p = buffer.get();
+      std::uint64_t last_time = 0;
+      const std::size_t tail = std::min(size_, ring_.size() - head_);
+      for (std::size_t i = 0; i < size_; ++i) {
+        p = put_packed_event(p, ring_[i < tail ? head_ + i : i - tail],
+                             last_time);
+      }
+      packed = std::string_view(buffer.get(),
+                                static_cast<std::size_t>(p - buffer.get()));
+    }
+    if (Status s = io.count("events", event_count); !s.is_ok()) return s;
+    if (Status s = io.bytes("packed_ring", packed); !s.is_ok()) return s;
+    if constexpr (!Io::kSaving) {
+      if (capacity < event_count || capacity > kMaxTraceCapacity) {
+        return Status::invalid_argument(str_format(
+            "snapshot: trace ring capacity %llu is below its %llu events or "
+            "above %zu (%s)",
+            static_cast<unsigned long long>(capacity),
+            static_cast<unsigned long long>(event_count), kMaxTraceCapacity,
+            io.context().c_str()));
+      }
+      return unpack_ring(io, capacity, filter, event_count, packed);
+    }
+    return Status::ok();
+  });
 }
 
-Status TraceSink::restore(snapshot::SnapshotReader& reader) {
-  if (Status s = reader.begin_section("trace"); !s.is_ok()) return s;
-  std::uint64_t capacity = 0;
-  std::uint64_t filter = 0;
-  std::uint64_t name_count = 0;
-  if (Status s = reader.read_u64("capacity", capacity); !s.is_ok()) return s;
-  if (Status s = reader.read_u64("filter", filter); !s.is_ok()) return s;
-  if (Status s = reader.read_u64("emitted", emitted_); !s.is_ok()) return s;
-  if (Status s = reader.read_u64("dropped", dropped_); !s.is_ok()) return s;
-  if (Status s = reader.read_u64("names", name_count); !s.is_ok()) return s;
-  names_.clear();
-  name_ids_.clear();
-  // The string table is rebuilt from the snapshot: any TraceName cache
-  // pointing at this sink may now hold a stale id. A fresh epoch
-  // invalidates them all at once.
-  epoch_ = next_trace_epoch();
-  for (std::uint64_t i = 0; i < name_count; ++i) {
-    std::string name;
-    if (Status s = reader.read_str("name", name); !s.is_ok()) return s;
-    name_ids_.emplace(name, static_cast<std::uint32_t>(names_.size()));
-    names_.push_back(std::move(name));
-  }
-  std::uint64_t event_count = 0;
-  std::string packed;
-  if (Status s = reader.read_count("events", event_count); !s.is_ok()) {
-    return s;
-  }
-  if (Status s = reader.read_bytes("packed_ring", packed); !s.is_ok()) {
-    return s;
-  }
-  if (capacity < event_count || capacity > kMaxTraceCapacity) {
-    return Status::invalid_argument(str_format(
-        "snapshot: trace ring capacity %llu is below its %llu events or "
-        "above %zu (%s)",
-        static_cast<unsigned long long>(capacity),
-        static_cast<unsigned long long>(event_count), kMaxTraceCapacity,
-        reader.context().c_str()));
-  }
+Status TraceSink::unpack_ring(const snapshot::SnapshotReader& reader,
+                              std::uint64_t capacity, std::uint64_t filter,
+                              std::uint64_t event_count,
+                              std::string_view packed) {
   const auto ring_error = [&](const std::string& what) {
     return Status::invalid_argument(
         str_format("snapshot: trace ring of %llu events: %s (%s)",
@@ -408,7 +410,15 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   }
   emitted_ = saved_emitted;
   dropped_ = saved_dropped;
-  return reader.end_section();
+  return Status::ok();
+}
+
+Status TraceSink::save(snapshot::SnapshotWriter& writer) const {
+  return const_cast<TraceSink&>(*this).persist(writer);
+}
+
+Status TraceSink::restore(snapshot::SnapshotReader& reader) {
+  return persist(reader);
 }
 
 namespace {

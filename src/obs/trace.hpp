@@ -192,10 +192,17 @@ class TraceSink {
   /// Snapshot round trip: the ring, string table, filter and counters
   /// are part of a run's resumable state, so a resumed run's export is
   /// byte-identical to the uninterrupted run's.
-  void save(snapshot::SnapshotWriter& writer) const;
+  Status save(snapshot::SnapshotWriter& writer) const;
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  Status persist(Io& io);
+  /// Rebuilds the ring from a saved `packed` ring of `event_count` events.
+  Status unpack_ring(const snapshot::SnapshotReader& reader,
+                     std::uint64_t capacity, std::uint64_t filter,
+                     std::uint64_t event_count, std::string_view packed);
+
   void push(const TraceEvent& event);
   /// Returns the cached id, re-interning when the cache belongs to a
   /// different sink lifetime (epoch mismatch).

@@ -21,35 +21,50 @@ namespace {
 /// Bytes of a record stream's FNV-1a checksum footer.
 constexpr std::size_t kFooterBytes = sizeof(std::uint64_t);
 
-/// Writes `record`'s canonical record list: encode_run_record minus the
-/// footer, so a stored stream can be compared against it before any
-/// checksum pass runs.
+/// A run record's records, over a writer or a reader: a writer gets the
+/// canonical record list, encode_run_record minus the footer, so a stored
+/// stream can be compared against it before any checksum pass runs.
+template <class Io>
+Status persist_run_record(Io& io, RunRecord& record) {
+  const auto params = [&]() -> Status {
+    const auto each_param = [&](auto& param) -> Status {
+      if (Status st = io.str("key", param.first); !st.is_ok()) return st;
+      return io.str("value", param.second);
+    };
+    return snapshot::list(io, "count", record.params, each_param);
+  };
+  const auto metrics = [&]() -> Status {
+    const auto each_metric = [&](auto& metric) -> Status {
+      if (Status st = io.str("name", metric.first); !st.is_ok()) return st;
+      return io.f64("value", metric.second);
+    };
+    return snapshot::list(io, "count", record.metrics, each_metric);
+  };
+  const auto trace = [&]() -> Status {
+    if (Status st = io.u64("events", record.trace_events); !st.is_ok()) {
+      return st;
+    }
+    if (Status st = io.u64("dropped", record.trace_dropped); !st.is_ok()) {
+      return st;
+    }
+    return io.str("digest", record.trace_digest);
+  };
+  if (Status st = io.begin_section("run"); !st.is_ok()) return st;
+  if (Status st = io.str("kind", record.kind); !st.is_ok()) return st;
+  if (Status st = io.str("source", record.source); !st.is_ok()) return st;
+  if (Status st = io.str("label", record.label); !st.is_ok()) return st;
+  if (Status st = io.section("params", params); !st.is_ok()) return st;
+  if (Status st = io.section("metrics", metrics); !st.is_ok()) return st;
+  if (Status st = io.section("trace", trace); !st.is_ok()) return st;
+  // A reader stops here and ignores whatever follows the trace section.
+  if constexpr (Io::kSaving) io.end_section();
+  return Status::ok();
+}
+
 void write_run_record(snapshot::SnapshotWriter& writer,
                       const RunRecord& record) {
-  writer.begin_section("run");
-  writer.field_str("kind", record.kind);
-  writer.field_str("source", record.source);
-  writer.field_str("label", record.label);
-  writer.begin_section("params");
-  writer.field_u64("count", record.params.size());
-  for (const auto& [key, value] : record.params) {
-    writer.field_str("key", key);
-    writer.field_str("value", value);
-  }
-  writer.end_section();
-  writer.begin_section("metrics");
-  writer.field_u64("count", record.metrics.size());
-  for (const auto& [name, value] : record.metrics) {
-    writer.field_str("name", name);
-    writer.field_f64("value", value);
-  }
-  writer.end_section();
-  writer.begin_section("trace");
-  writer.field_u64("events", record.trace_events);
-  writer.field_u64("dropped", record.trace_dropped);
-  writer.field_str("digest", record.trace_digest);
-  writer.end_section();
-  writer.end_section();
+  // A writer never fails.
+  (void)persist_run_record(writer, const_cast<RunRecord&>(record));
 }
 
 /// fnv1a(stream) of a stream whose footer is fnv1a(body) — every
@@ -90,65 +105,7 @@ StatusOr<RunRecord> decode_run_record(const std::string& payload) {
   auto reader = snapshot::SnapshotReader::from_buffer(payload);
   if (!reader.is_ok()) return reader.status();
   RunRecord record;
-  if (Status st = reader->begin_section("run"); !st.is_ok()) return st;
-  if (Status st = reader->read_str("kind", record.kind); !st.is_ok()) return st;
-  if (Status st = reader->read_str("source", record.source); !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->read_str("label", record.label); !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->begin_section("params"); !st.is_ok()) return st;
-  std::uint64_t count = 0;
-  if (Status st = reader->read_u64("count", count); !st.is_ok()) return st;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    // Defensive: a lying count in a corrupt frame must not spin past the
-    // section (read_str would fail anyway, but fail with the better
-    // message).
-    if (reader->at_section_end()) {
-      return Status::invalid_argument(
-          str_format("run record: params count %llu exceeds encoded entries "
-                     "(%s)",
-                     static_cast<unsigned long long>(count),
-                     reader->context().c_str()));
-    }
-    std::string key, value;
-    if (Status st = reader->read_str("key", key); !st.is_ok()) return st;
-    if (Status st = reader->read_str("value", value); !st.is_ok()) return st;
-    record.params.emplace_back(std::move(key), std::move(value));
-  }
-  if (Status st = reader->end_section(); !st.is_ok()) return st;
-  if (Status st = reader->begin_section("metrics"); !st.is_ok()) return st;
-  if (Status st = reader->read_u64("count", count); !st.is_ok()) return st;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (reader->at_section_end()) {
-      return Status::invalid_argument(
-          str_format("run record: metrics count %llu exceeds encoded entries "
-                     "(%s)",
-                     static_cast<unsigned long long>(count),
-                     reader->context().c_str()));
-    }
-    std::string name;
-    double value = 0.0;
-    if (Status st = reader->read_str("name", name); !st.is_ok()) return st;
-    if (Status st = reader->read_f64("value", value); !st.is_ok()) return st;
-    record.metrics.emplace_back(std::move(name), value);
-  }
-  if (Status st = reader->end_section(); !st.is_ok()) return st;
-  if (Status st = reader->begin_section("trace"); !st.is_ok()) return st;
-  if (Status st = reader->read_u64("events", record.trace_events);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->read_u64("dropped", record.trace_dropped);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->read_str("digest", record.trace_digest);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st = reader->end_section(); !st.is_ok()) return st;
+  if (Status st = persist_run_record(*reader, record); !st.is_ok()) return st;
   return record;
 }
 

@@ -298,12 +298,31 @@ void Simulator::begin_restore(SimTime now, std::uint32_t next_seq,
   restoring_ = true;
 }
 
-TimerId Simulator::restore_periodic(SimTime next_fire, std::uint32_t seq,
-                                    SimDuration period, TimerCallback fn) {
+Status Simulator::check_restored(SimTime t, std::uint64_t seq) const {
+  if (t < now_) {
+    return Status::invalid_argument(
+        "simulator restore: event at t=" + std::to_string(t) +
+        " is before the snapshot's t=" + std::to_string(now_));
+  }
+  if (seq < 1 || seq >= next_seq_) {
+    return Status::invalid_argument(
+        "simulator restore: seq " + std::to_string(seq) + " is outside [1, " +
+        std::to_string(next_seq_) + ")");
+  }
+  return Status::ok();
+}
+
+StatusOr<TimerId> Simulator::restore_periodic(SimTime next_fire,
+                                              std::uint64_t seq,
+                                              SimDuration period,
+                                              TimerCallback fn) {
   assert(restoring_ && "restore_periodic outside begin/finish_restore");
-  assert(period > 0 && "periodic timer needs a positive period");
-  assert(next_fire >= now_ && "restored timer fire is in the past");
-  assert(seq >= 1 && seq < next_seq_ && "restored seq outside saved range");
+  if (period <= 0) {
+    return Status::invalid_argument("simulator restore: timer period " +
+                                    std::to_string(period) +
+                                    " is not positive");
+  }
+  if (Status st = check_restored(next_fire, seq); !st.is_ok()) return st;
   std::uint32_t slot;
   if (free_timer_ != kNpos) {
     slot = free_timer_;
@@ -324,7 +343,8 @@ TimerId Simulator::restore_periodic(SimTime next_fire, std::uint32_t seq,
   const std::uint32_t ev_slot = alloc_event_slot();
   event(ev_slot).link = slot & kLinkNone;
   DC_CHECKED_ONLY(timer_arming_ = slot;)
-  ts.pending = push_event_with_seq(next_fire, ev_slot, seq);
+  ts.pending =
+      push_event_with_seq(next_fire, ev_slot, static_cast<std::uint32_t>(seq));
   DC_CHECKED_ONLY(timer_arming_ = kNpos;)
   return id;
 }

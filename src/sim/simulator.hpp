@@ -207,22 +207,25 @@ class Simulator {
   void begin_restore(SimTime now, std::uint32_t next_seq,
                      std::uint64_t processed);
 
-  /// Re-arms one pending one-shot event with its saved (time, seq).
+  /// Re-arms one pending one-shot event with its saved (time, seq). A
+  /// snapshot may be forged, so the pair is checked, not assumed:
+  /// invalid_argument refuses a time before now() and a seq outside
+  /// [1, next_seq()).
   template <typename F>
-  EventId restore_event(SimTime t, std::uint32_t seq, F&& fn) {
+  StatusOr<EventId> restore_event(SimTime t, std::uint64_t seq, F&& fn) {
     assert(restoring_ && "restore_event outside begin_restore/finish_restore");
-    assert(t >= now_ && "restored event is in the past");
-    assert(seq >= 1 && seq < next_seq_ && "restored seq outside saved range");
+    if (Status st = check_restored(t, seq); !st.is_ok()) return st;
     const std::uint32_t slot = alloc_event_slot();
     event(slot).fn = std::forward<F>(fn);
     assert(event(slot).fn && "callback must be callable");
-    return push_event_with_seq(t, slot, seq);
+    return push_event_with_seq(t, slot, static_cast<std::uint32_t>(seq));
   }
 
   /// Re-arms one periodic timer whose next fire was pending at the
-  /// snapshot, with the fire event's saved (time, seq).
-  TimerId restore_periodic(SimTime next_fire, std::uint32_t seq,
-                           SimDuration period, TimerCallback fn);
+  /// snapshot, with the fire event's saved (time, seq). Checked as
+  /// restore_event is, and a period <= 0 is refused too.
+  StatusOr<TimerId> restore_periodic(SimTime next_fire, std::uint64_t seq,
+                                     SimDuration period, TimerCallback fn);
 
   /// Re-registers `count` (>= 1) reserved seqs [first, first + count)
   /// that were not yet queued at the snapshot. The producer then queues
@@ -382,6 +385,8 @@ class Simulator {
     return range.next++;
   }
   SeqReservation add_range(std::uint32_t first, std::uint32_t count);
+  /// restore_event's checks of a saved (time, seq).
+  Status check_restored(SimTime t, std::uint64_t seq) const;
 
   EventId schedule_timer_event(SimTime t, std::uint32_t timer_slot);
   void fire_timer(std::uint32_t timer_slot, SimTime fired_at);

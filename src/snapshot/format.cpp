@@ -86,50 +86,25 @@ char* SnapshotWriter::append_record(RecordKind kind, std::string_view name,
   return put_bytes(p, name.data(), name.size());
 }
 
-char* SnapshotWriter::append_sized(RecordKind kind, std::string_view name,
-                                   std::size_t size) {
-  assert(size <= 0xffffffffULL);
-  char* p = append_record(kind, name, sizeof(std::uint32_t) + size);
-  return store_le(p, static_cast<std::uint32_t>(size));
+void SnapshotWriter::append_sized(RecordKind kind, std::string_view name,
+                                  std::string_view payload) {
+  assert(payload.size() <= 0xffffffffULL);
+  char* p = append_record(kind, name, sizeof(std::uint32_t) + payload.size());
+  p = store_le(p, static_cast<std::uint32_t>(payload.size()));
+  put_bytes(p, payload.data(), payload.size());
 }
 
-void SnapshotWriter::begin_section(std::string_view name) {
+Written SnapshotWriter::begin_section(std::string_view name) {
   append_record(RecordKind::kSectionBegin, name, 0);
   ++depth_;
+  return {};
 }
 
-void SnapshotWriter::end_section() {
+Written SnapshotWriter::end_section() {
   assert(depth_ > 0 && "end_section without matching begin_section");
   append_record(RecordKind::kSectionEnd, "", 0);
   --depth_;
-}
-
-void SnapshotWriter::field_u64(std::string_view name, std::uint64_t value) {
-  store_le(append_record(RecordKind::kU64, name, 8), value);
-}
-
-void SnapshotWriter::field_i64(std::string_view name, std::int64_t value) {
-  store_le(append_record(RecordKind::kI64, name, 8),
-           static_cast<std::uint64_t>(value));
-}
-
-void SnapshotWriter::field_f64(std::string_view name, double value) {
-  store_le(append_record(RecordKind::kF64, name, 8),
-           std::bit_cast<std::uint64_t>(value));
-}
-
-void SnapshotWriter::field_bool(std::string_view name, bool value) {
-  *append_record(RecordKind::kBool, name, 1) = value ? 1 : 0;
-}
-
-void SnapshotWriter::field_str(std::string_view name, std::string_view value) {
-  put_bytes(append_sized(RecordKind::kStr, name, value.size()), value.data(),
-            value.size());
-}
-
-void SnapshotWriter::field_bytes(std::string_view name, const void* data,
-                                 std::size_t size) {
-  put_bytes(append_sized(RecordKind::kBytes, name, size), data, size);
+  return {};
 }
 
 std::uint64_t SnapshotWriter::digest() const { return fnv1a(buffer_); }
@@ -286,16 +261,16 @@ Status SnapshotReader::read_record(RecordKind want, std::string_view name,
   }
   if (kind != want) {
     return error(str_format(
-        "expected %s field '%.*s', found %s '%.*s' — save/restore field "
-        "lists have drifted",
+        "expected %s field '%.*s', found %s '%.*s' — the snapshot's record "
+        "list has drifted from this build's",
         record_kind_name(want), static_cast<int>(name.size()), name.data(),
         record_kind_name(kind), static_cast<int>(found_name.size()),
         found_name.data()));
   }
   if (found_name != name && want != RecordKind::kSectionEnd) {
     return error(str_format(
-        "expected field '%.*s', found '%.*s' — save/restore field lists "
-        "have drifted",
+        "expected field '%.*s', found '%.*s' — the snapshot's record list "
+        "has drifted from this build's",
         static_cast<int>(name.size()), name.data(),
         static_cast<int>(found_name.size()), found_name.data()));
   }
@@ -323,22 +298,17 @@ Status SnapshotReader::end_section() {
   return Status::ok();
 }
 
-bool SnapshotReader::at_section_end() const {
-  if (pos_ + 3 > buffer_.size()) return true;
-  const std::uint8_t raw = static_cast<unsigned char>(buffer_[pos_]);
-  return raw == static_cast<std::uint8_t>(RecordKind::kSectionEnd);
-}
-
-Status SnapshotReader::read_u64(std::string_view name, std::uint64_t& out) {
+Status SnapshotReader::read_word(RecordKind want, std::string_view name,
+                                 std::uint64_t& out) {
   std::string_view payload;
-  auto st = read_record(RecordKind::kU64, name, payload);
+  auto st = read_record(want, name, payload);
   if (!st.is_ok()) return st;
   out = load_le<std::uint64_t>(payload.data());
   return Status::ok();
 }
 
-Status SnapshotReader::read_count(std::string_view name, std::uint64_t& out) {
-  if (auto st = read_u64(name, out); !st.is_ok()) return st;
+Status SnapshotReader::count(std::string_view name, std::uint64_t& out) {
+  if (auto st = read_word(RecordKind::kU64, name, out); !st.is_ok()) return st;
   const std::size_t remaining = buffer_.size() - pos_;
   if (out > remaining / kRecordHeaderBytes) {
     return error(str_format(
@@ -351,15 +321,7 @@ Status SnapshotReader::read_count(std::string_view name, std::uint64_t& out) {
   return Status::ok();
 }
 
-Status SnapshotReader::read_i64(std::string_view name, std::int64_t& out) {
-  std::string_view payload;
-  auto st = read_record(RecordKind::kI64, name, payload);
-  if (!st.is_ok()) return st;
-  out = static_cast<std::int64_t>(load_le<std::uint64_t>(payload.data()));
-  return Status::ok();
-}
-
-Status SnapshotReader::read_f64(std::string_view name, double& out) {
+Status SnapshotReader::f64(std::string_view name, double& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kF64, name, payload);
   if (!st.is_ok()) return st;
@@ -367,7 +329,7 @@ Status SnapshotReader::read_f64(std::string_view name, double& out) {
   return Status::ok();
 }
 
-Status SnapshotReader::read_bool(std::string_view name, bool& out) {
+Status SnapshotReader::boolean(std::string_view name, bool& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kBool, name, payload);
   if (!st.is_ok()) return st;
@@ -380,7 +342,7 @@ Status SnapshotReader::read_bool(std::string_view name, bool& out) {
   return Status::ok();
 }
 
-Status SnapshotReader::read_str(std::string_view name, std::string& out) {
+Status SnapshotReader::str(std::string_view name, std::string& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kStr, name, payload);
   if (!st.is_ok()) return st;
@@ -388,16 +350,12 @@ Status SnapshotReader::read_str(std::string_view name, std::string& out) {
   return Status::ok();
 }
 
-Status SnapshotReader::read_bytes(std::string_view name, std::string& out) {
-  std::string_view payload;
-  auto st = read_record(RecordKind::kBytes, name, payload);
-  if (!st.is_ok()) return st;
-  out.assign(payload.data(), payload.size());
-  return Status::ok();
+Status SnapshotReader::bytes(std::string_view name, std::string_view& out) {
+  return read_record(RecordKind::kBytes, name, out);
 }
 
-Status SnapshotReader::read_bytes(std::string_view name, std::uint64_t count,
-                                  std::vector<std::int64_t>& out) {
+Status SnapshotReader::column(std::string_view name, std::uint64_t count,
+                              std::vector<std::int64_t>& out) {
   std::string_view payload;
   auto st = read_record(RecordKind::kBytes, name, payload);
   if (!st.is_ok()) return st;

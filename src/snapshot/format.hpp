@@ -32,10 +32,10 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/status.hpp"
-#include "util/time.hpp"
 
 namespace dc::snapshot {
 
@@ -140,9 +140,8 @@ class VarintReader {
 
 /// A column of int64 values, each stored as the zigzag varint of its
 /// difference from the value before it (the first from 0). Differences
-/// wrap, so every int64 sequence round-trips. SnapshotWriter::field_bytes
-/// stores one as a `bytes` record; SnapshotReader::read_bytes with a count
-/// reads it back.
+/// wrap, so every int64 sequence round-trips. `column` on a writer stores
+/// one as a `bytes` record; `column` on a reader unpacks it.
 class PackedColumn {
  public:
   void push(std::int64_t value) {
@@ -158,29 +157,93 @@ class PackedColumn {
   std::uint64_t last_ = 0;
 };
 
+// One walk per component (docs/SNAPSHOT.md, "One walk per component").
+// SnapshotWriter and SnapshotReader spell each record kind the same way,
+// so a component writes one `template <class Io> Status persist(Io& io)`
+// that names each of its records once: run over a writer it saves, over a
+// reader it restores. The writer takes values and never fails; the reader
+// takes references and fills them only from a record it has checked.
+// Statements for one direction sit in `if constexpr (Io::kSaving)` blocks.
+// A const save reaches the walk through a const_cast: the saving walk
+// only reads, because every writer member takes its arguments by value.
+
+/// What a SnapshotWriter member returns. A writer never fails, so a walk's
+/// `if (auto st = io.u64(...); !st.is_ok()) return st;` folds away when it
+/// saves, and `return st` still yields the walk's Status.
+struct Written {
+  static constexpr bool is_ok() { return true; }
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  operator Status() const { return Status::ok(); }
+};
+
 /// Accumulates an encoded snapshot stream in memory; `write_file` appends
 /// the checksum footer and writes atomically. Each record grows the buffer
 /// once (header, name and payload together) and stores its scalars as
 /// whole little-endian words.
 class SnapshotWriter {
  public:
+  static constexpr bool kSaving = true;
+  /// What a walk fills to save a packed column.
+  using Column = PackedColumn;
+
   SnapshotWriter();
 
-  void begin_section(std::string_view name);
-  void end_section();
+  Written begin_section(std::string_view name);
+  Written end_section();
 
-  void field_u64(std::string_view name, std::uint64_t value);
-  void field_i64(std::string_view name, std::int64_t value);
-  void field_f64(std::string_view name, double value);
-  void field_bool(std::string_view name, bool value);
-  void field_str(std::string_view name, std::string_view value);
-  void field_bytes(std::string_view name, const void* data, std::size_t size);
-  void field_bytes(std::string_view name, const PackedColumn& column) {
-    field_bytes(name, column.bytes().data(), column.bytes().size());
+  Written u64(std::string_view name, std::uint64_t value) {
+    store_le(append_record(RecordKind::kU64, name, 8), value);
+    return {};
   }
-  /// SimTime / SimDuration are i64 seconds; alias kept for readability.
-  void field_time(std::string_view name, SimTime value) {
-    field_i64(name, value);
+  Written i64(std::string_view name, std::int64_t value) {
+    store_le(append_record(RecordKind::kI64, name, 8),
+             static_cast<std::uint64_t>(value));
+    return {};
+  }
+  Written f64(std::string_view name, double value) {
+    store_le(append_record(RecordKind::kF64, name, 8),
+             std::bit_cast<std::uint64_t>(value));
+    return {};
+  }
+  Written boolean(std::string_view name, bool value) {
+    *append_record(RecordKind::kBool, name, 1) = value ? 1 : 0;
+    return {};
+  }
+  Written str(std::string_view name, std::string_view value) {
+    append_sized(RecordKind::kStr, name, value);
+    return {};
+  }
+  Written bytes(std::string_view name, std::string_view value) {
+    append_sized(RecordKind::kBytes, name, value);
+    return {};
+  }
+  /// A list's element count: a u64 record.
+  Written count(std::string_view name, std::uint64_t value) {
+    return u64(name, value);
+  }
+  /// A packed column of `count` values as one `bytes` record.
+  Written column(std::string_view name, std::uint64_t count,
+                 const PackedColumn& column) {
+    return bytes(name, column.bytes());
+  }
+
+  /// `body`'s records inside section `name`.
+  template <class Body>
+  Status section(std::string_view name, Body&& body) {
+    begin_section(name);
+    if (Status st = part(body); !st.is_ok()) return st;
+    end_section();
+    return Status::ok();
+  }
+  /// The records of `body`: a callable returning Status, or a component,
+  /// whose save() writes them.
+  template <class Body>
+  Status part(Body& body) {
+    if constexpr (std::is_invocable_v<Body&>) {
+      return body();
+    } else {
+      return body.save(*this);
+    }
   }
 
   /// The encoded stream so far (header + records, no footer).
@@ -209,9 +272,9 @@ class SnapshotWriter {
   /// returning where the payload goes.
   char* append_record(RecordKind kind, std::string_view name,
                       std::size_t payload_size);
-  /// A u32-length-prefixed payload record (kStr, kBytes) with room for
-  /// `size` payload bytes; returns where they go.
-  char* append_sized(RecordKind kind, std::string_view name, std::size_t size);
+  /// A u32-length-prefixed payload record (kStr, kBytes).
+  void append_sized(RecordKind kind, std::string_view name,
+                    std::string_view payload);
   std::string buffer_;
   std::size_t depth_ = 0;
 };
@@ -219,6 +282,10 @@ class SnapshotWriter {
 /// Sequential, name-checked decoder for a verified snapshot stream.
 class SnapshotReader {
  public:
+  static constexpr bool kSaving = false;
+  /// What a walk reads a packed column into.
+  using Column = std::vector<std::int64_t>;
+
   /// Reads and verifies `path`: magic, version, checksum, truncation.
   static StatusOr<SnapshotReader> from_file(const std::string& path);
   /// Verifies an in-memory stream produced by SnapshotWriter::finish().
@@ -227,30 +294,57 @@ class SnapshotReader {
   Status begin_section(std::string_view name);
   Status end_section();
 
-  Status read_u64(std::string_view name, std::uint64_t& out);
+  /// An integer record into `out`, which may be any integer type: a value
+  /// that does not fit it is refused.
+  template <class T>
+  Status u64(std::string_view name, T& out) {
+    std::uint64_t value = 0;
+    if (Status st = read_word(RecordKind::kU64, name, value); !st.is_ok()) {
+      return st;
+    }
+    return narrow(name, value, out);
+  }
+  template <class T>
+  Status i64(std::string_view name, T& out) {
+    std::uint64_t word = 0;
+    if (Status st = read_word(RecordKind::kI64, name, word); !st.is_ok()) {
+      return st;
+    }
+    return narrow(name, static_cast<std::int64_t>(word), out);
+  }
+  Status f64(std::string_view name, double& out);
+  Status boolean(std::string_view name, bool& out);
+  Status str(std::string_view name, std::string& out);
+  /// A bytes record's payload, viewed in place: valid while the reader is.
+  Status bytes(std::string_view name, std::string_view& out);
   /// A u64 element count that sizes the list read next. Refuses, before
   /// anything is allocated, a count the rest of the stream cannot hold:
   /// more than one element per 3 bytes, the size of the smallest record.
-  /// Restores read a count here before they reserve room for it.
-  Status read_count(std::string_view name, std::uint64_t& out);
-  Status read_i64(std::string_view name, std::int64_t& out);
-  Status read_f64(std::string_view name, double& out);
-  Status read_bool(std::string_view name, bool& out);
-  Status read_str(std::string_view name, std::string& out);
-  Status read_bytes(std::string_view name, std::string& out);
+  Status count(std::string_view name, std::uint64_t& out);
   /// A PackedColumn of exactly `count` values. Refuses, before reserving
   /// room, a count the payload cannot hold (a value takes at least one
   /// byte); then a truncated or overlong varint, a column that ends early,
   /// and bytes after the last value.
-  Status read_bytes(std::string_view name, std::uint64_t count,
-                    std::vector<std::int64_t>& out);
-  Status read_time(std::string_view name, SimTime& out) {
-    return read_i64(name, out);
-  }
+  Status column(std::string_view name, std::uint64_t count,
+                std::vector<std::int64_t>& out);
 
-  /// True when the next record closes the current section (or the stream
-  /// is exhausted) — for decoding variable-length lists defensively.
-  bool at_section_end() const;
+  /// `body`'s records inside section `name`.
+  template <class Body>
+  Status section(std::string_view name, Body&& body) {
+    if (Status st = begin_section(name); !st.is_ok()) return st;
+    if (Status st = part(body); !st.is_ok()) return st;
+    return end_section();
+  }
+  /// The records of `body`: a callable returning Status, or a component,
+  /// whose restore() reads them.
+  template <class Body>
+  Status part(Body& body) {
+    if constexpr (std::is_invocable_v<Body&>) {
+      return body();
+    } else {
+      return body.restore(*this);
+    }
+  }
 
   /// "section 'a.b' near offset N" — appended to every error.
   std::string context() const;
@@ -259,12 +353,44 @@ class SnapshotReader {
   explicit SnapshotReader(std::string buffer) : buffer_(std::move(buffer)) {}
   Status read_record(RecordKind want, std::string_view name,
                      std::string_view& payload);
+  /// The 8-byte payload of a u64 or i64 record.
+  Status read_word(RecordKind want, std::string_view name,
+                   std::uint64_t& out);
+  template <class T, class V>
+  Status narrow(std::string_view name, V value, T& out) {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    if (!std::in_range<T>(value)) {
+      return error("field '" + std::string(name) + "' holds " +
+                   std::to_string(value) + ", which its type cannot hold");
+    }
+    out = static_cast<T>(value);
+    return Status::ok();
+  }
   Status error(const std::string& message) const;
 
   std::string buffer_;
   std::size_t pos_ = 0;
   std::vector<std::string> section_stack_;
 };
+
+/// A list: its element count as the record `count_name`, then
+/// `element(item)` for each item. Restoring reads the count with
+/// SnapshotReader::count, so a count the stream cannot hold is refused
+/// before `items` is resized to it.
+template <class Io, class Items, class Element>
+Status list(Io& io, std::string_view count_name, Items& items,
+            Element&& element) {
+  std::uint64_t count = items.size();
+  if (Status st = io.count(count_name, count); !st.is_ok()) return st;
+  if constexpr (!Io::kSaving) {
+    items.clear();
+    items.resize(count);
+  }
+  for (auto& item : items) {
+    if (Status st = element(item); !st.is_ok()) return st;
+  }
+  return Status::ok();
+}
 
 /// One decoded record, for the divergence auditor and `snapshot-diff`.
 struct SnapshotRecord {

@@ -13,8 +13,10 @@
 #include <unistd.h>
 
 #include "campaign/orchestrator.hpp"
+#include "snapshot/format.hpp"
 #include "util/log.hpp"
 #include "util/pidlock.hpp"
+#include "util/strings.hpp"
 
 namespace dc::campaign {
 namespace {
@@ -72,6 +74,36 @@ TEST(Journal, RoundTripsEveryEntryShape) {
   EXPECT_EQ(contents->entries[3].artifact_digest, 0xfeedbeefu);
   EXPECT_EQ(contents->entries[4].attempt, 2);
   EXPECT_EQ(contents->entries[4].reason, "exit code 3");
+}
+
+// One frame of each entry kind, every field set, pinned by FNV-1a: the
+// round trip above would pass a codec that changed both directions alike.
+TEST(Journal, EntryFramesArePinned) {
+  JournalEntry cell = JournalEntry::cell_state(7, CellState::kFailed, 3);
+  cell.pid = 4242;
+  cell.artifact_digest = 0xfeedbeef;
+  cell.reason = "exit code 3";
+  const struct {
+    const char* name;
+    JournalEntry entry;
+    const char* digest;
+  } pins[] = {
+      {"campaign", JournalEntry::campaign(0xabcd, 4), "997262d03e4c0647"},
+      {"cell", cell, "2e86b3881a63057c"},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const std::string path = temp_path(std::string("journal_pin_") + pin.name);
+    ::unlink(path.c_str());
+    {
+      auto appender = JournalAppender::open(path);
+      ASSERT_TRUE(appender.is_ok()) << appender.status().to_string();
+      ASSERT_TRUE(appender->append(pin.entry).is_ok());
+    }
+    EXPECT_EQ(str_format("%016llx", static_cast<unsigned long long>(
+                                        snapshot::fnv1a(slurp(path)))),
+              pin.digest);
+  }
 }
 
 TEST(Journal, TornTailIsDroppedWithWarning) {

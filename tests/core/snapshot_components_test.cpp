@@ -22,13 +22,11 @@
 #include "core/mtc_server.hpp"
 #include "core/system_runner.hpp"
 #include "core/systems.hpp"
-#include "core/wss_server.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/format.hpp"
 #include "util/rng.hpp"
 #include "workflow/montage.hpp"
-#include "workload/demand_profile.hpp"
 #include "workload/models.hpp"
 #include "workload/trace.hpp"
 
@@ -336,7 +334,9 @@ TEST(SnapshotComponents, JobEmulatorSectionMatchesPinnedBytesAndResumes) {
   for (const auto& [id, name] : {std::pair{before, 'a'}, std::pair{after, 'b'}}) {
     const auto info = original.sim.pending_event_info(id);
     ASSERT_TRUE(info.has_value());
-    resumed.sim.restore_event(info->time, info->seq, resumed.marker(name));
+    ASSERT_TRUE(
+        resumed.sim.restore_event(info->time, info->seq, resumed.marker(name))
+            .is_ok());
   }
   auto reader = SnapshotReader::from_buffer(writer.finish());
   ASSERT_TRUE(reader.is_ok());
@@ -364,14 +364,14 @@ TEST(SnapshotComponents, JobEmulatorSectionMatchesPinnedBytesAndResumes) {
 std::string emulator_section(std::uint64_t pending, std::uint64_t first_seq,
                              SimTime time) {
   SnapshotWriter writer;
-  writer.field_u64("stream_count", 1);
-  writer.field_u64("pending_count", pending);
+  writer.u64("stream_count", 1);
+  writer.u64("pending_count", pending);
   if (pending > 0) {
-    writer.field_u64("first_seq", first_seq);
-    writer.field_time("time", time);
+    writer.u64("first_seq", first_seq);
+    writer.i64("time", time);
   }
-  writer.field_u64("oneshot_count", 1);
-  writer.field_bool("pending", false);
+  writer.u64("oneshot_count", 1);
+  writer.boolean("pending", false);
   return writer.finish();
 }
 
@@ -490,30 +490,29 @@ std::string reencode(const std::string& finished, std::string_view section,
         writer.end_section();
         break;
       case snapshot::RecordKind::kU64:
-        writer.field_u64(record.name,
+        writer.u64(record.name,
                          target ? static_cast<std::uint64_t>(value) : word);
         break;
       case snapshot::RecordKind::kI64:
-        writer.field_i64(record.name,
+        writer.i64(record.name,
                          target ? value : static_cast<std::int64_t>(word));
         break;
       case snapshot::RecordKind::kF64:
-        writer.field_f64(record.name, std::bit_cast<double>(word));
+        writer.f64(record.name, std::bit_cast<double>(word));
         break;
       case snapshot::RecordKind::kBool:
-        writer.field_bool(record.name, record.payload[0] != 0);
+        writer.boolean(record.name, record.payload[0] != 0);
         break;
       case snapshot::RecordKind::kStr:
-        writer.field_str(record.name, record.payload);
+        writer.str(record.name, record.payload);
         break;
       case snapshot::RecordKind::kBytes:
         // An integer in place of a packed column is the layout a job
         // table had before it was packed.
         if (target) {
-          writer.field_i64(record.name, value);
+          writer.i64(record.name, value);
         } else {
-          writer.field_bytes(record.name, record.payload.data(),
-                             record.payload.size());
+          writer.bytes(record.name, record.payload);
         }
         break;
     }
@@ -641,6 +640,52 @@ TEST(SnapshotComponents, HtcRestoreRefusesJobColumnsOfAnotherLength) {
       "expected bytes field 'submit', found i64 'submit'", "drifted");
 }
 
+// --- Re-armed events: the kernel refuses a forged identity -------------------
+// A pending event's (time, seq) and a timer's period come from the stream.
+// Simulator::restore_event and restore_periodic refuse a seq outside
+// [1, next_seq), a time before the snapshot's and a period <= 0, and the
+// walk names the records the refused values came from.
+
+TEST(SnapshotComponents, RestoreRefusesACompletionSeqTheKernelNeverDrew) {
+  const std::string finished =
+      snapshot_with(SystemModel::kDcs, "htc:snap", "completion_seq");
+  ASSERT_FALSE(finished.empty());
+  ASSERT_TRUE(restore_into_passive(SystemModel::kDcs, finished).is_ok());
+  const Status status = restore_into_passive(
+      SystemModel::kDcs,
+      reencode(finished, "htc:snap", "completion_seq", 0xfffffff0));
+  expect_refused(status, "'completion_time'/'completion_seq'", "4294967280");
+  EXPECT_NE(status.message().find("section 'htc:snap'"), std::string::npos)
+      << status.message();
+}
+
+TEST(SnapshotComponents, RestoreRefusesACompletionTimeBeforeTheSnapshot) {
+  const std::string finished =
+      snapshot_with(SystemModel::kDcs, "htc:snap", "completion_time");
+  ASSERT_FALSE(finished.empty());
+  ASSERT_TRUE(restore_into_passive(SystemModel::kDcs, finished).is_ok());
+  const Status status = restore_into_passive(
+      SystemModel::kDcs, reencode(finished, "htc:snap", "completion_time", 5));
+  expect_refused(status, "'completion_time'/'completion_seq'", "t=5 ");
+  EXPECT_NE(status.message().find("section 'htc:snap'"), std::string::npos)
+      << status.message();
+}
+
+TEST(SnapshotComponents, RestoreRefusesATimerPeriodOfZero) {
+  const std::string finished =
+      snapshot_with(SystemModel::kDawningCloud, "htc:snap", "scan_period");
+  ASSERT_FALSE(finished.empty());
+  ASSERT_TRUE(
+      restore_into_passive(SystemModel::kDawningCloud, finished).is_ok());
+  const Status status = restore_into_passive(
+      SystemModel::kDawningCloud,
+      reencode(finished, "htc:snap", "scan_period", 0));
+  expect_refused(status, "'scan_next_fire'/'scan_seq'/'scan_period'",
+                 "period 0 is not positive");
+  EXPECT_NE(status.message().find("section 'htc:snap'"), std::string::npos)
+      << status.message();
+}
+
 // --- MTC, DRP and trigger-monitor restore: task ids name a task --------------
 // A task id indexes its workflow's DAG when the job completes or the trigger
 // fires, so an id beyond the DAG must be refused at restore, not crash the
@@ -744,32 +789,6 @@ TEST(SnapshotComponents, RestoreRefusesCountsTheStreamCannotHold) {
   }
 }
 
-TEST(SnapshotComponents, WssRestoreRefusesAGrantCountTheStreamCannotHold) {
-  const auto profile = [] { return workload::DemandProfile({10, 40, 10}); };
-  core::WssServer::Config config;
-  config.name = "web";
-  config.policy = core::WssServer::ElasticPolicy{};
-
-  sim::Simulator simulator;
-  core::ResourceProvisionService provision(cluster::ResourcePool::unbounded());
-  core::WssServer server(simulator, provision, config, profile());
-  simulator.schedule_at(0, [&] { server.start(); });
-  simulator.run_until(2 * kHour);
-  SnapshotWriter writer;
-  ASSERT_TRUE(server.save(writer).is_ok());
-  const std::string finished = writer.finish();
-  ASSERT_GT(first_value(finished, "", "grant_count"), 0);
-
-  sim::Simulator fresh_simulator;
-  core::ResourceProvisionService fresh_provision(
-      cluster::ResourcePool::unbounded());
-  core::WssServer fresh(fresh_simulator, fresh_provision, config, profile());
-  auto reader = SnapshotReader::from_buffer(
-      reencode(finished, "", "grant_count", kHugeCount));
-  ASSERT_TRUE(reader.is_ok());
-  expect_count_refused(fresh.restore(*reader), "", "grant_count");
-}
-
 // --- TraceSink restore: the ring is sized by the stream ----------------------
 
 std::string saved_trace(std::size_t capacity, int events) {
@@ -778,7 +797,7 @@ std::string saved_trace(std::size_t capacity, int events) {
     sink.instant(i * kMinute, obs::TraceCategory::kKernel, "tick", "sim", i);
   }
   SnapshotWriter writer;
-  sink.save(writer);
+  EXPECT_TRUE(sink.save(writer).is_ok());
   return writer.finish();
 }
 
@@ -819,15 +838,15 @@ std::string trace_section(std::uint64_t events, std::string_view packed,
                           std::string_view ring = "packed_ring") {
   SnapshotWriter writer;
   writer.begin_section("trace");
-  writer.field_u64("capacity", 64);
-  writer.field_u64("filter", obs::kTraceAll);
-  writer.field_u64("emitted", events);
-  writer.field_u64("dropped", 0);
-  writer.field_u64("names", 2);
-  writer.field_str("name", "job.submit");
-  writer.field_str("name", "p");
-  writer.field_u64("events", events);
-  writer.field_bytes(ring, packed.data(), packed.size());
+  writer.u64("capacity", 64);
+  writer.u64("filter", obs::kTraceAll);
+  writer.u64("emitted", events);
+  writer.u64("dropped", 0);
+  writer.u64("names", 2);
+  writer.str("name", "job.submit");
+  writer.str("name", "p");
+  writer.u64("events", events);
+  writer.bytes(ring, packed);
   writer.end_section();
   return writer.finish();
 }

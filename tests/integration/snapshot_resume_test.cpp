@@ -452,5 +452,102 @@ TEST(SnapshotResume, DawningCloudTraceAndMetricsMatchPinnedDigests) {
   EXPECT_EQ(hex_digest(sink.chrome_json()), "6acfa59fb93c85de");
 }
 
+// The records the 6-hour pins above never reach: a pending setup, grant
+// timeout and job retry, a waiting grant, the packed trace ring and the
+// sampler timer. A bounded platform that queues by priority, a setup
+// latency, retry backoff and grant timeouts put them in flight, and a
+// 10-minute period catches the short-lived ones (the grant-timeout list
+// is pending at only a few boundaries).
+struct PinnedBusyRun {
+  SystemModel model;
+  std::size_t snapshots;
+  const char* snapshots_digest;
+  const char* results_digest;
+  const char* trace_digest;
+  const char* metrics_digest;
+  /// Server records that some snapshot must hold with a non-zero value
+  /// (an MTC server's records are the HTC server's, under "mtc:").
+  std::vector<const char*> nonzero;
+};
+
+/// True when some record `name` of a section starting with `prefix` holds
+/// a non-zero u64 or a true bool in one of `files`.
+bool some_record_is_set(const std::vector<std::string>& files,
+                        std::string_view prefix, std::string_view name) {
+  for (const std::string& file : files) {
+    auto records = snapshot::read_records(file);
+    EXPECT_TRUE(records.is_ok()) << records.status().to_string();
+    if (!records.is_ok()) return false;
+    for (const snapshot::SnapshotRecord& record : *records) {
+      if (record.name != name || record.section.rfind(prefix, 0) != 0) {
+        continue;
+      }
+      if (record.value_text() != "0" && record.value_text() != "false") {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(SnapshotResume, BusyRunSnapshotsMatchPinnedDigests) {
+  const core::ConsolidationWorkload workload = make_workload();
+  const std::vector<PinnedBusyRun> pinned = {
+      {SystemModel::kDawningCloud, 287, "e276be3149715720", "97092580ecfa80b5",
+       "937eb17bc3efd0e1", "7a25ebbdd7a37e3a",
+       {"setup_count", "timeout_count", "retry_count", "waiting_grant"}},
+      {SystemModel::kDrp, 287, "d544ff633195648a", "26ace905dd72752f",
+       "a6babeb532e3bca7", "de3368693c6e8898", {"retry_count"}},
+  };
+  for (const PinnedBusyRun& pin : pinned) {
+    SCOPED_TRACE(core::system_model_name(pin.model));
+    core::RunOptions options = make_options();
+    options.recovery.retry_backoff = 10 * kMinute;
+    options.recovery.grant_timeout = 20 * kMinute;
+    options.platform_capacity = 36;
+    options.contention =
+        core::ProvisionPolicy::ContentionMode::kQueueByPriority;
+    options.setup_latency = 5 * kMinute;
+    obs::TraceSink sink;
+    obs::MetricsRegistry registry;
+    options.trace = &sink;
+    options.metrics = &registry;
+    options.metrics_every = kHour;
+    SnapshotPolicy policy;
+    policy.every = 10 * kMinute;
+    policy.dir = fresh_dir(std::string("snap_pinned_busy_") +
+                           core::system_model_name(pin.model));
+    auto result =
+        core::run_system_snapshotted(pin.model, workload, options, policy);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    std::string snapshots;
+    const std::vector<std::string> files = snapshot_files(policy.dir);
+    for (const std::string& file : files) snapshots += read_file(file);
+    EXPECT_EQ(files.size(), pin.snapshots);
+    EXPECT_EQ(hex_digest(snapshots), pin.snapshots_digest);
+    EXPECT_EQ(hex_digest(results_artifact(
+                  {*result}, std::string("pinned_busy_") +
+                                 core::system_model_name(pin.model))),
+              pin.results_digest);
+    EXPECT_EQ(hex_digest(sink.chrome_json()), pin.trace_digest);
+    EXPECT_EQ(hex_digest(registry.timeseries_csv()), pin.metrics_digest);
+    for (const char* name : pin.nonzero) {
+      EXPECT_TRUE(some_record_is_set(files, "", name)) << name;
+    }
+    EXPECT_TRUE(some_record_is_set(files, "obs", "sampler_pending"));
+    EXPECT_TRUE(some_record_is_set(files, "obs.trace", "events"));
+    bool packed_ring = false;
+    auto records = snapshot::read_records(files.back());
+    ASSERT_TRUE(records.is_ok()) << records.status().to_string();
+    for (const snapshot::SnapshotRecord& record : *records) {
+      packed_ring = packed_ring || (record.section == "obs.trace" &&
+                                    record.name == "packed_ring" &&
+                                    !record.payload.empty());
+    }
+    EXPECT_TRUE(packed_ring);
+    fs::remove_all(policy.dir);  // 287 snapshots a system
+  }
+}
+
 }  // namespace
 }  // namespace dc

@@ -1,6 +1,6 @@
 // dc-r9 fixture header: the class declaration half of the cross-TU join.
 // Never compiled, only lexed; the member list lives here while the
-// persist bodies live in r9_snapshot_drift.cpp, exactly the split the
+// persist walk lives in r9_snapshot_drift.cpp, exactly the split the
 // project model exists to see across.
 #pragma once
 
@@ -14,10 +14,13 @@ class DriftedServer {
   dc::Status restore(dc::snapshot::SnapshotReader& reader);
 
  private:
+  template <class Io>
+  dc::Status persist(Io& io);
+
   unsigned owned_ = 0;
   unsigned busy_ = 0;
   bool started_ = false;
-  int scratch_ = 0;  // never persisted and not volatile: dc-r9 fires here
+  int scratch_ = 0;  // never named by the walk and not volatile: dc-r9 fires
   void* trace_ = nullptr;  // dc-volatile: rebuilt on attach
 };
 

@@ -155,7 +155,7 @@ TEST(TraceSink, SnapshotRoundTripPreservesExportBytes) {
   sink.span(kHour, kMinute, TraceCategory::kResize, "resize.decide", "drp");
 
   snapshot::SnapshotWriter writer;
-  sink.save(writer);
+  ASSERT_TRUE(sink.save(writer).is_ok());
   auto reader = snapshot::SnapshotReader::from_buffer(writer.finish());
   ASSERT_TRUE(reader.is_ok()) << reader.status().message();
 
@@ -186,7 +186,7 @@ std::string to_hex(std::string_view bytes) {
 /// The payload of the 'packed_ring' record a sink saves.
 std::string saved_ring(const TraceSink& sink) {
   snapshot::SnapshotWriter writer;
-  sink.save(writer);
+  EXPECT_TRUE(sink.save(writer).is_ok());
   auto records = snapshot::decode_records(writer.finish());
   if (!records.is_ok()) return "<" + records.status().message() + ">";
   for (const auto& record : *records) {

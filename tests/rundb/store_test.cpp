@@ -193,7 +193,7 @@ std::string canonical_body(const rundb::RunRecord& record) {
 std::string with_extra_field(const rundb::RunRecord& record) {
   std::string body = canonical_body(record);
   snapshot::SnapshotWriter extra;
-  extra.field_u64("extra", 7);
+  extra.u64("extra", 7);
   body.insert(body.size() - 3, extra.buffer().substr(kHeaderBytes));
   return seal(body);
 }

@@ -135,7 +135,9 @@ struct Driver {
   }
 
   void restore(std::uint64_t tag, const Key& key, std::uint32_t seq) {
-    track(tag, sim.restore_event(key.first, seq, [this, tag] { fired(tag); }),
+    track(tag,
+          sim.restore_event(key.first, seq, [this, tag] { fired(tag); })
+              .value(),
           key);
   }
 
@@ -199,7 +201,8 @@ struct Driver {
                      std::uint32_t queued_seq) {
     Chain chain = saved;
     chain.event = sim.restore_event(chain.times[chain.next], queued_seq,
-                                    [this, tag] { link_fired(tag); });
+                                    [this, tag] { link_fired(tag); })
+                      .value();
     const std::size_t rest = chain.times.size() - chain.next - 1;
     if (rest > 0) {
       chain.reservation = sim.restore_reservation(

@@ -229,6 +229,37 @@ TEST(Callbacks, ScheduleFromCallbackAtCurrentTimestamp) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(SimulatorRestore, RefusesForgedEventIdentitiesWithTypedErrors) {
+  // A snapshot at t=100 whose kernel drew seqs 1..9: a re-armed event must
+  // lie at or after t=100 on one of those seqs, and a timer's period must
+  // be positive. Anything else is an invalid_argument, never an abort.
+  Simulator sim;
+  sim.begin_restore(100, 10, 0);
+  const auto noop = [] {};
+  const auto tick = [](SimTime) {};
+  const std::pair<const char*, Status> refused[] = {
+      {"a time before the snapshot",
+       sim.restore_event(99, 3, noop).status()},
+      {"seq 0", sim.restore_event(100, 0, noop).status()},
+      {"the kernel's next seq", sim.restore_event(100, 10, noop).status()},
+      {"a seq past u32", sim.restore_event(100, 0x100000003ull, noop).status()},
+      {"a timer firing in the past",
+       sim.restore_periodic(50, 3, 60, tick).status()},
+      {"a timer period of 0", sim.restore_periodic(200, 3, 0, tick).status()},
+      {"a negative timer period",
+       sim.restore_periodic(200, 3, -60, tick).status()},
+  };
+  for (const auto& [what, status] : refused) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.to_string();
+  }
+  // The bounds themselves are accepted, and only they were re-armed.
+  EXPECT_TRUE(sim.restore_event(100, 9, noop).is_ok());
+  EXPECT_TRUE(sim.restore_periodic(100, 1, 60, tick).is_ok());
+  EXPECT_TRUE(sim.finish_restore(2).is_ok());
+}
+
 class SimulatorOrderingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimulatorOrderingProperty, RandomEventsFireInNondecreasingTime) {

@@ -20,6 +20,7 @@
 
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace dc::snapshot {
 namespace {
@@ -89,17 +90,17 @@ class ReferenceWriter {
 std::string sample_stream() {
   SnapshotWriter writer;
   writer.begin_section("kernel");
-  writer.field_u64("seq", 42);
-  writer.field_i64("balance", -7);
+  writer.u64("seq", 42);
+  writer.i64("balance", -7);
   writer.end_section();
   writer.begin_section("server");
-  writer.field_f64("hours", 1.5);
-  writer.field_bool("started", true);
-  writer.field_str("name", "det");
+  writer.f64("hours", 1.5);
+  writer.boolean("started", true);
+  writer.str("name", "det");
   const char blob[] = {0x00, 0x7f, 0x01};
-  writer.field_bytes("blob", blob, sizeof(blob));
+  writer.bytes("blob", std::string_view(blob, sizeof(blob)));
   writer.begin_section("ledger");
-  writer.field_time("opened", 3600);
+  writer.i64("opened", 3600);
   writer.end_section();
   writer.end_section();
   return writer.finish();
@@ -120,30 +121,29 @@ TEST(SnapshotFormat, RoundTripsEveryFieldKind) {
 
   ASSERT_TRUE(reader->begin_section("kernel").is_ok());
   std::uint64_t seq = 0;
-  ASSERT_TRUE(reader->read_u64("seq", seq).is_ok());
+  ASSERT_TRUE(reader->u64("seq", seq).is_ok());
   EXPECT_EQ(seq, 42u);
   std::int64_t balance = 0;
-  ASSERT_TRUE(reader->read_i64("balance", balance).is_ok());
+  ASSERT_TRUE(reader->i64("balance", balance).is_ok());
   EXPECT_EQ(balance, -7);
-  EXPECT_TRUE(reader->at_section_end());
   ASSERT_TRUE(reader->end_section().is_ok());
 
   ASSERT_TRUE(reader->begin_section("server").is_ok());
   double hours = 0.0;
-  ASSERT_TRUE(reader->read_f64("hours", hours).is_ok());
+  ASSERT_TRUE(reader->f64("hours", hours).is_ok());
   EXPECT_DOUBLE_EQ(hours, 1.5);
   bool started = false;
-  ASSERT_TRUE(reader->read_bool("started", started).is_ok());
+  ASSERT_TRUE(reader->boolean("started", started).is_ok());
   EXPECT_TRUE(started);
   std::string name;
-  ASSERT_TRUE(reader->read_str("name", name).is_ok());
+  ASSERT_TRUE(reader->str("name", name).is_ok());
   EXPECT_EQ(name, "det");
-  std::string blob;
-  ASSERT_TRUE(reader->read_bytes("blob", blob).is_ok());
+  std::string_view blob;
+  ASSERT_TRUE(reader->bytes("blob", blob).is_ok());
   EXPECT_EQ(blob, std::string("\x00\x7f\x01", 3));
   ASSERT_TRUE(reader->begin_section("ledger").is_ok());
   SimTime opened = 0;
-  ASSERT_TRUE(reader->read_time("opened", opened).is_ok());
+  ASSERT_TRUE(reader->i64("opened", opened).is_ok());
   EXPECT_EQ(opened, 3600);
   ASSERT_TRUE(reader->end_section().is_ok());
   ASSERT_TRUE(reader->end_section().is_ok());
@@ -151,11 +151,11 @@ TEST(SnapshotFormat, RoundTripsEveryFieldKind) {
 
 TEST(SnapshotFormat, FieldNameMismatchNamesBothSides) {
   SnapshotWriter writer;
-  writer.field_u64("actual", 1);
+  writer.u64("actual", 1);
   auto reader = SnapshotReader::from_buffer(writer.finish());
   ASSERT_TRUE(reader.is_ok());
   std::uint64_t out = 0;
-  const Status status = reader->read_u64("expected", out);
+  const Status status = reader->u64("expected", out);
   ASSERT_FALSE(status.is_ok());
   EXPECT_NE(status.message().find("expected"), std::string::npos);
   EXPECT_NE(status.message().find("actual"), std::string::npos);
@@ -163,11 +163,11 @@ TEST(SnapshotFormat, FieldNameMismatchNamesBothSides) {
 
 TEST(SnapshotFormat, FieldKindMismatchIsTyped) {
   SnapshotWriter writer;
-  writer.field_u64("value", 9);
+  writer.u64("value", 9);
   auto reader = SnapshotReader::from_buffer(writer.finish());
   ASSERT_TRUE(reader.is_ok());
   std::string out;
-  const Status status = reader->read_str("value", out);
+  const Status status = reader->str("value", out);
   ASSERT_FALSE(status.is_ok());
   EXPECT_NE(status.message().find("value"), std::string::npos);
 }
@@ -176,7 +176,7 @@ TEST(SnapshotFormat, SectionContextAppearsInErrors) {
   SnapshotWriter writer;
   writer.begin_section("outer");
   writer.begin_section("inner");
-  writer.field_u64("x", 1);
+  writer.u64("x", 1);
   writer.end_section();
   writer.end_section();
   auto reader = SnapshotReader::from_buffer(writer.finish());
@@ -184,7 +184,7 @@ TEST(SnapshotFormat, SectionContextAppearsInErrors) {
   ASSERT_TRUE(reader->begin_section("outer").is_ok());
   ASSERT_TRUE(reader->begin_section("inner").is_ok());
   std::uint64_t out = 0;
-  const Status status = reader->read_u64("missing", out);
+  const Status status = reader->u64("missing", out);
   ASSERT_FALSE(status.is_ok());
   EXPECT_NE(status.message().find("outer.inner"), std::string::npos)
       << status.message();
@@ -240,14 +240,14 @@ TEST(SnapshotFormat, MissingFileIsNotFound) {
 TEST(SnapshotFormat, WriteFileIsAtomicAndVerifies) {
   const std::string path = temp_path("atomic.dcsnap");
   SnapshotWriter writer;
-  writer.field_u64("x", 7);
+  writer.u64("x", 7);
   ASSERT_TRUE(writer.write_file(path).is_ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
       << "temp file must be renamed away";
   auto reader = SnapshotReader::from_file(path);
   ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
   std::uint64_t x = 0;
-  ASSERT_TRUE(reader->read_u64("x", x).is_ok());
+  ASSERT_TRUE(reader->u64("x", x).is_ok());
   EXPECT_EQ(x, 7u);
 }
 
@@ -261,7 +261,7 @@ TEST(SnapshotFormat, WriteFileFailureLeavesNoDebris) {
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/chunk.dcsnap";
   SnapshotWriter writer;
-  writer.field_u64("x", 7);
+  writer.u64("x", 7);
   const Status st = writer.write_file(path);
   ASSERT_FALSE(st.is_ok());
   EXPECT_FALSE(std::filesystem::exists(dir));
@@ -274,17 +274,17 @@ TEST(SnapshotFormat, WriteFileOverwriteStaysValid) {
   // new bytes must verify end-to-end afterwards.
   const std::string path = temp_path("overwrite.dcsnap");
   SnapshotWriter old_writer;
-  old_writer.field_u64("x", 1);
+  old_writer.u64("x", 1);
   ASSERT_TRUE(old_writer.write_file(path).is_ok());
   SnapshotWriter new_writer;
-  new_writer.field_u64("x", 2);
-  new_writer.field_str("extra", "grown");
+  new_writer.u64("x", 2);
+  new_writer.str("extra", "grown");
   ASSERT_TRUE(new_writer.write_file(path).is_ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   auto reader = SnapshotReader::from_file(path);
   ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
   std::uint64_t x = 0;
-  ASSERT_TRUE(reader->read_u64("x", x).is_ok());
+  ASSERT_TRUE(reader->u64("x", x).is_ok());
   EXPECT_EQ(x, 2u);
 }
 
@@ -310,14 +310,14 @@ TEST(SnapshotFormat, DiffReportsFirstDivergingField) {
   const std::string other_path = temp_path("diff_other.dcsnap");
   SnapshotWriter golden;
   golden.begin_section("server");
-  golden.field_u64("owned", 32);
-  golden.field_u64("busy", 4);
+  golden.u64("owned", 32);
+  golden.u64("busy", 4);
   golden.end_section();
   ASSERT_TRUE(golden.write_file(golden_path).is_ok());
   SnapshotWriter other;
   other.begin_section("server");
-  other.field_u64("owned", 32);
-  other.field_u64("busy", 5);
+  other.u64("owned", 32);
+  other.u64("busy", 5);
   other.end_section();
   ASSERT_TRUE(other.write_file(other_path).is_ok());
 
@@ -340,10 +340,10 @@ TEST(SnapshotFormat, SectionDigestsLocalizeDivergence) {
   auto make = [](std::uint64_t busy) {
     SnapshotWriter writer;
     writer.begin_section("kernel");
-    writer.field_u64("seq", 10);
+    writer.u64("seq", 10);
     writer.end_section();
     writer.begin_section("server");
-    writer.field_u64("busy", busy);
+    writer.u64("busy", busy);
     writer.end_section();
     return writer;
   };
@@ -364,9 +364,9 @@ TEST(SnapshotFormat, SectionDigestsLocalizeDivergence) {
 TEST(SnapshotFormat, RollingDigestChangesWithEveryField) {
   SnapshotWriter writer;
   const std::uint64_t d0 = writer.digest();
-  writer.field_u64("a", 1);
+  writer.u64("a", 1);
   const std::uint64_t d1 = writer.digest();
-  writer.field_u64("b", 2);
+  writer.u64("b", 2);
   const std::uint64_t d2 = writer.digest();
   EXPECT_NE(d0, d1);
   EXPECT_NE(d1, d2);
@@ -444,14 +444,14 @@ TEST(SnapshotFormat, EncoderMatchesByteByByteReference) {
           break;
         case 2: {
           const std::uint64_t v = rng();
-          writer.field_u64(name, v);
+          writer.u64(name, v);
           reference.record(RecordKind::kU64, name);
           reference.put(v, 8);
           break;
         }
         case 3: {
           const auto v = static_cast<std::int64_t>(rng());
-          writer.field_i64(name, v);
+          writer.i64(name, v);
           reference.record(RecordKind::kI64, name);
           reference.put(static_cast<std::uint64_t>(v), 8);
           break;
@@ -459,21 +459,21 @@ TEST(SnapshotFormat, EncoderMatchesByteByByteReference) {
         case 4: {
           double v = std::bit_cast<double>(rng());
           if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
-          writer.field_f64(name, v);
+          writer.f64(name, v);
           reference.record(RecordKind::kF64, name);
           reference.put(std::bit_cast<std::uint64_t>(v), 8);
           break;
         }
         case 5: {
           const bool v = (rng() & 1) != 0;
-          writer.field_bool(name, v);
+          writer.boolean(name, v);
           reference.record(RecordKind::kBool, name);
           reference.put(v ? 1 : 0, 1);
           break;
         }
         case 6: {
           const std::string v = random_payload();
-          writer.field_str(name, v);
+          writer.str(name, v);
           reference.record(RecordKind::kStr, name);
           reference.put(v.size(), 4);
           reference.append(v);
@@ -481,7 +481,7 @@ TEST(SnapshotFormat, EncoderMatchesByteByByteReference) {
         }
         default: {
           const std::string v = random_payload();
-          writer.field_bytes(name, v.data(), v.size());
+          writer.bytes(name, v);
           reference.record(RecordKind::kBytes, name);
           reference.put(v.size(), 4);
           reference.append(v);
@@ -520,7 +520,7 @@ TEST(SnapshotFormat, EncoderMatchesByteByByteReference) {
 std::string column_stream(std::string_view payload) {
   SnapshotWriter writer;
   writer.begin_section("table");
-  writer.field_bytes("finish", payload.data(), payload.size());
+  writer.bytes("finish", payload);
   writer.end_section();
   return writer.finish();
 }
@@ -531,7 +531,7 @@ Status read_column(const std::string& finished, std::uint64_t count,
   auto reader = SnapshotReader::from_buffer(finished);
   if (!reader.is_ok()) return reader.status();
   if (Status s = reader->begin_section("table"); !s.is_ok()) return s;
-  return reader->read_bytes("finish", count, out);
+  return reader->column("finish", count, out);
 }
 
 /// The payload PackedColumn writes for `values`.

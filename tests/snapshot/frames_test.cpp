@@ -21,7 +21,7 @@ namespace {
 std::string stream_of(std::uint64_t i) {
   SnapshotWriter writer;
   writer.begin_section("frame");
-  writer.field_u64("i", i);
+  writer.u64("i", i);
   writer.end_section();
   return writer.finish();
 }

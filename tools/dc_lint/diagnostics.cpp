@@ -28,9 +28,8 @@ const std::vector<RuleInfo>& rule_table() {
        "no float/double math or unordered containers in scheduler-queue "
        "sources; ordering math stays integer-only"},
       {"dc-r9", "error",
-       "snapshot semantic completeness: save/restore field-name sets must "
-       "match, and every data member is persisted, delegated, or marked "
-       "// dc-volatile"},
+       "snapshot semantic completeness: every data member of a class with a "
+       "persist walk is named by the walk or marked // dc-volatile"},
       {"dc-r10", "error",
        "layering: a module may include only its declared dependencies, and "
        "the include graph must be acyclic"},

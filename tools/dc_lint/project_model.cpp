@@ -24,41 +24,6 @@ struct ClassFrame {
   int body_depth;           // brace depth of the class body
 };
 
-void extract_persist_body(const FileLex& lx, std::size_t open_brace,
-                          std::size_t end, PersistMethod& method) {
-  const std::string_view prefix = method.is_save ? "field_" : "read_";
-  for (std::size_t m = open_brace + 1; m < end; ++m) {
-    const Token& t = lx.tokens[m];
-    if (t.kind != TokKind::kIdentifier) continue;
-    method.idents.insert(t.text);
-    if (str_starts_with(t.text, prefix) && tok_punct_at(lx, m + 1, "(")) {
-      if (m + 2 < lx.tokens.size() && lx.tokens[m + 2].kind == TokKind::kString) {
-        const std::string& name = lx.tokens[m + 2].text;
-        bool seen = false;
-        for (const auto& [existing, line] : method.names) {
-          if (existing == name) { seen = true; break; }
-        }
-        if (!seen) method.names.emplace_back(name, lx.tokens[m + 2].line);
-      } else {
-        method.dynamic_names = true;
-      }
-    }
-  }
-}
-
-// True when the parameter region [open, close] mentions the snapshot
-// stream type a persist method of this polarity takes.
-bool params_take_snapshot_stream(const FileLex& lx, std::size_t open,
-                                 std::size_t close, bool is_save) {
-  const std::string_view wanted = is_save ? "SnapshotWriter" : "SnapshotReader";
-  for (std::size_t j = open; j <= close && j < lx.tokens.size(); ++j) {
-    if (lx.tokens[j].kind == TokKind::kIdentifier && lx.tokens[j].text == wanted) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // Skips the qualifiers that may sit between a parameter list and a method
 // body: const, noexcept, override, final.
 std::size_t skip_method_qualifiers(const FileLex& lx, std::size_t i) {
@@ -159,18 +124,15 @@ void extract_classes_and_persists(const FileLex& lx, FileFacts& facts) {
       }
     }
 
-    // Persist method definitions.
-    const bool is_save = t.text == "save";
-    const bool is_restore = t.text == "restore";
-    if (!is_save && !is_restore) continue;
-    if (!tok_punct_at(lx, i + 1, "(")) continue;
+    // Snapshot walk definitions.
+    if (t.text != "persist" || !tok_punct_at(lx, i + 1, "(")) continue;
 
     std::string class_name;
     int decl_line = t.line;
     if (i >= 2 && tok_punct_at(lx, i - 1, "::") &&
         lx.tokens[i - 2].kind == TokKind::kIdentifier) {
-      // Out-of-line: Class::save(...). Calls (`Base::save(w);`) are ruled
-      // out below because a call is never followed by a '{' body.
+      // Out-of-line: Class::persist(...). Calls (`Base::persist(io);`) are
+      // ruled out below because a call is never followed by a '{' body.
       class_name = lx.tokens[i - 2].text;
       decl_line = lx.tokens[i - 2].line;
     } else if (!stack.empty() && depth == stack.back().body_depth &&
@@ -183,16 +145,18 @@ void extract_classes_and_persists(const FileLex& lx, FileFacts& facts) {
     }
 
     const std::size_t close = tok_match_paren(lx, i + 1);
-    if (!params_take_snapshot_stream(lx, i + 1, close, is_save)) continue;
     const std::size_t open = skip_method_qualifiers(lx, close + 1);
     if (!tok_punct_at(lx, open, "{")) continue;  // declaration or call
     const std::size_t end = tok_match_brace(lx, open);
 
     PersistMethod method;
     method.class_name = std::move(class_name);
-    method.is_save = is_save;
     method.line = decl_line;
-    extract_persist_body(lx, open, end, method);
+    for (std::size_t m = open + 1; m < end; ++m) {
+      if (lx.tokens[m].kind == TokKind::kIdentifier) {
+        method.idents.insert(lx.tokens[m].text);
+      }
+    }
     facts.persists.push_back(std::move(method));
   }
 }
@@ -538,18 +502,12 @@ std::vector<Diagnostic> ProjectModel::check_layering() const {
 std::vector<Diagnostic> ProjectModel::check_snapshot_semantics() const {
   std::vector<Diagnostic> out;
 
-  struct Sided {
-    const PersistMethod* method = nullptr;
-    const FileFacts* file = nullptr;
-  };
-  std::map<std::string, std::pair<Sided, Sided>> persists;  // class -> save/restore
+  // Every identifier the walks of each class mention.
+  std::map<std::string, std::set<std::string>> named;
   std::map<std::string, std::pair<const ClassInfo*, const FileFacts*>> classes;
-
   for (const FileFacts* f : facts_) {
     for (const PersistMethod& m : f->persists) {
-      Sided& side = m.is_save ? persists[m.class_name].first
-                              : persists[m.class_name].second;
-      if (side.method == nullptr) side = {&m, f};
+      named[m.class_name].insert(m.idents.begin(), m.idents.end());
     }
     for (const ClassInfo& c : f->classes) {
       auto& slot = classes[c.name];
@@ -562,56 +520,21 @@ std::vector<Diagnostic> ProjectModel::check_snapshot_semantics() const {
     }
   }
 
-  for (const auto& [class_name, pair] : persists) {
-    const Sided& save = pair.first;
-    const Sided& restore = pair.second;
-    if (save.method == nullptr || restore.method == nullptr) continue;
-
-    // Name-level drift. Skipped when either side passes computed names —
-    // the literal sets are then not comparable.
-    if (!save.method->dynamic_names && !restore.method->dynamic_names) {
-      std::set<std::string> saved;
-      std::set<std::string> read;
-      for (const auto& [name, line] : save.method->names) saved.insert(name);
-      for (const auto& [name, line] : restore.method->names) read.insert(name);
-      for (const auto& [name, line] : save.method->names) {
-        if (read.count(name) != 0) continue;
-        out.push_back({save.file->path, line, "dc-r9", "error",
-                       "snapshot field '" + name + "' is written by " +
-                           class_name + "::save but never read by " +
-                           class_name +
-                           "::restore; a renamed or dropped read "
-                           "desynchronizes every record after it at resume"});
-      }
-      for (const auto& [name, line] : restore.method->names) {
-        if (saved.count(name) != 0) continue;
-        out.push_back({restore.file->path, line, "dc-r9", "error",
-                       "snapshot field '" + name + "' is read by " +
-                           class_name + "::restore but never written by " +
-                           class_name +
-                           "::save; a renamed or dropped write "
-                           "desynchronizes every record after it at resume"});
-      }
-    }
-
-    // Member completeness: every data member of the class is mentioned by
-    // one of the persist bodies (saved directly, restored, or delegated
-    // via member.save(...)), or carries a // dc-volatile annotation.
+  // Member completeness: every data member of the class is named by its
+  // walk (recorded, or delegated as io.part(member_) or a section), or
+  // carries a // dc-volatile annotation.
+  for (const auto& [class_name, idents] : named) {
     const auto class_it = classes.find(class_name);
     if (class_it == classes.end() || class_it->second.first == nullptr) continue;
     const ClassInfo& info = *class_it->second.first;
     const FileFacts& decl_file = *class_it->second.second;
     for (const MemberField& member : info.members) {
-      if (member.is_volatile) continue;
-      if (save.method->idents.count(member.name) != 0 ||
-          restore.method->idents.count(member.name) != 0) {
-        continue;
-      }
+      if (member.is_volatile || idents.count(member.name) != 0) continue;
       out.push_back({decl_file.path, member.line, "dc-r9", "error",
                      "data member '" + member.name + "' of snapshottable class " +
-                         class_name + " is never saved or restored; persist "
-                         "it in save/restore or annotate the declaration "
-                         "with // dc-volatile"});
+                         class_name + " is never named by its persist walk; "
+                         "record it there or annotate the declaration with "
+                         "// dc-volatile"});
     }
   }
 

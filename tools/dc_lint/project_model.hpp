@@ -4,17 +4,16 @@
 //
 //   * FileFacts — what one translation unit contributes: its resolved-to-
 //     be includes, the classes it declares (with data members and their
-//     dc-volatile annotations), the snapshot persist methods it defines
-//     (with the field-name literals they write/read and every identifier
-//     their bodies mention), and the trace/metric name literals it
-//     registers.
+//     dc-volatile annotations), the snapshot walks it defines (with every
+//     identifier their bodies mention), and the trace/metric name
+//     literals it registers.
 //   * ProjectModel — the join: an include graph over the analyzed file
 //     set plus symbol tables keyed by class name and registry name.
 //
 // Rules on top of the model:
-//   dc-r9  snapshot semantic completeness (save/restore name-set match,
-//          never-persisted data members) — the class's member list usually
-//          lives in a header while the bodies live in a .cpp, which is
+//   dc-r9  snapshot semantic completeness (a data member its class's
+//          persist walk never names) — the class's member list usually
+//          lives in a header while the walk lives in a .cpp, which is
 //          exactly the cross-TU join a per-file linter cannot make.
 //   dc-r10 layering: src/<module> may include only its declared
 //          dependency closure (the CMake library DAG), src may not reach
@@ -46,14 +45,11 @@ struct ClassInfo {
   std::vector<MemberField> members;
 };
 
-/// One X::save / X::restore definition (out-of-line or in-class) whose
-/// parameter list names SnapshotWriter / SnapshotReader.
+/// One X::persist definition (out-of-line or in-class): the class's
+/// snapshot walk, which saves over a writer and restores over a reader.
 struct PersistMethod {
   std::string class_name;
-  bool is_save = false;
   int line = 0;
-  bool dynamic_names = false;  // some field_*/read_* name is not a literal
-  std::vector<std::pair<std::string, int>> names;  // literal -> first line
   std::set<std::string> idents;  // every identifier in the body
 };
 
