@@ -140,9 +140,11 @@ Status JobEmulator::persist(Io& io) {
         return st;
       }
       if (pending_count > 1) {
-        stream.reservation = simulator_->restore_reservation(
+        auto reservation = simulator_->restore_reservation(
             static_cast<std::uint32_t>(queued.seq + 1),
             static_cast<std::uint32_t>(pending_count - 1));
+        if (!reservation.is_ok()) return reservation.status();
+        stream.reservation = *reservation;
       }
     }
   }

@@ -1,8 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <charconv>
+
 #include "util/csv.hpp"
 #include "util/fsio.hpp"
-#include "util/strings.hpp"
 
 namespace dc::obs {
 
@@ -77,10 +78,28 @@ void MetricsRegistry::sample(SimTime now, std::string_view metric,
 }
 
 std::string MetricsRegistry::timeseries_csv() const {
-  std::string out = "time,metric,value\n";
+  // A row apart from its name: a 20-character time, a value as %.10g
+  // prints it (at most "-1.797693135e+308") and the separators.
+  constexpr std::size_t kMaxRowBytes = 48;
+  constexpr std::string_view kHeader = "time,metric,value\n";
+  std::size_t bound = kHeader.size() + samples_.size() * kMaxRowBytes;
+  for (const auto& row : samples_) bound += sample_names_[row.metric].size();
+  std::string out;
+  out.reserve(bound);
+  out += kHeader;
+  char buf[kMaxRowBytes];
   for (const auto& row : samples_) {
-    out += str_format("%lld,%s,%.10g\n", static_cast<long long>(row.time),
-                      sample_names_[row.metric].c_str(), row.value);
+    char* p = std::to_chars(buf, buf + kMaxRowBytes,
+                            static_cast<long long>(row.time)).ptr;
+    *p++ = ',';
+    out.append(buf, p);
+    out += sample_names_[row.metric];
+    buf[0] = ',';
+    // General format at precision 10 is printf's %.10g, byte for byte.
+    p = std::to_chars(buf + 1, buf + kMaxRowBytes, row.value,
+                      std::chars_format::general, 10).ptr;
+    *p++ = '\n';
+    out.append(buf, p);
   }
   return out;
 }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstddef>
-#include <fstream>
+#include <cstring>
 #include <memory>
 
 #include "util/fsio.hpp"
@@ -202,65 +203,118 @@ void TraceSink::span(SimTime start, SimDuration dur, TraceCategory category,
 std::vector<TraceEvent> TraceSink::events() const {
   std::vector<TraceEvent> out;
   out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  for_each_event([&](const TraceEvent& event) { out.push_back(event); });
   return out;
 }
 
 std::vector<std::uint64_t> TraceSink::category_counts() const {
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(TraceCategory::kCategoryCount), 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    const auto& event = ring_[(head_ + i) % ring_.size()];
+  for_each_event([&](const TraceEvent& event) {
     if (event.category < counts.size()) ++counts[event.category];
-  }
+  });
   return counts;
 }
 
+namespace {
+
+// chrome_json() writes each record's fixed text and digits into a stack
+// buffer and appends it to one string reserved to an upper bound.
+
+// "-9223372036854775808" is the longest integer.
+constexpr std::size_t kMaxDigits = 20;
+// An event record apart from its name: a span's fixed text, the longest
+// category name, five integers and the ",\n" before it.
+constexpr std::size_t kMaxEventBytes = 192;
+// A track's metadata record apart from its name.
+constexpr std::size_t kMaxTrackBytes = 96;
+
+char* put(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
+}
+
+template <class Int>
+char* put_int(char* p, Int value) {
+  return std::to_chars(p, p + kMaxDigits, value).ptr;
+}
+
+}  // namespace
+
 std::string TraceSink::chrome_json() const {
-  const auto recorded = events();
-  // Actors referenced by recorded events become named tid tracks;
-  // metadata records go first, in ascending tid order.
-  std::vector<bool> used(names_.size(), false);
-  for (const auto& event : recorded) used[event.actor] = true;
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  for (std::uint32_t id = 0; id < used.size(); ++id) {
-    if (!used[id]) continue;
-    if (!first) out += ",\n";
-    first = false;
-    out += str_format("{\"ph\":\"M\",\"pid\":1,\"tid\":%u,"
-                      "\"name\":\"thread_name\",\"args\":{\"name\":\"",
-                      id + 1);
-    append_json_escaped(out, names_[id]);
+  // One pass over the ring finds the names it uses, and each is escaped
+  // once. Actors become named tid tracks; their metadata records go
+  // first, in ascending tid order.
+  std::vector<std::uint64_t> name_uses(names_.size(), 0);
+  std::vector<bool> is_actor(names_.size(), false);
+  for_each_event([&](const TraceEvent& event) {
+    ++name_uses[event.name];
+    is_actor[event.actor] = true;
+  });
+  constexpr std::string_view kHeader =
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  constexpr std::string_view kFooter = "\n]}\n";
+  std::size_t bound = kHeader.size() + kFooter.size();
+  std::vector<std::string> escaped(names_.size());
+  for (std::size_t id = 0; id < names_.size(); ++id) {
+    if (name_uses[id] == 0 && !is_actor[id]) continue;
+    append_json_escaped(escaped[id], names_[id]);
+    bound += name_uses[id] * (kMaxEventBytes + escaped[id].size());
+    if (is_actor[id]) bound += kMaxTrackBytes + escaped[id].size();
+  }
+  // Unknown categories export as trace_category_name's "unknown".
+  constexpr auto kCategories =
+      static_cast<std::size_t>(TraceCategory::kCategoryCount);
+  std::string categories[kCategories + 1];
+  for (std::size_t c = 0; c <= kCategories; ++c) {
+    append_json_escaped(categories[c],
+                        trace_category_name(static_cast<TraceCategory>(c)));
+  }
+
+  std::string out;
+  out.reserve(bound);
+  out += kHeader;
+  std::string_view separator = "";  // ",\n" before every record but the first
+  char buf[kMaxEventBytes];
+  for (std::uint32_t id = 0; id < names_.size(); ++id) {
+    if (!is_actor[id]) continue;
+    char* p = put(buf, separator);
+    separator = ",\n";
+    p = put(p, "{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    p = put_int(p, id + 1);
+    p = put(p, ",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+    out.append(buf, p);
+    out += escaped[id];
     out += "\"}}";
   }
-  for (const auto& event : recorded) {
-    if (!first) out += ",\n";
-    first = false;
-    const auto category = static_cast<TraceCategory>(event.category);
+  for_each_event([&](const TraceEvent& event) {
+    char* p = put(buf, separator);
+    separator = ",\n";
+    p = put(p, "{\"ph\":\"");
+    *p++ = event.phase == 1 ? 'X' : 'i';
+    p = put(p, "\",\"pid\":1,\"tid\":");
+    p = put_int(p, event.actor + 1);
+    p = put(p, ",\"ts\":");
+    p = put_int(p, static_cast<long long>(event.time * kMicrosPerSecond));
     if (event.phase == 1) {
-      out += str_format(
-          "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%lld,\"dur\":%lld,",
-          event.actor + 1,
-          static_cast<long long>(event.time * kMicrosPerSecond),
-          static_cast<long long>(event.dur * kMicrosPerSecond));
+      p = put(p, ",\"dur\":");
+      p = put_int(p, static_cast<long long>(event.dur * kMicrosPerSecond));
+      p = put(p, ",\"name\":\"");
     } else {
-      out += str_format(
-          "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"ts\":%lld,\"s\":\"t\",",
-          event.actor + 1,
-          static_cast<long long>(event.time * kMicrosPerSecond));
+      p = put(p, ",\"s\":\"t\",\"name\":\"");
     }
-    out += "\"name\":\"";
-    append_json_escaped(out, names_[event.name]);
-    out += "\",\"cat\":\"";
-    append_json_escaped(out, trace_category_name(category));
-    out += str_format("\",\"args\":{\"a0\":%lld,\"a1\":%lld}}",
-                      static_cast<long long>(event.a0),
-                      static_cast<long long>(event.a1));
-  }
-  out += "\n]}\n";
+    out.append(buf, p);
+    out += escaped[event.name];
+    p = put(buf, "\",\"cat\":\"");
+    p = put(p, categories[std::min<std::size_t>(event.category, kCategories)]);
+    p = put(p, "\",\"args\":{\"a0\":");
+    p = put_int(p, static_cast<long long>(event.a0));
+    p = put(p, ",\"a1\":");
+    p = put_int(p, static_cast<long long>(event.a1));
+    p = put(p, "}}");
+    out.append(buf, p);
+  });
+  out += kFooter;
   return out;
 }
 
@@ -423,7 +477,10 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
 
 namespace {
 
-// Minimal JSON cursor for the exporter's own output shape.
+// The one Chrome-trace reader: a cursor over the exporter's own output
+// shape plus whitespace. It parses in place: a string is a view into the
+// text unless it holds an escape, and only then is it decoded, into its
+// field's buffer.
 struct Cursor {
   std::string_view text;
   std::size_t pos = 0;
@@ -443,92 +500,129 @@ struct Cursor {
     }
     return false;
   }
-  Status fail(const std::string& what) const {
+  bool at(char c) const { return pos < text.size() && text[pos] == c; }
+  Status fail(const char* what) const {
     return Status::invalid_argument(
-        str_format("trace json: %s near offset %zu", what.c_str(), pos));
+        str_format("trace json: %s near offset %zu", what, pos));
   }
 };
 
-Status parse_json_string(Cursor& cur, std::string& out) {
+// A parsed string: `view` is valid until the next parse into this Text.
+struct Text {
+  std::string_view view;
+  std::string decoded;  // holds `view` when the string had escapes
+};
+
+Status parse_json_string(Cursor& cur, Text& out) {
   if (!cur.eat('"')) return cur.fail("expected string");
-  out.clear();
-  while (cur.pos < cur.text.size()) {
-    char c = cur.text[cur.pos++];
-    if (c == '"') return Status::ok();
-    if (c == '\\') {
-      if (cur.pos >= cur.text.size()) break;
-      char esc = cur.text[cur.pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (cur.pos + 4 > cur.text.size()) return cur.fail("bad \\u escape");
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = cur.text[cur.pos++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= h - '0';
-            else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-            else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-            else return cur.fail("bad \\u escape");
-          }
-          out += static_cast<char>(code);
-          break;
-        }
-        default: return cur.fail("unsupported escape");
-      }
-    } else {
-      out += c;
+  const std::string_view text = cur.text;
+  std::size_t run = cur.pos;  // first byte not yet copied to `decoded`
+  bool escaped = false;
+  while (cur.pos < text.size()) {
+    const char c = text[cur.pos];
+    if (c != '"' && c != '\\') {
+      ++cur.pos;
+      continue;
     }
+    const std::string_view plain = text.substr(run, cur.pos - run);
+    ++cur.pos;
+    if (c == '"') {
+      if (!escaped) {
+        out.view = plain;
+        return Status::ok();
+      }
+      out.decoded += plain;
+      out.view = out.decoded;
+      return Status::ok();
+    }
+    if (!escaped) out.decoded.clear();
+    escaped = true;
+    out.decoded += plain;
+    if (cur.pos >= text.size()) break;
+    switch (text[cur.pos++]) {
+      case '"': out.decoded += '"'; break;
+      case '\\': out.decoded += '\\'; break;
+      case 'n': out.decoded += '\n'; break;
+      case 'r': out.decoded += '\r'; break;
+      case 't': out.decoded += '\t'; break;
+      case 'u': {
+        if (cur.pos + 4 > text.size()) return cur.fail("bad \\u escape");
+        int code = 0;
+        for (int i = 0; i < 4; ++i) {
+          char h = text[cur.pos++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= h - '0';
+          else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
+          else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
+          else return cur.fail("bad \\u escape");
+        }
+        out.decoded += static_cast<char>(code);
+        break;
+      }
+      default: return cur.fail("unsupported escape");
+    }
+    run = cur.pos;
   }
   return cur.fail("unterminated string");
 }
 
+// util's parse_int refuses a token this long, and so does this reader.
+constexpr std::size_t kMaxIntegerToken = 32;
+
 Status parse_json_int(Cursor& cur, std::int64_t& out) {
   cur.skip_ws();
-  std::size_t start = cur.pos;
-  if (cur.pos < cur.text.size() && cur.text[cur.pos] == '-') ++cur.pos;
+  const std::size_t start = cur.pos;
+  if (cur.at('-')) ++cur.pos;
   while (cur.pos < cur.text.size() && cur.text[cur.pos] >= '0' &&
          cur.text[cur.pos] <= '9') {
     ++cur.pos;
   }
   if (cur.pos == start) return cur.fail("expected integer");
-  auto parsed = parse_int(cur.text.substr(start, cur.pos - start));
-  if (!parsed.is_ok()) return cur.fail("bad integer");
-  out = parsed.value();
+  if (cur.pos - start >= kMaxIntegerToken) return cur.fail("bad integer");
+  const char* last = cur.text.data() + cur.pos;
+  const auto [end, error] =
+      std::from_chars(cur.text.data() + start, last, out);
+  if (error != std::errc() || end != last) return cur.fail("bad integer");
   return Status::ok();
 }
 
-// One record object: flat string/integer fields plus a flat "args" object.
+// One record object: flat string/integer fields plus a flat "args"
+// object. Reused from record to record, so its buffers keep their
+// capacity.
 struct RawRecord {
-  std::string ph, name, cat;
+  Text ph, name, cat;
   std::int64_t tid = 0, ts = 0, dur = 0, a0 = 0, a1 = 0;
-  std::string args_name;  // metadata thread_name payload
+  Text args_name;  // metadata thread_name payload
+  Text key, arg_key, ignored;
+
+  void clear() {
+    ph.view = name.view = cat.view = args_name.view = {};
+    tid = ts = dur = a0 = a1 = 0;
+  }
 };
 
 Status parse_record(Cursor& cur, RawRecord& rec) {
+  rec.clear();
   if (!cur.eat('{')) return cur.fail("expected record object");
   if (cur.eat('}')) return Status::ok();
   while (true) {
-    std::string key;
-    if (Status s = parse_json_string(cur, key); !s.is_ok()) return s;
+    if (Status s = parse_json_string(cur, rec.key); !s.is_ok()) return s;
+    const std::string_view key = rec.key.view;
     if (!cur.eat(':')) return cur.fail("expected ':'");
     cur.skip_ws();
     if (key == "args") {
       if (!cur.eat('{')) return cur.fail("expected args object");
       if (!cur.eat('}')) {
         while (true) {
-          std::string arg_key;
-          if (Status s = parse_json_string(cur, arg_key); !s.is_ok()) return s;
+          if (Status s = parse_json_string(cur, rec.arg_key); !s.is_ok()) {
+            return s;
+          }
+          const std::string_view arg_key = rec.arg_key.view;
           if (!cur.eat(':')) return cur.fail("expected ':'");
           cur.skip_ws();
-          if (cur.pos < cur.text.size() && cur.text[cur.pos] == '"') {
-            std::string value;
+          if (cur.at('"')) {
+            Text& value = arg_key == "name" ? rec.args_name : rec.ignored;
             if (Status s = parse_json_string(cur, value); !s.is_ok()) return s;
-            if (arg_key == "name") rec.args_name = value;
           } else {
             std::int64_t value = 0;
             if (Status s = parse_json_int(cur, value); !s.is_ok()) return s;
@@ -540,12 +634,12 @@ Status parse_record(Cursor& cur, RawRecord& rec) {
           return cur.fail("expected ',' or '}' in args");
         }
       }
-    } else if (cur.pos < cur.text.size() && cur.text[cur.pos] == '"') {
-      std::string value;
+    } else if (cur.at('"')) {
+      Text& value = key == "ph"     ? rec.ph
+                    : key == "name" ? rec.name
+                    : key == "cat"  ? rec.cat
+                                    : rec.ignored;
       if (Status s = parse_json_string(cur, value); !s.is_ok()) return s;
-      if (key == "ph") rec.ph = value;
-      if (key == "name") rec.name = value;
-      if (key == "cat") rec.cat = value;
     } else {
       std::int64_t value = 0;
       if (Status s = parse_json_int(cur, value); !s.is_ok()) return s;
@@ -565,36 +659,44 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
     std::string_view json) {
   Cursor cur{json};
   if (!cur.eat('{')) return cur.fail("expected top-level object");
+  // No event record of an export is shorter than the one with every
+  // number 0, an empty name and a three-letter category, so the text's
+  // size bounds an export's event count: the list is sized once.
+  constexpr std::size_t kMinEventRecordBytes =
+      sizeof(R"({"ph":"i","pid":1,"tid":1,"ts":0,"s":"t","name":"",)"
+             R"("cat":"job","args":{"a0":0,"a1":0}})") - 1;
   std::vector<ParsedTraceEvent> out;
+  out.reserve(json.size() / kMinEventRecordBytes);
   std::map<std::int64_t, std::string> tracks;
   bool saw_events = false;
+  Text key;
+  RawRecord rec;
   while (true) {
-    std::string key;
     if (Status s = parse_json_string(cur, key); !s.is_ok()) return s;
     if (!cur.eat(':')) return cur.fail("expected ':'");
-    if (key == "traceEvents") {
+    if (key.view == "traceEvents") {
       saw_events = true;
       if (!cur.eat('[')) return cur.fail("expected traceEvents array");
       if (!cur.eat(']')) {
         while (true) {
-          RawRecord rec;
           if (Status s = parse_record(cur, rec); !s.is_ok()) return s;
-          if (rec.ph == "M") {
-            if (rec.name == "thread_name") tracks[rec.tid] = rec.args_name;
+          if (rec.ph.view == "M") {
+            if (rec.name.view == "thread_name") {
+              tracks[rec.tid] = rec.args_name.view;
+            }
           } else {
-            ParsedTraceEvent event;
-            event.name = rec.name;
-            event.category = rec.cat;
+            ParsedTraceEvent& event = out.emplace_back();
+            event.name = rec.name.view;
+            event.category = rec.cat.view;
             auto track = tracks.find(rec.tid);
             event.actor = track == tracks.end() ? str_format("tid%lld",
                               static_cast<long long>(rec.tid))
                                                 : track->second;
-            event.phase = rec.ph == "X" ? 'X' : 'i';
+            event.phase = rec.ph.view == "X" ? 'X' : 'i';
             event.ts_us = rec.ts;
             event.dur_us = rec.dur;
             event.a0 = rec.a0;
             event.a1 = rec.a1;
-            out.push_back(std::move(event));
           }
           if (cur.eat(',')) continue;
           if (cur.eat(']')) break;
@@ -602,8 +704,7 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
         }
       }
     } else {
-      std::string ignored;
-      if (Status s = parse_json_string(cur, ignored); !s.is_ok()) return s;
+      if (Status s = parse_json_string(cur, rec.ignored); !s.is_ok()) return s;
     }
     if (cur.eat(',')) continue;
     if (cur.eat('}')) break;
@@ -615,11 +716,13 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
 
 StatusOr<std::vector<ParsedTraceEvent>> read_chrome_trace(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::not_found("cannot open trace: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto parsed = parse_chrome_json(text);
+  auto text = read_file(path);
+  if (!text.is_ok()) {
+    return text.status().code() == StatusCode::kNotFound
+               ? Status::not_found("cannot open trace: " + path)
+               : text.status();
+  }
+  auto parsed = parse_chrome_json(*text);
   if (!parsed.is_ok()) {
     return Status(parsed.status().code(),
                   path + ": " + parsed.status().message());

@@ -23,6 +23,7 @@
 // PhaseProfiler instead).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -204,6 +205,15 @@ class TraceSink {
                      std::uint64_t event_count, std::string_view packed);
 
   void push(const TraceEvent& event);
+  /// Calls `visit` on each recorded event, oldest first: ring slots
+  /// head_.. to the end, then the wrapped part from slot 0 (empty until
+  /// the ring has filled).
+  template <class F>
+  void for_each_event(F&& visit) const {
+    const std::size_t tail = std::min(size_, ring_.size() - head_);
+    for (std::size_t i = head_; i < head_ + tail; ++i) visit(ring_[i]);
+    for (std::size_t i = 0; i < size_ - tail; ++i) visit(ring_[i]);
+  }
   /// Returns the cached id, re-interning when the cache belongs to a
   /// different sink lifetime (epoch mismatch).
   std::uint32_t resolve(const TraceName& name);

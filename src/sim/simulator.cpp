@@ -349,10 +349,15 @@ StatusOr<TimerId> Simulator::restore_periodic(SimTime next_fire,
   return id;
 }
 
-SeqReservation Simulator::restore_reservation(std::uint32_t first,
-                                              std::uint32_t count) {
+StatusOr<SeqReservation> Simulator::restore_reservation(std::uint32_t first,
+                                                        std::uint32_t count) {
   assert(restoring_ && "restore_reservation outside begin/finish_restore");
-  assert(count >= 1 && first >= 1 && "restored reservation is empty");
+  if (count == 0 || first == 0 || std::uint64_t{first} + count > next_seq_) {
+    return Status::invalid_argument(
+        "simulator restore: reservation of " + std::to_string(count) +
+        " seqs from " + std::to_string(first) +
+        " is empty or not inside [1, " + std::to_string(next_seq_) + ")");
+  }
   return add_range(first, count);
 }
 

@@ -227,10 +227,13 @@ class Simulator {
   StatusOr<TimerId> restore_periodic(SimTime next_fire, std::uint64_t seq,
                                      SimDuration period, TimerCallback fn);
 
-  /// Re-registers `count` (>= 1) reserved seqs [first, first + count)
-  /// that were not yet queued at the snapshot. The producer then queues
-  /// them with schedule_reserved, as before the snapshot.
-  SeqReservation restore_reservation(std::uint32_t first, std::uint32_t count);
+  /// Re-registers `count` reserved seqs [first, first + count) that were
+  /// not yet queued at the snapshot. The producer then queues them with
+  /// schedule_reserved, as before the snapshot. Checked as restore_event
+  /// is: invalid_argument refuses a count of 0, a first seq of 0 and a
+  /// range that ends past next_seq().
+  StatusOr<SeqReservation> restore_reservation(std::uint32_t first,
+                                               std::uint32_t count);
 
   /// Leaves restore mode. Validates that exactly `expected_pending`
   /// occurrences were re-armed or re-reserved, and that their sequence
@@ -238,8 +241,6 @@ class Simulator {
   /// re-arm (or re-armed twice) is reported here instead of silently
   /// diverging later.
   Status finish_restore(std::uint64_t expected_pending);
-
-  bool restoring() const { return restoring_; }
 
   /// Full structural audit of the kernel (checked builds): heap ordering
   /// and slot-index invariants (delegated to the queue), generation

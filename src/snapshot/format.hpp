@@ -265,8 +265,6 @@ class SnapshotWriter {
   /// footer up front; write_file writes exactly these bytes.
   std::string finish() const;
 
-  std::size_t open_sections() const { return depth_; }
-
  private:
   /// Appends a record header for `name` plus `payload_size` bytes of room,
   /// returning where the payload goes.

@@ -111,7 +111,7 @@ class [[nodiscard]] StatusOr {
 
  private:
   std::optional<T> value_;
-  Status status_ = Status::internal("uninitialized StatusOr");
+  Status status_;  // OK when holding a value
 };
 
 }  // namespace dc

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "snapshot/format.hpp"
+#include "util/fsio.hpp"
+#include "util/strings.hpp"
 #include "util/time.hpp"
 
 namespace dc::obs {
@@ -281,6 +287,280 @@ TEST(TraceSummary, CountsCategoriesAndSpans) {
 TEST(TraceJson, RejectsMalformedInput) {
   EXPECT_FALSE(parse_chrome_json("not json").is_ok());
   EXPECT_FALSE(parse_chrome_json("{\"displayTimeUnit\":\"ms\"}").is_ok());
+}
+
+// A parse rendered as one line: "OK" and then each event, its strings
+// JSON-escaped, or the exact error text.
+std::string verdict_of(std::string_view json) {
+  auto parsed = parse_chrome_json(json);
+  if (!parsed.is_ok()) return parsed.status().to_string();
+  std::string out = "OK";
+  for (const auto& event : *parsed) {
+    out += " | ";
+    out += event.phase;
+    out += ' ';
+    append_json_escaped(out, event.category);
+    out += '/';
+    append_json_escaped(out, event.name);
+    out += '@';
+    append_json_escaped(out, event.actor);
+    out += str_format(" ts=%lld dur=%lld a0=%lld a1=%lld",
+                      static_cast<long long>(event.ts_us),
+                      static_cast<long long>(event.dur_us),
+                      static_cast<long long>(event.a0),
+                      static_cast<long long>(event.a1));
+  }
+  return out;
+}
+
+// Every seed of trace_json_fuzzer's corpus: file name and verdict.
+struct CorpusPin {
+  const char* file;
+  const char* verdict;
+};
+const std::vector<CorpusPin>& corpus_pins() {
+  static const std::vector<CorpusPin> pins = {
+      {"empty.json",
+       "INVALID_ARGUMENT: trace json: expected top-level object near offset 0"},
+      {"escaped_names.json",
+       "OK | i job/say \\\"hi\\\" \\\\ ok@tab\\there\\nnl\\rcr ts=1000000 dur=0 "
+       "a0=9223372036854775807 a1=-9223372036854775808"
+       " | X log/ctl\\u0001\\u001f@caf\xc3\xa9 \xe2\x9c\x93 ts=2000000 "
+       "dur=3000000 a0=-8 a1=0"},
+      {"mutated_key.json",
+       "OK | i /thread_name@tid2 ts=0 dur=0 a0=0 a1=0"
+       " | i job/job.submit@tid2 ts=0 dur=0 a0=1 a1=0"
+       " | X kernel/sweep_chunk@kernel ts=1000000000000 dur=2000000000000 "
+       "a0=7 a1=8"
+       " | i job/job.finish@tid2 ts=3000000000000 dur=0 a0=1 a1=0"},
+      {"not_json.json",
+       "INVALID_ARGUMENT: trace json: expected top-level object near offset 0"},
+      {"truncated.json",
+       "INVALID_ARGUMENT: trace json: expected ',' or '}' near offset 348"},
+      {"valid_export.json",
+       "OK | i job/job.submit@NASA ts=0 dur=0 a0=1 a1=0"
+       " | X kernel/sweep_chunk@kernel ts=1000000000000 dur=2000000000000 "
+       "a0=7 a1=8"
+       " | i job/job.finish@NASA ts=3000000000000 dur=0 a0=1 a1=0"},
+      {"whitespace_everywhere.json",
+       "OK | X job/job.run@NASA ts=-5 dur=7 a0=-1 a1=2"
+       " | i job/job.submit@tid3 ts=0 dur=0 a0=0 a1=0"},
+  };
+  return pins;
+}
+
+TEST(TraceJson, EveryCorpusSeedHasAPinnedVerdict) {
+  std::set<std::string> pinned;
+  for (const auto& pin : corpus_pins()) pinned.insert(pin.file);
+  std::set<std::string> seeds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DC_TRACE_JSON_CORPUS_DIR)) {
+    seeds.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(seeds, pinned);
+  for (const auto& pin : corpus_pins()) {
+    SCOPED_TRACE(pin.file);
+    auto bytes =
+        read_file(std::string(DC_TRACE_JSON_CORPUS_DIR) + "/" + pin.file);
+    ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
+    EXPECT_EQ(verdict_of(*bytes), pin.verdict);
+  }
+}
+
+// The reader's grammar, offsets and error texts, input by input: each
+// truncation depth, the escapes, the integer edges and the shapes a
+// hand-edited trace gets wrong.
+TEST(TraceJson, MalformedInputsHavePinnedVerdicts) {
+  struct Pin {
+    const char* label;
+    std::string input;
+    std::string verdict;
+  };
+  const std::string head = R"({"traceEvents":[)";
+  const std::string record = R"({"ph":"i","tid":1,"ts":5,"name":"a",)"
+                             R"("cat":"job","args":{"a0":1,"a1":2}})";
+  const auto with_ts = [&](const std::string& ts) {
+    return head + R"({"ph":"i","ts":)" + ts + "}]}";
+  };
+  // Error texts all start so; the offset is where the reader stood.
+  const auto error = [](const std::string& what) {
+    return "INVALID_ARGUMENT: trace json: " + what;
+  };
+  const std::string unnamed = " | i /@tid0 ts=";
+  const std::vector<Pin> pins = {
+      {"an array at top level", "[]",
+       error("expected top-level object near offset 0")},
+      {"cut after the top-level brace", "{",
+       error("expected string near offset 1")},
+      {"cut after a top-level key", R"({"traceEvents")",
+       error("expected ':' near offset 14")},
+      {"cut after a top-level colon", R"({"traceEvents":)",
+       error("expected traceEvents array near offset 15")},
+      {"cut inside traceEvents", head,
+       error("expected record object near offset 16")},
+      {"cut inside a record", head + "{",
+       error("expected string near offset 17")},
+      {"cut after a record key", head + R"({"ph")",
+       error("expected ':' near offset 21")},
+      {"cut after a record colon", head + R"({"ph":)",
+       error("expected integer near offset 22")},
+      {"cut inside a string", head + R"({"ph":"i)",
+       error("unterminated string near offset 24")},
+      {"cut after a record value", head + R"({"ph":"i")",
+       error("expected ',' or '}' near offset 25")},
+      {"cut inside an integer", head + R"({"ts":12)",
+       error("expected ',' or '}' near offset 24")},
+      {"cut inside args", head + R"({"args":{)",
+       error("expected string near offset 25")},
+      {"cut after an args key", head + R"({"args":{"a0")",
+       error("expected ':' near offset 29")},
+      {"cut after an args value", head + R"({"args":{"a0":1)",
+       error("expected ',' or '}' in args near offset 31")},
+      {"cut after args", head + R"({"args":{"a0":1})",
+       error("expected ',' or '}' near offset 32")},
+      {"cut after a record", head + R"({"ph":"i"})",
+       error("expected ',' or ']' in traceEvents near offset 26")},
+      {"cut after traceEvents", head + R"({"ph":"i"}])",
+       error("expected ',' or '}' at top level near offset 27")},
+      {"cut after a backslash", head + R"({"name":"a\)",
+       error("unterminated string near offset 27")},
+      {"cut inside a \\u escape", head + R"({"name":"\u00)",
+       error("bad \\u escape near offset 27")},
+      {"escape \\q", head + R"({"name":"a\qb"}]})",
+       error("unsupported escape near offset 28")},
+      {"escape \\u00zz", head + R"({"name":"a\u00zzb"}]})",
+       error("bad \\u escape near offset 31")},
+      {"escape \\u0041", head + R"({"name":"x\u0041y"}]})",
+       "OK | i /xAy@tid0 ts=0 dur=0 a0=0 a1=0"},
+      {"an escaped key", R"({"trace\u0045vents":[)" + record + "]}",
+       "OK | i job/a@tid1 ts=5 dur=0 a0=1 a1=2"},
+      {"a lone minus", with_ts("-"), error("bad integer near offset 32")},
+      {"a plus sign", with_ts("+1"), error("expected integer near offset 31")},
+      {"a fraction", with_ts("1.5"),
+       error("expected ',' or '}' near offset 32")},
+      {"leading zeros", with_ts("007"), "OK" + unnamed + "7 dur=0 a0=0 a1=0"},
+      {"minus zero", with_ts("-0"), "OK" + unnamed + "0 dur=0 a0=0 a1=0"},
+      {"INT64_MIN", with_ts("-9223372036854775808"),
+       "OK" + unnamed + "-9223372036854775808 dur=0 a0=0 a1=0"},
+      {"INT64_MAX", with_ts("9223372036854775807"),
+       "OK" + unnamed + "9223372036854775807 dur=0 a0=0 a1=0"},
+      {"INT64_MIN - 1", with_ts("-9223372036854775809"),
+       error("bad integer near offset 51")},
+      {"INT64_MAX + 1", with_ts("9223372036854775808"),
+       error("bad integer near offset 50")},
+      {"31 characters", with_ts(std::string(30, '0') + "7"),
+       "OK" + unnamed + "7 dur=0 a0=0 a1=0"},
+      {"32 characters", with_ts(std::string(31, '0') + "7"),
+       error("bad integer near offset 63")},
+      {"33 characters", with_ts(std::string(32, '0') + "7"),
+       error("bad integer near offset 64")},
+      {"32 characters with a minus", with_ts("-" + std::string(30, '0') + "7"),
+       error("bad integer near offset 63")},
+      {"40 zeros then 7", with_ts(std::string(40, '0') + "7"),
+       error("bad integer near offset 72")},
+      {"a trailing comma in traceEvents", head + record + ",]}",
+       error("expected record object near offset 88")},
+      {"a trailing comma in a record", head + R"({"ph":"i",}]})",
+       error("expected string near offset 26")},
+      {"a trailing comma in args", head + R"({"args":{"a0":1,}}]})",
+       error("expected string near offset 32")},
+      {"a trailing comma at top level", R"({"traceEvents":[],})",
+       error("expected string near offset 18")},
+      {"args as an array", head + R"({"args":[1,2]}]})",
+       error("expected args object near offset 24")},
+      {"a missing comma in a record", head + R"({"ph":"i" "name":"a"}]})",
+       error("expected ',' or '}' near offset 26")},
+      {"a missing comma between records", head + record + record + "]}",
+       error("expected ',' or ']' in traceEvents near offset 87")},
+      {"no traceEvents", R"({"displayTimeUnit":"ms"})",
+       error("no traceEvents")},
+      {"an integer top-level value",
+       R"({"displayTimeUnit":5,"traceEvents":[]})",
+       error("expected string near offset 19")},
+      {"an empty object", "{}", error("expected string near offset 1")},
+      {"bytes after the top-level object", R"({"traceEvents":[]} trailing)",
+       "OK"},
+      {"a tid without thread_name",
+       head + R"({"ph":"i","tid":7,"name":"a"}]})",
+       "OK | i /a@tid7 ts=0 dur=0 a0=0 a1=0"},
+      {"thread names apply from their record on",
+       head +
+           R"({"ph":"M","tid":7,"name":"process_name","args":{"name":"x"}},)"
+           R"({"ph":"i","tid":7,"name":"a"},)"
+           R"({"ph":"M","tid":7,"name":"thread_name","args":{"name":"p"}},)"
+           R"({"ph":"X","tid":7,"name":"b","dur":4}]})",
+       "OK | i /a@tid7 ts=0 dur=0 a0=0 a1=0 | X /b@p ts=0 dur=4 a0=0 a1=0"},
+      {"an empty record and an unknown phase",
+       head + R"({},{"ph":"B","name":"b"}]})",
+       "OK" + unnamed + "0 dur=0 a0=0 a1=0 | i /b@tid0 ts=0 dur=0 a0=0 a1=0"},
+      {"values of the other type are skipped",
+       head +
+           R"({"ph":"M","tid":1,"name":"thread_name","args":{"name":5}},)"
+           R"({"ph":"i","tid":1,"args":{"a0":"x","a1":3}}]})",
+       "OK | i /@ ts=0 dur=0 a0=0 a1=3"},
+      {"the last duplicate key wins",
+       head + R"({"ph":"X","ph":"i","name":"a","name":"b"}]})",
+       "OK | i /b@tid0 ts=0 dur=0 a0=0 a1=0"},
+      {"two traceEvents arrays",
+       R"({"traceEvents":[)" + record + R"(],"traceEvents":[)" + record + "]}",
+       "OK | i job/a@tid1 ts=5 dur=0 a0=1 a1=2"
+       " | i job/a@tid1 ts=5 dur=0 a0=1 a1=2"},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(pin.label);
+    EXPECT_EQ(verdict_of(pin.input), pin.verdict) << pin.input;
+  }
+}
+
+// Names that need every kind of escape, and UTF-8, which needs none.
+TraceSink escaped_names_sink() {
+  TraceSink sink;
+  sink.instant(1, TraceCategory::kJob, "say \"hi\" \\ ok", "tab\there\nnl\rcr",
+               std::numeric_limits<std::int64_t>::max(),
+               std::numeric_limits<std::int64_t>::min());
+  sink.span(2, 3, TraceCategory::kLog, "ctl\x01\x1f",
+            "caf\xc3\xa9 \xe2\x9c\x93", -8, 0);
+  return sink;
+}
+
+TEST(TraceSink, ChromeJsonEscapesNamesToPinnedBytes) {
+  const std::string json = escaped_names_sink().chrome_json();
+  EXPECT_EQ(json,
+            R"({"displayTimeUnit":"ms","traceEvents":[)" "\n"
+            R"({"ph":"M","pid":1,"tid":2,"name":"thread_name",)"
+            R"("args":{"name":"tab\there\nnl\rcr"}},)" "\n"
+            R"({"ph":"M","pid":1,"tid":4,"name":"thread_name",)"
+            R"("args":{"name":"caf)" "\xc3\xa9 \xe2\x9c\x93" R"("}},)" "\n"
+            R"({"ph":"i","pid":1,"tid":2,"ts":1000000,"s":"t",)"
+            R"("name":"say \"hi\" \\ ok","cat":"job",)"
+            R"("args":{"a0":9223372036854775807,"a1":-9223372036854775808}},)"
+            "\n"
+            R"({"ph":"X","pid":1,"tid":4,"ts":2000000,"dur":3000000,)"
+            R"("name":"ctl\u0001\u001f","cat":"log","args":{"a0":-8,"a1":0}})"
+            "\n]}\n");
+  // The corpus seed is this export, so the fuzz replay runs the escapes.
+  auto seed = read_file(std::string(DC_TRACE_JSON_CORPUS_DIR) +
+                        "/escaped_names.json");
+  ASSERT_TRUE(seed.is_ok()) << seed.status().to_string();
+  EXPECT_EQ(*seed, json);
+}
+
+TEST(TraceSink, EscapedNamesRoundTripThroughParser) {
+  auto parsed = parse_chrome_json(escaped_names_sink().chrome_json());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  ASSERT_EQ(parsed->size(), 2u);
+  const auto& first = (*parsed)[0];
+  EXPECT_EQ(first.name, "say \"hi\" \\ ok");
+  EXPECT_EQ(first.actor, "tab\there\nnl\rcr");
+  EXPECT_EQ(first.category, "job");
+  EXPECT_EQ(first.a0, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(first.a1, std::numeric_limits<std::int64_t>::min());
+  const auto& second = (*parsed)[1];
+  EXPECT_EQ(second.name, "ctl\x01\x1f");
+  EXPECT_EQ(second.actor, "caf\xc3\xa9 \xe2\x9c\x93");
+  EXPECT_EQ(second.phase, 'X');
+  EXPECT_EQ(second.dur_us, 3000000);
+  EXPECT_EQ(second.a0, -8);
 }
 
 TEST(TraceMacros, NullSinkIsANoOp) {

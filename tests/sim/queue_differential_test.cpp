@@ -205,8 +205,10 @@ struct Driver {
                       .value();
     const std::size_t rest = chain.times.size() - chain.next - 1;
     if (rest > 0) {
-      chain.reservation = sim.restore_reservation(
-          queued_seq + 1, static_cast<std::uint32_t>(rest));
+      chain.reservation =
+          sim.restore_reservation(queued_seq + 1,
+                                  static_cast<std::uint32_t>(rest))
+              .value();
     }
     for (std::size_t i = chain.next; i < chain.times.size(); ++i) {
       ref.add({chain.times[i], chain.first_seq + i});

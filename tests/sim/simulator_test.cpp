@@ -231,8 +231,10 @@ TEST(Callbacks, ScheduleFromCallbackAtCurrentTimestamp) {
 
 TEST(SimulatorRestore, RefusesForgedEventIdentitiesWithTypedErrors) {
   // A snapshot at t=100 whose kernel drew seqs 1..9: a re-armed event must
-  // lie at or after t=100 on one of those seqs, and a timer's period must
-  // be positive. Anything else is an invalid_argument, never an abort.
+  // lie at or after t=100 on one of those seqs, a timer's period must be
+  // positive, and a re-registered reservation must hold at least one of
+  // those seqs and no other. Anything else is an invalid_argument, never
+  // an abort.
   Simulator sim;
   sim.begin_restore(100, 10, 0);
   const auto noop = [] {};
@@ -248,6 +250,12 @@ TEST(SimulatorRestore, RefusesForgedEventIdentitiesWithTypedErrors) {
       {"a timer period of 0", sim.restore_periodic(200, 3, 0, tick).status()},
       {"a negative timer period",
        sim.restore_periodic(200, 3, -60, tick).status()},
+      {"an empty reservation", sim.restore_reservation(3, 0).status()},
+      {"a reservation from seq 0", sim.restore_reservation(0, 2).status()},
+      {"a reservation past the next seq",
+       sim.restore_reservation(9, 2).status()},
+      {"a reservation past u32",
+       sim.restore_reservation(0xfffffffeu, 4).status()},
   };
   for (const auto& [what, status] : refused) {
     SCOPED_TRACE(what);
@@ -258,6 +266,11 @@ TEST(SimulatorRestore, RefusesForgedEventIdentitiesWithTypedErrors) {
   EXPECT_TRUE(sim.restore_event(100, 9, noop).is_ok());
   EXPECT_TRUE(sim.restore_periodic(100, 1, 60, tick).is_ok());
   EXPECT_TRUE(sim.finish_restore(2).is_ok());
+  // A reservation may span every seq the kernel drew, [1, next_seq).
+  Simulator reserved;
+  reserved.begin_restore(100, 10, 0);
+  EXPECT_TRUE(reserved.restore_reservation(1, 9).is_ok());
+  EXPECT_TRUE(reserved.finish_restore(9).is_ok());
 }
 
 class SimulatorOrderingProperty : public ::testing::TestWithParam<std::uint64_t> {};

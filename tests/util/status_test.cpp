@@ -38,6 +38,12 @@ TEST(StatusOr, HoldsValue) {
   EXPECT_EQ(*result, 42);
 }
 
+TEST(StatusOr, StatusOfAValueIsOk) {
+  const StatusOr<std::string> result(std::string("a value"));
+  EXPECT_TRUE(result.status().is_ok());
+  EXPECT_EQ(result.status().to_string(), "OK");
+}
+
 TEST(StatusOr, HoldsError) {
   StatusOr<int> result(Status::not_found("missing"));
   EXPECT_FALSE(result.is_ok());
