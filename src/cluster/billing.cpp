@@ -79,13 +79,34 @@ double AdjustmentMeter::overhead_seconds_per_hour(SimTime horizon) const {
 
 template <class Io>
 Status LeaseLedger::persist(Io& io) {
-  const auto each_lease = [&](Lease& lease) -> Status {
-    if (auto st = io.i64("nodes", lease.nodes); !st.is_ok()) return st;
-    if (auto st = io.i64("start", lease.start); !st.is_ok()) return st;
-    if (auto st = io.i64("end", lease.end); !st.is_ok()) return st;
-    return io.str("tag", lease.tag);
+  // Leases up to the first that is open or ends after the save are
+  // history: a closed lease changes only while its end is still ahead.
+  const auto lease_rows = [&](Io& h, std::uint64_t first,
+                              std::uint64_t end) -> Status {
+    if constexpr (!Io::kSaving) leases_.resize(end);
+    for (std::uint64_t i = first; i < end; ++i) {
+      Lease& lease = leases_[i];
+      if (auto st = h.i64("nodes", lease.nodes); !st.is_ok()) return st;
+      if (auto st = h.i64("start", lease.start); !st.is_ok()) return st;
+      if (auto st = h.i64("end", lease.end); !st.is_ok()) return st;
+      if (auto st = h.str("tag", lease.tag); !st.is_ok()) return st;
+    }
+    return Status::ok();
   };
-  return snapshot::list(io, "lease_count", leases_, each_lease);
+  std::uint64_t lease_count = leases_.size();
+  std::uint64_t final_leases = 0;
+  if constexpr (Io::kSaving) {
+    const SimTime now = io.history_boundary();
+    while (final_leases < leases_.size() &&
+           leases_[final_leases].end != kNever &&
+           leases_[final_leases].end <= now) {
+      ++final_leases;
+    }
+  } else {
+    leases_.clear();
+  }
+  return snapshot::table(io, "lease_count", "leases", lease_count,
+                         final_leases, lease_rows);
 }
 
 Status LeaseLedger::save(snapshot::SnapshotWriter& writer) const {
@@ -101,11 +122,20 @@ Status AdjustmentMeter::persist(Io& io) {
   if (auto st = io.i64("total_adjusted_nodes", total_); !st.is_ok()) {
     return st;
   }
-  const auto each_event = [&](Adjustment& event) -> Status {
-    if (auto st = io.i64("time", event.time); !st.is_ok()) return st;
-    return io.i64("nodes", event.nodes);
+  // Adjustments are only ever appended: every one is history.
+  const auto event_rows = [&](Io& h, std::uint64_t first,
+                              std::uint64_t end) -> Status {
+    if constexpr (!Io::kSaving) events_.resize(end);
+    for (std::uint64_t i = first; i < end; ++i) {
+      if (auto st = h.i64("time", events_[i].time); !st.is_ok()) return st;
+      if (auto st = h.i64("nodes", events_[i].nodes); !st.is_ok()) return st;
+    }
+    return Status::ok();
   };
-  return snapshot::list(io, "event_count", events_, each_event);
+  std::uint64_t event_count = events_.size();
+  if constexpr (!Io::kSaving) events_.clear();
+  return snapshot::table(io, "event_count", "adjustments", event_count,
+                         events_.size(), event_rows);
 }
 
 Status AdjustmentMeter::save(snapshot::SnapshotWriter& writer) const {

@@ -63,11 +63,23 @@ template <class Io>
 Status UsageRecorder::persist(Io& io) {
   if (auto st = io.i64("current", current_); !st.is_ok()) return st;
   if (auto st = io.i64("peak", peak_); !st.is_ok()) return st;
-  const auto each_breakpoint = [&](Breakpoint& bp) -> Status {
-    if (auto st = io.i64("time", bp.time); !st.is_ok()) return st;
-    return io.i64("level", bp.level);
+  // A save falls between instants, after the last change at its own, so
+  // every breakpoint is final: all of them are history.
+  const auto breakpoint_rows = [&](Io& h, std::uint64_t first,
+                                   std::uint64_t end) -> Status {
+    if constexpr (!Io::kSaving) breakpoints_.resize(end);
+    for (std::uint64_t i = first; i < end; ++i) {
+      Breakpoint& bp = breakpoints_[i];
+      if (auto st = h.i64("time", bp.time); !st.is_ok()) return st;
+      if (auto st = h.i64("level", bp.level); !st.is_ok()) return st;
+    }
+    return Status::ok();
   };
-  return snapshot::list(io, "breakpoint_count", breakpoints_, each_breakpoint);
+  std::uint64_t breakpoint_count = breakpoints_.size();
+  if constexpr (!Io::kSaving) breakpoints_.clear();
+  return snapshot::table(io, "breakpoint_count", "breakpoints",
+                         breakpoint_count, breakpoints_.size(),
+                         breakpoint_rows);
 }
 
 Status UsageRecorder::save(snapshot::SnapshotWriter& writer) const {

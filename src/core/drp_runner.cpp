@@ -378,9 +378,28 @@ Status DrpRunner::persist(Io& io) {
   if (auto st = io.section("ledger", ledger_); !st.is_ok()) return st;
   if (auto st = io.section("held", held_); !st.is_ok()) return st;
 
-  const auto each_run = [&](WorkflowRun& run) -> Status {
-    if (auto st = persist_dag(io, run.dag, name_,
-                              {{"pending_parents", &run.pending_parents}});
+  // A submitted workflow's DAG never changes: the DAGs are history, and
+  // the rest of each run is live.
+  const auto dag_rows = [&](Io& h, std::uint64_t first,
+                            std::uint64_t end) -> Status {
+    if constexpr (!Io::kSaving) runs_.resize(end);
+    for (std::uint64_t i = first; i < end; ++i) {
+      if (auto st = persist_dag(h, runs_[i].dag, name_); !st.is_ok()) {
+        return st;
+      }
+    }
+    return Status::ok();
+  };
+  std::uint64_t run_count = runs_.size();
+  if constexpr (!Io::kSaving) runs_.clear();
+  if (auto st = snapshot::table(io, "run_count", "workflows", run_count,
+                                runs_.size(), dag_rows);
+      !st.is_ok()) {
+    return st;
+  }
+  for (WorkflowRun& run : runs_) {
+    if (auto st = persist_task_counter(io, "pending_parents", name_,
+                                       run.dag.size(), run.pending_parents);
         !st.is_ok()) {
       return st;
     }
@@ -394,11 +413,9 @@ Status DrpRunner::persist(Io& io) {
         !st.is_ok()) {
       return st;
     }
-    return io.i64("submitted_at", run.submitted);
-  };
-  if (auto st = snapshot::list(io, "run_count", runs_, each_run);
-      !st.is_ok()) {
-    return st;
+    if (auto st = io.i64("submitted_at", run.submitted); !st.is_ok()) {
+      return st;
+    }
   }
 
   const auto each_active = [&](ActiveWork& work) -> Status {

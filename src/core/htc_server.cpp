@@ -543,55 +543,79 @@ Status HtcServer::persist(Io& io) {
   if (auto st = io.i64("in_setup", in_setup_); !st.is_ok()) return st;
   if (auto st = io.i64("down", down_); !st.is_ok()) return st;
 
-  // The job table: one packed column per field, job_count values each.
-  typename Io::Column submit, runtime, nodes, task_id, state, start, finish,
-      retries, completed_work;
-  if constexpr (Io::kSaving) {
-    for (const sched::Job& job : jobs_) {
-      submit.push(job.submit);
-      runtime.push(job.runtime);
-      nodes.push(job.nodes);
-      task_id.push(job.task_id);
-      state.push(static_cast<std::int64_t>(job.state));
-      start.push(job.start);
-      finish.push(job.finish);
-      retries.push(job.retries);
-      completed_work.push(job.completed_work);
+  // The job table: one packed column per field. Its rows up to the first
+  // job still in flight (completed or failed jobs never change again) are
+  // history; the rest are live.
+  const auto job_rows = [&](Io& h, std::uint64_t first,
+                            std::uint64_t end) -> Status {
+    typename Io::Column submit, runtime, nodes, task_id, state, start, finish,
+        retries, completed_work;
+    if constexpr (Io::kSaving) {
+      for (std::uint64_t i = first; i < end; ++i) {
+        const sched::Job& job = jobs_[i];
+        submit.push(job.submit);
+        runtime.push(job.runtime);
+        nodes.push(job.nodes);
+        task_id.push(job.task_id);
+        state.push(static_cast<std::int64_t>(job.state));
+        start.push(job.start);
+        finish.push(job.finish);
+        retries.push(job.retries);
+        completed_work.push(job.completed_work);
+      }
     }
-  }
+    const std::pair<const char*, typename Io::Column*> columns[] = {
+        {"submit", &submit},   {"runtime", &runtime},
+        {"nodes", &nodes},     {"task_id", &task_id},
+        {"state", &state},     {"start", &start},
+        {"finish", &finish},   {"retries", &retries},
+        {"completed_work", &completed_work}};
+    for (const auto& [name, column] : columns) {
+      if (auto st = h.column(name, end - first, *column); !st.is_ok()) {
+        return st;
+      }
+    }
+    if constexpr (!Io::kSaving) {
+      for (std::size_t i = 0; i < end - first; ++i) {
+        if (state[i] < 0 ||
+            state[i] > static_cast<std::int64_t>(sched::JobState::kFailed)) {
+          return Status::invalid_argument(
+              config_.name + ": bad job state " + std::to_string(state[i]) +
+              " (" + h.context() + ")");
+        }
+        sched::Job job;
+        job.id = static_cast<sched::JobId>(jobs_.size());
+        job.submit = submit[i];
+        job.runtime = runtime[i];
+        job.nodes = nodes[i];
+        job.task_id = task_id[i];
+        job.state = static_cast<sched::JobState>(state[i]);
+        job.start = start[i];
+        job.finish = finish[i];
+        job.retries = static_cast<std::int32_t>(retries[i]);
+        job.completed_work = completed_work[i];
+        jobs_.push_back(job);
+      }
+    }
+    return Status::ok();
+  };
   std::uint64_t job_count = jobs_.size();
-  if (auto st = io.count("job_count", job_count); !st.is_ok()) return st;
-  const std::pair<const char*, typename Io::Column*> columns[] = {
-      {"submit", &submit},   {"runtime", &runtime},
-      {"nodes", &nodes},     {"task_id", &task_id},
-      {"state", &state},     {"start", &start},
-      {"finish", &finish},   {"retries", &retries},
-      {"completed_work", &completed_work}};
-  for (const auto& [name, column] : columns) {
-    if (auto st = io.column(name, job_count, *column); !st.is_ok()) return st;
+  std::uint64_t final_jobs = 0;
+  if constexpr (Io::kSaving) {
+    while (final_jobs < jobs_.size() &&
+           (jobs_[final_jobs].state == sched::JobState::kCompleted ||
+            jobs_[final_jobs].state == sched::JobState::kFailed)) {
+      ++final_jobs;
+    }
+  } else {
+    jobs_.clear();
+  }
+  if (auto st = snapshot::table(io, "job_count", "jobs", job_count, final_jobs,
+                                job_rows);
+      !st.is_ok()) {
+    return st;
   }
   if constexpr (!Io::kSaving) {
-    jobs_.clear();
-    jobs_.reserve(job_count);
-    for (std::size_t i = 0; i < job_count; ++i) {
-      if (state[i] < 0 ||
-          state[i] > static_cast<std::int64_t>(sched::JobState::kFailed)) {
-        return Status::invalid_argument(config_.name + ": bad job state " +
-                                        std::to_string(state[i]));
-      }
-      sched::Job job;
-      job.id = static_cast<sched::JobId>(i);
-      job.submit = submit[i];
-      job.runtime = runtime[i];
-      job.nodes = nodes[i];
-      job.task_id = task_id[i];
-      job.state = static_cast<sched::JobState>(state[i]);
-      job.start = start[i];
-      job.finish = finish[i];
-      job.retries = static_cast<std::int32_t>(retries[i]);
-      job.completed_work = completed_work[i];
-      jobs_.push_back(job);
-    }
     completion_events_.assign(jobs_.size(), sim::kInvalidEvent);
   }
 

@@ -180,22 +180,43 @@ double MtcServer::tasks_per_second(SimTime horizon) const {
 
 template <class Io>
 Status TriggerMonitor::persist(Io& io) {
+  // A registered workflow's DAG never changes: the DAGs are history, and
+  // each workflow's readiness counters are live.
+  const auto dag_rows = [&](Io& h, std::uint64_t first,
+                            std::uint64_t end) -> Status {
+    for (std::uint64_t wf = first; wf < end; ++wf) {
+      if constexpr (!Io::kSaving) {
+        dags_.push_back(std::make_unique<workflow::Dag>());
+      }
+      if (auto st = persist_dag(h, *dags_[wf], "trigger monitor");
+          !st.is_ok()) {
+        return st;
+      }
+    }
+    return Status::ok();
+  };
   std::uint64_t workflow_count = dags_.size();
-  if (auto st = io.count("workflow_count", workflow_count); !st.is_ok()) {
+  if constexpr (!Io::kSaving) dags_.clear();
+  if (auto st = snapshot::table(io, "workflow_count", "workflows",
+                                workflow_count, dags_.size(), dag_rows);
+      !st.is_ok()) {
     return st;
   }
   if constexpr (!Io::kSaving) {
-    dags_.clear();
-    dags_.resize(workflow_count);
     pending_parents_.assign(workflow_count, {});
     pending_triggers_.assign(workflow_count, {});
     remaining_.assign(workflow_count, 0);
   }
   for (std::size_t wf = 0; wf < workflow_count; ++wf) {
-    if constexpr (!Io::kSaving) dags_[wf] = std::make_unique<workflow::Dag>();
-    if (auto st = persist_dag(io, *dags_[wf], "trigger monitor",
-                              {{"pending_parents", &pending_parents_[wf]},
-                               {"pending_triggers", &pending_triggers_[wf]}});
+    const std::size_t tasks = dags_[wf]->size();
+    if (auto st = persist_task_counter(io, "pending_parents", "trigger monitor",
+                                       tasks, pending_parents_[wf]);
+        !st.is_ok()) {
+      return st;
+    }
+    if (auto st = persist_task_counter(io, "pending_triggers",
+                                       "trigger monitor", tasks,
+                                       pending_triggers_[wf]);
         !st.is_ok()) {
       return st;
     }
@@ -238,28 +259,37 @@ template <class Io>
 Status MtcServer::persist(Io& io) {
   if (auto st = HtcServer::persist(io); !st.is_ok()) return st;
   if (auto st = io.section("monitor", monitor_); !st.is_ok()) return st;
-  const auto each_ref = [&](TaskRef& ref) -> Status {
-    if (auto st = io.u64("ref_wf", ref.wf); !st.is_ok()) return st;
-    if constexpr (!Io::kSaving) {
-      if (ref.wf >= monitor_.workflow_count()) {
-        return Status::invalid_argument(name() + ": task ref on workflow " +
-                                        std::to_string(ref.wf) +
-                                        " out of range");
+  // A task ref is written once, when its job is made: every ref is history.
+  const auto ref_rows = [&](Io& h, std::uint64_t first,
+                            std::uint64_t end) -> Status {
+    if constexpr (!Io::kSaving) task_refs_.resize(end);
+    for (std::uint64_t i = first; i < end; ++i) {
+      TaskRef& ref = task_refs_[i];
+      if (auto st = h.u64("ref_wf", ref.wf); !st.is_ok()) return st;
+      if constexpr (!Io::kSaving) {
+        if (ref.wf >= monitor_.workflow_count()) {
+          return Status::invalid_argument(
+              name() + ": task ref on workflow " + std::to_string(ref.wf) +
+              " out of range (" + h.context() + ")");
+        }
       }
-    }
-    if (auto st = io.i64("ref_task", ref.task); !st.is_ok()) return st;
-    if constexpr (!Io::kSaving) {
-      const std::size_t tasks = monitor_.dag(ref.wf).size();
-      if (ref.task < 0 || static_cast<std::uint64_t>(ref.task) >= tasks) {
-        return Status::invalid_argument(
-            name() + ": task ref to task " + std::to_string(ref.task) +
-            " beyond workflow " + std::to_string(ref.wf) + "'s " +
-            std::to_string(tasks) + " tasks");
+      if (auto st = h.i64("ref_task", ref.task); !st.is_ok()) return st;
+      if constexpr (!Io::kSaving) {
+        const std::size_t tasks = monitor_.dag(ref.wf).size();
+        if (ref.task < 0 || static_cast<std::uint64_t>(ref.task) >= tasks) {
+          return Status::invalid_argument(
+              name() + ": task ref to task " + std::to_string(ref.task) +
+              " beyond workflow " + std::to_string(ref.wf) + "'s " +
+              std::to_string(tasks) + " tasks (" + h.context() + ")");
+        }
       }
     }
     return Status::ok();
   };
-  return snapshot::list(io, "task_ref_count", task_refs_, each_ref);
+  std::uint64_t ref_count = task_refs_.size();
+  if constexpr (!Io::kSaving) task_refs_.clear();
+  return snapshot::table(io, "task_ref_count", "task_refs", ref_count,
+                         task_refs_.size(), ref_rows);
 }
 
 Status MtcServer::save(snapshot::SnapshotWriter& writer) const {

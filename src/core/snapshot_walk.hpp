@@ -1,8 +1,8 @@
 // Snapshot walk helpers shared by the core components (docs/SNAPSHOT.md,
 // "One walk per component"): the records of a pending event or timer, an
-// append-only event registry, and a workflow DAG. Each runs over a
-// SnapshotWriter to save and over a SnapshotReader to restore, like the
-// component walks that call them.
+// append-only event registry, a workflow DAG and a per-task counter. Each
+// runs over a SnapshotWriter to save and over a SnapshotReader to restore,
+// like the component walks that call them.
 #pragma once
 
 #include <cstdint>
@@ -156,20 +156,14 @@ Status persist_registry(Io& io, const sim::Simulator& simulator,
   return Status::ok();
 }
 
-/// One per-task counter of a DAG's owner, recorded after each task's edges.
-struct TaskCounters {
-  std::string_view name;
-  std::vector<std::size_t>* values;
-};
-
 /// A workflow DAG's records: task_count; each task's name, runtime and
-/// nodes; then per task its edges (child_count, then each child) and its
-/// value of every counter. Restoring adds the tasks and edges to `dag`
-/// (which must be empty) and sizes the counters to the task count; an
-/// edge to a task beyond the DAG is refused naming `owner`.
+/// nodes; then per task its edges (child_count, then each child). A DAG
+/// never changes once submitted, so its owner walks it as a history row.
+/// Restoring adds the tasks and edges to `dag` (which must be empty); a
+/// runtime or node count below 1, an edge to itself or to a task beyond
+/// the DAG, and a cycle are refused naming `owner`.
 template <class Io>
-Status persist_dag(Io& io, workflow::Dag& dag, const std::string& owner,
-                   std::initializer_list<TaskCounters> counters) {
+Status persist_dag(Io& io, workflow::Dag& dag, const std::string& owner) {
   std::uint64_t task_count = dag.size();
   if (Status st = io.count("task_count", task_count); !st.is_ok()) return st;
   for (std::uint64_t t = 0; t < task_count; ++t) {
@@ -180,12 +174,13 @@ Status persist_dag(Io& io, workflow::Dag& dag, const std::string& owner,
     if (Status st = io.i64("runtime", task.runtime); !st.is_ok()) return st;
     if (Status st = io.i64("nodes", task.nodes); !st.is_ok()) return st;
     if constexpr (!Io::kSaving) {
+      if (task.runtime < 1 || task.nodes < 1) {
+        return Status::invalid_argument(
+            owner + ": workflow task " + std::to_string(t) + " has runtime " +
+            std::to_string(task.runtime) + " and " +
+            std::to_string(task.nodes) + " nodes (" + io.context() + ")");
+      }
       dag.add_task(std::move(task.name), task.runtime, task.nodes);
-    }
-  }
-  if constexpr (!Io::kSaving) {
-    for (const TaskCounters& counter : counters) {
-      counter.values->assign(task_count, 0);
     }
   }
   for (std::uint64_t t = 0; t < task_count; ++t) {
@@ -198,20 +193,49 @@ Status persist_dag(Io& io, workflow::Dag& dag, const std::string& owner,
       workflow::TaskId child = Io::kSaving ? dag.children(id)[c] : 0;
       if (Status st = io.i64("child", child); !st.is_ok()) return st;
       if constexpr (!Io::kSaving) {
-        if (child < 0 || static_cast<std::uint64_t>(child) >= task_count) {
+        if (child < 0 || static_cast<std::uint64_t>(child) >= task_count ||
+            child == id) {
           return Status::invalid_argument(
-              owner + ": workflow edge to task " + std::to_string(child) +
-              " beyond the workflow's " + std::to_string(task_count) +
-              " tasks");
+              owner + ": workflow edge from task " + std::to_string(id) +
+              " to task " + std::to_string(child) + " of the workflow's " +
+              std::to_string(task_count) + " tasks (" + io.context() + ")");
         }
         dag.add_dependency(id, child);
       }
     }
-    for (const TaskCounters& counter : counters) {
-      if (Status st = io.u64(counter.name, (*counter.values)[t]);
-          !st.is_ok()) {
-        return st;
+  }
+  if constexpr (!Io::kSaving) {
+    if (Status st = dag.validate(); !st.is_ok()) {
+      return Status::invalid_argument(owner + ": " + st.message() + " (" +
+                                      io.context() + ")");
+    }
+  }
+  return Status::ok();
+}
+
+/// A per-task counter of a DAG's owner as one packed column of one value
+/// per task. Restoring refuses a negative value.
+template <class Io>
+Status persist_task_counter(Io& io, std::string_view name,
+                            const std::string& owner, std::size_t tasks,
+                            std::vector<std::size_t>& values) {
+  typename Io::Column column;
+  if constexpr (Io::kSaving) {
+    for (const std::size_t value : values) {
+      column.push(static_cast<std::int64_t>(value));
+    }
+  }
+  if (Status st = io.column(name, tasks, column); !st.is_ok()) return st;
+  if constexpr (!Io::kSaving) {
+    values.assign(tasks, 0);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      if (column[t] < 0) {
+        return Status::invalid_argument(
+            owner + ": task " + std::to_string(t) + " has " +
+            std::string(name) + " " + std::to_string(column[t]) + " (" +
+            io.context() + ")");
       }
+      values[t] = static_cast<std::size_t>(column[t]);
     }
   }
   return Status::ok();

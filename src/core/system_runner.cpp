@@ -313,7 +313,7 @@ void SystemRunner::run_until(SimTime t) {
 }
 
 template <class Io>
-Status SystemRunner::persist(Io& io) {
+Status SystemRunner::persist(Io& io, Part part) {
   if constexpr (!Io::kSaving) {
     if (mode_ != Mode::kRestore) {
       return Status::failed_precondition(
@@ -358,7 +358,11 @@ Status SystemRunner::persist(Io& io) {
     }
     return Status::ok();
   };
-  if (auto st = io.section("meta", meta); !st.is_ok()) return st;
+  if (part != Part::kLive) {
+    if (auto st = io.section("meta", meta); !st.is_ok()) return st;
+    if (part == Part::kMeta) return Status::ok();
+    if (auto st = io.history_section(); !st.is_ok()) return st;
+  }
 
   SimTime now = sim_.now();
   std::uint64_t next_seq = sim_.next_seq();
@@ -377,6 +381,12 @@ Status SystemRunner::persist(Io& io) {
           str_format("kernel counters out of range (now=%lld next_seq=%llu)",
                      static_cast<long long>(now),
                      static_cast<unsigned long long>(next_seq)));
+    }
+    if (const auto last = io.last_history_boundary(); last && *last > now) {
+      return Status::invalid_argument(str_format(
+          "snapshot: its last history chunk is at t=%lld, after the "
+          "snapshot's t=%lld",
+          static_cast<long long>(*last), static_cast<long long>(now)));
     }
     sim_.begin_restore(now, static_cast<std::uint32_t>(next_seq), processed);
   }
@@ -448,7 +458,13 @@ Status SystemRunner::persist(Io& io) {
 
   if constexpr (!Io::kSaving) {
     if (auto st = sim_.finish_restore(pending); !st.is_ok()) return st;
-    return provision_->verify_waiting_restored();
+    if (auto st = provision_->verify_waiting_restored(); !st.is_ok()) {
+      return st;
+    }
+    if (auto st = io.finish_history(); !st.is_ok()) return st;
+    // Later saves continue the restored history, so they write the bytes
+    // the uninterrupted run wrote.
+    history_.seed(io);
   }
   return Status::ok();
 }
@@ -457,14 +473,32 @@ Status SystemRunner::save(snapshot::SnapshotWriter& writer) const {
   return const_cast<SystemRunner&>(*this).persist(writer);
 }
 
-Status SystemRunner::save_file(const std::string& path) const {
+Status SystemRunner::save_file(const std::string& path) {
   std::optional<obs::PhaseProfiler::Scope> timer;
   if (options_.profile != nullptr) {
     timer.emplace(options_.profile, obs::ProfilePhase::kSnapshotSave);
   }
-  snapshot::SnapshotWriter writer;
-  if (auto st = save(writer); !st.is_ok()) return st;
-  return writer.write_file(path);
+  // The run's history is walked and hashed once; each save adds the chunk
+  // of rows that became final since the last and walks only the live
+  // sections. A ring whose history has come to hold as many dropped rows
+  // as kept ones asks for a fresh history, which the second pass writes.
+  for (bool fresh = history_.empty();; fresh = true) {
+    if (history_.empty()) {
+      snapshot::SnapshotWriter head;
+      if (auto st = persist(head, Part::kMeta); !st.is_ok()) return st;
+      history_.start(std::move(head));
+    }
+    snapshot::SnapshotWriter live;
+    history_.open_chunk(sim_.now(), live);
+    if (auto st = persist(live, Part::kLive); !st.is_ok()) {
+      history_.reset();
+      return st;
+    }
+    if (!history_.rebase_requested() || fresh) {
+      return history_.write_file(path, live);
+    }
+    history_.reset();
+  }
 }
 
 Status SystemRunner::restore(snapshot::SnapshotReader& reader) {

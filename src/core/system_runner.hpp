@@ -102,16 +102,20 @@ class SystemRunner {
   void run_until(SimTime t);
 
   /// Serializes the full world state (kernel counters + every component,
-  /// one named section each). Must be called at a quiescent point.
+  /// one named section each) with an empty history: every row is live.
+  /// Must be called at a quiescent point.
   Status save(snapshot::SnapshotWriter& writer) const;
-  /// save() + checksum footer + atomic write.
-  Status save_file(const std::string& path) const;
+  /// The snapshot of this instant, written with one atomic write: the
+  /// run's history (docs/SNAPSHOT.md, "History") with a chunk of the rows
+  /// that became final since the last save, then the live sections.
+  Status save_file(const std::string& path);
 
   /// Restores into a passively built (Mode::kRestore) runner: verifies the
   /// snapshot matches this model/workload, replays the kernel counters,
   /// lets each component restore and re-arm, then checks that exactly the
   /// saved number of pending events was re-armed and that every waiting
-  /// provision request got its callback back.
+  /// provision request got its callback back. Later saves continue the
+  /// snapshot's history.
   Status restore(snapshot::SnapshotReader& reader);
   Status restore_file(const std::string& path);
 
@@ -121,8 +125,11 @@ class SystemRunner {
   SystemResult finalize();
 
  private:
+  /// The records a walk covers: a whole snapshot; only `meta`, the run
+  /// constants a history starts with; or the live sections after it.
+  enum class Part { kWhole, kMeta, kLive };
   template <class Io>
-  Status persist(Io& io);
+  Status persist(Io& io, Part part = Part::kWhole);
 
   void build();
   /// Fresh mode: schedules server starts / TRE creations, feeds the
@@ -166,6 +173,9 @@ class SystemRunner {
   /// of the kernel's pending set, so its (next fire, seq) is serialized
   /// and re-armed like any component event.
   sim::TimerId sampler_timer_ = sim::kInvalidTimer;
+  /// The history save_file's snapshots share, continued from the snapshot
+  /// a restore read.
+  snapshot::HistoryCache history_;  // dc-volatile: derived from the saved files
 };
 
 /// The canonical auto-snapshot filename for `model` at simulated time `t`

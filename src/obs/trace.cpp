@@ -97,8 +97,9 @@ StatusOr<std::uint32_t> parse_trace_filter(std::string_view spec) {
   return mask;
 }
 
-TraceSink::TraceSink(std::size_t capacity) : epoch_(next_trace_epoch()) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
+TraceSink::TraceSink(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity), epoch_(next_trace_epoch()) {
+  ring_.reserve(capacity_);
 }
 
 std::uint32_t TraceSink::resolve(const TraceName& name) {
@@ -120,13 +121,14 @@ std::uint32_t TraceSink::intern(std::string_view text) {
 
 void TraceSink::push(const TraceEvent& event) {
   ++emitted_;
-  if (size_ == ring_.size()) {
+  if (size_ == capacity_) {
     ring_[head_] = event;
-    head_ = (head_ + 1) % ring_.size();
+    head_ = (head_ + 1) % capacity_;
     ++dropped_;
     return;
   }
-  ring_[(head_ + size_) % ring_.size()] = event;
+  // Until it first fills, the ring is its events in order from slot 0.
+  ring_.push_back(event);
   ++size_;
 }
 
@@ -343,12 +345,16 @@ Status TraceSink::export_csv(const std::string& path) const {
 template <class Io>
 Status TraceSink::persist(Io& io) {
   return io.section("trace", [&]() -> Status {
-    std::uint64_t capacity = ring_.size();
+    std::uint64_t capacity = capacity_;
     std::uint64_t filter = filter_;
+    // push() below re-counts while restoring; the saved run totals are
+    // kept aside and set once the ring is rebuilt.
+    std::uint64_t emitted = emitted_;
+    std::uint64_t dropped = dropped_;
     if (Status s = io.u64("capacity", capacity); !s.is_ok()) return s;
     if (Status s = io.u64("filter", filter); !s.is_ok()) return s;
-    if (Status s = io.u64("emitted", emitted_); !s.is_ok()) return s;
-    if (Status s = io.u64("dropped", dropped_); !s.is_ok()) return s;
+    if (Status s = io.u64("emitted", emitted); !s.is_ok()) return s;
+    if (Status s = io.u64("dropped", dropped); !s.is_ok()) return s;
     const auto each_name = [&](std::string& text) -> Status {
       return io.str("name", text);
     };
@@ -364,61 +370,102 @@ Status TraceSink::persist(Io& io) {
         name_ids_.emplace(names_[i], static_cast<std::uint32_t>(i));
       }
       epoch_ = next_trace_epoch();
+      if (capacity > kMaxTraceCapacity) return capacity_error(io, capacity, 0);
+      capacity_ = capacity == 0 ? 1 : capacity;
+      ring_.clear();
+      ring_.reserve(capacity_);
+      head_ = 0;
+      size_ = 0;
+      filter_ = static_cast<std::uint32_t>(filter);
     }
-    // Oldest first, straight from the ring: slots head_.. to the end, then
-    // the wrapped part from slot 0 (empty until the ring has filled). The
-    // buffer has room for the longest encoding and is not zeroed; only the
-    // bytes written are stored.
-    std::uint64_t event_count = size_;
+    // The events are rows numbered in emission order. All of them are
+    // final, but the ring holds only [dropped, emitted): the history takes
+    // the ones it lacks from there (docs/SNAPSHOT.md, "History").
+    const auto event_rows = [&](Io& h, std::uint64_t first,
+                                std::uint64_t end) -> Status {
+      std::unique_ptr<char[]> buffer;
+      std::string_view packed;
+      if constexpr (Io::kSaving) {
+        buffer = std::make_unique_for_overwrite<char[]>(
+            (end - first) * kPackedEventWords * snapshot::kMaxVarintBytes);
+        packed = pack_events(buffer.get(), first - dropped, end - dropped);
+      }
+      if (Status s = h.bytes("packed", packed); !s.is_ok()) return s;
+      if constexpr (!Io::kSaving) return unpack_events(h, end - first, packed);
+      return Status::ok();
+    };
+    std::uint64_t in_history = 0;
+    if (Status s = io.history("events", {emitted, dropped, /*ring=*/true},
+                              in_history, event_rows);
+        !s.is_ok()) {
+      return s;
+    }
+    // The ring's events the history lacks, oldest first. The buffer has
+    // room for the longest encoding and is not zeroed; only the bytes
+    // written are stored.
+    std::uint64_t event_count = emitted - std::max(in_history, dropped);
     std::unique_ptr<char[]> buffer;
     std::string_view packed;
     if constexpr (Io::kSaving) {
       buffer = std::make_unique_for_overwrite<char[]>(
-          size_ * kPackedEventWords * snapshot::kMaxVarintBytes);
-      char* p = buffer.get();
-      std::uint64_t last_time = 0;
-      const std::size_t tail = std::min(size_, ring_.size() - head_);
-      for (std::size_t i = 0; i < size_; ++i) {
-        p = put_packed_event(p, ring_[i < tail ? head_ + i : i - tail],
-                             last_time);
-      }
-      packed = std::string_view(buffer.get(),
-                                static_cast<std::size_t>(p - buffer.get()));
+          event_count * kPackedEventWords * snapshot::kMaxVarintBytes);
+      packed = pack_events(buffer.get(), size_ - event_count, size_);
     }
     if (Status s = io.count("events", event_count); !s.is_ok()) return s;
     if (Status s = io.bytes("packed_ring", packed); !s.is_ok()) return s;
     if constexpr (!Io::kSaving) {
-      if (capacity < event_count || capacity > kMaxTraceCapacity) {
+      if (capacity < event_count) {
+        return capacity_error(io, capacity, event_count);
+      }
+      if (Status s = unpack_events(io, event_count, packed); !s.is_ok()) {
+        return s;
+      }
+      if (emitted < dropped || size_ != emitted - dropped) {
         return Status::invalid_argument(str_format(
-            "snapshot: trace ring capacity %llu is below its %llu events or "
-            "above %zu (%s)",
-            static_cast<unsigned long long>(capacity),
-            static_cast<unsigned long long>(event_count), kMaxTraceCapacity,
+            "snapshot: trace ring rebuilt with %zu events, but %llu emitted "
+            "and %llu dropped leave %llu (%s)",
+            size_, static_cast<unsigned long long>(emitted),
+            static_cast<unsigned long long>(dropped),
+            static_cast<unsigned long long>(emitted - dropped),
             io.context().c_str()));
       }
-      return unpack_ring(io, capacity, filter, event_count, packed);
+      emitted_ = emitted;
+      dropped_ = dropped;
     }
     return Status::ok();
   });
 }
 
-Status TraceSink::unpack_ring(const snapshot::SnapshotReader& reader,
-                              std::uint64_t capacity, std::uint64_t filter,
-                              std::uint64_t event_count,
-                              std::string_view packed) {
+Status TraceSink::capacity_error(const snapshot::SnapshotReader& reader,
+                                 std::uint64_t capacity,
+                                 std::uint64_t event_count) {
+  return Status::invalid_argument(str_format(
+      "snapshot: trace ring capacity %llu is below its %llu events or above "
+      "%zu (%s)",
+      static_cast<unsigned long long>(capacity),
+      static_cast<unsigned long long>(event_count), kMaxTraceCapacity,
+      reader.context().c_str()));
+}
+
+std::string_view TraceSink::pack_events(char* out, std::size_t from,
+                                        std::size_t to) const {
+  char* p = out;
+  std::uint64_t last_time = 0;
+  for (std::size_t i = from; i < to; ++i) {
+    p = put_packed_event(p, ring_[(head_ + i) % ring_.size()], last_time);
+  }
+  return std::string_view(out, static_cast<std::size_t>(p - out));
+}
+
+Status TraceSink::unpack_events(const snapshot::SnapshotReader& reader,
+                                std::uint64_t event_count,
+                                std::string_view packed) {
   const auto ring_error = [&](const std::string& what) {
     return Status::invalid_argument(
         str_format("snapshot: trace ring of %llu events: %s (%s)",
                    static_cast<unsigned long long>(event_count), what.c_str(),
                    reader.context().c_str()));
   };
-  ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
-  head_ = 0;
-  size_ = 0;
-  filter_ = static_cast<std::uint32_t>(filter);
-  // push() below re-counts; keep the saved run totals.
-  const std::uint64_t saved_emitted = emitted_;
-  const std::uint64_t saved_dropped = dropped_;
   snapshot::VarintReader varints(packed);
   std::uint64_t time_bits = 0;
   for (std::uint64_t i = 0; i < event_count; ++i) {
@@ -462,8 +509,6 @@ Status TraceSink::unpack_ring(const snapshot::SnapshotReader& reader,
     return ring_error(str_format("%zu bytes follow the last event",
                                  packed.size() - varints.offset()));
   }
-  emitted_ = saved_emitted;
-  dropped_ = saved_dropped;
   return Status::ok();
 }
 
@@ -513,6 +558,47 @@ struct Text {
   std::string decoded;  // holds `view` when the string had escapes
 };
 
+// The four hex digits of a \u escape at the cursor, as a UTF-16 unit.
+// False at the first byte that is no hex digit, or when fewer than four
+// bytes are left.
+bool read_hex4(Cursor& cur, std::uint32_t& code) {
+  if (cur.pos + 4 > cur.text.size()) return false;
+  code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char h = cur.text[cur.pos++];
+    code <<= 4;
+    if (h >= '0' && h <= '9') {
+      code |= static_cast<std::uint32_t>(h - '0');
+    } else if (h >= 'a' && h <= 'f') {
+      code |= static_cast<std::uint32_t>(h - 'a' + 10);
+    } else if (h >= 'A' && h <= 'F') {
+      code |= static_cast<std::uint32_t>(h - 'A' + 10);
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Code point `code` (below 0x110000, no surrogate) as UTF-8.
+void append_utf8(std::string& out, std::uint32_t code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xc0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xe0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  }
+}
+
 Status parse_json_string(Cursor& cur, Text& out) {
   if (!cur.eat('"')) return cur.fail("expected string");
   const std::string_view text = cur.text;
@@ -546,17 +632,24 @@ Status parse_json_string(Cursor& cur, Text& out) {
       case 'r': out.decoded += '\r'; break;
       case 't': out.decoded += '\t'; break;
       case 'u': {
-        if (cur.pos + 4 > text.size()) return cur.fail("bad \\u escape");
-        int code = 0;
-        for (int i = 0; i < 4; ++i) {
-          char h = text[cur.pos++];
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= h - '0';
-          else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-          else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-          else return cur.fail("bad \\u escape");
+        std::uint32_t code = 0;
+        if (!read_hex4(cur, code)) return cur.fail("bad \\u escape");
+        // A UTF-16 surrogate pair is one code point; a surrogate without
+        // its other half is none.
+        if (code >= 0xd800 && code <= 0xdbff) {
+          std::uint32_t low = 0;
+          if (text.substr(cur.pos, 2) != "\\u") {
+            return cur.fail("bad \\u escape");
+          }
+          cur.pos += 2;
+          if (!read_hex4(cur, low) || low < 0xdc00 || low > 0xdfff) {
+            return cur.fail("bad \\u escape");
+          }
+          code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        } else if (code >= 0xdc00 && code <= 0xdfff) {
+          return cur.fail("bad \\u escape");
         }
-        out.decoded += static_cast<char>(code);
+        append_utf8(out.decoded, code);
         break;
       }
       default: return cur.fail("unsupported escape");
@@ -709,6 +802,12 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
     if (cur.eat(',')) continue;
     if (cur.eat('}')) break;
     return cur.fail("expected ',' or '}' at top level");
+  }
+  // Only whitespace may follow, such as the exporter's final newline: two
+  // exports in one file are not the first alone.
+  cur.skip_ws();
+  if (cur.pos != json.size()) {
+    return cur.fail("bytes after the top-level object");
   }
   if (!saw_events) return Status::invalid_argument("trace json: no traceEvents");
   return out;

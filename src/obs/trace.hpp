@@ -171,7 +171,7 @@ class TraceSink {
   const std::string& name_of(std::uint32_t id) const { return names_[id]; }
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t dropped() const { return dropped_; }
 
@@ -199,10 +199,16 @@ class TraceSink {
  private:
   template <class Io>
   Status persist(Io& io);
-  /// Rebuilds the ring from a saved `packed` ring of `event_count` events.
-  Status unpack_ring(const snapshot::SnapshotReader& reader,
-                     std::uint64_t capacity, std::uint64_t filter,
-                     std::uint64_t event_count, std::string_view packed);
+  /// Packs the ring's events [from, to), counted from the oldest, into
+  /// `out`, which has room for the longest encoding of each.
+  std::string_view pack_events(char* out, std::size_t from,
+                               std::size_t to) const;
+  /// Pushes the `event_count` events of a `packed` payload onto the ring.
+  Status unpack_events(const snapshot::SnapshotReader& reader,
+                       std::uint64_t event_count, std::string_view packed);
+  static Status capacity_error(const snapshot::SnapshotReader& reader,
+                               std::uint64_t capacity,
+                               std::uint64_t event_count);
 
   void push(const TraceEvent& event);
   /// Calls `visit` on each recorded event, oldest first: ring slots
@@ -218,7 +224,11 @@ class TraceSink {
   /// different sink lifetime (epoch mismatch).
   std::uint32_t resolve(const TraceName& name);
 
+  /// The recorded events: filled from slot 0 up to the capacity, after
+  /// which each new event overwrites the oldest. Only the slots in use
+  /// are ever touched, so a ring larger than its run costs no memory.
   std::vector<TraceEvent> ring_;
+  std::size_t capacity_;
   std::size_t head_ = 0;  // index of oldest event
   std::size_t size_ = 0;
   std::uint64_t emitted_ = 0;

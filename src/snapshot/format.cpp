@@ -96,21 +96,24 @@ void SnapshotWriter::append_sized(RecordKind kind, std::string_view name,
 
 Written SnapshotWriter::begin_section(std::string_view name) {
   append_record(RecordKind::kSectionBegin, name, 0);
-  ++depth_;
+  path_marks_.push_back(path_.size());
+  if (!path_.empty()) path_ += '.';
+  path_ += name;
   return {};
 }
 
 Written SnapshotWriter::end_section() {
-  assert(depth_ > 0 && "end_section without matching begin_section");
+  assert(!path_marks_.empty() && "end_section without matching begin_section");
   append_record(RecordKind::kSectionEnd, "", 0);
-  --depth_;
+  path_.resize(path_marks_.back());
+  path_marks_.pop_back();
   return {};
 }
 
 std::uint64_t SnapshotWriter::digest() const { return fnv1a(buffer_); }
 
 std::string SnapshotWriter::finish() const {
-  assert(depth_ == 0 && "unbalanced sections at snapshot finish");
+  assert(path_marks_.empty() && "unbalanced sections at snapshot finish");
   std::string out;
   out.reserve(buffer_.size() + kFooterBytes);
   out.append(buffer_);
@@ -185,6 +188,7 @@ StatusOr<SnapshotReader> SnapshotReader::from_buffer(std::string buffer) {
   reader.pos_ = kHeaderBytes;
   // Hide the footer from record decoding.
   reader.buffer_.resize(reader.buffer_.size() - kFooterBytes);
+  reader.end_ = reader.buffer_.size();
   return reader;
 }
 
@@ -200,6 +204,11 @@ StatusOr<SnapshotReader> SnapshotReader::from_file(const std::string& path) {
 }
 
 std::string SnapshotReader::context() const {
+  if (!window_.empty()) {
+    std::string path = joined_path(section_stack_);
+    return str_format("%s%s%s near offset %zu", window_.c_str(),
+                      path.empty() ? "" : " section ", path.c_str(), pos_);
+  }
   return str_format("section '%s' near offset %zu",
                     joined_path(section_stack_).c_str(), pos_);
 }
@@ -211,7 +220,7 @@ Status SnapshotReader::error(const std::string& message) const {
 
 Status SnapshotReader::read_record(RecordKind want, std::string_view name,
                                    std::string_view& payload) {
-  if (pos_ + 3 > buffer_.size()) {
+  if (pos_ + 3 > end_) {
     return error(str_format("stream truncated while expecting field '%.*s'",
                             static_cast<int>(name.size()), name.data()));
   }
@@ -224,7 +233,7 @@ Status SnapshotReader::read_record(RecordKind want, std::string_view name,
   const auto kind = static_cast<RecordKind>(raw);
   const auto name_len = load_le<std::uint16_t>(buffer_.data() + pos_ + 1);
   std::size_t cursor = pos_ + 3;
-  if (cursor + name_len > buffer_.size()) {
+  if (cursor + name_len > end_) {
     return error("stream truncated inside a field name");
   }
   const std::string_view found_name(buffer_.data() + cursor, name_len);
@@ -246,7 +255,7 @@ Status SnapshotReader::read_record(RecordKind want, std::string_view name,
       break;
     case RecordKind::kStr:
     case RecordKind::kBytes: {
-      if (cursor + 4 > buffer_.size()) {
+      if (cursor + 4 > end_) {
         return error("stream truncated inside a length prefix");
       }
       payload_len = load_le<std::uint32_t>(buffer_.data() + cursor);
@@ -254,7 +263,7 @@ Status SnapshotReader::read_record(RecordKind want, std::string_view name,
       break;
     }
   }
-  if (cursor + payload_len > buffer_.size()) {
+  if (cursor + payload_len > end_) {
     return error(str_format("stream truncated inside field '%.*s' payload",
                             static_cast<int>(found_name.size()),
                             found_name.data()));
@@ -309,14 +318,25 @@ Status SnapshotReader::read_word(RecordKind want, std::string_view name,
 
 Status SnapshotReader::count(std::string_view name, std::uint64_t& out) {
   if (auto st = read_word(RecordKind::kU64, name, out); !st.is_ok()) return st;
-  const std::size_t remaining = buffer_.size() - pos_;
-  if (out > remaining / kRecordHeaderBytes) {
+  return check_live_rows(name, out, 0);
+}
+
+Status SnapshotReader::check_live_rows(std::string_view name,
+                                       std::uint64_t count,
+                                       std::uint64_t in_history) const {
+  const std::size_t remaining = end_ - pos_;
+  if (count - in_history > remaining / kRecordHeaderBytes) {
     return error(str_format(
-        "count '%.*s' of %llu is more than the %zu records the remaining %zu "
-        "bytes can hold — corrupt stream",
+        "count '%.*s' of %llu%s is more than the %zu records the remaining "
+        "%zu bytes can hold — corrupt stream",
         static_cast<int>(name.size()), name.data(),
-        static_cast<unsigned long long>(out), remaining / kRecordHeaderBytes,
-        remaining));
+        static_cast<unsigned long long>(count),
+        in_history == 0
+            ? ""
+            : str_format(" (%llu after its history)",
+                         static_cast<unsigned long long>(count - in_history))
+                  .c_str(),
+        remaining / kRecordHeaderBytes, remaining));
   }
   return Status::ok();
 }
@@ -388,6 +408,172 @@ Status SnapshotReader::column(std::string_view name, std::uint64_t count,
                                    payload.size() - varints.offset()));
   }
   return Status::ok();
+}
+
+Status SnapshotReader::peek(RecordKind& kind, std::string_view& name) const {
+  if (pos_ + 3 > end_) return error("stream truncated before a record");
+  const std::uint8_t raw = static_cast<unsigned char>(buffer_[pos_]);
+  if (!known_kind(raw)) {
+    return error(str_format("unknown record tag %u — corrupt stream", raw));
+  }
+  const auto name_len = load_le<std::uint16_t>(buffer_.data() + pos_ + 1);
+  if (pos_ + 3 + name_len > end_) {
+    return error("stream truncated inside a field name");
+  }
+  kind = static_cast<RecordKind>(raw);
+  name = std::string_view(buffer_.data() + pos_ + 3, name_len);
+  return Status::ok();
+}
+
+Status SnapshotReader::skip() {
+  std::size_t depth = 0;
+  do {
+    RecordKind kind{};
+    std::string_view name;
+    if (Status st = peek(kind, name); !st.is_ok()) return st;
+    std::string_view payload;
+    if (Status st = read_record(kind, name, payload); !st.is_ok()) return st;
+    if (kind == RecordKind::kSectionBegin) ++depth;
+    if (kind == RecordKind::kSectionEnd) {
+      if (depth == 0) return error("section end with no section open");
+      --depth;
+    }
+  } while (depth > 0);
+  return Status::ok();
+}
+
+Status SnapshotReader::history_section() {
+  if (Status st = begin_section("history"); !st.is_ok()) return st;
+  std::size_t chunk = 0;
+  RecordKind kind{};
+  std::string_view name;
+  while (true) {
+    if (Status st = peek(kind, name); !st.is_ok()) return st;
+    if (kind != RecordKind::kSectionBegin) break;
+    if (Status st = begin_section("chunk"); !st.is_ok()) return st;
+    ++chunk;
+    std::int64_t boundary = 0;
+    if (Status st = i64("boundary", boundary); !st.is_ok()) return st;
+    if (last_boundary_ && boundary <= *last_boundary_) {
+      return error(str_format(
+          "history chunk %zu (t=%lld) does not follow chunk %zu (t=%lld) — "
+          "chunks out of boundary order or repeated",
+          chunk, static_cast<long long>(boundary), chunk - 1,
+          static_cast<long long>(*last_boundary_)));
+    }
+    last_boundary_ = boundary;
+    while (true) {
+      if (Status st = peek(kind, name); !st.is_ok()) return st;
+      if (kind != RecordKind::kSectionBegin) break;
+      HistoryEntry entry;
+      entry.chunk = chunk;
+      entry.boundary = boundary;
+      const std::string key(name);
+      const std::size_t at = pos_;
+      if (Status st = skip(); !st.is_ok()) return st;
+      entry.begin = at + kRecordHeaderBytes + key.size();
+      entry.end = pos_ - kRecordHeaderBytes;  // the section's end record
+      history_[key].entries.push_back(entry);
+    }
+    if (Status st = end_section(); !st.is_ok()) return st;
+  }
+  history_end_ = pos_;
+  return end_section();
+}
+
+Status SnapshotReader::finish_history() const {
+  for (const auto& [key, table] : history_) {
+    if (table.applied) continue;
+    return Status::invalid_argument(
+        "snapshot: " + entry_name(table.entries.front(), key) +
+        " belongs to no table of this build — the snapshot's record list "
+        "has drifted from this build's");
+  }
+  return Status::ok();
+}
+
+std::string SnapshotReader::entry_name(const HistoryEntry& entry,
+                                       const std::string& key) {
+  return str_format("history chunk %zu (t=%lld) record '%s'", entry.chunk,
+                    static_cast<long long>(entry.boundary), key.c_str());
+}
+
+std::string SnapshotReader::history_key(std::string_view name) const {
+  std::string key = joined_path(section_stack_);
+  key.append(".").append(name);
+  return key;
+}
+
+std::int64_t SnapshotWriter::history_boundary() const {
+  return history_ != nullptr ? history_->last_boundary_.value_or(0) : 0;
+}
+
+void HistoryCache::start(SnapshotWriter head) {
+  reset();
+  stream_ = std::move(head);
+  stream_.begin_section("history");
+}
+
+void HistoryCache::reset() {
+  stream_ = SnapshotWriter();
+  stream_.buffer_.clear();
+  hashed_ = 0;
+  hash_ = kFnvOffset;
+  tables_.clear();
+  last_boundary_.reset();
+  chunk_open_ = false;
+  rebase_ = false;
+}
+
+void HistoryCache::open_chunk(std::int64_t boundary, SnapshotWriter& live) {
+  rebase_ = false;
+  live.attach_history(this);
+  chunk_open_ = last_boundary_ != boundary;
+  if (!chunk_open_) return;
+  stream_.begin_section("chunk");
+  stream_.i64("boundary", boundary);
+  last_boundary_ = boundary;
+}
+
+Status HistoryCache::write_file(const std::string& path,
+                                const SnapshotWriter& live) {
+  if (chunk_open_) {
+    stream_.end_section();
+    chunk_open_ = false;
+  }
+  std::string& stream = stream_.buffer_;
+  hash_ = fnv1a(std::string_view(stream).substr(hashed_), hash_);
+  hashed_ = stream.size();
+  // The history section's end record, the live records and the footer go
+  // after the history for the one write, and are cut off again after it,
+  // so the history is never copied.
+  const std::size_t history_size = stream.size();
+  stream.push_back(static_cast<char>(RecordKind::kSectionEnd));
+  stream.append(2, '\0');
+  stream.append(std::string_view(live.buffer_).substr(kHeaderBytes));
+  char footer[kFooterBytes];
+  store_le(footer, fnv1a(std::string_view(stream).substr(history_size), hash_));
+  stream.append(footer, sizeof(footer));
+  Status st = atomic_write_file(path, stream, "snapshot.save");
+  stream.resize(history_size);
+  if (!st.is_ok()) return Status::internal("snapshot: " + st.message());
+  return Status::ok();
+}
+
+void HistoryCache::seed(SnapshotReader& reader) {
+  reset();
+  // The reader's stream up to the history's end is the history: take it
+  // over rather than copy it.
+  stream_.buffer_ = std::move(reader.buffer_);
+  stream_.buffer_.resize(reader.history_end_);
+  reader.buffer_.clear();
+  reader.pos_ = reader.end_ = 0;
+  stream_.path_ = "history";
+  stream_.path_marks_ = {0};
+  for (const auto& [key, table] : reader.history_) {
+    tables_.emplace(key, Table{table.end, table.stored});
+  }
+  last_boundary_ = reader.last_boundary_;
 }
 
 Status VarintReader::next(std::uint64_t& out) {

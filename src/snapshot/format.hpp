@@ -25,9 +25,12 @@
 // restores silently wrong state.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -176,6 +179,26 @@ struct Written {
   operator Status() const { return Status::ok(); }
 };
 
+// History (docs/SNAPSHOT.md, "History"). A table whose first rows can no
+// longer change (trace events, finished jobs, closed leases) keeps those
+// rows in the `history` section that follows `meta`: one chunk per save,
+// holding the rows that became final since the save before. A run's
+// snapshots share that history, so a save walks and hashes only its new
+// chunk and the live sections; every file still holds all of it.
+
+/// A history table's rows, as its walk passes them to `history`.
+struct HistoryRows {
+  /// Saving: rows [0, end) are final. Restoring: the table's row count,
+  /// which its history must not pass.
+  std::uint64_t end = 0;
+  /// A ring's oldest row still held. Saving skips rows below it that the
+  /// history lacks; restoring lets a ring's history skip rows.
+  std::uint64_t kept_from = 0;
+  bool ring = false;
+};
+
+class HistoryCache;
+
 /// Accumulates an encoded snapshot stream in memory; `write_file` appends
 /// the checksum footer and writes atomically. Each record grows the buffer
 /// once (header, name and payload together) and stores its scalars as
@@ -190,6 +213,25 @@ class SnapshotWriter {
 
   Written begin_section(std::string_view name);
   Written end_section();
+
+  /// Sends history rows to `cache`'s open chunk (null: every row is live).
+  void attach_history(HistoryCache* cache) { history_ = cache; }
+  /// Writes to the history chunk the rows of table `name` (the current
+  /// section's) that became final since the previous save, `rows.end` now:
+  /// rows [first, end), where first is where the history ends (for a ring,
+  /// no lower than `rows.kept_from`). `body(writer, first, end)` writes
+  /// their records. Sets `in_history` to the rows the history then holds,
+  /// 0 with no history attached; the walk writes the rest as live rows.
+  template <class Body>
+  Status history(std::string_view name, const HistoryRows& rows,
+                 std::uint64_t& in_history, Body&& body);
+  /// The instant of the history chunk being written; 0 with no history.
+  std::int64_t history_boundary() const;
+  /// The `history` section of a save that keeps no history: empty.
+  Written history_section() {
+    begin_section("history");
+    return end_section();
+  }
 
   Written u64(std::string_view name, std::uint64_t value) {
     store_le(append_record(RecordKind::kU64, name, 8), value);
@@ -266,6 +308,7 @@ class SnapshotWriter {
   std::string finish() const;
 
  private:
+  friend class HistoryCache;
   /// Appends a record header for `name` plus `payload_size` bytes of room,
   /// returning where the payload goes.
   char* append_record(RecordKind kind, std::string_view name,
@@ -274,7 +317,10 @@ class SnapshotWriter {
   void append_sized(RecordKind kind, std::string_view name,
                     std::string_view payload);
   std::string buffer_;
-  std::size_t depth_ = 0;
+  /// Dotted path of the open sections, and its length before each.
+  std::string path_;
+  std::vector<std::size_t> path_marks_;
+  HistoryCache* history_ = nullptr;
 };
 
 /// Sequential, name-checked decoder for a verified snapshot stream.
@@ -319,6 +365,10 @@ class SnapshotReader {
   /// anything is allocated, a count the rest of the stream cannot hold:
   /// more than one element per 3 bytes, the size of the smallest record.
   Status count(std::string_view name, std::uint64_t& out);
+  /// Refuses, as `count` does, a table of `count` rows whose rows after
+  /// the first `in_history` the rest of the stream cannot hold.
+  Status check_live_rows(std::string_view name, std::uint64_t count,
+                         std::uint64_t in_history) const;
   /// A PackedColumn of exactly `count` values. Refuses, before reserving
   /// room, a count the payload cannot hold (a value takes at least one
   /// byte); then a truncated or overlong varint, a column that ends early,
@@ -344,13 +394,63 @@ class SnapshotReader {
     }
   }
 
-  /// "section 'a.b' near offset N" — appended to every error.
+  /// Reads the `history` section: checks that its chunks' boundaries
+  /// rise strictly and indexes each chunk's records by table, for
+  /// `history` to apply as the live walk reaches each table.
+  Status history_section();
+  /// Applies table `name`'s history (the current section's), oldest chunk
+  /// first: `body(reader, first, end)` reads each chunk's rows. Refuses,
+  /// naming the chunk and the record, a chunk whose rows do not start
+  /// where the chunks before it end (a ring's may skip rows) or pass
+  /// `rows.end`, and records after a chunk's last row. Sets `in_history`
+  /// to where the history ends, 0 without one.
+  template <class Body>
+  Status history(std::string_view name, const HistoryRows& rows,
+                 std::uint64_t& in_history, Body&& body);
+  /// Refuses history that no table applied (an unknown section or
+  /// record), naming its chunk and record. Call after the live walk.
+  Status finish_history() const;
+  /// The boundary of the last history chunk, if any.
+  std::optional<std::int64_t> last_history_boundary() const {
+    return last_boundary_;
+  }
+
+  /// "section 'a.b' near offset N" — appended to every error. Inside a
+  /// history chunk: "history chunk K (t=T) record 'a.b.rows' near offset N".
   std::string context() const;
 
  private:
-  explicit SnapshotReader(std::string buffer) : buffer_(std::move(buffer)) {}
+  friend class HistoryCache;
+  /// One chunk's rows of a history table: where its records lie.
+  struct HistoryEntry {
+    std::size_t chunk = 0;  // 1-based, in file order
+    std::int64_t boundary = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  /// A history table: its entries, and once applied, where it ends and
+  /// how many rows its entries hold.
+  struct HistoryTableState {
+    std::vector<HistoryEntry> entries;
+    bool applied = false;
+    std::uint64_t end = 0;
+    std::uint64_t stored = 0;
+  };
+
+  explicit SnapshotReader(std::string buffer)
+      : buffer_(std::move(buffer)), end_(buffer_.size()) {}
   Status read_record(RecordKind want, std::string_view name,
                      std::string_view& payload);
+  /// The kind and name of the next record, without reading it.
+  Status peek(RecordKind& kind, std::string_view& name) const;
+  /// Skips the next record, and when it begins a section, the whole
+  /// section up to and with its end.
+  Status skip();
+  /// "history chunk K (t=T) record 'key'".
+  static std::string entry_name(const HistoryEntry& entry,
+                                const std::string& key);
+  /// The history key of table `name` in the current section.
+  std::string history_key(std::string_view name) const;
   /// The 8-byte payload of a u64 or i64 record.
   Status read_word(RecordKind want, std::string_view name,
                    std::uint64_t& out);
@@ -368,8 +468,173 @@ class SnapshotReader {
 
   std::string buffer_;
   std::size_t pos_ = 0;
+  /// Where the records being read end: the footer, or a history entry's
+  /// end while `window_` names it.
+  std::size_t end_ = 0;
+  std::string window_;
   std::vector<std::string> section_stack_;
+  std::map<std::string, HistoryTableState, std::less<>> history_;
+  /// Offset of the history section's end record: a resumed run's history
+  /// continues from the stream before it.
+  std::size_t history_end_ = 0;
+  std::optional<std::int64_t> last_boundary_;
 };
+
+/// The history a run's snapshots share, kept between saves by the runner
+/// that writes them (docs/SNAPSHOT.md, "History"): the stream up to the
+/// end of the last chunk, its FNV-1a state, and per history table where
+/// its rows end and how many the chunks hold.
+class HistoryCache {
+ public:
+  HistoryCache() { reset(); }
+  bool empty() const { return stream_.buffer_.empty(); }
+  /// Starts a history after `head`'s records (the run constants): its
+  /// header and records become the start of every later stream.
+  void start(SnapshotWriter head);
+  /// Opens the chunk of a save at `boundary` and attaches `live` to it. A
+  /// save at the last chunk's instant opens none: no row can have become
+  /// final since.
+  void open_chunk(std::int64_t boundary, SnapshotWriter& live);
+  /// Whether a ring asked to start the history afresh (its history holds
+  /// as many rows it has dropped as rows it keeps).
+  bool rebase_requested() const { return rebase_; }
+  /// Forgets the history; the next save starts it again.
+  void reset();
+  /// Writes, with one atomic_write_file call, the stream of the save that
+  /// `live` holds the live records of: this history, its `history`
+  /// section closed, `live`'s records and the checksum footer. Hashes
+  /// only the bytes the previous write did not.
+  Status write_file(const std::string& path, const SnapshotWriter& live);
+  /// Continues the history of the stream `reader` restored from, taking
+  /// over the reader's bytes: the reader reads nothing after it.
+  void seed(SnapshotReader& reader);
+
+ private:
+  friend class SnapshotWriter;
+  struct Table {
+    std::uint64_t end = 0;
+    std::uint64_t stored = 0;
+  };
+  /// Header, run constants, and the `history` section's begin record and
+  /// chunks; inside the open chunk between open_chunk and write_file.
+  SnapshotWriter stream_;
+  std::size_t hashed_ = 0;  // bytes of stream_ that hash_ covers
+  std::uint64_t hash_ = 0;
+  std::map<std::string, Table, std::less<>> tables_;
+  std::optional<std::int64_t> last_boundary_;
+  bool chunk_open_ = false;
+  bool rebase_ = false;
+};
+
+template <class Body>
+Status SnapshotWriter::history(std::string_view name, const HistoryRows& rows,
+                               std::uint64_t& in_history, Body&& body) {
+  in_history = 0;
+  if (history_ == nullptr) return Status::ok();
+  std::string key = path_;
+  key.append(".").append(name);
+  auto it = history_->tables_.find(key);
+  if (it == history_->tables_.end()) {
+    it = history_->tables_.emplace(std::move(key), HistoryCache::Table{}).first;
+  }
+  HistoryCache::Table& table = it->second;
+  const std::uint64_t first = std::max(table.end, rows.kept_from);
+  if (rows.end < first) {
+    return Status::internal("snapshot: history record '" + it->first +
+                            "' holds rows up to " + std::to_string(first) +
+                            " but only " + std::to_string(rows.end) +
+                            " are final");
+  }
+  if (rows.end > first) {
+    if (!history_->chunk_open_) {
+      return Status::internal("snapshot: rows of '" + it->first +
+                              "' became final at the instant of the last "
+                              "history chunk");
+    }
+    SnapshotWriter& chunk = history_->stream_;
+    chunk.begin_section(it->first);
+    chunk.u64("first", first);
+    chunk.u64("rows", rows.end - first);
+    if (Status st = body(chunk, first, rows.end); !st.is_ok()) return st;
+    chunk.end_section();
+    table.stored += rows.end - first;
+    table.end = rows.end;
+  }
+  // A ring holds only its last rows: once the rows its history holds that
+  // it has dropped make up half of them, the history starts afresh.
+  const std::uint64_t kept = table.end - std::min(table.end, rows.kept_from);
+  if (rows.ring && table.stored > kept &&
+      2 * (table.stored - kept) >= table.stored) {
+    history_->rebase_ = true;
+  }
+  in_history = table.end;
+  return Status::ok();
+}
+
+template <class Body>
+Status SnapshotReader::history(std::string_view name, const HistoryRows& rows,
+                               std::uint64_t& in_history, Body&& body) {
+  in_history = 0;
+  if (history_.empty()) return Status::ok();
+  const std::string key = history_key(name);
+  auto it = history_.find(key);
+  if (it == history_.end()) return Status::ok();
+  HistoryTableState& table = it->second;
+  table.applied = true;
+  for (const HistoryEntry& entry : table.entries) {
+    // Read the entry's records as the window [entry.begin, entry.end),
+    // named for errors by its chunk and record; the reader's place in the
+    // live walk comes back however the entry ends.
+    struct Window {
+      SnapshotReader& reader;
+      std::size_t pos, end;
+      std::string window;
+      std::vector<std::string> stack;
+      ~Window() {
+        reader.pos_ = pos;
+        reader.end_ = end;
+        reader.window_ = std::move(window);
+        reader.section_stack_ = std::move(stack);
+      }
+    } restore{*this, pos_, end_, std::move(window_),
+              std::move(section_stack_)};
+    pos_ = entry.begin;
+    end_ = entry.end;
+    window_ = entry_name(entry, key);
+    section_stack_.clear();
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    if (Status st = u64("first", first); !st.is_ok()) return st;
+    // Every history row takes at least one record's 3 bytes (or three
+    // packed values), so a row count the entry cannot hold is refused
+    // before a table is sized to it.
+    if (Status st = this->count("rows", count); !st.is_ok()) return st;
+    if (first < in_history || (!rows.ring && first != in_history)) {
+      return error("rows start at row " + std::to_string(first) +
+                   ", but the chunks before end at row " +
+                   std::to_string(in_history) +
+                   (first < in_history
+                        ? " — chunks out of boundary order or repeated"
+                        : " — a chunk is missing"));
+    }
+    if (first > rows.end || count > rows.end - first) {
+      return error("rows [" + std::to_string(first) + ", " +
+                   std::to_string(first + count) + ") overrun the table's " +
+                   std::to_string(rows.end) + " rows");
+    }
+    if (Status st = body(*this, first, first + count); !st.is_ok()) {
+      return st;
+    }
+    if (pos_ != end_) {
+      return error(std::to_string(end_ - pos_) +
+                   " bytes of records follow its last row");
+    }
+    in_history = first + count;
+    table.stored += count;
+  }
+  table.end = in_history;
+  return Status::ok();
+}
 
 /// A list: its element count as the record `count_name`, then
 /// `element(item)` for each item. Restoring reads the count with
@@ -388,6 +653,31 @@ Status list(Io& io, std::string_view count_name, Items& items,
     if (Status st = element(item); !st.is_ok()) return st;
   }
   return Status::ok();
+}
+
+/// A table whose first rows may be history: its row count as the record
+/// `count_name`, then its history (table `name`, rows [0, final_rows)
+/// final when saving), then the rows after the history as live records.
+/// `rows(io, first, end)` walks rows [first, end), over a history chunk
+/// and then over `io`; restoring, it appends them to the table. The count
+/// is checked like a list's: live rows the stream cannot hold are refused
+/// before any is read.
+template <class Io, class Rows>
+Status table(Io& io, std::string_view count_name, std::string_view name,
+             std::uint64_t& count, std::uint64_t final_rows, Rows&& rows) {
+  if (Status st = io.u64(count_name, count); !st.is_ok()) return st;
+  const HistoryRows history{Io::kSaving ? final_rows : count};
+  std::uint64_t in_history = 0;
+  if (Status st = io.history(name, history, in_history, rows); !st.is_ok()) {
+    return st;
+  }
+  if constexpr (!Io::kSaving) {
+    if (Status st = io.check_live_rows(count_name, count, in_history);
+        !st.is_ok()) {
+      return st;
+    }
+  }
+  return rows(io, in_history, count);
 }
 
 /// One decoded record, for the divergence auditor and `snapshot-diff`.

@@ -4,9 +4,11 @@
 // SystemRunner mid-run, restore it into a passive runner, and require the
 // re-saved stream to be byte-identical to the original — a restore that
 // loses or invents any field in any component fails immediately.
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <initializer_list>
 #include <limits>
 #include <string>
@@ -25,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/format.hpp"
+#include "util/fsio.hpp"
 #include "util/rng.hpp"
 #include "workflow/montage.hpp"
 #include "workload/models.hpp"
@@ -917,6 +920,465 @@ TEST(SnapshotComponents, TraceRestoreRefusesThePreChangeRing) {
       restore_trace(trace_section(1, std::string(44, '\0'), "ring"));
   expect_refused(status, "expected field 'packed_ring', found 'ring'",
                  "drifted");
+}
+
+
+// --- History: rows that can no longer change, one chunk per save ---------------
+
+// Writes `records` (a decoded stream, possibly edited) as a finished stream.
+std::string encode(const std::vector<snapshot::SnapshotRecord>& records) {
+  SnapshotWriter writer;
+  for (const snapshot::SnapshotRecord& record : records) {
+    const std::uint64_t word =
+        record.payload.size() == 8
+            ? snapshot::load_le<std::uint64_t>(record.payload.data())
+            : 0;
+    switch (record.kind) {
+      case snapshot::RecordKind::kSectionBegin:
+        writer.begin_section(record.name);
+        break;
+      case snapshot::RecordKind::kSectionEnd: writer.end_section(); break;
+      case snapshot::RecordKind::kU64: writer.u64(record.name, word); break;
+      case snapshot::RecordKind::kI64:
+        writer.i64(record.name, static_cast<std::int64_t>(word));
+        break;
+      case snapshot::RecordKind::kF64:
+        writer.f64(record.name, std::bit_cast<double>(word));
+        break;
+      case snapshot::RecordKind::kBool:
+        writer.boolean(record.name, record.payload[0] != 0);
+        break;
+      case snapshot::RecordKind::kStr:
+        writer.str(record.name, record.payload);
+        break;
+      case snapshot::RecordKind::kBytes:
+        writer.bytes(record.name, record.payload);
+        break;
+    }
+  }
+  return writer.finish();
+}
+
+std::vector<snapshot::SnapshotRecord> records_of(const std::string& finished) {
+  auto records = snapshot::decode_records(finished);
+  EXPECT_TRUE(records.is_ok()) << records.status().to_string();
+  return records.is_ok() ? std::move(*records)
+                         : std::vector<snapshot::SnapshotRecord>{};
+}
+
+// [begin, end) record indices of each history chunk, oldest first.
+std::vector<std::pair<std::size_t, std::size_t>> chunks_of(
+    const std::vector<snapshot::SnapshotRecord>& records) {
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& record = records[i];
+    if (record.section != "history" || record.name != "chunk") continue;
+    if (record.kind == snapshot::RecordKind::kSectionBegin) {
+      chunks.emplace_back(i, i);
+    } else {
+      chunks.back().second = i + 1;
+    }
+  }
+  return chunks;
+}
+
+std::string history_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "snap_history_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string file_bytes(const std::string& path) {
+  auto bytes = read_file(path);
+  EXPECT_TRUE(bytes.is_ok()) << bytes.status().to_string();
+  return bytes.is_ok() ? *bytes : std::string();
+}
+
+// A runner of `model` that has saved to `dir` every `every` up to `until`,
+// the file of its last save in `last`.
+void save_every(core::SystemRunner& runner, SystemModel model,
+                const std::string& dir, SimDuration every, SimTime until,
+                std::string& last) {
+  for (SimTime t = runner.now() + every; t <= until; t += every) {
+    runner.run_until(t);
+    last = core::snapshot_path(dir, model, t);
+    ASSERT_TRUE(runner.save_file(last).is_ok());
+  }
+}
+
+Status restore_file_into(core::SystemRunner& runner, const std::string& path) {
+  return runner.restore_file(path);
+}
+
+// save -> restore -> save at the same instant, with history of several
+// chunks: the restored runner continues the file's history, so it writes
+// the same bytes, and keeps writing what the uninterrupted run writes.
+TEST(SnapshotComponents, DoubleSnapshotWithHistoryIsByteIdentical) {
+  const core::ConsolidationWorkload workload = small_workload();
+  const core::RunOptions options = faulted_options();
+  for (const SystemModel model :
+       {SystemModel::kDcs, SystemModel::kSsp, SystemModel::kDrp,
+        SystemModel::kDawningCloud}) {
+    SCOPED_TRACE(core::system_model_name(model));
+    const std::string dir = history_dir(core::system_model_name(model));
+    core::SystemRunner original(model, workload, options);
+    std::string last;
+    save_every(original, model, dir, 2 * kHour, 10 * kHour, last);
+    const std::string saved = file_bytes(last);
+    EXPECT_EQ(chunks_of(records_of(saved)).size(), 5u);
+
+    core::SystemRunner resumed(model, workload, options,
+                               core::SystemRunner::Mode::kRestore);
+    const Status restored = restore_file_into(resumed, last);
+    ASSERT_TRUE(restored.is_ok()) << restored.to_string();
+    const std::string again = dir + "/again.dcsnap";
+    ASSERT_TRUE(resumed.save_file(again).is_ok());
+    EXPECT_EQ(file_bytes(again), saved);
+
+    original.run_until(12 * kHour);
+    resumed.run_until(12 * kHour);
+    ASSERT_TRUE(original.save_file(dir + "/a12.dcsnap").is_ok());
+    ASSERT_TRUE(resumed.save_file(dir + "/b12.dcsnap").is_ok());
+    EXPECT_EQ(file_bytes(dir + "/b12.dcsnap"), file_bytes(dir + "/a12.dcsnap"));
+  }
+}
+
+// The rows each history chunk's entries of `key` hold, summed over `finished`.
+std::uint64_t history_rows(const std::string& finished, std::string_view key) {
+  std::uint64_t rows = 0;
+  for (const auto& record : records_of(finished)) {
+    if (record.section == "history.chunk." + std::string(key) &&
+        record.name == "rows") {
+      rows += snapshot::load_le<std::uint64_t>(record.payload.data());
+    }
+  }
+  return rows;
+}
+
+// A ring far smaller than what a run emits between two saves: each save's
+// chunk skips what the ring dropped unwritten, and the history starts
+// afresh whenever half of it is events the ring has dropped, so what a
+// snapshot holds stays bounded by the ring, not by the run. Restore and
+// resume still write the uninterrupted run's bytes.
+TEST(SnapshotComponents, WrappingTraceRingKeepsItsHistoryBounded) {
+  constexpr std::size_t kCapacity = 40;
+  const core::ConsolidationWorkload workload = small_workload();
+  const SystemModel model = SystemModel::kDawningCloud;
+  const std::string dir = history_dir("ring");
+  const auto traced = [&](obs::TraceSink& sink) {
+    core::RunOptions options = faulted_options();
+    options.trace = &sink;
+    return options;
+  };
+  obs::TraceSink sink(kCapacity);
+  core::SystemRunner original(model, workload, traced(sink));
+  std::vector<std::string> files;
+  for (SimTime t = 30 * kMinute; t <= 12 * kHour; t += 30 * kMinute) {
+    original.run_until(t);
+    files.push_back(core::snapshot_path(dir, model, t));
+    ASSERT_TRUE(original.save_file(files.back()).is_ok());
+  }
+  ASSERT_GT(sink.dropped(), 10 * kCapacity);
+  std::vector<std::string> golden;
+  for (const std::string& file : files) golden.push_back(file_bytes(file));
+  std::uint64_t most = 0;
+  for (const std::string& bytes : golden) {
+    most = std::max(most, history_rows(bytes, "obs.trace.events"));
+  }
+  EXPECT_GE(most, kCapacity);
+  EXPECT_LT(most, 3 * kCapacity);
+
+  for (std::size_t i = 0; i + 1 < files.size(); i += 5) {
+    SCOPED_TRACE(files[i]);
+    obs::TraceSink resumed_sink(kCapacity);
+    core::SystemRunner resumed(model, workload, traced(resumed_sink),
+                               core::SystemRunner::Mode::kRestore);
+    const Status restored = restore_file_into(resumed, files[i]);
+    ASSERT_TRUE(restored.is_ok()) << restored.to_string();
+    ASSERT_TRUE(resumed.save_file(files[i]).is_ok());
+    EXPECT_EQ(file_bytes(files[i]), golden[i]);
+    for (std::size_t j = i + 1; j < files.size(); ++j) {
+      resumed.run_until(static_cast<SimTime>(j + 1) * 30 * kMinute);
+      ASSERT_TRUE(resumed.save_file(files[j]).is_ok());
+      EXPECT_EQ(file_bytes(files[j]), golden[j]) << files[j];
+    }
+    EXPECT_EQ(resumed_sink.chrome_json(), sink.chrome_json());
+  }
+}
+
+// A DawningCloud snapshot of the crowded workload whose history holds
+// three chunks, traced so that one of them is the trace's.
+std::string three_chunk_snapshot(const std::string& name) {
+  const std::string dir = history_dir(name);
+  obs::TraceSink sink;
+  core::RunOptions options;
+  options.trace = &sink;
+  core::SystemRunner runner(SystemModel::kDawningCloud, crowded_workload(),
+                            options);
+  std::string last;
+  save_every(runner, SystemModel::kDawningCloud, dir, 3 * kHour, 9 * kHour,
+             last);
+  return file_bytes(last);
+}
+
+Status restore_traced(const std::string& finished) {
+  obs::TraceSink sink;
+  core::RunOptions options;
+  options.trace = &sink;
+  core::SystemRunner resumed(SystemModel::kDawningCloud, crowded_workload(),
+                             options, core::SystemRunner::Mode::kRestore);
+  auto reader = SnapshotReader::from_buffer(finished);
+  if (!reader.is_ok()) return reader.status();
+  return resumed.restore(*reader);
+}
+
+// Forged history is refused with a typed error naming the chunk and the
+// record, never an abort.
+TEST(SnapshotComponents, RestoreRefusesForgedHistory) {
+  const std::string finished = three_chunk_snapshot("forged");
+  ASSERT_TRUE(restore_traced(finished).is_ok());
+  const std::vector<snapshot::SnapshotRecord> records = records_of(finished);
+  ASSERT_EQ(encode(records), finished);
+  const auto chunks = chunks_of(records);
+  ASSERT_EQ(chunks.size(), 3u);
+  const auto span = [&](std::size_t chunk) {
+    return std::vector<snapshot::SnapshotRecord>(
+        records.begin() + static_cast<std::ptrdiff_t>(chunks[chunk].first),
+        records.begin() + static_cast<std::ptrdiff_t>(chunks[chunk].second));
+  };
+  const auto with_chunks = [&](std::initializer_list<std::size_t> order) {
+    std::vector<snapshot::SnapshotRecord> out(
+        records.begin(),
+        records.begin() + static_cast<std::ptrdiff_t>(chunks[0].first));
+    for (const std::size_t chunk : order) {
+      const auto part = span(chunk);
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    out.insert(out.end(),
+               records.begin() + static_cast<std::ptrdiff_t>(chunks[2].second),
+               records.end());
+    return encode(out);
+  };
+  // The first entry `key` of chunk `chunk`: its records, edited by `edit`.
+  const auto with_entry = [&](std::size_t chunk, std::string_view key,
+                              const auto& edit) {
+    std::vector<snapshot::SnapshotRecord> out = records;
+    const std::string section = "history.chunk." + std::string(key);
+    bool edited = false;
+    for (std::size_t i = chunks[chunk].first;
+         i < chunks[chunk].second && !edited; ++i) {
+      if (out[i].section == "history.chunk" && out[i].name == key &&
+          out[i].kind == snapshot::RecordKind::kSectionBegin) {
+        edit(out, i);
+        edited = true;
+      }
+    }
+    EXPECT_TRUE(edited) << "no entry " << key << " in chunk " << chunk;
+    return encode(out);
+  };
+  const auto set_word = [](snapshot::SnapshotRecord& record,
+                           std::uint64_t value) {
+    snapshot::store_le(record.payload.data(), value);
+  };
+  const auto expect_typed = [](const Status& status,
+                               std::initializer_list<std::string_view> parts) {
+    ASSERT_FALSE(status.is_ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+    for (const std::string_view part : parts) {
+      EXPECT_NE(status.message().find(part), std::string::npos)
+          << status.message();
+    }
+  };
+
+  {
+    SCOPED_TRACE("chunks out of boundary order");
+    expect_typed(restore_traced(with_chunks({0, 2, 1})),
+                 {"history chunk 3 (t=21600) does not follow chunk 2 "
+                  "(t=32400)",
+                  "out of boundary order"});
+  }
+  {
+    SCOPED_TRACE("a duplicated chunk");
+    expect_typed(restore_traced(with_chunks({0, 1, 1, 2})),
+                 {"history chunk 3 (t=21600) does not follow chunk 2 "
+                  "(t=21600)"});
+  }
+  {
+    SCOPED_TRACE("a chunk's rows overrun their table");
+    // The job table counts only the rows before the second chunk's.
+    expect_typed(
+        restore_traced(with_entry(
+            1, "htc:snap.jobs",
+            [&](std::vector<snapshot::SnapshotRecord>& out, std::size_t i) {
+              const auto first =
+                  snapshot::load_le<std::uint64_t>(out[i + 1].payload.data());
+              for (snapshot::SnapshotRecord& record : out) {
+                if (record.section == "htc:snap" &&
+                    record.name == "job_count") {
+                  set_word(record, first);
+                }
+              }
+            })),
+        {"history chunk 2 (t=21600) record 'htc:snap.jobs'",
+         "overrun the table's"});
+  }
+  {
+    SCOPED_TRACE("a chunk's row count its bytes cannot hold");
+    expect_typed(
+        restore_traced(with_entry(
+            1, "htc:snap.jobs",
+            [&](std::vector<snapshot::SnapshotRecord>& out, std::size_t i) {
+              set_word(out[i + 2], std::uint64_t{1} << 62);
+            })),
+        {"history chunk 2 (t=21600) record 'htc:snap.jobs'",
+         "count 'rows' of 4611686018427387904"});
+  }
+  {
+    SCOPED_TRACE("a chunk whose rows leave a gap");
+    expect_typed(
+        restore_traced(with_entry(
+            1, "htc:snap.jobs",
+            [&](std::vector<snapshot::SnapshotRecord>& out, std::size_t i) {
+              set_word(out[i + 1],
+                       snapshot::load_le<std::uint64_t>(
+                           out[i + 1].payload.data()) +
+                           1);
+            })),
+        {"history chunk 2 (t=21600) record 'htc:snap.jobs'",
+         "a chunk is missing"});
+  }
+  {
+    SCOPED_TRACE("history for an unknown record");
+    expect_typed(
+        restore_traced(with_entry(
+            0, "htc:snap.jobs",
+            [&](std::vector<snapshot::SnapshotRecord>& out, std::size_t i) {
+              snapshot::SnapshotRecord begin = out[i];
+              begin.name = "htc:snap.bogus";
+              snapshot::SnapshotRecord first = out[i + 1];
+              snapshot::SnapshotRecord rows = out[i + 2];
+              set_word(first, 0);
+              set_word(rows, 0);
+              snapshot::SnapshotRecord end = begin;
+              end.kind = snapshot::RecordKind::kSectionEnd;
+              out.insert(out.begin() + static_cast<std::ptrdiff_t>(i),
+                         {begin, first, rows, end});
+            })),
+        {"history chunk 1 (t=10800) record 'htc:snap.bogus' belongs to no "
+         "table",
+         "drifted"});
+  }
+  {
+    SCOPED_TRACE("history for an unknown section");
+    expect_typed(
+        restore_traced(with_entry(
+            0, "htc:snap.jobs",
+            [&](std::vector<snapshot::SnapshotRecord>& out, std::size_t i) {
+              snapshot::SnapshotRecord begin = out[i];
+              begin.name = "htc:elsewhere.jobs";
+              snapshot::SnapshotRecord first = out[i + 1];
+              snapshot::SnapshotRecord rows = out[i + 2];
+              set_word(first, 0);
+              set_word(rows, 0);
+              snapshot::SnapshotRecord end = begin;
+              end.kind = snapshot::RecordKind::kSectionEnd;
+              out.insert(out.begin() + static_cast<std::ptrdiff_t>(i),
+                         {begin, first, rows, end});
+            })),
+        {"record 'htc:elsewhere.jobs' belongs to no table"});
+  }
+  {
+    SCOPED_TRACE("a trace chunk naming ids past the name table");
+    // One event whose name id (its fifth varint) is 120.
+    const std::string event("\x00\x00\x02\x00\x78\x00\x00", 7);
+    expect_typed(
+        restore_traced(with_entry(
+            0, "obs.trace.events",
+            [&](std::vector<snapshot::SnapshotRecord>& out, std::size_t i) {
+              set_word(out[i + 2], 1);  // rows
+              out[i + 3].payload = event;
+            })),
+        {"history chunk 1 (t=10800) record 'obs.trace.events'",
+         "name id 120 or actor id 0 is past the"});
+  }
+}
+
+// Every value a history holds, set to an edge value, either restores or
+// is refused with a typed error: none aborts, and no forged row count
+// sizes a table past what the stream holds.
+TEST(SnapshotComponents, EveryForgedHistoryValueIsRefusedOrRestores) {
+  const std::string finished = three_chunk_snapshot("every");
+  const std::vector<snapshot::SnapshotRecord> records = records_of(finished);
+  std::size_t forged = 0;
+  std::size_t refused = 0;
+  const auto restore_edited = [&](const std::vector<snapshot::SnapshotRecord>&
+                                      edited) {
+    const Status status = restore_traced(encode(edited));
+    ++forged;
+    if (status.is_ok()) return;
+    ++refused;
+    EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument ||
+                status.code() == StatusCode::kFailedPrecondition)
+        << status.to_string();
+  };
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const snapshot::SnapshotRecord& record = records[i];
+    if (record.section.rfind("history", 0) != 0) continue;
+    SCOPED_TRACE(record.section + " " + record.name);
+    if (record.kind == snapshot::RecordKind::kU64 ||
+        record.kind == snapshot::RecordKind::kI64) {
+      const auto original =
+          snapshot::load_le<std::uint64_t>(record.payload.data());
+      for (const std::uint64_t value :
+           {std::uint64_t{0}, original + 1, std::uint64_t{1} << 62}) {
+        std::vector<snapshot::SnapshotRecord> edited = records;
+        snapshot::store_le(edited[i].payload.data(), value);
+        restore_edited(edited);
+      }
+    } else if (record.kind == snapshot::RecordKind::kBytes ||
+               record.kind == snapshot::RecordKind::kStr) {
+      for (const std::size_t keep :
+           {std::size_t{0}, record.payload.size() / 2}) {
+        std::vector<snapshot::SnapshotRecord> edited = records;
+        edited[i].payload.resize(keep);
+        restore_edited(edited);
+      }
+    }
+  }
+  EXPECT_GT(forged, 300u);
+  EXPECT_GT(refused, forged / 4);
+}
+
+// A snapshot written before history was split out — `kernel` where
+// `history` now follows `meta` — is refused at that record.
+TEST(SnapshotComponents, RestoreRefusesThePreChangeLayout) {
+  const core::ConsolidationWorkload workload = crowded_workload();
+  core::SystemRunner runner(SystemModel::kDcs, workload, {});
+  runner.run_until(4 * kHour);
+  SnapshotWriter writer;
+  ASSERT_TRUE(runner.save(writer).is_ok());
+  std::vector<snapshot::SnapshotRecord> records = records_of(writer.finish());
+  std::erase_if(records, [](const snapshot::SnapshotRecord& record) {
+    return record.section.empty() && record.name == "history";
+  });
+  const Status status =
+      restore_into_passive(SystemModel::kDcs, encode(records));
+  expect_refused(status, "expected field 'history', found 'kernel'",
+                 "drifted");
+}
+
+// The snapshot_fuzzer corpus holds a DawningCloud snapshot with three
+// history chunks, as this build writes it, so the container fuzzer starts
+// from the history layout.
+TEST(SnapshotComponents, SnapshotFuzzerSeedIsAMultiChunkSnapshot) {
+  const std::string finished = three_chunk_snapshot("seed");
+  const std::string seed =
+      std::string(DC_SNAPSHOT_CORPUS_DIR) + "/multi_chunk_dawningcloud.bin";
+  const std::string fresh = ::testing::TempDir() + "multi_chunk_dawningcloud.bin";
+  ASSERT_TRUE(atomic_write_file(fresh, finished, "test").is_ok());
+  EXPECT_EQ(file_bytes(seed), finished)
+      << "re-capture with: cp " << fresh << " " << seed;
 }
 
 }  // namespace

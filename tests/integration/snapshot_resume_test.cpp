@@ -389,8 +389,7 @@ TEST(SnapshotResume, ModelMismatchedSnapshotIsRejected) {
 // and over DawningCloud's trace export and metrics timeseries. The results,
 // trace and metrics digests were captured from the emulator that queued
 // one event per trace job at registration; the snapshot digests from the
-// packed layout (varint trace ring, job columns, three numbers per
-// emulator stream).
+// history layout (final rows in one chunk per save, docs/SNAPSHOT.md).
 
 std::string hex_digest(std::string_view bytes) {
   return str_format("%016llx", static_cast<unsigned long long>(
@@ -408,10 +407,10 @@ TEST(SnapshotResume, SnapshotsAndResultsMatchPinnedDigests) {
   const core::ConsolidationWorkload workload = make_workload();
   const core::RunOptions options = make_options();
   const std::vector<PinnedRun> pinned = {
-      {SystemModel::kDcs, 7, "b5702ee2e57717a8", "e8c9ce6ff5d9e0e4"},
-      {SystemModel::kSsp, 7, "e36da2d6142c597f", "72d83ebf6382bd8e"},
-      {SystemModel::kDrp, 7, "0a7c3605b2f106a0", "5d5a7b9b0efdca07"},
-      {SystemModel::kDawningCloud, 7, "e447ee2ee4989b76", "d9dd0b86b1d8050c"},
+      {SystemModel::kDcs, 7, "f0a1f8600d3745e0", "e8c9ce6ff5d9e0e4"},
+      {SystemModel::kSsp, 7, "f0b886885e2ea3e2", "72d83ebf6382bd8e"},
+      {SystemModel::kDrp, 7, "0f061340455b00a8", "5d5a7b9b0efdca07"},
+      {SystemModel::kDawningCloud, 7, "90d136692936fc76", "d9dd0b86b1d8050c"},
   };
   for (const PinnedRun& pin : pinned) {
     SCOPED_TRACE(core::system_model_name(pin.model));
@@ -493,10 +492,10 @@ bool some_record_is_set(const std::vector<std::string>& files,
 TEST(SnapshotResume, BusyRunSnapshotsMatchPinnedDigests) {
   const core::ConsolidationWorkload workload = make_workload();
   const std::vector<PinnedBusyRun> pinned = {
-      {SystemModel::kDawningCloud, 287, "e276be3149715720", "97092580ecfa80b5",
+      {SystemModel::kDawningCloud, 287, "98973270f636481c", "97092580ecfa80b5",
        "937eb17bc3efd0e1", "7a25ebbdd7a37e3a",
        {"setup_count", "timeout_count", "retry_count", "waiting_grant"}},
-      {SystemModel::kDrp, 287, "d544ff633195648a", "26ace905dd72752f",
+      {SystemModel::kDrp, 287, "3a7150e3af5b0fe4", "26ace905dd72752f",
        "a6babeb532e3bca7", "de3368693c6e8898", {"retry_count"}},
   };
   for (const PinnedBusyRun& pin : pinned) {
@@ -535,13 +534,16 @@ TEST(SnapshotResume, BusyRunSnapshotsMatchPinnedDigests) {
       EXPECT_TRUE(some_record_is_set(files, "", name)) << name;
     }
     EXPECT_TRUE(some_record_is_set(files, "obs", "sampler_pending"));
-    EXPECT_TRUE(some_record_is_set(files, "obs.trace", "events"));
+    // The trace ring's events are history rows: each save's chunk packs
+    // the ones emitted since the save before.
+    constexpr std::string_view kTraceHistory = "history.chunk.obs.trace.events";
+    EXPECT_TRUE(some_record_is_set(files, kTraceHistory, "rows"));
     bool packed_ring = false;
     auto records = snapshot::read_records(files.back());
     ASSERT_TRUE(records.is_ok()) << records.status().to_string();
     for (const snapshot::SnapshotRecord& record : *records) {
-      packed_ring = packed_ring || (record.section == "obs.trace" &&
-                                    record.name == "packed_ring" &&
+      packed_ring = packed_ring || (record.section == kTraceHistory &&
+                                    record.name == "packed" &&
                                     !record.payload.empty());
     }
     EXPECT_TRUE(packed_ring);

@@ -337,6 +337,10 @@ const std::vector<CorpusPin>& corpus_pins() {
        "INVALID_ARGUMENT: trace json: expected top-level object near offset 0"},
       {"truncated.json",
        "INVALID_ARGUMENT: trace json: expected ',' or '}' near offset 348"},
+      {"unicode_escapes.json",
+       "OK | i job/\xc5\x81od\xc5\xba@\xf0\x9f\x98\x80 ts=0 dur=0 a0=1 a1=0"
+       " | i job/caf\xc3\xa9@\xf0\x9f\x98\x80 ts=1000000 dur=0 a0=2 "
+       "a1=0"},
       {"valid_export.json",
        "OK | i job/job.submit@NASA ts=0 dur=0 a0=1 a1=0"
        " | X kernel/sweep_chunk@kernel ts=1000000000000 dur=2000000000000 "
@@ -479,7 +483,26 @@ TEST(TraceJson, MalformedInputsHavePinnedVerdicts) {
        error("expected string near offset 19")},
       {"an empty object", "{}", error("expected string near offset 1")},
       {"bytes after the top-level object", R"({"traceEvents":[]} trailing)",
-       "OK"},
+       error("bytes after the top-level object near offset 19")},
+      {"two exports in one file",
+       R"({"traceEvents":[)" + record + R"(]}{"traceEvents":[]})",
+       error("bytes after the top-level object near offset 89")},
+      {"whitespace after the top-level object",
+       R"({"traceEvents":[]} )" "\n\t\r\n", "OK"},
+      {"escapes of two- and three-byte UTF-8",
+       head + R"({"name":"\u0141od\u017a \u2713"}]})",
+       "OK | i /\xc5\x81od\xc5\xba \xe2\x9c\x93@tid0 ts=0 dur=0 a0=0 a1=0"},
+      {"a surrogate pair", head + R"({"name":"\ud83d\ude00!"}]})",
+       "OK | i /\xf0\x9f\x98\x80!@tid0 ts=0 dur=0 a0=0 a1=0"},
+      {"a lone high surrogate", head + R"({"name":"\ud83dx"}]})",
+       error("bad \\u escape near offset 31")},
+      {"a high surrogate before a non-surrogate",
+       head + R"({"name":"\ud83d\u0041"}]})",
+       error("bad \\u escape near offset 37")},
+      {"a high surrogate cut short", head + R"({"name":"\ud83d\u00)",
+       error("bad \\u escape near offset 33")},
+      {"a lone low surrogate", head + R"({"name":"\ude00"}]})",
+       error("bad \\u escape near offset 31")},
       {"a tid without thread_name",
        head + R"({"ph":"i","tid":7,"name":"a"}]})",
        "OK | i /a@tid7 ts=0 dur=0 a0=0 a1=0"},

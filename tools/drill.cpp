@@ -23,7 +23,9 @@
 //
 //   snapshot-dcs, snapshot-ssp, snapshot-drp, snapshot-dawningcloud
 //         a faulted run of that system snapshotting every 12 h, plus an
-//         atomically written results CSV. Composed: kill-after-2 dies
+//         atomically written results CSV. Every snapshot file a pass
+//         leaves is an artifact too: a resumed run must re-write the
+//         golden pass's snapshots byte for byte. Composed: kill-after-2 dies
 //         right after the second snapshot lands, and the recovery must
 //         resume from it, so the crashed and recovered passes together
 //         rename as many snapshots as golden; trunc-snapshot truncates the
@@ -110,9 +112,33 @@ int fork_and_wait(const std::function<int()>& body) {
 /// A pass's artifacts: path relative to its directory -> bytes.
 using Artifacts = std::map<std::string, std::string>;
 
+/// The names of the files directly in `dir` that end with `suffix`, or
+/// none when the suffix is empty.
+std::set<std::string> suffixed_files(const std::string& dir,
+                                     std::string_view suffix) {
+  std::set<std::string> names;
+  if (suffix.empty()) return names;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      names.insert(name);
+    }
+  }
+  return names;
+}
+
+/// The files `names` of `dir`, and every file there ending with `suffix`.
 bool capture(const std::string& dir, const std::vector<std::string>& names,
-             Artifacts* out) {
-  for (const std::string& name : names) {
+             std::string_view suffix, Artifacts* out) {
+  std::vector<std::string> all = names;
+  for (const std::string& name : suffixed_files(dir, suffix)) {
+    all.push_back(name);
+  }
+  for (const std::string& name : all) {
     auto bytes = read_file(dir + "/" + name);
     if (!bytes.is_ok()) return false;
     (*out)[name] = std::move(*bytes);
@@ -139,11 +165,19 @@ bool no_debris(const std::string& label, const std::string& dir) {
   return true;
 }
 
-/// The check every drilled pass ends with: no debris under `dir`, and
-/// each golden artifact byte-identical there.
+/// The check every drilled pass ends with: no debris under `dir`, each
+/// golden artifact byte-identical there, and no file ending with `suffix`
+/// that the golden pass did not leave.
 bool matches_golden(const std::string& label, const std::string& dir,
-                    const Artifacts& golden) {
+                    const Artifacts& golden, std::string_view suffix = {}) {
   if (!no_debris(label, dir)) return false;
+  for (const std::string& name : suffixed_files(dir, suffix)) {
+    if (golden.count(name) == 0) {
+      std::fprintf(stderr, "[%s] FAIL: %s is not among the golden artifacts\n",
+                   label.c_str(), name.c_str());
+      return false;
+    }
+  }
   for (const auto& [name, bytes] : golden) {
     auto actual = read_file(dir + "/" + name);
     if (!actual.is_ok() || *actual != bytes) {
@@ -166,13 +200,16 @@ int pass_exit(const Status& st) {
 
 /// An I/O scenario. `run` makes one pass inside a forked child, writing
 /// artifacts under `art` and scratch files under `ctrl`; `resume` is set
-/// on a recovery pass. It returns 0, kTypedFailure or kSetupFailure.
+/// on a recovery pass. It returns 0, kTypedFailure or kSetupFailure. The
+/// artifacts are the files `artifacts` names and every file of the golden
+/// pass ending with `artifact_suffix`.
 struct IoScenario {
   std::string name;
   std::vector<std::string> artifacts;
   std::function<int(const std::string& art, const std::string& ctrl,
                     bool resume)>
       run;
+  std::string artifact_suffix;
 };
 
 /// A plan that must crash a pass, after which the recovery must land on
@@ -275,7 +312,9 @@ int probe(const IoScenario& scenario, const std::string& workdir,
     return 1;
   }
   if (code == 0 && !must_crash) {
-    if (!matches_golden(label, dirs.art, golden)) return 1;
+    if (!matches_golden(label, dirs.art, golden, scenario.artifact_suffix)) {
+      return 1;
+    }
     std::fprintf(stderr, "[%s] absorbed; golden\n", label.c_str());
     fs::remove_all(dirs.base);
     return 0;
@@ -296,7 +335,9 @@ int probe(const IoScenario& scenario, const std::string& workdir,
                  label.c_str(), recovered);
     return 1;
   }
-  if (!matches_golden(label, dirs.art, golden)) return 1;
+  if (!matches_golden(label, dirs.art, golden, scenario.artifact_suffix)) {
+    return 1;
+  }
   if (want_renames >= 0) {
     const std::size_t renames = count_lines(fault_trace(dirs), kSnapshotRename);
     if (renames != static_cast<std::size_t>(want_renames)) {
@@ -322,7 +363,8 @@ int drill_io(const IoScenario& scenario,
   const ProbeDirs dirs = fresh_dirs(workdir, "golden");
   const int code = spawn_pass(scenario, dirs, "", false);
   Artifacts golden;
-  if (code != 0 || !capture(dirs.art, scenario.artifacts, &golden)) {
+  if (code != 0 || !capture(dirs.art, scenario.artifacts,
+                            scenario.artifact_suffix, &golden)) {
     std::fprintf(stderr,
                  "[%s/golden] FAIL: the uninterrupted pass exited %d or left "
                  "no artifacts\n",
@@ -656,7 +698,7 @@ int drill_campaign(const std::string& scenario, const campaign::SweepSpec& spec,
   Artifacts golden;
   if (!completed("golden", campaign::run_campaign(
                                spec, campaign_config(golden_dir, 2))) ||
-      !capture(golden_dir, kCampaignArtifacts, &golden)) {
+      !capture(golden_dir, kCampaignArtifacts, {}, &golden)) {
     std::fputs("[golden] FAIL: no golden campaign\n", stderr);
     return 1;
   }
@@ -732,7 +774,8 @@ int main(int argc, char** argv) {
          [model](const std::string& art, const std::string& ctrl,
                  bool resume) {
            return snapshot_pass(model, art, ctrl, resume);
-         }},
+         },
+         ".dcsnap"},
         {{"kill-after-2",
           "site=snapshot.save op=rename nth=2 fault=crash-after once", 0},
          {"trunc-snapshot",
@@ -745,7 +788,8 @@ int main(int argc, char** argv) {
         {scenario, {"metrics.csv", "trace.json", "trace.csv"},
          [](const std::string& art, const std::string&, bool) {
            return exports_pass(art);
-         }},
+         },
+         ""},
         {}, workdir);
   } else if (scenario == "campaign-io" || campaign_drills.count(scenario)) {
     if (spec_path.empty()) return usage();
@@ -772,7 +816,8 @@ int main(int argc, char** argv) {
                               campaign::run_campaign(*spec, config))
                         ? 0
                         : kTypedFailure;
-           }},
+           },
+           ""},
           {{"torn-journal",
             "site=campaign.journal.append op=write nth=5 fault=torn bytes=2 "
             "once",
