@@ -1,9 +1,9 @@
 // The failure-domain victim interface.
 //
-// Every runtime environment that can lose hardware implements FaultTarget,
-// so one seeded FaultDomain drives HTC queues, MTC workflow servers,
-// web-service REs and DRP-leased VMs identically. The three verbs mirror a
-// node's lifecycle in an unreliable cluster:
+// Every runtime environment of the four systems implements FaultTarget,
+// so one seeded FaultDomain drives HTC queues, MTC workflow servers and
+// DRP-leased VMs identically. The three verbs mirror a node's lifecycle
+// in an unreliable cluster:
 //
 //   healthy_nodes()  how many of the target's nodes can fail right now;
 //   fail_nodes(n)    n nodes go down at the current simulation time —

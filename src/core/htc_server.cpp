@@ -197,7 +197,6 @@ void HtcServer::on_job_complete(sched::JobId id) {
   // queue, which the dispatch below can start in the same event.
   if (completion_callback_) completion_callback_(job);
   dispatch();
-  if (drained() && drained_callback_) drained_callback_(now);
 }
 
 std::int64_t HtcServer::queued_demand() const {

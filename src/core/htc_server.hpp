@@ -82,7 +82,7 @@ class HtcServer : public fault::FaultTarget {
   sched::JobId submit(SimDuration runtime, std::int64_t nodes,
                       std::int64_t task_id = -1);
 
-  /// Invoked after a job completes (before the drained check); the MTC
+  /// Invoked after a job completes, before the next dispatch; the MTC
   /// layer uses this to release dependent tasks.
   void set_completion_callback(std::function<void(const sched::Job&)> cb) {
     completion_callback_ = std::move(cb);
@@ -124,12 +124,6 @@ class HtcServer : public fault::FaultTarget {
   std::int64_t backfill_hits() const { return backfill_hits_; }
   /// Nodes currently failed and awaiting repair.
   std::int64_t down() const { return down_; }
-
-  /// Invoked whenever the server becomes drained (empty queue, nothing
-  /// running) after having run at least one job.
-  void set_drained_callback(std::function<void(SimTime)> cb) {
-    drained_callback_ = std::move(cb);
-  }
 
   /// Borrows a per-run trace sink (may be null; see docs/OBSERVABILITY.md).
   /// Covers the MTC server too, which derives from this engine.
@@ -348,7 +342,6 @@ class HtcServer : public fault::FaultTarget {
   std::vector<RetryEvent> retry_events_;
 
   std::function<void(const sched::Job&)> completion_callback_;  // dc-volatile: rewired by the owner
-  std::function<void(SimTime)> drained_callback_;             // dc-volatile: rewired by the owner
 };
 
 }  // namespace dc::core

@@ -1,7 +1,5 @@
 #include "core/lifecycle.hpp"
 
-#include <cassert>
-
 #include "util/strings.hpp"
 
 namespace dc::core {
@@ -12,7 +10,6 @@ const char* tre_state_name(TreState state) {
     case TreState::kPlanning: return "planning";
     case TreState::kCreated: return "created";
     case TreState::kRunning: return "running";
-    case TreState::kDestroyed: return "destroyed";
   }
   return "?";
 }
@@ -23,28 +20,6 @@ const char* workload_type_name(WorkloadType type) {
     case WorkloadType::kMtc: return "MTC";
   }
   return "?";
-}
-
-LifecycleService::LifecycleService(sim::Simulator& simulator,
-                                   Latencies latencies)
-    : simulator_(simulator), latencies_(latencies) {}
-
-LifecycleService::LifecycleService(sim::Simulator& simulator,
-                                   DeploymentModel model)
-    : simulator_(simulator), deployment_(std::move(model)) {}
-
-LifecycleService::Latencies LifecycleService::latencies_for(
-    const TreSpec& spec) const {
-  if (!deployment_) return latencies_;
-  const PackageSpec& package = spec.type == WorkloadType::kMtc
-                                   ? deployment_->mtc_package
-                                   : deployment_->htc_package;
-  Latencies latencies;
-  latencies.validate = deployment_->validate;
-  latencies.deploy = deployment_->service.deploy_latency(
-      package, std::max<std::int64_t>(1, spec.requested_initial_nodes));
-  latencies.start = deployment_->service.start_latency();
-  return latencies;
 }
 
 void LifecycleService::advance(TreId id, TreState next) {
@@ -71,47 +46,25 @@ StatusOr<TreId> LifecycleService::create_tre(
   records_.push_back(Record{spec, TreState::kInexistent});
   ++chains_in_flight_;
 
-  // The transitions are chained so that even with zero latencies they fire
-  // in order within one simulation instant.
-  const Latencies latencies = latencies_for(spec);
-  simulator_.schedule_in(
-      latencies.validate,
-      [this, id, latencies, cb = std::move(on_running)]() mutable {
-        // Inexistent -> Planning after validation.
-        advance(id, TreState::kPlanning);
-        simulator_.schedule_in(
-            latencies.deploy, [this, id, latencies, cb = std::move(cb)]() mutable {
-              // Planning -> Created once the deployment service has
-              // installed the TRE's software packages.
-              advance(id, TreState::kCreated);
-              simulator_.schedule_in(
-                  latencies.start, [this, id, cb = std::move(cb)] {
-                    // Created -> Running once the agents started the TRE
-                    // components (server, scheduler, portal).
-                    advance(id, TreState::kRunning);
-                    --chains_in_flight_;
-                    if (cb) cb(simulator_.now());
-                  });
-            });
+  // Three chained events at this instant, not one: their kernel seqs are
+  // pinned by every DawningCloud snapshot and trace.
+  simulator_.schedule_in(0, [this, id, cb = std::move(on_running)]() mutable {
+    // Inexistent -> Planning after validation.
+    advance(id, TreState::kPlanning);
+    simulator_.schedule_in(0, [this, id, cb = std::move(cb)]() mutable {
+      // Planning -> Created once the deployment service has installed the
+      // TRE's software packages.
+      advance(id, TreState::kCreated);
+      simulator_.schedule_in(0, [this, id, cb = std::move(cb)] {
+        // Created -> Running once the agents started the TRE components
+        // (server, scheduler, portal).
+        advance(id, TreState::kRunning);
+        --chains_in_flight_;
+        if (cb) cb(simulator_.now());
       });
+    });
+  });
   return id;
-}
-
-Status LifecycleService::destroy_tre(TreId id,
-                                     std::function<void(SimTime)> on_destroyed) {
-  if (id < 0 || static_cast<std::size_t>(id) >= records_.size()) {
-    return Status::not_found(str_format("no such TRE: %lld",
-                                        static_cast<long long>(id)));
-  }
-  auto& record = records_[static_cast<std::size_t>(id)];
-  if (record.state != TreState::kRunning) {
-    return Status::failed_precondition(
-        str_format("TRE %lld is %s, not running",
-                   static_cast<long long>(id), tre_state_name(record.state)));
-  }
-  advance(id, TreState::kDestroyed);
-  if (on_destroyed) on_destroyed(simulator_.now());
-  return Status::ok();
 }
 
 template <class Io>
@@ -121,9 +74,7 @@ Status LifecycleService::persist(Io& io) {
       return Status::failed_precondition(
           "lifecycle service: " + std::to_string(chains_in_flight_) +
           " TRE creation chain(s) are mid-flight at the snapshot boundary — "
-          "snapshot between run_until chunks, not from inside a callback, "
-          "and keep snapshot boundaries off instants where TREs are being "
-          "created with nonzero latencies");
+          "snapshot between run_until chunks, not from inside a callback");
     }
   } else {
     chains_in_flight_ = 0;
@@ -151,7 +102,7 @@ Status LifecycleService::persist(Io& io) {
     auto state = static_cast<std::uint64_t>(record.state);
     if (auto st = io.u64("state", state); !st.is_ok()) return st;
     if constexpr (!Io::kSaving) {
-      if (state > static_cast<std::uint64_t>(TreState::kDestroyed)) {
+      if (state > static_cast<std::uint64_t>(TreState::kRunning)) {
         return Status::invalid_argument("lifecycle: bad TRE state " +
                                         std::to_string(state));
       }
@@ -168,7 +119,7 @@ Status LifecycleService::persist(Io& io) {
     auto state = static_cast<std::uint64_t>(transition.state);
     if (auto st = io.u64("to_state", state); !st.is_ok()) return st;
     if constexpr (!Io::kSaving) {
-      if (state > static_cast<std::uint64_t>(TreState::kDestroyed)) {
+      if (state > static_cast<std::uint64_t>(TreState::kRunning)) {
         return Status::invalid_argument("lifecycle: bad transition state " +
                                         std::to_string(state));
       }

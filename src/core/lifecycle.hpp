@@ -1,10 +1,9 @@
 // Lifecycle management of thin runtime environments (TREs).
 //
 // Section 3.1.3 / Figure 4: a TRE moves Inexistent -> Planning (request
-// validated) -> Created (software deployed) -> Running (daemons started),
-// and is destroyed back to Inexistent. The deployment and start phases take
-// configurable latencies, modeling the CSF's deployment service and agents;
-// with zero latencies the state machine still enforces legal transitions.
+// validated) -> Created (software deployed) -> Running (daemons started).
+// Every transition takes zero simulated time: the setup cost a run reports
+// is RunOptions::setup_latency, and a TRE's end is its server's shutdown().
 #pragma once
 
 #include <cstdint>
@@ -12,9 +11,6 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
-#include "core/deployment.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/format.hpp"
@@ -23,7 +19,7 @@
 
 namespace dc::core {
 
-enum class TreState { kInexistent, kPlanning, kCreated, kRunning, kDestroyed };
+enum class TreState { kInexistent, kPlanning, kCreated, kRunning };
 
 const char* tre_state_name(TreState state);
 
@@ -44,37 +40,13 @@ using TreId = std::int64_t;
 
 class LifecycleService {
  public:
-  struct Latencies {
-    SimDuration validate = 0;  // Planning
-    SimDuration deploy = 0;    // Created: download/install RE packages
-    SimDuration start = 0;     // Running: start server/scheduler/portal
-  };
-
-  /// Mechanistic deployment model: per-TRE latencies derived from the
-  /// requested size and the per-type software package.
-  struct DeploymentModel {
-    DeploymentService service;
-    PackageSpec htc_package{"htc-tre", 150.0};
-    /// The MTC TRE ships more components (workflow parser, trigger
-    /// monitor, visual-editing portal — Section 3.1.2).
-    PackageSpec mtc_package{"mtc-tre", 260.0};
-    SimDuration validate = 1;
-  };
-
   explicit LifecycleService(sim::Simulator& simulator)
-      : LifecycleService(simulator, Latencies{}) {}
-  LifecycleService(sim::Simulator& simulator, Latencies latencies);
-  /// Latencies computed from the deployment model per create_tre call.
-  LifecycleService(sim::Simulator& simulator, DeploymentModel model);
+      : simulator_(simulator) {}
 
   /// Validates the request and drives the TRE to Running, invoking
   /// `on_running` at that point. Invalid specs fail immediately.
   StatusOr<TreId> create_tre(const TreSpec& spec,
                              std::function<void(SimTime)> on_running);
-
-  /// Destroys a Running TRE (prompt-backup/stop-daemons/offload-packages in
-  /// the real system), invoking `on_destroyed` when complete.
-  Status destroy_tre(TreId id, std::function<void(SimTime)> on_destroyed);
 
   TreState state(TreId id) const;
   const TreSpec& spec(TreId id) const;
@@ -96,9 +68,8 @@ class LifecycleService {
   /// TRE records and the transition audit trail are pure data; creation
   /// chains, however, hold their `on_running` callback in pending events,
   /// so a snapshot while a chain is mid-flight is refused with an
-  /// actionable error. In practice chains run to Running within one
-  /// simulation instant of create_tre (latencies included), so quiescent
-  /// boundaries never split one.
+  /// actionable error. Chains run to Running within the simulation
+  /// instant of create_tre, so quiescent boundaries never split one.
   Status save(snapshot::SnapshotWriter& writer) const;
   Status restore(snapshot::SnapshotReader& reader);
 
@@ -112,13 +83,9 @@ class LifecycleService {
   };
 
   void advance(TreId id, TreState next);
-  /// Latencies for one request (fixed, or derived from the model).
-  Latencies latencies_for(const TreSpec& spec) const;
 
   sim::Simulator& simulator_;  // dc-volatile: wiring
-  Latencies latencies_;        // dc-volatile: fixed by config
   obs::TraceSink* trace_ = nullptr;  // dc-volatile: borrowed, may be null
-  std::optional<DeploymentModel> deployment_;  // dc-volatile: fixed by config
   std::vector<Record> records_;
   std::vector<Transition> transitions_;
   /// Creation chains whose Running transition has not fired yet.

@@ -59,9 +59,9 @@ sim::Simulator::TimerCallback WssServer::make_idle_check(
   return [this, grant_index](SimTime at) {
     Grant& grant = grants_[grant_index];
     if (!grant.active || shutdown_) return;
-    // Release the grant once the healthy holding exceeds the current
-    // requirement by at least the grant's size.
-    if (owned_ - down_ - required_at(at) >= grant.nodes) {
+    // Release the grant once the holding exceeds the current requirement
+    // by at least the grant's size.
+    if (owned_ - required_at(at) >= grant.nodes) {
       ledger_.close(grant.lease, at);
       provision_.release(at, consumer_, grant.nodes);
       owned_ -= grant.nodes;
@@ -76,12 +76,9 @@ sim::Simulator::TimerCallback WssServer::make_idle_check(
 void WssServer::scan(SimTime now) {
   if (shutdown_) return;
   // Account violations over the elapsed interval at the interval's demand.
-  // Down nodes serve nothing: the effective capacity is the healthy part
-  // of the holding.
   const SimDuration elapsed = now - last_scan_;
-  const std::int64_t serving = owned_ - down_;
   const std::int64_t unmet =
-      std::max<std::int64_t>(0, profile_.at(now) - serving);
+      std::max<std::int64_t>(0, profile_.at(now) - owned_);
   if (unmet > 0) {
     violation_node_hours_ +=
         static_cast<double>(unmet) * to_hours(elapsed);
@@ -91,8 +88,8 @@ void WssServer::scan(SimTime now) {
   if (!config_.policy) return;
 
   const std::int64_t required = required_at(now);
-  if (required > serving) {
-    const std::int64_t amount = required - serving;
+  if (required > owned_) {
+    const std::int64_t amount = required - owned_;
     if (provision_.request(now, consumer_, amount)) {
       owned_ += amount;
       held_.change(now, amount);
@@ -106,41 +103,9 @@ void WssServer::scan(SimTime now) {
   }
 }
 
-std::int64_t WssServer::fail_nodes(std::int64_t count) {
-  assert(count >= 0);
-  if (!started_ || shutdown_ || count == 0) return 0;
-  const SimTime now = simulator_.now();
-  count = std::min(count, owned_ - down_);
-  if (count <= 0) return 0;
-  down_ += count;
-  down_usage_.change(now, count);
-  return 0;  // web services run no jobs to kill
-}
-
-void WssServer::repair_nodes(std::int64_t count) {
-  if (count <= 0 || down_ <= 0) return;
-  const SimTime now = simulator_.now();
-  count = std::min(count, down_);
-  down_ -= count;
-  down_usage_.change(now, -count);
-  if (shutdown_) return;
-  // The swapped-in hardware gets the service stack reinstalled.
-  provision_.record_hardware_swap(now, consumer_, count);
-}
-
-double WssServer::availability(SimTime horizon) const {
-  const double held = held_.node_hours(horizon);
-  if (held <= 0.0) return 1.0;
-  return 1.0 - down_usage_.node_hours(horizon) / held;
-}
-
 void WssServer::shutdown() {
   if (!started_ || shutdown_) return;
   const SimTime now = simulator_.now();
-  if (down_ > 0) {
-    down_usage_.change(now, -down_);
-    down_ = 0;
-  }
   if (scan_timer_ != sim::kInvalidTimer) {
     simulator_.stop_timer(scan_timer_);
     scan_timer_ = sim::kInvalidTimer;

@@ -23,14 +23,13 @@
 
 #include "cluster/billing.hpp"
 #include "cluster/usage_recorder.hpp"
-#include "core/fault/fault_target.hpp"
 #include "core/provision_service.hpp"
 #include "sim/simulator.hpp"
 #include "workload/demand_profile.hpp"
 
 namespace dc::core {
 
-class WssServer : public fault::FaultTarget {
+class WssServer {
  public:
   struct ElasticPolicy {
     /// Fractional safety margin held above the instantaneous demand.
@@ -64,21 +63,6 @@ class WssServer : public fault::FaultTarget {
   const std::string& name() const { return config_.name; }
   bool elastic() const { return config_.policy.has_value(); }
 
-  // --- FaultTarget ---------------------------------------------------------
-  // A web-service RE kills no jobs when nodes die — it simply serves with
-  // less capacity, and the lost nodes surface as SLA violation node*hours
-  // until the repair (or until the elastic scan leases replacements).
-  const std::string& fault_name() const override { return config_.name; }
-  std::int64_t healthy_nodes() const override {
-    return started_ && !shutdown_ ? owned_ - down_ : 0;
-  }
-  std::int64_t fail_nodes(std::int64_t count) override;
-  void repair_nodes(std::int64_t count) override;
-  /// Nodes currently failed and awaiting repair.
-  std::int64_t down() const { return down_; }
-  /// Fraction of held node*hours that were healthy over [0, horizon].
-  double availability(SimTime horizon) const;
-
   const cluster::LeaseLedger& ledger() const { return ledger_; }
   const cluster::UsageRecorder& held_usage() const { return held_; }
 
@@ -103,8 +87,6 @@ class WssServer : public fault::FaultTarget {
   bool started_ = false;
   bool shutdown_ = false;
   std::int64_t owned_ = 0;
-  std::int64_t down_ = 0;
-  cluster::UsageRecorder down_usage_;
 
   cluster::LeaseLedger ledger_;
   cluster::UsageRecorder held_;

@@ -30,20 +30,6 @@ void finalize(Invoice& invoice) {
 
 }  // namespace
 
-Invoice generate_invoice(const std::string& consumer,
-                         const cluster::LeaseLedger& ledger, SimTime horizon,
-                         double price_per_node_hour) {
-  Invoice invoice;
-  invoice.consumer = consumer;
-  invoice.period_end = horizon;
-  invoice.price_per_node_hour = price_per_node_hour;
-  for (const cluster::Lease& lease : ledger.leases()) {
-    invoice.lines.push_back(line_from_lease(lease, horizon, price_per_node_hour));
-  }
-  finalize(invoice);
-  return invoice;
-}
-
 Invoice generate_summary_invoice(const std::string& consumer,
                                  const cluster::LeaseLedger& ledger,
                                  SimTime horizon, double price_per_node_hour) {

@@ -35,14 +35,10 @@ struct Invoice {
   double total_usd = 0.0;
 };
 
-/// Builds an invoice over [0, horizon] from a ledger. Leases still open at
-/// the horizon are billed as if closed there. Lines appear in lease order.
-Invoice generate_invoice(const std::string& consumer,
-                         const cluster::LeaseLedger& ledger, SimTime horizon,
-                         double price_per_node_hour = Ec2CostModel{}.usd_per_instance_hour);
-
-/// Same, but merges lines with the same base tag (the part before '#') —
-/// the summary view for ledgers with hundreds of grants.
+/// Builds an invoice over [0, horizon] from a ledger, one line per base
+/// tag (the part before '#'), so ledgers with hundreds of grants stay
+/// readable. Leases still open at the horizon are billed as if closed
+/// there. Lines appear in base-tag order.
 Invoice generate_summary_invoice(const std::string& consumer,
                                  const cluster::LeaseLedger& ledger,
                                  SimTime horizon,

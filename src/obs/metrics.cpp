@@ -2,66 +2,9 @@
 
 #include <charconv>
 
-#include "util/csv.hpp"
 #include "util/fsio.hpp"
 
 namespace dc::obs {
-
-void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
-  auto it = counter_ids_.find(name);
-  if (it == counter_ids_.end()) {
-    counter_ids_.emplace(std::string(name), counters_.size());
-    counters_.push_back({std::string(name), delta});
-    return;
-  }
-  counters_[it->second].value += delta;
-}
-
-std::uint64_t MetricsRegistry::counter(std::string_view name) const {
-  auto it = counter_ids_.find(name);
-  return it == counter_ids_.end() ? 0 : counters_[it->second].value;
-}
-
-void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  auto it = gauge_ids_.find(name);
-  if (it == gauge_ids_.end()) {
-    gauge_ids_.emplace(std::string(name), gauges_.size());
-    gauges_.push_back({std::string(name), value});
-    return;
-  }
-  gauges_[it->second].value = value;
-}
-
-double MetricsRegistry::gauge(std::string_view name) const {
-  auto it = gauge_ids_.find(name);
-  return it == gauge_ids_.end() ? 0.0 : gauges_[it->second].value;
-}
-
-RunningStats& MetricsRegistry::stats(std::string_view name) {
-  auto it = stats_ids_.find(name);
-  if (it == stats_ids_.end()) {
-    stats_ids_.emplace(std::string(name), stats_.size());
-    stats_.push_back({std::string(name), RunningStats()});
-    return stats_.back().value;
-  }
-  return stats_[it->second].value;
-}
-
-const RunningStats* MetricsRegistry::find_stats(std::string_view name) const {
-  auto it = stats_ids_.find(name);
-  return it == stats_ids_.end() ? nullptr : &stats_[it->second].value;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name, double lo,
-                                      double hi, std::size_t bins) {
-  auto it = histogram_ids_.find(name);
-  if (it == histogram_ids_.end()) {
-    histogram_ids_.emplace(std::string(name), histograms_.size());
-    histograms_.push_back({std::string(name), Histogram(lo, hi, bins)});
-    return histograms_.back().value;
-  }
-  return histograms_[it->second].value;
-}
 
 void MetricsRegistry::sample(SimTime now, std::string_view metric,
                              double value) {
@@ -109,32 +52,6 @@ Status MetricsRegistry::export_timeseries_csv(const std::string& path) const {
   // either the previous complete CSV or nothing — never a truncated file
   // a plotting script would silently accept.
   return atomic_write_file(path, timeseries_csv(), "obs.metrics.csv");
-}
-
-std::string MetricsRegistry::summary() const {
-  TextTable table({"instrument", "kind", "value", "mean", "min", "max"});
-  for (const auto& c : counters_) {
-    table.cell(c.name).cell("counter")
-        .cell(static_cast<std::int64_t>(c.value)).cell("").cell("").cell("");
-    table.end_row();
-  }
-  for (const auto& g : gauges_) {
-    table.cell(g.name).cell("gauge").cell(g.value).cell("").cell("").cell("");
-    table.end_row();
-  }
-  for (const auto& s : stats_) {
-    table.cell(s.name).cell("stats")
-        .cell(static_cast<std::int64_t>(s.value.count()))
-        .cell(s.value.mean()).cell(s.value.min()).cell(s.value.max());
-    table.end_row();
-  }
-  for (const auto& h : histograms_) {
-    table.cell(h.name).cell("histogram")
-        .cell(static_cast<std::int64_t>(h.value.total()))
-        .cell(h.value.p50()).cell(h.value.p95()).cell(h.value.p99());
-    table.end_row();
-  }
-  return table.render("metrics");
 }
 
 }  // namespace dc::obs

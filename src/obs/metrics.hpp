@@ -1,17 +1,14 @@
 // Per-run metrics registry (see docs/OBSERVABILITY.md).
 //
-// A MetricsRegistry owns named counters, gauges, RunningStats and
-// Histogram instruments for exactly one run — never a global, so
-// parallel parameter sweeps stay race-free by construction: each sweep
-// lane owns (or omits) its own registry, exactly like the TraceSink.
-//
-// Besides end-of-run instruments, the registry records a long-format
-// timeseries: SystemRunner arms a periodic sim timer that calls
+// A MetricsRegistry records one run's long-format timeseries — never a
+// global, so parallel parameter sweeps stay race-free by construction:
+// each sweep lane owns (or omits) its own registry, exactly like the
+// TraceSink. SystemRunner arms a periodic sim timer that calls
 // `sample(now, metric, value)` for queue depths, node states and
-// outstanding leases, and the rows flush to CSV
-// (time,metric,value) for plotting without re-running the experiment.
+// outstanding leases, and the rows flush to CSV (time,metric,value) for
+// plotting without re-running the experiment.
 //
-// Instruments live in insertion order (no unordered-container
+// Metric names are interned in first-use order (no unordered-container
 // iteration, per dc-r2), so every export is deterministic.
 #pragma once
 
@@ -21,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/histogram.hpp"
 #include "util/status.hpp"
 #include "util/time.hpp"
 
@@ -36,23 +32,6 @@ struct MetricSample {
 
 class MetricsRegistry {
  public:
-  /// Counters: monotonic event tallies ("jobs.completed").
-  void add_counter(std::string_view name, std::uint64_t delta = 1);
-  std::uint64_t counter(std::string_view name) const;
-
-  /// Gauges: last-write-wins instantaneous values.
-  void set_gauge(std::string_view name, double value);
-  double gauge(std::string_view name) const;
-
-  /// Streaming stats instrument, created on first use.
-  RunningStats& stats(std::string_view name);
-  const RunningStats* find_stats(std::string_view name) const;
-
-  /// Fixed-bin histogram instrument, created on first use (later calls
-  /// ignore the bounds and return the existing instrument).
-  Histogram& histogram(std::string_view name, double lo, double hi,
-                       std::size_t bins);
-
   /// Appends a timeseries row; `metric` is interned on first use.
   void sample(SimTime now, std::string_view metric, double value);
 
@@ -64,25 +43,7 @@ class MetricsRegistry {
   std::string timeseries_csv() const;
   Status export_timeseries_csv(const std::string& path) const;
 
-  /// Aligned end-of-run table of every counter, gauge and stats
-  /// instrument (histograms render via Histogram::render).
-  std::string summary() const;
-
  private:
-  template <typename T>
-  struct Named {
-    std::string name;
-    T value;
-  };
-  // Insertion-ordered instrument stores with by-name indices.
-  std::vector<Named<std::uint64_t>> counters_;
-  std::map<std::string, std::size_t, std::less<>> counter_ids_;
-  std::vector<Named<double>> gauges_;
-  std::map<std::string, std::size_t, std::less<>> gauge_ids_;
-  std::vector<Named<RunningStats>> stats_;
-  std::map<std::string, std::size_t, std::less<>> stats_ids_;
-  std::vector<Named<Histogram>> histograms_;
-  std::map<std::string, std::size_t, std::less<>> histogram_ids_;
   std::vector<std::string> sample_names_;
   std::map<std::string, std::uint32_t, std::less<>> sample_ids_;
   std::vector<MetricSample> samples_;

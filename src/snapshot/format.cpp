@@ -442,6 +442,36 @@ Status SnapshotReader::skip() {
   return Status::ok();
 }
 
+StatusOr<std::vector<SnapshotRecord>> SnapshotReader::records() {
+  std::vector<SnapshotRecord> out;
+  while (pos_ < end_) {
+    SnapshotRecord record;
+    std::string_view name;
+    if (Status st = peek(record.kind, name); !st.is_ok()) return st;
+    record.section = joined_path(section_stack_);
+    record.name = std::string(name);
+    std::string_view payload;
+    Status st = Status::ok();
+    switch (record.kind) {
+      case RecordKind::kSectionBegin:
+        st = begin_section(name);
+        break;
+      case RecordKind::kSectionEnd:
+        if (!section_stack_.empty()) record.name = section_stack_.back();
+        st = end_section();
+        record.section = joined_path(section_stack_);
+        break;
+      default:
+        st = read_record(record.kind, name, payload);
+    }
+    if (!st.is_ok()) return st;
+    record.payload.assign(payload);
+    out.push_back(std::move(record));
+  }
+  if (!section_stack_.empty()) return error("section never closed");
+  return out;
+}
+
 Status SnapshotReader::history_section() {
   if (Status st = begin_section("history"); !st.is_ok()) return st;
   std::size_t chunk = 0;
@@ -642,73 +672,10 @@ StatusOr<std::vector<SnapshotRecord>> read_records(const std::string& path) {
   return records;
 }
 
-StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buf) {
-  // Verify magic/version/checksum before walking the raw stream, so
-  // structural errors below indicate an encoder bug, not corruption.
-  if (Status st = verify_stream(buf); !st.is_ok()) return st;
-  buf.resize(buf.size() - kFooterBytes);
-  std::size_t pos = kHeaderBytes;
-  std::vector<std::string> stack;
-  std::vector<SnapshotRecord> records;
-  while (pos < buf.size()) {
-    if (pos + 3 > buf.size()) {
-      return Status::internal("snapshot: trailing garbage after last record");
-    }
-    const std::uint8_t raw = static_cast<unsigned char>(buf[pos]);
-    if (!known_kind(raw)) {
-      return Status::internal(
-          str_format("snapshot: unknown record tag %u at offset %zu", raw, pos));
-    }
-    const auto kind = static_cast<RecordKind>(raw);
-    const std::uint16_t name_len = load_le<std::uint16_t>(buf.data() + pos + 1);
-    std::size_t cursor = pos + 3;
-    if (cursor + name_len > buf.size()) {
-      return Status::internal("snapshot: truncated record name");
-    }
-    std::string name(buf.data() + cursor, name_len);
-    cursor += name_len;
-    std::size_t payload_len = 0;
-    switch (kind) {
-      case RecordKind::kSectionBegin:
-      case RecordKind::kSectionEnd: payload_len = 0; break;
-      case RecordKind::kU64:
-      case RecordKind::kI64:
-      case RecordKind::kF64: payload_len = 8; break;
-      case RecordKind::kBool: payload_len = 1; break;
-      case RecordKind::kStr:
-      case RecordKind::kBytes:
-        if (cursor + 4 > buf.size()) {
-          return Status::internal("snapshot: truncated length prefix");
-        }
-        payload_len = load_le<std::uint32_t>(buf.data() + cursor);
-        cursor += 4;
-        break;
-    }
-    if (cursor + payload_len > buf.size()) {
-      return Status::internal("snapshot: truncated record payload");
-    }
-    SnapshotRecord record;
-    record.kind = kind;
-    record.section = joined_path(stack);
-    record.name = name;
-    record.payload.assign(buf.data() + cursor, payload_len);
-    if (kind == RecordKind::kSectionBegin) {
-      stack.push_back(name);
-    } else if (kind == RecordKind::kSectionEnd) {
-      if (stack.empty()) {
-        return Status::internal("snapshot: unbalanced section-end");
-      }
-      record.name = stack.back();
-      stack.pop_back();
-      record.section = joined_path(stack);
-    }
-    records.push_back(std::move(record));
-    pos = cursor + payload_len;
-  }
-  if (!stack.empty()) {
-    return Status::internal("snapshot: unclosed section '" + stack.back() + "'");
-  }
-  return records;
+StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buffer) {
+  auto reader = SnapshotReader::from_buffer(std::move(buffer));
+  if (!reader.is_ok()) return reader.status();
+  return reader->records();
 }
 
 StatusOr<bool> diff_snapshots(const std::string& golden,
@@ -758,32 +725,52 @@ StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> section_digests(
     const std::string& path) {
   auto records = read_records(path);
   if (!records.is_ok()) return records.status();
-  std::vector<std::pair<std::string, std::uint64_t>> digests;
-  std::string current;
-  std::uint64_t h = kFnvOffset;
-  auto mix = [&h](std::string_view bytes) {
-    for (const char c : bytes) {
-      h ^= static_cast<unsigned char>(c);
-      h *= kFnvPrime;
-    }
-  };
+  std::vector<std::string> sections;
   for (const SnapshotRecord& record : *records) {
-    const bool top_begin =
-        record.kind == RecordKind::kSectionBegin && record.section.empty();
-    if (top_begin) {
-      current = record.name;
-      h = kFnvOffset;
-      continue;
+    if (record.kind == RecordKind::kSectionBegin && record.section.empty()) {
+      sections.push_back(record.name);
     }
-    const bool top_end =
-        record.kind == RecordKind::kSectionEnd && record.section.empty();
-    if (top_end) {
-      digests.emplace_back(current, h);
-      current.clear();
-      continue;
+  }
+  // The section a history table belongs to: the longest whose name and a
+  // '.' start the table's key.
+  const auto owner_of = [&](const std::string& key) {
+    const std::string* owner = nullptr;
+    for (const std::string& name : sections) {
+      if (key.size() > name.size() && key[name.size()] == '.' &&
+          key.starts_with(name) &&
+          (owner == nullptr || name.size() > owner->size())) {
+        owner = &name;
+      }
     }
-    mix(record.name);
-    mix(record.payload);
+    return owner != nullptr ? *owner : std::string("history");
+  };
+  std::map<std::string, std::uint64_t> state;
+  const auto digest = [&](const std::string& section) -> std::uint64_t& {
+    return state.try_emplace(section, kFnvOffset).first->second;
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> digests;
+  std::size_t depth = 0;
+  std::string section;  // the open top-level section
+  std::string table;    // the owner of the open history table
+  for (const SnapshotRecord& record : *records) {
+    const bool begin = record.kind == RecordKind::kSectionBegin;
+    const bool end = record.kind == RecordKind::kSectionEnd;
+    if (end) --depth;
+    if (depth == 0) {
+      if (begin) section = record.name;
+      if (end) digests.emplace_back(section, digest(section));
+    } else {
+      // In `history`, depth 1 holds the chunks and depth 2 a chunk's
+      // boundary and its tables.
+      const std::string* to = &section;
+      if (section == "history" && depth >= 2) {
+        if (depth == 2 && begin) table = owner_of(record.name);
+        if (depth > 2 || begin || end) to = &table;
+      }
+      std::uint64_t& h = digest(*to);
+      h = fnv1a(record.payload, fnv1a(record.name, h));
+    }
+    if (begin) ++depth;
   }
   return digests;
 }

@@ -323,6 +323,16 @@ class SnapshotWriter {
   HistoryCache* history_ = nullptr;
 };
 
+/// One decoded record, for the divergence auditor and `snapshot-diff`.
+struct SnapshotRecord {
+  RecordKind kind;
+  std::string section;  // dotted path of enclosing sections
+  std::string name;
+  std::string payload;  // raw payload bytes
+  /// Human-readable payload (decoded per kind).
+  std::string value_text() const;
+};
+
 /// Sequential, name-checked decoder for a verified snapshot stream.
 class SnapshotReader {
  public:
@@ -418,6 +428,12 @@ class SnapshotReader {
   /// "section 'a.b' near offset N" — appended to every error. Inside a
   /// history chunk: "history chunk K (t=T) record 'a.b.rows' near offset N".
   std::string context() const;
+
+  /// Every record left, each read as its tag says, a section's end record
+  /// named after its section: the record list behind `snapshot-diff`.
+  /// Refuses what a walk would, with the same context, and a section
+  /// left open.
+  StatusOr<std::vector<SnapshotRecord>> records();
 
  private:
   friend class HistoryCache;
@@ -680,23 +696,13 @@ Status table(Io& io, std::string_view count_name, std::string_view name,
   return rows(io, in_history, count);
 }
 
-/// One decoded record, for the divergence auditor and `snapshot-diff`.
-struct SnapshotRecord {
-  RecordKind kind;
-  std::string section;  // dotted path of enclosing sections
-  std::string name;
-  std::string payload;  // raw payload bytes
-  /// Human-readable payload (decoded per kind).
-  std::string value_text() const;
-};
-
 /// Decodes a verified snapshot file into its full record list.
 StatusOr<std::vector<SnapshotRecord>> read_records(const std::string& path);
 
 /// The verify-and-walk core of read_records, operating on an in-memory
-/// buffer: checks magic/version/checksum via SnapshotReader, then decodes
-/// every tagged record with section balancing. Exposed so the fuzzing
-/// harness can drive the decoder without touching the filesystem.
+/// buffer: SnapshotReader::from_buffer, then SnapshotReader::records.
+/// Exposed so the fuzzing harness can drive the decoder without touching
+/// the filesystem.
 StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buffer);
 
 /// Walks two snapshot files in lockstep and reports the first diverging
@@ -707,7 +713,10 @@ StatusOr<bool> diff_snapshots(const std::string& golden,
                               const std::string& other, std::string* report);
 
 /// Per-top-level-section FNV-1a digests of a snapshot file — the compact
-/// rolling digest form of the divergence audit.
+/// rolling digest form of the divergence audit. A history chunk's table
+/// counts toward the section its key starts with ("htc:BLUE.jobs" toward
+/// "htc:BLUE"), so a diverging finished row names its component; the
+/// `history` entry keeps the chunks' own records.
 StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> section_digests(
     const std::string& path);
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/strings.hpp"
-
 namespace dc {
 
 void RunningStats::add(double x) {
@@ -76,22 +74,6 @@ double Histogram::quantile(double p) const {
   }
   // p == 1 with trailing empty bins, or pure rounding residue.
   return hi_;
-}
-
-std::string Histogram::render(std::size_t max_bar_width) const {
-  std::int64_t max_count = 1;
-  for (auto c : counts_) max_count = std::max(max_count, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto width = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(max_count) *
-        static_cast<double>(max_bar_width));
-    out += str_format("[%12.2f, %12.2f) %8lld ", bin_lo(i), bin_hi(i),
-                      static_cast<long long>(counts_[i]));
-    out.append(width, '#');
-    out.push_back('\n');
-  }
-  return out;
 }
 
 }  // namespace dc

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace dc {
@@ -55,9 +54,6 @@ class Histogram {
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
-
-  /// Quick ASCII rendering for examples/inspection tools.
-  std::string render(std::size_t max_bar_width = 50) const;
 
  private:
   double lo_, hi_;

@@ -48,14 +48,6 @@ double Rng::normal() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::bounded_pareto(double alpha, double lo, double hi) {
-  assert(alpha > 0.0 && 0.0 < lo && lo < hi);
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 double Rng::hyperexponential(double p, double mean1, double mean2) {
   return bernoulli(p) ? exponential(mean1) : exponential(mean2);
 }

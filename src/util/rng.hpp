@@ -85,9 +85,6 @@ class Rng {
   /// stream is position-independent).
   double normal();
 
-  /// Bounded Pareto on [lo, hi] with tail index alpha (> 0).
-  double bounded_pareto(double alpha, double lo, double hi);
-
   /// Two-phase hyperexponential: with probability p draw Exp(mean1),
   /// otherwise Exp(mean2). Models the short-jobs/long-jobs mix in HTC traces.
   double hyperexponential(double p, double mean1, double mean2);

@@ -202,19 +202,6 @@ TEST_F(HtcServerTest, RejectedGrantsAreCountedAndRetried) {
   EXPECT_EQ(bounded.rejected_requests(), server.rejected_grants());
 }
 
-TEST_F(HtcServerTest, DrainedCallbackFires) {
-  HtcServer& server = make_fixed(4);
-  std::vector<SimTime> drained_times;
-  server.set_drained_callback([&](SimTime t) { drained_times.push_back(t); });
-  sim_.schedule_at(0, [&] {
-    server.start();
-    server.submit(10, 2);
-  });
-  sim_.schedule_at(100, [&] { server.submit(10, 2); });
-  sim_.run();
-  EXPECT_EQ(drained_times, (std::vector<SimTime>{10, 110}));
-}
-
 TEST_F(HtcServerTest, ShutdownIsIdempotentAndStopsTimers) {
   HtcServer& server = make_elastic(ResourceManagementPolicy::htc(10, 1.5));
   sim_.schedule_at(0, [&] { server.start(); });

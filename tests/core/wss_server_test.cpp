@@ -88,30 +88,6 @@ TEST_F(WssServerTest, ShutdownReturnsEverything) {
   EXPECT_EQ(server.owned(), 0);
 }
 
-TEST_F(WssServerTest, FailuresDegradeServingCapacityUntilRepair) {
-  WssServer::Config config;
-  config.name = "wss";
-  config.fixed_nodes = 40;
-  WssServer server(sim_, provision_, std::move(config), step_profile());
-  sim_.schedule_at(0, [&] { ASSERT_TRUE(server.start()); });
-  // Mid-peak (demand 40) a rack of 30 dies; only 10 healthy nodes serve
-  // until the repair half an hour later.
-  sim_.schedule_at(150 * kMinute, [&] {
-    EXPECT_EQ(server.fail_nodes(30), 0) << "web services run no jobs to kill";
-    EXPECT_EQ(server.down(), 30);
-    EXPECT_EQ(server.healthy_nodes(), 10);
-  });
-  sim_.schedule_at(3 * kHour, [&] { server.repair_nodes(30); });
-  sim_.run_until(6 * kHour);
-  server.shutdown();
-  EXPECT_EQ(server.down(), 0);
-  // Unmet demand 30 nodes x 0.5 h = 15 violation node*hours (the fixed
-  // sizing itself never violates, see FixedModeHoldsPeakAndNeverViolates).
-  EXPECT_NEAR(server.violation_node_hours(), 15.0, 1.0);
-  EXPECT_LT(server.availability(6 * kHour), 1.0);
-  EXPECT_NEAR(server.availability(6 * kHour), 1.0 - 15.0 / 240.0, 0.01);
-}
-
 TEST_F(WssServerTest, ElasticBeatsFixedOnRealisticCurveWithoutViolations) {
   const workload::DemandProfile profile =
       workload::make_web_demand(workload::WebDemandSpec{}, 3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dc::cost {
 namespace {
 
@@ -16,12 +18,14 @@ cluster::LeaseLedger sample_ledger() {
 
 TEST(Invoice, LineItemsAndTotals) {
   const Invoice invoice =
-      generate_invoice("NASA", sample_ledger(), 6 * kHour, 0.10);
-  ASSERT_EQ(invoice.lines.size(), 4u);
-  EXPECT_EQ(invoice.lines[0].item, "initial");
-  EXPECT_EQ(invoice.lines[0].node_hours, 80);
-  EXPECT_DOUBLE_EQ(invoice.lines[0].amount_usd, 8.0);
-  EXPECT_EQ(invoice.lines[1].node_hours, 10);  // 30 min rounds to 1h
+      generate_summary_invoice("NASA", sample_ledger(), 6 * kHour, 0.10);
+  ASSERT_EQ(invoice.lines.size(), 3u);
+  EXPECT_EQ(invoice.lines[2].item, "initial (1 lease)");
+  EXPECT_EQ(invoice.lines[2].node_hours, 80);
+  EXPECT_DOUBLE_EQ(invoice.lines[2].amount_usd, 8.0);
+  // DR1: the 30-minute lease rounds to 1h, so 10 + 5 node*hours.
+  EXPECT_EQ(invoice.lines[0].node_hours, 15);
+  EXPECT_DOUBLE_EQ(invoice.lines[0].amount_usd, 1.5);
   // Total: 80 + 10 + 5 + 16 = 111 node*hours, $11.10.
   EXPECT_EQ(invoice.total_node_hours, 111);
   EXPECT_DOUBLE_EQ(invoice.total_usd, 11.1);
@@ -30,7 +34,7 @@ TEST(Invoice, LineItemsAndTotals) {
 TEST(Invoice, OpenLeaseClipsAtHorizon) {
   cluster::LeaseLedger ledger;
   ledger.open(kHour, 4, "initial");
-  const Invoice invoice = generate_invoice("X", ledger, 3 * kHour);
+  const Invoice invoice = generate_summary_invoice("X", ledger, 3 * kHour);
   ASSERT_EQ(invoice.lines.size(), 1u);
   EXPECT_EQ(invoice.lines[0].end, 3 * kHour);
   EXPECT_EQ(invoice.lines[0].node_hours, 8);
@@ -51,9 +55,10 @@ TEST(Invoice, SummaryGroupsByBaseTag) {
 TEST(Invoice, FormatFoldsExcessLines) {
   cluster::LeaseLedger ledger;
   for (int i = 0; i < 30; ++i) {
-    ledger.record(i * kHour, (i + 1) * kHour, 1, "job");
+    ledger.record(i * kHour, (i + 1) * kHour, 1, "job" + std::to_string(i));
   }
-  const Invoice invoice = generate_invoice("drp-user", ledger, 40 * kHour);
+  const Invoice invoice = generate_summary_invoice("drp-user", ledger, 40 * kHour);
+  ASSERT_EQ(invoice.lines.size(), 30u);
   const std::string text = format_invoice(invoice, 5);
   EXPECT_NE(text.find("... 25 more line items"), std::string::npos);
   EXPECT_NE(text.find("TOTAL: 30 node*hours"), std::string::npos);
@@ -62,7 +67,7 @@ TEST(Invoice, FormatFoldsExcessLines) {
 
 TEST(Invoice, EmptyLedger) {
   cluster::LeaseLedger ledger;
-  const Invoice invoice = generate_invoice("empty", ledger, kHour);
+  const Invoice invoice = generate_summary_invoice("empty", ledger, kHour);
   EXPECT_TRUE(invoice.lines.empty());
   EXPECT_EQ(invoice.total_node_hours, 0);
   EXPECT_NE(format_invoice(invoice).find("TOTAL: 0 node*hours"),

@@ -513,22 +513,19 @@ TEST(DcLintR11, RealSweepIsCleanAndMutationIsCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// dc-r12: trace/metric name-registry consistency.
+// dc-r12: trace name-registry consistency.
 
 TEST(DcLintR12, RegistryConflictsWithinOneFile) {
   const auto run =
       join_project({{"tests/lint/fixtures/r12_name_registry.cpp",
                      fixture("r12_name_registry.cpp")}});
   expect_all_rule(run.project, "dc-r12", "error");
-  EXPECT_EQ(lines_of(run.project), (std::vector<int>{7, 14, 16}));
-  ASSERT_EQ(run.project.size(), 3u);
+  EXPECT_EQ(lines_of(run.project), (std::vector<int>{7, 13}));
+  ASSERT_EQ(run.project.size(), 2u);
   EXPECT_NE(run.project[0].message.find("duplicate TraceName"),
             std::string::npos);
   EXPECT_NE(run.project[0].message.find("'job.start'"), std::string::npos);
   EXPECT_NE(run.project[1].message.find("span here"), std::string::npos);
-  EXPECT_NE(run.project[2].message.find("metric 'jobs.completed'"),
-            std::string::npos);
-  EXPECT_NE(run.project[2].message.find("gauge"), std::string::npos);
 }
 
 TEST(DcLintR12, DuplicateTraceNameAcrossFiles) {

@@ -10,45 +10,6 @@
 namespace dc::obs {
 namespace {
 
-TEST(MetricsRegistry, CountersAccumulate) {
-  MetricsRegistry registry;
-  EXPECT_EQ(registry.counter("jobs.completed"), 0u);
-  registry.add_counter("jobs.completed");
-  registry.add_counter("jobs.completed", 4);
-  registry.add_counter("jobs.killed", 2);
-  EXPECT_EQ(registry.counter("jobs.completed"), 5u);
-  EXPECT_EQ(registry.counter("jobs.killed"), 2u);
-}
-
-TEST(MetricsRegistry, GaugesAreLastWriteWins) {
-  MetricsRegistry registry;
-  EXPECT_DOUBLE_EQ(registry.gauge("queue.depth"), 0.0);
-  registry.set_gauge("queue.depth", 7.0);
-  registry.set_gauge("queue.depth", 3.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("queue.depth"), 3.0);
-}
-
-TEST(MetricsRegistry, StatsInstrumentIsCreatedOnFirstUse) {
-  MetricsRegistry registry;
-  EXPECT_EQ(registry.find_stats("wait"), nullptr);
-  registry.stats("wait").add(10.0);
-  registry.stats("wait").add(20.0);
-  const RunningStats* stats = registry.find_stats("wait");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->count(), 2);
-  EXPECT_DOUBLE_EQ(stats->mean(), 15.0);
-}
-
-TEST(MetricsRegistry, HistogramKeepsFirstBounds) {
-  MetricsRegistry registry;
-  Histogram& hist = registry.histogram("runtime", 0.0, 10.0, 5);
-  hist.add(3.0);
-  // Later calls with different bounds return the existing instrument.
-  Histogram& same = registry.histogram("runtime", 0.0, 999.0, 2);
-  EXPECT_EQ(&hist, &same);
-  EXPECT_EQ(same.total(), 1);
-}
-
 TEST(MetricsRegistry, TimeseriesCsvIsLongFormat) {
   MetricsRegistry registry;
   registry.sample(kHour, "bes.queue_depth", 4.0);
@@ -115,21 +76,6 @@ TEST(MetricsRegistry, TimeseriesCsvPrintsTenSignificantDigits) {
             "16,m,nan\n"
             "17,m,-nan\n"
             "9223372036854775807,other,1.5\n");
-}
-
-TEST(MetricsRegistry, SummaryListsEveryInstrument) {
-  MetricsRegistry registry;
-  registry.add_counter("jobs.completed", 12);
-  registry.set_gauge("nodes.busy", 48.0);
-  registry.stats("wait").add(30.0);
-  registry.histogram("runtime", 0.0, 100.0, 4).add(50.0);
-  const std::string summary = registry.summary();
-  EXPECT_NE(summary.find("jobs.completed"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("counter"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("nodes.busy"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("gauge"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("stats"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("histogram"), std::string::npos) << summary;
 }
 
 }  // namespace

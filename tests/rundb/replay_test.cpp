@@ -7,6 +7,7 @@
 //    to one trace record;
 //  * empty or header-only traces are a typed diagnostic, never a vacuous
 //    no-divergence verdict.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -230,6 +231,34 @@ TEST(Bisect, LocalizesASeededDivergenceToOneIntervalAndTraceRecord) {
             std::string::npos)
       << report->summary;
   EXPECT_NE(report->summary.find("replay window"), std::string::npos)
+      << report->summary;
+}
+
+// Two runs that part ways at the first queued job (first-fit against
+// EASY backfilling, on DawningCloud's small initial holding) differ first
+// in their history chunks. Each chunk's table counts toward its
+// component, so the bisector names the components, never the `history`
+// container.
+TEST(Bisect, NamesTheComponentsOfADivergingHistory) {
+  const core::ConsolidationWorkload workload = make_workload();
+  const SystemModel model = SystemModel::kDawningCloud;
+  const std::string dir_a = fresh_dir("history_first_fit");
+  const std::string dir_b = fresh_dir("history_backfill");
+  golden_snapshotted_run(model, workload, dir_a, core::RunOptions{});
+  core::RunOptions backfill;
+  backfill.htc_scheduler = core::HtcSchedulerKind::kEasyBackfill;
+  golden_snapshotted_run(model, workload, dir_b, backfill);
+
+  auto report = rundb::bisect_divergence(dir_a, dir_b, model, "", "");
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  ASSERT_TRUE(report->diverged);
+  EXPECT_NE(report->field_report.find("history.chunk.htc:replay."),
+            std::string::npos)
+      << report->field_report;
+  const std::vector<std::string>& sections = report->diverging_sections;
+  EXPECT_EQ(std::count(sections.begin(), sections.end(), "history"), 0)
+      << report->summary;
+  EXPECT_EQ(std::count(sections.begin(), sections.end(), "htc:replay"), 1)
       << report->summary;
 }
 

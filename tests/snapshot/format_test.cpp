@@ -361,6 +361,89 @@ TEST(SnapshotFormat, SectionDigestsLocalizeDivergence) {
   EXPECT_NE((*a)[1].second, (*b)[1].second) << "diverged section digest differs";
 }
 
+// A history chunk's table counts toward the section its key starts with,
+// so a diverging finished row names its component; the chunks' own
+// records stay under `history`.
+TEST(SnapshotFormat, SectionDigestsAttributeHistoryTablesToTheirSection) {
+  auto write = [](const std::string& name, std::uint64_t finished,
+                  std::int64_t boundary) {
+    SnapshotWriter writer;
+    writer.begin_section("history");
+    writer.begin_section("chunk");
+    writer.i64("boundary", boundary);
+    writer.begin_section("server.jobs");
+    writer.u64("finished", finished);
+    writer.end_section();
+    writer.end_section();
+    writer.end_section();
+    writer.begin_section("kernel");
+    writer.u64("seq", 10);
+    writer.end_section();
+    writer.begin_section("server");
+    writer.u64("busy", 4);
+    writer.end_section();
+    const std::string path = temp_path(name);
+    EXPECT_TRUE(writer.write_file(path).is_ok());
+    return section_digests(path);
+  };
+  const auto a = write("history_a.dcsnap", 3, 100);
+  const auto row = write("history_row.dcsnap", 4, 100);
+  const auto chunk = write("history_chunk.dcsnap", 3, 200);
+  ASSERT_TRUE(a.is_ok() && row.is_ok() && chunk.is_ok());
+  ASSERT_EQ(a->size(), 3u);
+  EXPECT_EQ((*a)[0].first, "history");
+  EXPECT_EQ((*a)[1].first, "kernel");
+  EXPECT_EQ((*a)[2].first, "server");
+  EXPECT_EQ((*row)[0], (*a)[0]) << "a finished row is not the history's";
+  EXPECT_EQ((*row)[1], (*a)[1]);
+  EXPECT_NE((*row)[2].second, (*a)[2].second) << "it is its component's";
+  EXPECT_NE((*chunk)[0].second, (*a)[0].second);
+  EXPECT_EQ((*chunk)[1], (*a)[1]);
+  EXPECT_EQ((*chunk)[2], (*a)[2]);
+}
+
+/// `stream` with its footer re-computed over the rest: a forged stream the
+/// checksum cannot tell from a written one.
+std::string reseal(std::string stream) {
+  stream.resize(stream.size() - sizeof(std::uint64_t));
+  const std::uint64_t digest = fnv1a(stream);
+  for (int i = 0; i < 8; ++i) {
+    stream.push_back(static_cast<char>((digest >> (8 * i)) & 0xff));
+  }
+  return stream;
+}
+
+// Checksum-valid but malformed records are bad input: the record dump
+// behind snapshot-diff refuses them as a restore would, with the reader's
+// context, never as an internal error.
+TEST(SnapshotFormat, ForgedRecordsAreRefusedWithTheReadersContext) {
+  std::string bytes = sample_stream();
+  // The second record follows the header and the 'kernel' begin record.
+  bytes[sizeof(kMagic) + 4 + 3 + 6] = 9;
+  const std::string path = temp_path("forged_tag.dcsnap");
+  write_bytes(path, reseal(bytes));
+  auto records = read_records(path);
+  ASSERT_FALSE(records.is_ok());
+  EXPECT_EQ(records.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(records.status().message().find(
+                "unknown record tag 9 — corrupt stream (section 'kernel' "
+                "near offset 21)"),
+            std::string::npos)
+      << records.status().message();
+  EXPECT_EQ(diff_snapshots(path, path, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The last record closes 'server'; without it the section stays open.
+  std::string unclosed = sample_stream();
+  unclosed.erase(unclosed.size() - sizeof(std::uint64_t) - 3, 3);
+  auto open = decode_records(reseal(unclosed));
+  ASSERT_FALSE(open.is_ok());
+  EXPECT_EQ(open.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(open.status().message().find("section never closed"),
+            std::string::npos)
+      << open.status().message();
+}
+
 TEST(SnapshotFormat, RollingDigestChangesWithEveryField) {
   SnapshotWriter writer;
   const std::uint64_t d0 = writer.digest();

@@ -18,7 +18,10 @@ std::string read_file(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/csv_test.csv";
+  // One file per test: ctest runs the cases as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "/csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -114,15 +114,5 @@ TEST(Histogram, QuantileClampsOutOfRangeP) {
   EXPECT_DOUBLE_EQ(hist.quantile(2.0), hist.quantile(1.0));
 }
 
-TEST(Histogram, RenderContainsBars) {
-  Histogram hist(0.0, 4.0, 2);
-  hist.add(1.0);
-  hist.add(1.0);
-  hist.add(3.0);
-  const std::string out = hist.render(10);
-  EXPECT_NE(out.find("##########"), std::string::npos);
-  EXPECT_NE(out.find("#####"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace dc

@@ -12,7 +12,10 @@ namespace {
 class LogCapture {
  public:
   LogCapture() {
-    path_ = ::testing::TempDir() + "/log_capture.txt";
+    // One file per test: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "/log_capture_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".txt";
     file_ = std::fopen(path_.c_str(), "w+");
     Log::set_stream(file_);
   }

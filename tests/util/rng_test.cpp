@@ -100,15 +100,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
 }
 
-TEST(Rng, BoundedParetoStaysInBounds) {
-  Rng rng(29);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.bounded_pareto(1.5, 10.0, 1000.0);
-    ASSERT_GE(x, 10.0);
-    ASSERT_LE(x, 1000.0);
-  }
-}
-
 TEST(Rng, HyperexponentialMean) {
   Rng rng(31);
   const int n = 200000;

@@ -38,9 +38,8 @@ const std::vector<RuleInfo>& rule_table() {
        "pointers to state not indexed by the loop variable inside parallel "
        "callbacks"},
       {"dc-r12", "error",
-       "trace/metrics name registry: no duplicate interned TraceName "
-       "declarations, no literal used as both instant and span, no metric "
-       "name registered under two types"},
+       "trace name registry: no duplicate interned TraceName declarations, "
+       "no literal used as both instant and span"},
       {"dc-r13", "error",
        "campaign artifacts must not depend on wall time: no clocks or "
        "sleeps in src/campaign except supervision plumbing annotated "

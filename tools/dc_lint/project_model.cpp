@@ -162,7 +162,7 @@ void extract_classes_and_persists(const FileLex& lx, FileFacts& facts) {
 }
 
 // --------------------------------------------------------------------------
-// Trace / metric name-literal registrations.
+// Trace name-literal registrations.
 
 // Splits the arguments of the call whose '(' is at `open` into top-level
 // comma-separated token ranges [first, last).
@@ -186,13 +186,6 @@ std::vector<std::pair<std::size_t, std::size_t>> split_args(const FileLex& lx,
 }
 
 void extract_name_regs(const FileLex& lx, FileFacts& facts) {
-  static const std::map<std::string, NameReg::Kind, std::less<>> kMetricCalls = {
-      {"add_counter", NameReg::kCounter}, {"counter", NameReg::kCounter},
-      {"set_gauge", NameReg::kGauge},     {"gauge", NameReg::kGauge},
-      {"stats", NameReg::kStats},         {"find_stats", NameReg::kStats},
-      {"histogram", NameReg::kHistogram},
-  };
-
   const std::size_t n = lx.tokens.size();
   for (std::size_t i = 0; i < n; ++i) {
     const Token& t = lx.tokens[i];
@@ -226,18 +219,6 @@ void extract_name_regs(const FileLex& lx, FileFacts& facts) {
             {instant_c ? NameReg::kTraceInstant : NameReg::kTraceSpan,
              lx.tokens[args[idx].first].text, lx.tokens[args[idx].first].line});
       }
-      continue;
-    }
-
-    // Typed metric registrations: member calls with a literal first arg.
-    const auto metric = kMetricCalls.find(t.text);
-    if (metric != kMetricCalls.end() && i > 0 &&
-        (tok_punct_at(lx, i - 1, ".") || tok_punct_at(lx, i - 1, "->")) &&
-        tok_punct_at(lx, i + 1, "(") && i + 2 < n &&
-        lx.tokens[i + 2].kind == TokKind::kString &&
-        (tok_punct_at(lx, i + 3, ",") || tok_punct_at(lx, i + 3, ")"))) {
-      facts.name_regs.push_back(
-          {metric->second, lx.tokens[i + 2].text, lx.tokens[i + 2].line});
     }
   }
 }
@@ -286,19 +267,6 @@ std::string module_of(std::string_view path) {
 }
 
 }  // namespace
-
-const char* name_reg_kind_label(NameReg::Kind kind) {
-  switch (kind) {
-    case NameReg::kTraceDecl: return "TraceName declaration";
-    case NameReg::kTraceInstant: return "instant event";
-    case NameReg::kTraceSpan: return "span event";
-    case NameReg::kCounter: return "counter";
-    case NameReg::kGauge: return "gauge";
-    case NameReg::kStats: return "stats";
-    case NameReg::kHistogram: return "histogram";
-  }
-  return "?";
-}
 
 FileFacts extract_facts(const std::string& display_path, const FileLex& lx) {
   FileFacts facts;
@@ -589,29 +557,6 @@ std::vector<Diagnostic> ProjectModel::check_name_registry() const {
                          "and as an instant at " + first_instant->file->path +
                          ":" + std::to_string(first_instant->reg->line) +
                          "; one interned id cannot carry both event shapes"});
-    }
-
-    // A metric name registered under two types reads back as whichever
-    // type asked first; the registry cannot arbitrate.
-    const Site* first_metric = nullptr;
-    for (const Site& site : sites) {
-      const NameReg::Kind kind = site.reg->kind;
-      if (kind != NameReg::kCounter && kind != NameReg::kGauge &&
-          kind != NameReg::kStats && kind != NameReg::kHistogram) {
-        continue;
-      }
-      if (first_metric == nullptr) {
-        first_metric = &site;
-        continue;
-      }
-      if (kind == first_metric->reg->kind) continue;
-      out.push_back({site.file->path, site.reg->line, "dc-r12", "error",
-                     "metric '" + name + "' is registered as a " +
-                         name_reg_kind_label(kind) + " here but as a " +
-                         name_reg_kind_label(first_metric->reg->kind) + " at " +
-                         first_metric->file->path + ":" +
-                         std::to_string(first_metric->reg->line) +
-                         "; one name, one metric type"});
     }
   }
 

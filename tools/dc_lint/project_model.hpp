@@ -5,8 +5,8 @@
 //   * FileFacts — what one translation unit contributes: its resolved-to-
 //     be includes, the classes it declares (with data members and their
 //     dc-volatile annotations), the snapshot walks it defines (with every
-//     identifier their bodies mention), and the trace/metric name
-//     literals it registers.
+//     identifier their bodies mention), and the trace name literals it
+//     registers.
 //   * ProjectModel — the join: an include graph over the analyzed file
 //     set plus symbol tables keyed by class name and registry name.
 //
@@ -18,7 +18,7 @@
 //   dc-r10 layering: src/<module> may include only its declared
 //          dependency closure (the CMake library DAG), src may not reach
 //          into tools/bench, and the include graph must be acyclic.
-//   dc-r12 trace/metrics name-registry consistency across the whole tree.
+//   dc-r12 trace name-registry consistency across the whole tree.
 #pragma once
 
 #include <map>
@@ -53,23 +53,17 @@ struct PersistMethod {
   std::set<std::string> idents;  // every identifier in the body
 };
 
-/// One registration of a name literal in the trace or metrics registry.
+/// One registration of a name literal in the trace registry.
 struct NameReg {
   enum Kind {
     kTraceDecl,     // TraceName x{"literal"} / TraceName x("literal")
     kTraceInstant,  // DC_TRACE_INSTANT_C(..., "literal", ...)
     kTraceSpan,     // DC_TRACE_SPAN_C(..., "literal", ...)
-    kCounter,       // registry.add_counter("literal") / .counter(...)
-    kGauge,         // .set_gauge("literal", v) / .gauge(...)
-    kStats,         // .stats("literal") / .find_stats(...)
-    kHistogram,     // .histogram("literal", ...)
   };
   Kind kind = kTraceDecl;
   std::string name;
   int line = 0;
 };
-
-const char* name_reg_kind_label(NameReg::Kind kind);
 
 struct FileFacts {
   std::string path;
@@ -110,7 +104,7 @@ class ProjectModel {
   /// dc-r9: snapshot semantic completeness over the joined symbol table.
   std::vector<Diagnostic> check_snapshot_semantics() const;
 
-  /// dc-r12: trace/metric name-registry consistency.
+  /// dc-r12: trace name-registry consistency.
   std::vector<Diagnostic> check_name_registry() const;
 
  private:

@@ -487,7 +487,6 @@ int snapshot_pass(core::SystemModel model, const std::string& art,
 
 int exports_pass(const std::string& art) {
   obs::MetricsRegistry registry;
-  registry.add_counter("drill.exports", 1);
   for (int i = 0; i < 16; ++i) {
     registry.sample(i * kMinute, "drill.queue_depth", 1.5 * i);
   }
@@ -521,6 +520,9 @@ campaign::OrchestratorConfig campaign_config(const std::string& dir,
   config.max_attempts = 3;
   config.backoff_base_ms = 10;
   config.backoff_cap_ms = 50;
+  // The supervision tick does no hooked I/O (heartbeats are read with
+  // ifstream), so a short tick shortens every pass without moving a probe.
+  config.poll_interval_ms = 1;
   return config;
 }
 
